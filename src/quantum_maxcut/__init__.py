@@ -29,7 +29,7 @@ from .graphs import (
     ParseError,
     WeightedGraph,
     connected_components,
-    cut_partition,
+    cut_value,
     match_forest_decompose,
     parse_graph,
     proper_edge_coloring,
@@ -59,7 +59,6 @@ from .states import (
     CandidateReport,
     PairProductState,
     best_few_qubit_candidate,
-    cut_value,
     local_search_product_state,
     match_singlet_state,
     pair_product_energy,

@@ -25,13 +25,7 @@ def star_bound(weights) -> float:
 
 def graph_laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted graph Laplacian: weighted degree on the diagonal, -w off it."""
-    lap = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        lap[u, u] += w
-        lap[v, v] += w
-        lap[u, v] -= w
-        lap[v, u] -= w
-    return lap
+    return np.diag(g.weight_matrix.sum(axis=1)) - g.weight_matrix
 
 
 @dataclass(frozen=True)
@@ -72,11 +66,10 @@ def opt_upper_bound(g: WeightedGraph, sdp_value: float | None = None) -> BoundRe
     degree-sum term.
     """
     w_total = g.total_weight
-    max_incident = [0.0] * g.n
-    for u, v, w in g.edges:
-        max_incident[u] = max(max_incident[u], w)
-        max_incident[v] = max(max_incident[v], w)
-    degree_sum = w_total + 0.5 * sum(max_incident)
+    max_incident = np.zeros(g.n)
+    np.maximum.at(max_incident, g.u, g.w)
+    np.maximum.at(max_incident, g.v, g.w)
+    degree_sum = w_total + 0.5 * max_incident.sum()
     trivial = 2.0 * w_total
     combined = sdp_combined_bound(g, sdp_value) if sdp_value is not None else None
     candidates = [trivial, degree_sum] + ([combined] if combined is not None else [])

@@ -12,66 +12,71 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .graphs import (
-    WeightedGraph,
-    cut_partition,
-    proper_edge_coloring,
-    triangles_per_edge,
-)
+import numpy as np
+
+from .graphs import WeightedGraph, proper_edge_coloring
 from .sdp import GW_RATIO, GramSolution, RoundingOutcome, gw_round, solve_maxcut_sdp
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+THETA_GRID = 400   # grid intervals on [0, pi/4] before the golden-section refinement
+GRID_BLOCK = 64    # angles evaluated per call, bounding the (angles x edges) temporaries
 
 
 def _check_edge_inputs(d_i, d_j, triangles):
-    if d_i < 1 or d_j < 1:
+    d_i, d_j, triangles = np.asarray(d_i), np.asarray(d_j), np.asarray(triangles)
+    if np.any(d_i < 1) or np.any(d_j < 1):
         raise ValueError("endpoint degrees must be at least 1")
-    if not (0 <= triangles <= min(d_i, d_j) - 1):
+    if np.any((triangles < 0) | (triangles > np.minimum(d_i, d_j) - 1)):
         raise ValueError(f"triangle count {triangles} out of range for degrees "
                          f"({d_i}, {d_j})")
 
 
 def edge_energy_sat(theta, d_i, d_j, triangles):
-    """Twice the per-edge expectation on a cut edge of the base string."""
+    """Twice the per-edge expectation on a cut edge of the base string. The
+    arguments broadcast, so one call evaluates many edges at many angles."""
     _check_edge_inputs(d_i, d_j, triangles)
-    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
+    c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
     return (1.0
             + s2 * c2 ** (d_i - 1)
             + s2 * c2 ** (d_j - 1)
-            + 0.5 * (1.0 + math.cos(4 * theta) ** triangles)
+            + 0.5 * (1.0 + np.cos(4 * theta) ** triangles)
             * c2 ** (d_i + d_j - 2 - 2 * triangles))
 
 
 def edge_energy_unsat(theta, d_i, d_j, triangles):
-    """Twice the per-edge expectation on an uncut edge of the base string."""
+    """Twice the per-edge expectation on an uncut edge of the base string;
+    broadcasts like edge_energy_sat."""
     _check_edge_inputs(d_i, d_j, triangles)
-    c2 = math.cos(2 * theta)
+    c2 = np.cos(2 * theta)
     return 1.0 - c2 ** (d_i + d_j - 2 - 2 * triangles)
 
 
-def circuit_energy(g: WeightedGraph, bits, theta: float) -> float:
-    """Total energy of the variational state, summed edge by edge in closed form."""
-    tri = triangles_per_edge(g)
-    deg = g.degree
-    sat, unsat = cut_partition(g, bits)
-    total = 0.0
-    for u, v, w in sat:
-        total += 0.5 * w * edge_energy_sat(theta, deg[u], deg[v], tri[(u, v)])
-    for u, v, w in unsat:
-        total += 0.5 * w * edge_energy_unsat(theta, deg[u], deg[v], tri[(u, v)])
+def circuit_energy(g: WeightedGraph, bits, theta):
+    """Total energy of the variational state, summed edge by edge in closed
+    form; an array of angles gives the array of energies at those angles."""
+    bits = np.asarray(bits)
+    if bits.shape != (g.n,):
+        raise ValueError("bit string length must equal vertex count")
+    sat = bits[g.u] != bits[g.v]
+    deg = np.asarray(g.degree)
+    du, dv, tri, w = deg[g.u], deg[g.v], g.triangles, g.w
+    t = np.asarray(theta, dtype=float)[..., None]  # angles down, edges across
+    total = 0.5 * (edge_energy_sat(t, du[sat], dv[sat], tri[sat]) @ w[sat]
+                   + edge_energy_unsat(t, du[~sat], dv[~sat], tri[~sat]) @ w[~sat])
     d = g.is_regular()
     if d is not None and d >= 1:
-        floor = 0.5 * regular_sat_envelope(theta, d) * sum(w for _, _, w in sat)
-        assert total >= floor - 1e-9, "regular-graph energy floor violated"
-    return total
+        floor = 0.5 * regular_sat_envelope(theta, d) * w[sat].sum()
+        if np.any(total < floor - 1e-9):
+            raise AssertionError("regular-graph energy floor violated")
+    return float(total) if total.ndim == 0 else total
 
 
-def regular_sat_envelope(theta: float, d: int) -> float:
+def regular_sat_envelope(theta, d: int):
     """Lower envelope of the cut-edge energy in a d-regular graph
     (the triangle-free case): 1 + 2 cos^{d-1}(2t) sin(2t) + cos^{2d-2}(2t)."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
+    c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
     return 1.0 + 2.0 * c2 ** (d - 1) * s2 + c2 ** (2 * d - 2)
 
 
@@ -145,20 +150,19 @@ def build_circuit(g: WeightedGraph, bits, theta: float) -> VariationalCircuit:
                               layers=layers)
 
 
-def optimize_angle(g: WeightedGraph, bits, grid: int = 400) -> tuple[float, float]:
+def optimize_angle(g: WeightedGraph, bits) -> tuple[float, float]:
     """Best angle for the closed-form total energy of an arbitrary graph:
     coarse grid on [0, pi/4] refined by golden-section around the best point."""
-    step = (math.pi / 4) / grid
-    best_t, best_e = 0.0, circuit_energy(g, bits, 0.0)
-    for k in range(1, grid + 1):
-        t = k * step
-        e = circuit_energy(g, bits, t)
-        if e > best_e:
-            best_t, best_e = t, e
+    step = (math.pi / 4) / THETA_GRID
+    grid = np.arange(THETA_GRID + 1) * step
+    energies = np.concatenate([circuit_energy(g, bits, grid[k:k + GRID_BLOCK])
+                               for k in range(0, len(grid), GRID_BLOCK)])
+    best_t = float(grid[np.argmax(energies)])  # the first of equal maxima
     lo, hi = max(0.0, best_t - step), min(math.pi / 4, best_t + step)
     while hi - lo > 1e-10:
         a, b = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-        if circuit_energy(g, bits, a) >= circuit_energy(g, bits, b):
+        ea, eb = circuit_energy(g, bits, np.array([a, b]))
+        if ea >= eb:
             hi = b
         else:
             lo = a
@@ -175,18 +179,6 @@ class PipelineResult:
     ratio: float              # energy / relaxation objective
     guaranteed: bool          # 3- or 4-regular and the rounding met its bound
     guarantee_value: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "circuit": self.circuit.to_json(),
-            "energy": self.energy,
-            "sdp_objective": self.sdp.objective,
-            "cut_value": self.gw.value,
-            "gw_failed": self.gw.failed,
-            "ratio": self.ratio,
-            "guaranteed": self.guaranteed,
-            "guarantee_value": self.guarantee_value,
-        }
 
 
 def shallow_circuit_pipeline(g: WeightedGraph, seed: int = 0,

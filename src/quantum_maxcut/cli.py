@@ -1,8 +1,10 @@
 """Command-line harness: solve instances, generate test graphs, reproduce the
 pinned numeric checks.
 
-Exit codes for `solve`: 0 on success, 1 on file/parse errors, 2 if any claimed
-guarantee check failed.
+Exit codes for `solve`: 0 on success; 1 with a one-line `error:` message on
+a file or parse error, an unknown algorithm, `--attempts` below 1, the tree
+algorithm on a disconnected graph, or an oracle run over the qubit cap; 2 if
+any claimed guarantee check failed.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -61,11 +64,26 @@ def run_solve(args) -> int:
         if name not in ALL_ALGORITHMS:
             print(f"error: unknown algorithm {name!r}", file=sys.stderr)
             return 1
-    use_oracle = args.oracle == "on" or (args.oracle == "auto" and g.n <= ORACLE_AUTO_LIMIT)
+    if args.attempts < 1:
+        print(f"error: --attempts must be at least 1, got {args.attempts}", file=sys.stderr)
+        return 1
+    try:
+        report = _solve(g, args, algorithms)
+    except (GraphError, oracle.ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _emit(report, args)
+    return 2 if "fail" in report["verdicts"].values() else 0
 
-    sol = sdp.solve_maxcut_sdp(g, rank=args.rank, tol=args.tol, seed=args.seed)
-    report_bounds = bounds_mod.opt_upper_bound(g, sdp_value=sol.objective + sol.residual)
+
+def _solve(g, args, algorithms) -> dict:
+    """Run the oracle, the relaxation and the requested algorithms; the report."""
+    use_oracle = args.oracle == "on" or (args.oracle == "auto" and g.n <= ORACLE_AUTO_LIMIT)
     opt = oracle.max_eigenvalue(g) if use_oracle else None
+    t0 = time.perf_counter()
+    sol = sdp.solve_maxcut_sdp(g, rank=args.rank, tol=args.tol, seed=args.seed)
+    sdp_seconds = time.perf_counter() - t0
+    report_bounds = bounds_mod.opt_upper_bound(g, sdp_value=sol.objective + sol.residual)
     denom = report_bounds.best
 
     entries = []
@@ -84,10 +102,9 @@ def run_solve(args) -> int:
         entries.append(entry)
         return entry
 
-    t0 = time.perf_counter()
     record("sdp-relaxation", sol.objective,
-           {"rank": sol.rank, "converged": sol.converged,
-            "seconds": time.perf_counter() - t0})
+           {"rank": sol.rank, "converged": sol.converged, "sweeps": sol.sweeps,
+            "residual": sol.residual, "seconds": sdp_seconds})
 
     if "tree" in algorithms:
         t0 = time.perf_counter()
@@ -114,8 +131,8 @@ def run_solve(args) -> int:
         t0 = time.perf_counter()
         rep = states.best_few_qubit_candidate(g, sol, seed=args.seed,
                                               attempts=args.attempts)
-        entry = record("best-candidate", rep.energy,
-                       {"winner": rep.label, "seconds": time.perf_counter() - t0})
+        record("best-candidate", rep.energy,
+               {"winner": rep.label, "seconds": time.perf_counter() - t0})
         if opt:
             verdicts["candidate_ratio"] = (
                 "pass" if rep.energy / opt >= 0.53 - 1e-9 else "fail")
@@ -123,13 +140,13 @@ def run_solve(args) -> int:
             verdicts["candidate_ratio"] = "not-applicable"
     if "circuit" in algorithms:
         t0 = time.perf_counter()
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             res = circuit_mod.shallow_circuit_pipeline(
                 g, seed=args.seed, attempts=args.attempts, sdp_solution=sol)
         record("shallow-circuit", res.energy,
                {"theta": res.circuit.theta, "layers": len(res.circuit.layers),
+                "warnings": [str(w.message) for w in caught],
                 "seconds": time.perf_counter() - t0})
         if res.guaranteed:
             verdicts["circuit_guarantee"] = (
@@ -147,8 +164,7 @@ def run_solve(args) -> int:
         "algorithms": entries,
         "verdicts": verdicts,
     }
-    _emit(report, args)
-    return 2 if "fail" in verdicts.values() else 0
+    return report
 
 
 def run_random(args) -> int:
@@ -242,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"comma-separated subset of {','.join(ALL_ALGORITHMS)}")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--attempts", type=int, default=200)
-    p_solve.add_argument("--theta-grid", type=int, default=400)
     p_solve.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
     p_solve.add_argument("--rank", type=int, default=None)
     p_solve.add_argument("--tol", type=float, default=1e-13)

@@ -3,11 +3,17 @@
 Vertices are integers 0..n-1. Edges are stored canonically as (u, v, w) with
 u < v and w >= 0. Graphs are immutable after construction; all operations here
 are pure functions.
+
+Every numeric evaluator reads one core, computed once per graph on first use
+and read-only: edge arrays `u`, `v`, `w` in edge order, per-edge `triangles`
+and the dense `weight_matrix`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -60,11 +66,7 @@ class WeightedGraph:
 
     @cached_property
     def degree(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for u, v, _ in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return tuple(d)
+        return tuple(np.bincount(np.r_[self.u, self.v], minlength=self.n).tolist())
 
     @cached_property
     def total_weight(self) -> float:
@@ -83,18 +85,42 @@ class WeightedGraph:
             adj[v].append((u, w))
         return tuple(tuple(a) for a in adj)
 
-    def edge_weight(self, u, v):
-        if u > v:
-            u, v = v, u
-        for a, b, w in self.edges:
-            if (a, b) == (u, v):
-                return w
-        raise GraphError(f"no edge ({u}, {v})")
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _read_only(np.array([e[0] for e in self.edges], dtype=np.intp))
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return _read_only(np.array([e[1] for e in self.edges], dtype=np.intp))
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return _read_only(np.array([e[2] for e in self.edges], dtype=float))
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """Per-edge number of common neighbors of the endpoints."""
+        nbrs = [{x for x, _ in a} for a in self.adjacency]
+        return _read_only(np.array([len(nbrs[u] & nbrs[v]) for u, v, _ in self.edges],
+                                   dtype=np.intp))
+
+    @cached_property
+    def weight_matrix(self) -> np.ndarray:
+        """Dense symmetric n x n matrix of edge weights, zero off the edges."""
+        a = np.zeros((self.n, self.n))
+        a[self.u, self.v] = self.w
+        a[self.v, self.u] = self.w
+        return _read_only(a)
 
     def is_regular(self):
         """Return the common degree if the graph is regular, else None."""
         degs = set(self.degree)
         return self.degree[0] if len(degs) == 1 else None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -139,12 +165,8 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 def triangles_per_edge(g: WeightedGraph) -> dict[tuple[int, int], int]:
-    """Number of common neighbors of each edge's endpoints."""
-    nbrs = [set() for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return {(u, v): len(nbrs[u] & nbrs[v]) for u, v, _ in g.edges}
+    """Number of common neighbors of each edge's endpoints, keyed by edge."""
+    return {(u, v): int(t) for (u, v, _), t in zip(g.edges, g.triangles)}
 
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:
@@ -228,13 +250,16 @@ def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def cut_partition(g: WeightedGraph, bits):
-    """Split edges into (cut, uncut) lists according to the bit string."""
-    if len(bits) != g.n:
+def cut_value(g: WeightedGraph, bits):
+    """Total weight of the edges cut by a bit string.
+
+    A (k, n) array of bit strings gives an array of k cut values.
+    """
+    bits = np.asarray(bits)
+    if bits.shape[-1:] != (g.n,):
         raise GraphError("bit string length must equal the vertex count")
-    sat = [(u, v, w) for u, v, w in g.edges if bits[u] != bits[v]]
-    unsat = [(u, v, w) for u, v, w in g.edges if bits[u] == bits[v]]
-    return sat, unsat
+    values = (bits[..., g.u] != bits[..., g.v]) @ g.w
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -359,7 +384,8 @@ def proper_edge_coloring(g: WeightedGraph) -> dict[tuple[int, int], int]:
             if ok:
                 w_idx = i
                 break
-        assert w_idx is not None, "fan rotation target must exist"
+        if w_idx is None:
+            raise AssertionError("fan rotation target must exist")
         # rotate the prefix, then color the final edge d
         shifted = [color[ckey(u0, fan[i + 1])] for i in range(w_idx)]
         for i in range(w_idx):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import opt_upper_bound
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, cut_value
 
 GW_RATIO = 0.8785
 # 0.956 (rank-3 rounding vs best product state) times the 0.5 worst case of
@@ -72,18 +72,36 @@ def sdp_objective(g: WeightedGraph, vectors: np.ndarray) -> float:
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("all vectors must be unit length")
-    total = 0.0
-    for u, v, w in g.edges:
-        total += 0.5 * w * (1.0 - float(vectors[u] @ vectors[v]))
-    return total
+    dots = np.einsum("ij,ij->i", vectors[g.u], vectors[g.v])
+    return float(0.5 * (g.w @ (1.0 - dots)))
 
 
-def _weight_matrix(g: WeightedGraph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        a[u, v] = w
-        a[v, u] = w
-    return a
+def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
+                  max_sweeps: int) -> tuple[float, bool, int]:
+    """Cyclic coordinate ascent v_i <- -normalize(sum_j w_ij v_j) on unit rows,
+    in place, until the relative objective change of a sweep is at most tol.
+
+    Returns (objective, converged, sweeps). The objective never decreases;
+    a decrease beyond rounding is an error.
+    """
+    adj = g.weight_matrix
+    obj = sdp_objective(g, vecs)
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        for i in range(g.n):
+            s = -(adj[i] @ vecs)
+            ns = np.linalg.norm(s)
+            if ns > 0:
+                vecs[i] = s / ns
+        new_obj = sdp_objective(g, vecs)
+        if new_obj < obj - 1e-9:
+            raise AssertionError("objective decreased during coordinate ascent")
+        converged = abs(new_obj - obj) <= tol * max(1.0, abs(new_obj))
+        obj = new_obj
+        if converged:
+            break
+    return obj, converged, sweeps
 
 
 def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
@@ -99,33 +117,12 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    adj = _weight_matrix(g)
-    obj = sdp_objective(g, vecs)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        for i in range(g.n):
-            s = -(adj[i] @ vecs)
-            ns = np.linalg.norm(s)
-            if ns > 0:
-                vecs[i] = s / ns
-        new_obj = sdp_objective(g, vecs)
-        if new_obj < obj - 1e-9:
-            raise AssertionError("objective decreased during coordinate ascent")
-        if abs(new_obj - obj) <= tol * max(1.0, abs(new_obj)):
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-    grad = adj @ vecs  # d(objective)/dv_i = -grad_i / 2
+    obj, converged, sweeps = mixing_ascent(g, vecs, tol, max_sweeps)
+    grad = g.weight_matrix @ vecs  # d(objective)/dv_i = -grad_i / 2
     tangential = grad - (np.sum(grad * vecs, axis=1, keepdims=True)) * vecs
     residual = float(np.max(np.linalg.norm(tangential, axis=1)) / 2) if g.n else 0.0
     return GramSolution(vectors=vecs, objective=float(obj), residual=residual,
                         converged=converged, sweeps=sweeps)
-
-
-def _cut_value(g: WeightedGraph, bits) -> float:
-    return float(sum(w for u, v, w in g.edges if bits[u] != bits[v]))
 
 
 def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
@@ -139,12 +136,9 @@ def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((attempts, sol.rank))
     signs = planes @ sol.vectors.T > 0  # (attempts, n)
-    best_bits, best_val = None, -1.0
-    for row in signs:
-        bits = tuple(int(b) for b in row)
-        val = _cut_value(g, bits)
-        if val > best_val:
-            best_val, best_bits = val, bits
+    best = np.argmax(cut_value(g, signs))  # the first of equal best cuts
+    best_bits = tuple(int(b) for b in signs[best])
+    best_val = cut_value(g, best_bits)
     return RoundingOutcome(kind="cut", bits=best_bits, bloch=None,
                            value=best_val, attempts=attempts,
                            failed=best_val < GW_RATIO * sol.objective)

@@ -11,11 +11,12 @@ import numpy as np
 
 from .graphs import (
     WeightedGraph,
+    cut_value,
     match_forest_decompose,
     two_color_forest,
     spanning_tree,
 )
-from .sdp import GramSolution, rank3_round
+from .sdp import GramSolution, mixing_ascent, rank3_round, sdp_objective
 
 
 def product_energy(g: WeightedGraph, bloch) -> float:
@@ -24,21 +25,7 @@ def product_energy(g: WeightedGraph, bloch) -> float:
     bloch = np.asarray(bloch, dtype=float)
     if bloch.shape != (g.n, 3):
         raise ValueError(f"expected {g.n} Bloch vectors in R^3")
-    norms = np.linalg.norm(bloch, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        raise ValueError("Bloch vectors must be unit length")
-    total = 0.0
-    for u, v, w in g.edges:
-        total += 0.5 * w * (1.0 - float(bloch[u] @ bloch[v]))
-    return total
-
-
-def cut_value(g: WeightedGraph, bits) -> float:
-    """Total weight of edges cut by the bit string; equals product_energy
-    with Bloch vectors +-z."""
-    if len(bits) != g.n:
-        raise ValueError("bit string length must equal vertex count")
-    return float(sum(w for u, v, w in g.edges if bits[u] != bits[v]))
+    return sdp_objective(g, bloch)
 
 
 def tree_coloring_state(g: WeightedGraph) -> tuple[tuple[int, ...], float]:
@@ -165,35 +152,20 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50, seed: int = 0
                                tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """Multi-start local search for the best product state.
 
-    Each start runs coordinate ascent over Bloch vectors,
+    Each start runs the relaxation's coordinate ascent at rank 3,
     v_i <- -normalize(sum_j w_ij v_j), until the sweep improvement drops
     below tol; its fixed points are exactly the first-order stationary
     points of the product energy on the sphere. Serves as the desk-scale
     ground truth for the best product-state value.
     """
-    adj = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        adj[u, v] = w
-        adj[v, u] = w
     rng = np.random.default_rng(seed)
     best_bloch, best_val = None, -1.0
     for _ in range(starts):
         vecs = rng.standard_normal((g.n, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        prev = product_energy(g, vecs)
-        for _ in range(max_sweeps):
-            for i in range(g.n):
-                s = -(adj[i] @ vecs)
-                ns = np.linalg.norm(s)
-                if ns > 0:
-                    vecs[i] = s / ns
-            val = product_energy(g, vecs)
-            if abs(val - prev) <= tol * max(1.0, abs(val)):
-                prev = val
-                break
-            prev = val
-        if prev > best_val:
-            best_val, best_bloch = prev, vecs.copy()
+        val, _, _ = mixing_ascent(g, vecs, tol, max_sweeps)
+        if val > best_val:
+            best_val, best_bloch = val, vecs.copy()
     return best_bloch, float(best_val)
 
 
@@ -207,15 +179,6 @@ class CandidateReport:
     payload: dict
     candidates: dict[str, float]
     rounding_failed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "energy": self.energy,
-            "payload": self.payload,
-            "candidates": self.candidates,
-            "rounding_failed": self.rounding_failed,
-        }
 
 
 def best_few_qubit_candidate(g: WeightedGraph, sol: GramSolution,

@@ -72,6 +72,68 @@ class TestSolve:
         assert json.loads(dest.read_text())["schema"] == 1
 
 
+    def test_report_schema(self, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2 2\n2 3\n")
+        code, out = run(capsys, "solve", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"schema", "graph", "bounds", "opt", "algorithms",
+                               "verdicts"}
+        common = {"label", "value", "ratio_vs_upper_bound", "ratio_vs_opt", "seed",
+                  "seconds"}
+        extra = {
+            "sdp-relaxation": {"rank", "converged", "sweeps", "residual"},
+            "tree-coloring": {"bits"},
+            "match-singlet": {"pairs"},
+            "gw-cut": {"failed"},
+            "rank3-product": {"failed"},
+            "best-candidate": {"winner"},
+            "shallow-circuit": {"theta", "layers", "warnings"},
+        }
+        by_label = {e["label"]: e for e in report["algorithms"]}
+        assert set(by_label) == set(extra)
+        for label, keys in extra.items():
+            assert set(by_label[label]) == common | keys, label
+        sdp_entry = by_label["sdp-relaxation"]
+        assert sdp_entry["seconds"] > 0
+        assert sdp_entry["sweeps"] >= 1 and sdp_entry["residual"] >= 0
+        # a path is not 3- or 4-regular, so the circuit carries no guarantee
+        assert by_label["shallow-circuit"]["warnings"] == [
+            "energy guarantee only holds for 3- and 4-regular graphs"]
+
+
+def assert_one_line_error(code, capsys):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSolveErrors:
+    def test_zero_attempts(self, tmp_path, capsys):
+        path = tmp_path / "edge.txt"
+        path.write_text("0 1\n")
+        assert_one_line_error(main(["solve", str(path), "--attempts", "0"]), capsys)
+
+    def test_oracle_over_qubit_cap(self, tmp_path, capsys):
+        path = tmp_path / "cycle.txt"
+        path.write_text("".join(f"{i} {(i + 1) % 22}\n" for i in range(22)))
+        assert_one_line_error(main(["solve", str(path), "--oracle", "on"]), capsys)
+
+    def test_tree_on_disconnected_graph(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("0 1\n2 3\n")
+        assert_one_line_error(main(["solve", str(path), "--algorithms", "tree"]),
+                              capsys)
+
+    def test_theta_grid_flag_rejected(self, tmp_path, capsys):
+        path = tmp_path / "edge.txt"
+        path.write_text("0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--theta-grid", "400"])
+        assert exc.value.code == 2
+
+
 class TestRandom:
     def test_k4_is_only_three_regular_on_four(self, capsys):
         code, out = run(capsys, "random", "--n", "4", "--model", "regular-3")

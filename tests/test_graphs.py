@@ -70,6 +70,63 @@ class TestGraphInvariants:
             WeightedGraph(3, ((2, 1, 1.0),))
 
 
+class TestEdgeArrays:
+    def test_arrays_match_edges(self):
+        g = parse_graph("0 1 0.5\n1 2\n0 2 3")
+        assert g.u.tolist() == [0, 0, 1]
+        assert g.v.tolist() == [1, 2, 2]
+        assert g.w.tolist() == [0.5, 3.0, 1.0]
+        assert g.triangles.tolist() == [1, 1, 1]
+        assert np.array_equal(g.weight_matrix, [[0, 0.5, 3], [0.5, 0, 1], [3, 1, 0]])
+
+    def test_cached_and_read_only(self):
+        g = k4()
+        for name in ("u", "v", "w", "triangles", "weight_matrix"):
+            arr = getattr(g, name)
+            assert getattr(g, name) is arr
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+class TestEvaluatorsMatchEdgeLoops:
+    """The array evaluators against plain loops over the edges; the sums run
+    in another order, so values agree to rounding."""
+
+    def test_random_weighted_graphs(self):
+        from quantum_maxcut import (circuit_energy, cut_value, edge_energy_sat,
+                                    edge_energy_unsat, graph_laplacian,
+                                    opt_upper_bound, sdp_objective)
+
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            g = gnp_graph(int(rng.integers(2, 12)), 0.5, rng, weights="exp")
+            vecs = rng.standard_normal((g.n, 4))
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            assert sdp_objective(g, vecs) == pytest.approx(
+                sum(0.5 * w * (1 - vecs[u] @ vecs[v]) for u, v, w in g.edges), abs=1e-12)
+            bits = rng.integers(0, 2, (5, g.n))
+            assert cut_value(g, bits) == pytest.approx(
+                [sum(w for u, v, w in g.edges if b[u] != b[v]) for b in bits], abs=1e-12)
+            lap = np.zeros((g.n, g.n))
+            top = [0.0] * g.n
+            for u, v, w in g.edges:
+                lap[[u, v], [u, v]] += w
+                lap[[u, v], [v, u]] -= w
+                top[u], top[v] = max(top[u], w), max(top[v], w)
+            assert np.allclose(graph_laplacian(g), lap, atol=1e-12)
+            assert opt_upper_bound(g).degree_sum == pytest.approx(
+                g.total_weight + 0.5 * sum(top), abs=1e-12)
+            if not g.edges:
+                continue
+            tri, deg = triangles_per_edge(g), g.degree
+            thetas = np.linspace(0, np.pi / 4, 7)
+            per_angle = [sum(0.5 * w * (edge_energy_sat if bits[0][u] != bits[0][v]
+                                        else edge_energy_unsat)(t, deg[u], deg[v], tri[(u, v)])
+                             for u, v, w in g.edges) for t in thetas]
+            assert circuit_energy(g, bits[0], thetas) == pytest.approx(per_angle, abs=1e-12)
+
+
 class TestTriangles:
     def test_k4_every_edge_in_two(self):
         assert set(triangles_per_edge(k4()).values()) == {2}
