@@ -183,16 +183,19 @@ class PipelineResult:
 
 def shallow_circuit_pipeline(g: WeightedGraph, seed: int = 0,
                              attempts: int = 200,
-                             sdp_solution: GramSolution | None = None) -> PipelineResult:
+                             sdp_solution: GramSolution | None = None,
+                             gw: RoundingOutcome | None = None) -> PipelineResult:
     """Relaxation -> hyperplane rounding -> variational circuit on the cut.
 
     For 3- and 4-regular graphs the angle is the degree's optimal envelope
     angle and, whenever the rounding met its 0.8785 bound, the reported
     energy over the relaxation objective is at least the degree's guarantee.
     Other graphs run with a warning and a numerically optimized angle.
+    A relaxation and its `gw_round` outcome (same seed and attempts) already
+    computed for g may be passed in.
     """
     sol = sdp_solution if sdp_solution is not None else solve_maxcut_sdp(g, seed=seed)
-    outcome = gw_round(g, sol, seed=seed, attempts=attempts)
+    outcome = gw if gw is not None else gw_round(g, sol, seed=seed, attempts=attempts)
     d = g.is_regular()
     if d in (3, 4):
         theta, _ = best_angle(d)

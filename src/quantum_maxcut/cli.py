@@ -2,9 +2,9 @@
 pinned numeric checks.
 
 Exit codes for `solve`: 0 on success; 1 with a one-line `error:` message on
-a file or parse error, an unknown algorithm, `--attempts` below 1, the tree
-algorithm on a disconnected graph, or an oracle run over the qubit cap; 2 if
-any claimed guarantee check failed.
+a file or parse error, an unknown algorithm, `--attempts` or `--rank` below
+1, the tree algorithm on a disconnected graph, or an oracle run over the
+qubit cap; 2 if any claimed guarantee check failed.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import circuit as circuit_mod
 from . import generate, oracle, sdp, states
-from .graphs import GraphError, ParseError, parse_graph
+from .graphs import GraphError, ParseError, match_forest_decompose, parse_graph
 
 SCHEMA_VERSION = 1
 ORACLE_AUTO_LIMIT = 16
@@ -67,6 +67,9 @@ def run_solve(args) -> int:
     if args.attempts < 1:
         print(f"error: --attempts must be at least 1, got {args.attempts}", file=sys.stderr)
         return 1
+    if args.rank is not None and args.rank < 1:
+        print(f"error: --rank must be at least 1, got {args.rank}", file=sys.stderr)
+        return 1
     try:
         report = _solve(g, args, algorithms)
     except (GraphError, oracle.ResourceLimitError) as exc:
@@ -83,7 +86,7 @@ def _solve(g, args, algorithms) -> dict:
     t0 = time.perf_counter()
     sol = sdp.solve_maxcut_sdp(g, rank=args.rank, tol=args.tol, seed=args.seed)
     sdp_seconds = time.perf_counter() - t0
-    report_bounds = bounds_mod.opt_upper_bound(g, sdp_value=sol.objective + sol.residual)
+    report_bounds = bounds_mod.opt_upper_bound(g, sdp_value=sol.dual_bound)
     denom = report_bounds.best
 
     entries = []
@@ -104,33 +107,41 @@ def _solve(g, args, algorithms) -> dict:
 
     record("sdp-relaxation", sol.objective,
            {"rank": sol.rank, "converged": sol.converged, "sweeps": sol.sweeps,
-            "residual": sol.residual, "seconds": sdp_seconds})
+            "residual": sol.residual, "gap": sol.gap, "seconds": sdp_seconds})
 
     if "tree" in algorithms:
         t0 = time.perf_counter()
         bits, val = states.tree_coloring_state(g)
         record("tree-coloring", val, {"bits": "".join(map(str, bits)),
                                       "seconds": time.perf_counter() - t0})
-    if "singlet" in algorithms:
+    # Stages that feed a later one run once here; the later stage takes
+    # their outcome instead of recomputing it with the same seed.
+    if "singlet" in algorithms or "best" in algorithms:
         t0 = time.perf_counter()
-        st, val = states.match_singlet_state(g)
-        record("match-singlet", val, {"pairs": [list(p) for p in st.pairs],
-                                      "seconds": time.perf_counter() - t0})
-    if "gw" in algorithms:
+        decomp = match_forest_decompose(g)
+        singlet = states.match_singlet_state(g, decomp)
+        st, val = singlet
+        if "singlet" in algorithms:
+            record("match-singlet", val, {"pairs": [list(p) for p in st.pairs],
+                                          "seconds": time.perf_counter() - t0})
+    if "gw" in algorithms or "circuit" in algorithms:
         t0 = time.perf_counter()
-        out = sdp.gw_round(g, sol, seed=args.seed, attempts=args.attempts)
-        record("gw-cut", out.value, {"failed": out.failed,
-                                     "seconds": time.perf_counter() - t0})
-        verdicts["gw_guarantee"] = "fail" if out.failed else "pass"
-    if "rank3" in algorithms:
+        gw = sdp.gw_round(g, sol, seed=args.seed, attempts=args.attempts)
+        if "gw" in algorithms:
+            record("gw-cut", gw.value, {"failed": gw.failed,
+                                        "seconds": time.perf_counter() - t0})
+            verdicts["gw_guarantee"] = "fail" if gw.failed else "pass"
+    if "rank3" in algorithms or "best" in algorithms:
         t0 = time.perf_counter()
-        out = sdp.rank3_round(g, sol, seed=args.seed, attempts=args.attempts)
-        record("rank3-product", states.product_energy(g, out.bloch),
-               {"failed": out.failed, "seconds": time.perf_counter() - t0})
+        rank3 = sdp.rank3_round(g, sol, seed=args.seed, attempts=args.attempts)
+        if "rank3" in algorithms:
+            record("rank3-product", states.product_energy(g, rank3.bloch),
+                   {"failed": rank3.failed, "seconds": time.perf_counter() - t0})
     if "best" in algorithms:
         t0 = time.perf_counter()
         rep = states.best_few_qubit_candidate(g, sol, seed=args.seed,
-                                              attempts=args.attempts)
+                                              attempts=args.attempts, decomp=decomp,
+                                              singlet=singlet, rounding=rank3)
         record("best-candidate", rep.energy,
                {"winner": rep.label, "seconds": time.perf_counter() - t0})
         if opt:
@@ -143,7 +154,7 @@ def _solve(g, args, algorithms) -> dict:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = circuit_mod.shallow_circuit_pipeline(
-                g, seed=args.seed, attempts=args.attempts, sdp_solution=sol)
+                g, seed=args.seed, attempts=args.attempts, sdp_solution=sol, gw=gw)
         record("shallow-circuit", res.energy,
                {"theta": res.circuit.theta, "layers": len(res.circuit.layers),
                 "warnings": [str(w.message) for w in caught],

@@ -5,8 +5,9 @@ u < v and w >= 0. Graphs are immutable after construction; all operations here
 are pure functions.
 
 Every numeric evaluator reads one core, computed once per graph on first use
-and read-only: edge arrays `u`, `v`, `w` in edge order, per-edge `triangles`
-and the dense `weight_matrix`.
+and read-only: edge arrays `u`, `v`, `w` in edge order, per-edge `triangles`,
+the dense `weight_matrix`, its sparse form `csr` and a proper vertex
+coloring `color_classes`.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class GraphError(ValueError):
@@ -111,6 +113,26 @@ class WeightedGraph:
         a[self.u, self.v] = self.w
         a[self.v, self.u] = self.w
         return _read_only(a)
+
+    @cached_property
+    def csr(self) -> sp.csr_array:
+        """`weight_matrix` in compressed sparse row form, built from u, v, w."""
+        a = sp.csr_array((np.r_[self.w, self.w], (np.r_[self.u, self.v], np.r_[self.v, self.u])),
+                         shape=(self.n, self.n))
+        for part in (a.data, a.indices, a.indptr):
+            _read_only(part)
+        return a
+
+    @cached_property
+    def color_classes(self) -> tuple[np.ndarray, ...]:
+        """Greedy first-fit proper vertex coloring, visiting vertices in order:
+        one sorted index array per color, at most max_degree + 1 of them. No
+        edge joins two vertices of one class."""
+        color = np.zeros(self.n, dtype=np.intp)
+        for x in range(self.n):
+            taken = {color[y] for y, _ in self.adjacency[x] if y < x}
+            color[x] = next(c for c in range(len(taken) + 1) if c not in taken)
+        return tuple(_read_only(np.flatnonzero(color == c)) for c in range(color.max() + 1))
 
     def is_regular(self):
         """Return the common degree if the graph is regular, else None."""

@@ -2,8 +2,10 @@
 
 The relaxation max { sum (w/2)(1 - M_uv) : M PSD, diag(M) = I } is solved in
 factored form: one unit vector per vertex, updated cyclically by
-v_i <- -normalize(sum_j w_ij v_j) (the "mixing method"). With rank above
-sqrt(2n) this coordinate ascent has no spurious local optima for this SDP.
+v_i <- -normalize(sum_j w_ij v_j) (the "mixing method"), one independent set
+of vertices at a time. With rank above sqrt(2n) this coordinate ascent has no
+spurious local optima for this SDP. Each solve ends with a certified upper
+bound on the optimum from a feasible point of the dual.
 
 Two roundings of a solved Gram factor are provided: random-hyperplane signs
 to a cut, and Gaussian projection to R^3 followed by normalization to Bloch
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from .bounds import opt_upper_bound
 from .graphs import WeightedGraph, cut_value
@@ -38,10 +41,16 @@ class GramSolution:
     residual: float      # max over vertices of tangential gradient norm
     converged: bool
     sweeps: int
+    dual_bound: float = math.inf  # certified upper bound on the relaxation optimum
 
     @property
     def rank(self) -> int:
         return self.vectors.shape[1]
+
+    @property
+    def gap(self) -> float:
+        """Duality gap: how far the optimum can lie above the objective."""
+        return self.dual_bound - self.objective
 
     def to_json(self) -> dict:
         return {
@@ -49,6 +58,7 @@ class GramSolution:
             "vectors": self.vectors.tolist(),
             "objective": self.objective,
             "residual": self.residual,
+            "dual_bound": self.dual_bound,
             "converged": self.converged,
         }
 
@@ -69,10 +79,10 @@ class RoundingOutcome:
 def sdp_objective(g: WeightedGraph, vectors: np.ndarray) -> float:
     """sum over edges of (w/2)(1 - v_u . v_v) for unit vectors."""
     vectors = np.asarray(vectors, dtype=float)
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("all vectors must be unit length")
-    dots = np.einsum("ij,ij->i", vectors[g.u], vectors[g.v])
+    dots = np.einsum("ij,ij->i", vectors.take(g.u, axis=0), vectors.take(g.v, axis=0))
     return float(0.5 * (g.w @ (1.0 - dots)))
 
 
@@ -81,19 +91,26 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     """Cyclic coordinate ascent v_i <- -normalize(sum_j w_ij v_j) on unit rows,
     in place, until the relative objective change of a sweep is at most tol.
 
+    A sweep visits the vertices class by class of `g.color_classes`. No edge
+    joins two vertices of a class, so one sparse product updates a whole
+    class exactly as one-vertex steps in any order within it would. A vertex
+    whose neighbor sum is zero keeps its vector.
+
     Returns (objective, converged, sweeps). The objective never decreases;
     a decrease beyond rounding is an error.
     """
-    adj = g.weight_matrix
+    blocks = [(b, g.csr[b]) for b in g.color_classes]
     obj = sdp_objective(g, vecs)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for i in range(g.n):
-            s = -(adj[i] @ vecs)
-            ns = np.linalg.norm(s)
-            if ns > 0:
-                vecs[i] = s / ns
+        for b, rows in blocks:
+            s = rows @ vecs  # the update is -s / |s|
+            ns = np.sqrt(np.einsum("ij,ij->i", s, s))
+            stay = ns == 0
+            if stay.any():
+                s[stay], ns[stay] = -vecs[b[stay]], 1.0
+            vecs[b] = s / -ns[:, None]
         new_obj = sdp_objective(g, vecs)
         if new_obj < obj - 1e-9:
             raise AssertionError("objective decreased during coordinate ascent")
@@ -111,18 +128,39 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
 
     Stops when the relative objective change per sweep drops below tol. The
     objective is non-decreasing across sweeps; if max_sweeps is exhausted the
-    best iterate is returned with converged=False.
+    best iterate is returned with converged=False. Either way the solution
+    carries a certified dual_bound on the optimum.
     """
     r = rank if rank is not None else auto_rank(g.n)
+    if r < 1:
+        raise ValueError(f"rank must be at least 1, got {r}")
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     obj, converged, sweeps = mixing_ascent(g, vecs, tol, max_sweeps)
-    grad = g.weight_matrix @ vecs  # d(objective)/dv_i = -grad_i / 2
-    tangential = grad - (np.sum(grad * vecs, axis=1, keepdims=True)) * vecs
+    grad = g.csr @ vecs  # d(objective)/dv_i = -grad_i / 2
+    radial = np.einsum("ij,ij->i", grad, vecs)
+    tangential = grad - radial[:, None] * vecs
     residual = float(np.max(np.linalg.norm(tangential, axis=1)) / 2) if g.n else 0.0
     return GramSolution(vectors=vecs, objective=float(obj), residual=residual,
-                        converged=converged, sweeps=sweeps)
+                        converged=converged, sweeps=sweeps,
+                        dual_bound=_dual_bound(g, obj, radial))
+
+
+def _dual_bound(g: WeightedGraph, objective: float, radial: np.ndarray) -> float:
+    """Certified upper bound on the relaxation optimum from any feasible point.
+
+    With y_i = (L/4 V V^T)_ii, whose sum is the objective, y shifted down by
+    min(0, lambda_min(Diag(y) - L/4)) is feasible for the dual
+    min { sum y : Diag(y) - L/4 PSD }. As radial_i = v_i . (A V)_i, that
+    matrix is Diag(y) - L/4 = (A - Diag(radial)) / 4. lambda_min comes from
+    a dense eigensolver: a Lanczos (Ritz) value is not a certified lower
+    bound.
+    """
+    m = g.csr.toarray()
+    m.flat[::g.n + 1] = -radial
+    lam = eigvalsh(m, subset_by_index=(0, 0), overwrite_a=True)[0] / 4
+    return float(objective - g.n * min(0.0, lam))
 
 
 def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
@@ -150,23 +188,25 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
 
     Each attempt draws a 3 x r standard normal matrix, maps every vertex
     vector through it and normalizes, giving Bloch vectors whose energy is
-    the relaxation objective formula in R^3. The guarantee constant 0.956 is
-    relative to the (uncomputable) best product state, so the failure flag
-    compares against 0.478 times a computable upper bound instead.
+    the relaxation objective formula in R^3. All attempts are drawn at once
+    and scored by one sparse product; the winner is re-scored alone. The
+    guarantee constant 0.956 is relative to the (uncomputable) best product
+    state, so the failure flag compares against 0.478 times a computable
+    upper bound instead.
     """
     rng = np.random.default_rng(seed)
-    best_bloch, best_val = None, -1.0
-    for _ in range(attempts):
-        proj = sol.vectors @ rng.standard_normal((sol.rank, 3))  # (n, 3)
-        norms = np.linalg.norm(proj, axis=1)
-        while np.any(norms == 0):  # probability-0; resample the zero rows
-            bad = norms == 0
-            proj[bad] = rng.standard_normal((int(bad.sum()), 3))
-            norms = np.linalg.norm(proj, axis=1)
-        bloch = proj / norms[:, None]
-        val = sdp_objective(g, bloch)
-        if val > best_val:
-            best_val, best_bloch = val, bloch
+    bloch = sol.vectors @ rng.standard_normal((attempts, sol.rank, 3))  # (attempts, n, 3)
+    norms = np.linalg.norm(bloch, axis=2)
+    while np.any(norms == 0):  # probability-0; resample the zero rows
+        bad = norms == 0
+        bloch[bad] = rng.standard_normal((int(bad.sum()), 3))
+        norms = np.linalg.norm(bloch, axis=2)
+    bloch /= norms[..., None]
+    cols = bloch.transpose(1, 0, 2).reshape(g.n, 3 * attempts)
+    # objective = W/2 - (sum_i v_i . (A V)_i) / 4: rank the attempts by that sum
+    pull = np.einsum("ij,ij->j", cols, g.csr @ cols).reshape(attempts, 3).sum(axis=1)
+    best_bloch = bloch[np.argmin(pull)].copy()  # the first of equal best
+    best_val = sdp_objective(g, best_bloch)
     threshold = RANK3_PROXY_RATIO * opt_upper_bound(g).best
     return RoundingOutcome(kind="product", bits=None, bloch=best_bloch,
                            value=best_val, attempts=attempts,

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import (
+    MatchForestDecomposition,
     WeightedGraph,
     cut_value,
     match_forest_decompose,
     two_color_forest,
     spanning_tree,
 )
-from .sdp import GramSolution, mixing_ascent, rank3_round, sdp_objective
+from .sdp import GramSolution, RoundingOutcome, mixing_ascent, rank3_round, sdp_objective
 
 
 def product_energy(g: WeightedGraph, bloch) -> float:
@@ -83,14 +84,17 @@ def pair_product_energy(g: WeightedGraph, state: PairProductState) -> float:
     return total
 
 
-def match_singlet_state(g: WeightedGraph) -> tuple[PairProductState, float]:
+def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition | None = None
+                        ) -> tuple[PairProductState, float]:
     """Singlets on the doubly-maximal matching, bits elsewhere by local search.
 
     The bits are chosen by flip-while-improving on the subgraph induced by
     the unmatched vertices, so they cut at least half of its weight and the
     returned value is at least (3/2) * matching weight + W/2, deterministically.
+    A decomposition of g already computed may be passed in.
     """
-    decomp = match_forest_decompose(g)
+    if decomp is None:
+        decomp = match_forest_decompose(g)
     pairs = tuple((u, v) for u, v, _ in decomp.matching)
     unmatched = list(decomp.unmatched)
     uset = set(unmatched)
@@ -182,23 +186,30 @@ class CandidateReport:
 
 
 def best_few_qubit_candidate(g: WeightedGraph, sol: GramSolution,
-                             seed: int = 0, attempts: int = 200) -> CandidateReport:
+                             seed: int = 0, attempts: int = 200, *,
+                             decomp: MatchForestDecomposition | None = None,
+                             singlet: tuple[PairProductState, float] | None = None,
+                             rounding: RoundingOutcome | None = None) -> CandidateReport:
     """Maximum-energy candidate among the forest 2-coloring basis state, the
     matching/singlet state, and the rank-3 rounded product state.
 
     If the rank-3 rounding flags failure that candidate is skipped and the
-    flag is propagated in the report.
+    flag is propagated in the report. Stages already computed for g (the
+    decomposition, `match_singlet_state` and `rank3_round` with the same
+    seed and attempts) may be passed in; each missing one is computed here.
     """
-    decomp = match_forest_decompose(g)
+    if decomp is None:
+        decomp = match_forest_decompose(g)
     forest_bits = two_color_forest(g, decomp.forest)
     entries = []
     entries.append(("tree-coloring", cut_value(g, forest_bits),
                     {"bits": list(forest_bits)}))
-    pair_state, pair_val = match_singlet_state(g)
+    pair_state, pair_val = singlet if singlet is not None else match_singlet_state(g, decomp)
     entries.append(("match-singlet", pair_val,
                     {"pairs": [list(p) for p in pair_state.pairs],
                      "bits": {str(k): v for k, v in pair_state.bits.items()}}))
-    rounding = rank3_round(g, sol, seed=seed, attempts=attempts)
+    if rounding is None:
+        rounding = rank3_round(g, sol, seed=seed, attempts=attempts)
     if not rounding.failed:
         entries.append(("rank3-product", product_energy(g, rounding.bloch),
                         {"bloch": rounding.bloch.tolist()}))

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from quantum_maxcut import graphs, sdp, states
 from quantum_maxcut.cli import main
 
 
@@ -83,7 +85,7 @@ class TestSolve:
         common = {"label", "value", "ratio_vs_upper_bound", "ratio_vs_opt", "seed",
                   "seconds"}
         extra = {
-            "sdp-relaxation": {"rank", "converged", "sweeps", "residual"},
+            "sdp-relaxation": {"rank", "converged", "sweeps", "residual", "gap"},
             "tree-coloring": {"bits"},
             "match-singlet": {"pairs"},
             "gw-cut": {"failed"},
@@ -98,9 +100,37 @@ class TestSolve:
         sdp_entry = by_label["sdp-relaxation"]
         assert sdp_entry["seconds"] > 0
         assert sdp_entry["sweeps"] >= 1 and sdp_entry["residual"] >= 0
+        assert sdp_entry["gap"] >= 0
+        assert report["bounds"]["sdp_combined"] == pytest.approx(
+            3 * (sdp_entry["value"] + sdp_entry["gap"]) - 4.0)
         # a path is not 3- or 4-regular, so the circuit carries no guarantee
         assert by_label["shallow-circuit"]["warnings"] == [
             "energy guarantee only holds for 3- and 4-regular graphs"]
+
+    def test_each_stage_runs_once(self, tmp_path, capsys, monkeypatch):
+        """Stages that feed later ones (roundings, singlet state, decomposition)
+        run once per solve; later stages take their outcome."""
+        calls = {}
+        traced = [(sdp, "gw_round"), (sdp, "rank3_round"),
+                  (states, "match_singlet_state"), (graphs, "match_forest_decompose")]
+        modules = [m for name, m in list(sys.modules.items())
+                   if name == "quantum_maxcut" or name.startswith("quantum_maxcut.")]
+        for module, name in traced:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+        code, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        assert calls == {name: 1 for _, name in traced}
 
 
 def assert_one_line_error(code, capsys):
@@ -125,6 +155,12 @@ class TestSolveErrors:
         path.write_text("0 1\n2 3\n")
         assert_one_line_error(main(["solve", str(path), "--algorithms", "tree"]),
                               capsys)
+
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    def test_rank_below_one(self, tmp_path, capsys, rank):
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2\n")
+        assert_one_line_error(main(["solve", str(path), "--rank", rank]), capsys)
 
     def test_theta_grid_flag_rejected(self, tmp_path, capsys):
         path = tmp_path / "edge.txt"

@@ -89,6 +89,50 @@ class TestEdgeArrays:
                 arr[0] = 0
 
 
+class TestColorClasses:
+    def test_proper_coloring_within_degree_bound(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            g = gnp_graph(int(rng.integers(1, 30)), float(rng.uniform(0.05, 0.9)), rng)
+            classes = g.color_classes
+            assert len(classes) <= g.max_degree + 1
+            assert sorted(np.concatenate(classes).tolist()) == list(range(g.n))
+            color = np.empty(g.n, dtype=int)
+            for c, members in enumerate(classes):
+                assert members.tolist() == sorted(members.tolist())
+                color[members] = c
+            assert not np.any(color[g.u] == color[g.v])
+
+    def test_complete_graph_one_vertex_per_class(self):
+        g = WeightedGraph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+        assert [c.tolist() for c in g.color_classes] == [[i] for i in range(6)]
+
+    def test_cached_and_read_only(self):
+        g = parse_graph("0 1\n1 2\n2 3\n3 0")
+        classes = g.color_classes
+        assert g.color_classes is classes
+        assert isinstance(classes, tuple)
+        for members in classes:
+            with pytest.raises(ValueError):
+                members[0] = 0
+
+
+class TestCsr:
+    def test_matches_weight_matrix(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            g = gnp_graph(int(rng.integers(1, 15)), 0.5, rng, weights="exp")
+            assert np.array_equal(g.csr.toarray(), g.weight_matrix)
+
+    def test_cached_and_read_only(self):
+        g = k4()
+        a = g.csr
+        assert g.csr is a
+        for part in (a.data, a.indices, a.indptr):
+            with pytest.raises(ValueError):
+                part[0] = 0
+
+
 class TestEvaluatorsMatchEdgeLoops:
     """The array evaluators against plain loops over the edges; the sums run
     in another order, so values agree to rounding."""

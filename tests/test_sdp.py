@@ -12,7 +12,8 @@ from quantum_maxcut import (
     sdp_objective,
     solve_maxcut_sdp,
 )
-from quantum_maxcut.generate import gnp_graph
+from quantum_maxcut.generate import gnp_graph, regular_graph
+from quantum_maxcut.sdp import mixing_ascent
 from quantum_maxcut.states import cut_value
 
 EDGE = parse_graph("0 1 1.0")
@@ -53,6 +54,90 @@ class TestSolver:
         blob = sol.to_json()
         assert blob["rank"] == sol.rank
         assert blob["objective"] == pytest.approx(2.25, abs=1e-6)
+
+
+def unit_rows(rng, n, r):
+    vecs = rng.standard_normal((n, r))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def cyclic_reference(g, vecs, sweeps, order):
+    """One-vertex coordinate ascent steps, visiting vertices in the given order."""
+    adj = g.weight_matrix
+    for _ in range(sweeps):
+        for i in order:
+            s = -(adj[i] @ vecs)
+            ns = np.linalg.norm(s)
+            if ns > 0:
+                vecs[i] = s / ns
+    return vecs
+
+
+class TestBlockKernel:
+    def test_complete_graph_matches_plain_cyclic_loop(self):
+        k6 = WeightedGraph.from_edges(6, [(u, v, 1.0 + u + 2 * v)
+                                          for u in range(6) for v in range(u + 1, 6)])
+        start = unit_rows(np.random.default_rng(0), 6, 4)
+        block = start.copy()
+        mixing_ascent(k6, block, tol=-1, max_sweeps=25)
+        reference = cyclic_reference(k6, start.copy(), 25, range(6))
+        assert np.allclose(block, reference, rtol=0, atol=1e-12)
+
+    def test_random_graphs_match_color_ordered_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            g = gnp_graph(int(rng.integers(5, 40)), float(rng.uniform(0.1, 0.6)), rng,
+                          weights="exp")
+            start = unit_rows(rng, g.n, 5)
+            block = start.copy()
+            _, _, sweeps = mixing_ascent(g, block, tol=-1, max_sweeps=15)
+            assert sweeps == 15
+            reference = cyclic_reference(g, start.copy(), 15,
+                                         np.concatenate(g.color_classes))
+            assert np.allclose(block, reference, rtol=0, atol=1e-10)
+
+    def test_isolated_vertex_keeps_its_vector(self):
+        g = WeightedGraph.from_edges(3, [(0, 1)])
+        vecs = unit_rows(np.random.default_rng(1), 3, 3)
+        isolated = vecs[2].copy()
+        mixing_ascent(g, vecs, tol=-1, max_sweeps=3)
+        assert np.array_equal(vecs[2], isolated)
+        assert vecs[0] @ vecs[1] == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestDualBound:
+    def test_matches_dense_formula(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            g = gnp_graph(int(rng.integers(2, 25)), 0.4, rng, weights="exp")
+            sol = solve_maxcut_sdp(g, max_sweeps=int(rng.integers(1, 20)), tol=-1)
+            lap = np.zeros((g.n, g.n))
+            for u, v, w in g.edges:
+                lap[[u, v], [u, v]] += w / 4
+                lap[[u, v], [v, u]] -= w / 4
+            y = np.diag(lap @ sol.vectors @ sol.vectors.T)
+            lam = np.linalg.eigvalsh(np.diag(y) - lap)[0]
+            assert sol.dual_bound == pytest.approx(y.sum() - g.n * min(0.0, lam),
+                                                   rel=1e-12, abs=1e-12)
+            assert sol.gap >= 0
+
+    def test_known_optima(self):
+        for g, optimum in ((EDGE, 1.0), (TRIANGLE, 2.25), (K4, 4.0)):
+            sol = solve_maxcut_sdp(g)
+            assert optimum - 1e-9 <= sol.dual_bound <= optimum + 1e-6
+
+    def test_certified_where_objective_plus_residual_is_not(self):
+        g = regular_graph(200, 3, np.random.default_rng(0))
+        early = solve_maxcut_sdp(g, max_sweeps=30, tol=-1, seed=0)
+        optimum = solve_maxcut_sdp(g, max_sweeps=5000, tol=0, seed=0).objective
+        assert early.objective + early.residual < optimum <= early.dual_bound
+
+
+class TestRank:
+    @pytest.mark.parametrize("rank", [0, -3])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            solve_maxcut_sdp(TRIANGLE, rank=rank)
 
 
 class TestObjective:
@@ -128,6 +213,27 @@ class TestRank3Round:
         sol = solve_maxcut_sdp(K4)
         out = rank3_round(K4, sol, seed=3, attempts=20)
         assert out.value == pytest.approx(product_energy(K4, out.bloch), abs=1e-12)
+
+
+    def test_matches_per_attempt_loop(self):
+        rng = np.random.default_rng(10)
+        for k in range(8):
+            g = gnp_graph(int(rng.integers(3, 30)), 0.4, rng, weights="exp")
+            if not g.edges:
+                continue
+            sol = solve_maxcut_sdp(g, max_sweeps=5, tol=-1)
+            out = rank3_round(g, sol, seed=k, attempts=50)
+            draws = np.random.default_rng(k)
+            best_bloch, best_val = None, -1.0
+            for _ in range(50):
+                proj = sol.vectors @ draws.standard_normal((sol.rank, 3))
+                bloch = proj / np.linalg.norm(proj, axis=1)[:, None]
+                val = sdp_objective(g, bloch)
+                if val > best_val:
+                    best_val, best_bloch = val, bloch
+            assert out.value == pytest.approx(best_val, rel=1e-12)
+            assert np.allclose(out.bloch, best_bloch, rtol=0, atol=1e-12)
+            assert out.value == sdp_objective(g, out.bloch)
 
 
 class TestRelaxationChain:
