@@ -34,7 +34,6 @@ from .graphs import (
     parse_graph,
     proper_edge_coloring,
     spanning_tree,
-    triangles_per_edge,
     two_color_forest,
 )
 from .oracle import (

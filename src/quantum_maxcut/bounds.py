@@ -25,7 +25,8 @@ def star_bound(weights) -> float:
 
 def graph_laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted graph Laplacian: weighted degree on the diagonal, -w off it."""
-    return np.diag(g.weight_matrix.sum(axis=1)) - g.weight_matrix
+    a = g.csr.toarray()
+    return np.diag(a.sum(axis=1)) - a
 
 
 @dataclass(frozen=True)

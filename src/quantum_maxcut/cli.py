@@ -4,7 +4,7 @@ pinned numeric checks.
 Exit codes for `solve`: 0 on success; 1 with a one-line `error:` message on
 a file or parse error, an unknown algorithm, `--attempts` or `--rank` below
 1, the tree algorithm on a disconnected graph, or an oracle run over the
-qubit cap; 2 if any claimed guarantee check failed.
+qubit cap or without convergence; 2 if any claimed guarantee check failed.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def run_solve(args) -> int:
         return 1
     try:
         report = _solve(g, args, algorithms)
-    except (GraphError, oracle.ResourceLimitError) as exc:
+    except (GraphError, oracle.ResourceLimitError, oracle.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args)

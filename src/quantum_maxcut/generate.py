@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import GraphError, WeightedGraph
+from .graphs import GraphError, WeightedGraph, connected_components
 
 
 def sample_weights(kind: str, count: int, rng) -> list[float]:
@@ -28,8 +28,6 @@ def random_connected_graph(n: int, p: float, rng, weights: str = "unit",
                            max_tries: int = 1000) -> WeightedGraph:
     """G(n, p) conditioned on connectivity; falls back to padding with a
     random spanning tree if rejection takes too long."""
-    from .graphs import connected_components
-
     for _ in range(max_tries):
         g = gnp_graph(n, p, rng, weights)
         if len(connected_components(g)) == 1:

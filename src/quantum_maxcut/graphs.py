@@ -5,9 +5,10 @@ u < v and w >= 0. Graphs are immutable after construction; all operations here
 are pure functions.
 
 Every numeric evaluator reads one core, computed once per graph on first use
-and read-only: edge arrays `u`, `v`, `w` in edge order, per-edge `triangles`,
-the dense `weight_matrix`, its sparse form `csr` and a proper vertex
-coloring `color_classes`.
+and read-only: edge arrays `u`, `v`, `w` in edge order, the sparse weight matrix
+`csr` (the only neighborhood structure, which traversals hand to
+`scipy.sparse.csgraph`), per-edge `triangles` and a proper vertex coloring
+`color_classes`.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 
 class GraphError(ValueError):
@@ -79,15 +81,6 @@ class WeightedGraph:
         return max(self.degree) if self.n else 0
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """adjacency[v] = tuple of (neighbor, weight)."""
-        adj = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
     def u(self) -> np.ndarray:
         return _read_only(np.array([e[0] for e in self.edges], dtype=np.intp))
 
@@ -100,23 +93,9 @@ class WeightedGraph:
         return _read_only(np.array([e[2] for e in self.edges], dtype=float))
 
     @cached_property
-    def triangles(self) -> np.ndarray:
-        """Per-edge number of common neighbors of the endpoints."""
-        nbrs = [{x for x, _ in a} for a in self.adjacency]
-        return _read_only(np.array([len(nbrs[u] & nbrs[v]) for u, v, _ in self.edges],
-                                   dtype=np.intp))
-
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric n x n matrix of edge weights, zero off the edges."""
-        a = np.zeros((self.n, self.n))
-        a[self.u, self.v] = self.w
-        a[self.v, self.u] = self.w
-        return _read_only(a)
-
-    @cached_property
     def csr(self) -> sp.csr_array:
-        """`weight_matrix` in compressed sparse row form, built from u, v, w."""
+        """Symmetric n x n matrix of edge weights in compressed sparse row form,
+        built from u, v, w. A zero-weight edge is a stored zero: still an edge."""
         a = sp.csr_array((np.r_[self.w, self.w], (np.r_[self.u, self.v], np.r_[self.v, self.u])),
                          shape=(self.n, self.n))
         for part in (a.data, a.indices, a.indptr):
@@ -124,14 +103,23 @@ class WeightedGraph:
         return a
 
     @cached_property
+    def triangles(self) -> np.ndarray:
+        """Per-edge number of common neighbors of the endpoints."""
+        a = self.csr
+        pattern = sp.csr_array((np.ones_like(a.data), a.indices, a.indptr), shape=a.shape)
+        return _read_only(pattern[self.u].multiply(pattern[self.v]).sum(axis=1).astype(np.intp))
+
+    @cached_property
     def color_classes(self) -> tuple[np.ndarray, ...]:
         """Greedy first-fit proper vertex coloring, visiting vertices in order:
         one sorted index array per color, at most max_degree + 1 of them. No
         edge joins two vertices of one class."""
-        color = np.zeros(self.n, dtype=np.intp)
+        indptr, indices = self.csr.indptr.tolist(), self.csr.indices.tolist()
+        color = [0] * self.n
         for x in range(self.n):
-            taken = {color[y] for y, _ in self.adjacency[x] if y < x}
+            taken = {color[y] for y in indices[indptr[x]:indptr[x + 1]] if y < x}
             color[x] = next(c for c in range(len(taken) + 1) if c not in taken)
+        color = np.array(color)
         return tuple(_read_only(np.flatnonzero(color == c)) for c in range(color.max() + 1))
 
     def is_regular(self):
@@ -186,90 +174,41 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges)
 
 
-def triangles_per_edge(g: WeightedGraph) -> dict[tuple[int, int], int]:
-    """Number of common neighbors of each edge's endpoints, keyed by edge."""
-    return {(u, v): int(t) for (u, v, _), t in zip(g.edges, g.triangles)}
-
-
 def connected_components(g: WeightedGraph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp, stack = [], [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u, _ in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+    """Vertex sets of the components, each sorted, in order of smallest vertex."""
+    count, labels = csgraph.connected_components(g.csr)  # csr is symmetric
+    return [np.flatnonzero(labels == c).tolist() for c in range(count)]
 
 
 def spanning_tree(g: WeightedGraph) -> list[tuple[int, int, float]]:
-    """BFS spanning tree of a connected graph (|V|-1 edges). Errors if disconnected."""
-    if g.n == 1:
+    """BFS spanning tree of a connected graph (|V|-1 edges) from vertex 0.
+    Errors if disconnected."""
+    if g.n == 1:  # an empty lookup in csr below would give a sparse array
         return []
-    seen = [False] * g.n
-    seen[0] = True
-    tree = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u, w in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    tree.append((min(v, u), max(v, u), w))
-                    nxt.append(u)
-        frontier = nxt
-    if len(tree) != g.n - 1:
+    order, parent = csgraph.breadth_first_order(g.csr, 0)  # csr is symmetric
+    if len(order) != g.n:
         raise GraphError("graph is disconnected; no spanning tree exists")
-    return tree
+    child = order[1:]
+    ends = np.sort(np.c_[parent[child], child], axis=1)
+    weights = g.csr[ends[:, 0], ends[:, 1]]
+    return [(a, b, w) for (a, b), w in zip(ends.tolist(), weights.tolist())]
 
 
 def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
     """Proper 2-coloring of the given forest edges; vertices in no edge get bit 0.
 
-    Errors if the edge set contains a cycle.
+    A vertex's bit is the parity of its depth in a BFS of its tree from the
+    tree's smallest vertex. Errors if the edge set contains a cycle (more
+    edges than n minus the number of components).
     """
-    fedges = [(min(e[0], e[1]), max(e[0], e[1])) for e in forest]
-    # union-find cycle check
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adj = [[] for _ in range(g.n)]
-    for u, v in fedges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise GraphError(f"edge set contains a cycle through ({u}, {v})")
-        parent[ru] = rv
-        adj[u].append(v)
-        adj[v].append(u)
-    bits = [0] * g.n
-    seen = [False] * g.n
-    for s in range(g.n):
-        if seen[s] or not adj[s]:
-            continue
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    bits[u] = 1 - bits[v]
-                    stack.append(u)
-    return tuple(bits)
+    ends = np.array([e[:2] for e in forest], dtype=np.intp).reshape(-1, 2)
+    f = sp.csr_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(g.n, g.n))
+    count, labels = csgraph.connected_components(f, directed=False)
+    if len(ends) != g.n - count:
+        raise GraphError("edge set contains a cycle")
+    _, roots = np.unique(labels, return_index=True)  # each tree's smallest vertex
+    depth = csgraph.dijkstra(f, directed=False, indices=roots, unweighted=True, min_only=True)
+    return tuple((depth % 2).astype(int).tolist())
 
 
 def cut_value(g: WeightedGraph, bits):
@@ -306,20 +245,15 @@ def match_forest_decompose(g: WeightedGraph) -> MatchForestDecomposition:
     Ties between equal weights are broken by canonical edge index (lower
     index = smaller), so the output is deterministic.
     """
-    # key[e] strictly orders edges: weight first, canonical index breaks ties
-    key = {(u, v): (w, i) for i, (u, v, w) in enumerate(g.edges)}
-    pick = {}  # vertex -> its maximal incident edge
-    for u, v, w in g.edges:
-        for x in (u, v):
-            e = (u, v)
-            if x not in pick or key[e] > key[pick[x]]:
-                pick[x] = e
-    forest_set = set(pick.values())
-    matching_set = {e for e in forest_set
-                    if pick.get(e[0]) == e and pick.get(e[1]) == e}
-    weight = {(u, v): w for u, v, w in g.edges}
-    forest = tuple(sorted((u, v, weight[(u, v)]) for u, v in forest_set))
-    matching = tuple(sorted((u, v, weight[(u, v)]) for u, v in matching_set))
+    m = len(g.edges)
+    rank = np.empty(m, dtype=np.intp)  # edges strictly ordered by (w, index)
+    rank[np.lexsort((np.arange(m), g.w))] = np.arange(m)
+    top = np.full(g.n, -1)  # rank of each vertex's maximal incident edge
+    np.maximum.at(top, g.u, rank)
+    np.maximum.at(top, g.v, rank)
+    picks = np.bincount(top[top >= 0], minlength=m)[rank]  # per edge: 0, 1 or 2
+    forest = tuple(sorted(g.edges[i] for i in np.flatnonzero(picks > 0)))
+    matching = tuple(sorted(g.edges[i] for i in np.flatnonzero(picks == 2)))
     covered = {x for u, v, _ in matching for x in (u, v)}
     return MatchForestDecomposition(
         matching=matching,

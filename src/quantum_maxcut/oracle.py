@@ -12,7 +12,7 @@ index i is (i >> (n-1-q)) & 1, so a bit string reads like the binary index.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .graphs import WeightedGraph
 
@@ -78,26 +78,23 @@ def energy(g: WeightedGraph, psi: np.ndarray, cap: int = DEFAULT_QUBIT_CAP) -> f
 
 def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8,
                    cap: int = DEFAULT_QUBIT_CAP, maxiter: int = 20000) -> float:
-    """Largest eigenvalue of H_G, certified by the residual ||H v - lam v|| <= tol."""
+    """Largest eigenvalue of H_G by Lanczos, certified by the residual
+    ||H v - lam v|| <= tol; ConvergenceError if Lanczos fails or the residual
+    is larger."""
     _check_cap(g.n, cap)
-    if not g.edges:
-        return 0.0
+    if g.total_weight == 0:
+        return 0.0  # H_G = 0, on which Lanczos has no start vector
     dim = 2 ** g.n
     # H_G is real symmetric in the computational basis
-    if dim <= 512:
-        cols = np.empty((dim, dim))
-        eye = np.eye(dim)
-        for k in range(dim):
-            cols[:, k] = apply_hamiltonian(g, eye[:, k])
-        lams, vecs = np.linalg.eigh(cols)
-        lam, vec = float(lams[-1]), vecs[:, -1]
-    else:
-        op = LinearOperator((dim, dim), dtype=float,
-                            matvec=lambda x: apply_hamiltonian(g, x, cap=cap))
-        rng = np.random.default_rng(7)  # fixed start for reproducible failures
+    op = LinearOperator((dim, dim), dtype=float,
+                        matvec=lambda x: apply_hamiltonian(g, x, cap=cap))
+    rng = np.random.default_rng(7)  # fixed start for reproducible failures
+    try:
         lams, vecs = eigsh(op, k=1, which="LA", tol=0,
                            v0=rng.standard_normal(dim), maxiter=maxiter)
-        lam, vec = float(lams[0]), vecs[:, 0]
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise ConvergenceError(f"Lanczos failed: {exc}") from exc
+    lam, vec = float(lams[0]), vecs[:, 0]
     residual = np.linalg.norm(apply_hamiltonian(g, vec) - lam * vec)
     if residual > max(tol, 1e-12) * max(1.0, abs(lam)):
         raise ConvergenceError(f"residual {residual} exceeds tolerance {tol}")

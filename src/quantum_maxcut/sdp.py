@@ -191,8 +191,8 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     the relaxation objective formula in R^3. All attempts are drawn at once
     and scored by one sparse product; the winner is re-scored alone. The
     guarantee constant 0.956 is relative to the (uncomputable) best product
-    state, so the failure flag compares against 0.478 times a computable
-    upper bound instead.
+    state, so the failure flag compares against 0.478 times the best
+    computable upper bound (SDP-combined included when dual_bound is set).
     """
     rng = np.random.default_rng(seed)
     bloch = sol.vectors @ rng.standard_normal((attempts, sol.rank, 3))  # (attempts, n, 3)
@@ -207,7 +207,7 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     pull = np.einsum("ij,ij->j", cols, g.csr @ cols).reshape(attempts, 3).sum(axis=1)
     best_bloch = bloch[np.argmin(pull)].copy()  # the first of equal best
     best_val = sdp_objective(g, best_bloch)
-    threshold = RANK3_PROXY_RATIO * opt_upper_bound(g).best
+    threshold = RANK3_PROXY_RATIO * opt_upper_bound(g, sdp_value=sol.dual_bound).best
     return RoundingOutcome(kind="product", bits=None, bloch=best_bloch,
                            value=best_val, attempts=attempts,
                            failed=best_val < threshold - 1e-12)

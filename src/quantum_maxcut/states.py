@@ -71,17 +71,15 @@ def pair_product_energy(g: WeightedGraph, state: PairProductState) -> float:
     between unmatched vertices contributes w if the bits differ, else 0.
     """
     _check_cover(g, state)
-    pair_set = {(min(a, b), max(a, b)) for a, b in state.pairs}
-    matched = {x for p in state.pairs for x in p}
-    total = 0.0
-    for u, v, w in g.edges:
-        if (u, v) in pair_set:
-            total += 2.0 * w
-        elif u in matched or v in matched:
-            total += 0.5 * w
-        elif state.bits[u] != state.bits[v]:
-            total += w
-    return total
+    pairs = np.array(state.pairs, dtype=np.intp).reshape(-1, 2)
+    partner = np.full(g.n, -1)
+    partner[pairs] = pairs[:, ::-1]
+    bit = np.zeros(g.n, dtype=np.intp)
+    bit[list(state.bits)] = list(state.bits.values())
+    per_weight = np.where(partner[g.u] == g.v, 2.0,
+                          np.where((partner[g.u] >= 0) | (partner[g.v] >= 0), 0.5,
+                                   bit[g.u] != bit[g.v]))
+    return float(g.w @ per_weight)
 
 
 def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition | None = None
@@ -96,19 +94,19 @@ def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition | Non
     if decomp is None:
         decomp = match_forest_decompose(g)
     pairs = tuple((u, v) for u, v, _ in decomp.matching)
-    unmatched = list(decomp.unmatched)
-    uset = set(unmatched)
-    adj = {v: [(u, w) for u, w in g.adjacency[v] if u in uset] for v in unmatched}
-    bits = {v: 0 for v in unmatched}
+    unmatched = np.array(decomp.unmatched, dtype=np.intp)
+    sub = g.csr[unmatched][:, unmatched]  # the subgraph they induce
+    spin = np.ones(len(unmatched))  # +1 for bit 0, -1 for bit 1
     improved = True
     while improved:
         improved = False
-        for v in unmatched:
-            cut_now = sum(w for u, w in adj[v] if bits[u] != bits[v])
-            cut_flip = sum(w for u, w in adj[v] if bits[u] == bits[v])
-            if cut_flip > cut_now:
-                bits[v] = 1 - bits[v]
+        for i in range(len(unmatched)):
+            row = slice(sub.indptr[i], sub.indptr[i + 1])
+            # uncut minus cut neighbor weight: flipping gains it
+            if spin[i] * (sub.data[row] @ spin[sub.indices[row]]) > 0:
+                spin[i] = -spin[i]
                 improved = True
+    bits = dict(zip(unmatched.tolist(), (spin < 0).astype(int).tolist()))
     state = PairProductState(pairs=pairs, bits=bits)
     return state, pair_product_energy(g, state)
 

@@ -1,9 +1,11 @@
 import json
 import sys
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from quantum_maxcut import graphs, sdp, states
+from quantum_maxcut import graphs, oracle, sdp, states
 from quantum_maxcut.cli import main
 
 
@@ -161,6 +163,19 @@ class TestSolveErrors:
         path = tmp_path / "path.txt"
         path.write_text("0 1\n1 2\n")
         assert_one_line_error(main(["solve", str(path), "--rank", rank]), capsys)
+
+    @pytest.mark.parametrize("exc", [
+        ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0))),
+        ArpackError(-9),
+    ])
+    def test_oracle_not_converging(self, tmp_path, capsys, monkeypatch, exc):
+        def failing_eigsh(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(oracle, "eigsh", failing_eigsh)
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n2 0\n")
+        assert_one_line_error(main(["solve", str(path), "--oracle", "on"]), capsys)
 
     def test_theta_grid_flag_rejected(self, tmp_path, capsys):
         path = tmp_path / "edge.txt"

@@ -3,13 +3,17 @@ import pytest
 
 from quantum_maxcut import (
     GraphError,
+    MatchForestDecomposition,
+    PairProductState,
     ParseError,
     WeightedGraph,
+    connected_components,
     match_forest_decompose,
+    match_singlet_state,
+    pair_product_energy,
     parse_graph,
     proper_edge_coloring,
     spanning_tree,
-    triangles_per_edge,
     two_color_forest,
 )
 from quantum_maxcut.generate import gnp_graph
@@ -77,11 +81,11 @@ class TestEdgeArrays:
         assert g.v.tolist() == [1, 2, 2]
         assert g.w.tolist() == [0.5, 3.0, 1.0]
         assert g.triangles.tolist() == [1, 1, 1]
-        assert np.array_equal(g.weight_matrix, [[0, 0.5, 3], [0.5, 0, 1], [3, 1, 0]])
+        assert np.array_equal(g.csr.toarray(), [[0, 0.5, 3], [0.5, 0, 1], [3, 1, 0]])
 
     def test_cached_and_read_only(self):
         g = k4()
-        for name in ("u", "v", "w", "triangles", "weight_matrix"):
+        for name in ("u", "v", "w", "triangles"):
             arr = getattr(g, name)
             assert getattr(g, name) is arr
             assert not arr.flags.writeable
@@ -122,7 +126,11 @@ class TestCsr:
         rng = np.random.default_rng(7)
         for _ in range(10):
             g = gnp_graph(int(rng.integers(1, 15)), 0.5, rng, weights="exp")
-            assert np.array_equal(g.csr.toarray(), g.weight_matrix)
+            dense = np.zeros((g.n, g.n))
+            for u, v, w in g.edges:
+                dense[u, v] = dense[v, u] = w
+            assert np.array_equal(g.csr.toarray(), dense)
+            assert g.csr.nnz == 2 * len(g.edges)
 
     def test_cached_and_read_only(self):
         g = k4()
@@ -131,6 +139,69 @@ class TestCsr:
         for part in (a.data, a.indices, a.indptr):
             with pytest.raises(ValueError):
                 part[0] = 0
+
+
+def random_pair_product_state(g, rng):
+    """Singlets on random disjoint vertex pairs, random bits elsewhere."""
+    perm = rng.permutation(g.n).tolist()
+    k = int(rng.integers(0, g.n // 2 + 1))
+    return PairProductState(pairs=tuple(zip(perm[:k], perm[k:2 * k])),
+                            bits={x: int(rng.integers(0, 2)) for x in perm[2 * k:]})
+
+
+def pair_product_energy_loop(g, state):
+    pair_set = {(min(a, b), max(a, b)) for a, b in state.pairs}
+    matched = {x for p in state.pairs for x in p}
+    total = 0.0
+    for u, v, w in g.edges:
+        if (u, v) in pair_set:
+            total += 2.0 * w
+        elif u in matched or v in matched:
+            total += 0.5 * w
+        elif state.bits[u] != state.bits[v]:
+            total += w
+    return total
+
+
+def match_forest_decompose_loop(g):
+    key = {(u, v): (w, i) for i, (u, v, w) in enumerate(g.edges)}
+    pick = {}  # vertex -> its maximal incident edge
+    for u, v, _ in g.edges:
+        for x in (u, v):
+            if x not in pick or key[(u, v)] > key[pick[x]]:
+                pick[x] = (u, v)
+    forest_set = set(pick.values())
+    matching_set = {e for e in forest_set if pick.get(e[0]) == e and pick.get(e[1]) == e}
+    weight = {(u, v): w for u, v, w in g.edges}
+    forest = tuple(sorted((u, v, weight[(u, v)]) for u, v in forest_set))
+    matching = tuple(sorted((u, v, weight[(u, v)]) for u, v in matching_set))
+    covered = {x for u, v, _ in matching for x in (u, v)}
+    return MatchForestDecomposition(
+        matching=matching, forest=forest,
+        matching_weight=float(sum(w for _, _, w in matching)),
+        forest_weight=float(sum(w for _, _, w in forest)),
+        unmatched=tuple(v for v in range(g.n) if v not in covered))
+
+
+def singlet_bits_loop(g, decomp):
+    """Flip-while-improving over the unmatched vertices in order."""
+    unmatched = decomp.unmatched
+    adj = {x: [] for x in unmatched}
+    for u, v, w in g.edges:
+        if u in adj and v in adj:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+    bits = {x: 0 for x in unmatched}
+    improved = True
+    while improved:
+        improved = False
+        for x in unmatched:
+            cut_now = sum(w for y, w in adj[x] if bits[y] != bits[x])
+            cut_flip = sum(w for y, w in adj[x] if bits[y] == bits[x])
+            if cut_flip > cut_now:
+                bits[x] = 1 - bits[x]
+                improved = True
+    return bits
 
 
 class TestEvaluatorsMatchEdgeLoops:
@@ -163,24 +234,67 @@ class TestEvaluatorsMatchEdgeLoops:
                 g.total_weight + 0.5 * sum(top), abs=1e-12)
             if not g.edges:
                 continue
-            tri, deg = triangles_per_edge(g), g.degree
+            deg = g.degree
             thetas = np.linspace(0, np.pi / 4, 7)
             per_angle = [sum(0.5 * w * (edge_energy_sat if bits[0][u] != bits[0][v]
-                                        else edge_energy_unsat)(t, deg[u], deg[v], tri[(u, v)])
-                             for u, v, w in g.edges) for t in thetas]
+                                        else edge_energy_unsat)(t, deg[u], deg[v], tri)
+                             for (u, v, w), tri in zip(g.edges, g.triangles)) for t in thetas]
             assert circuit_energy(g, bits[0], thetas) == pytest.approx(per_angle, abs=1e-12)
+            state = random_pair_product_state(g, rng)
+            assert pair_product_energy(g, state) == pytest.approx(
+                pair_product_energy_loop(g, state), abs=1e-12)
+            decomp = match_forest_decompose(g)
+            assert decomp == match_forest_decompose_loop(g)
+            assert match_singlet_state(g, decomp)[0].bits == singlet_bits_loop(g, decomp)
 
 
 class TestTriangles:
     def test_k4_every_edge_in_two(self):
-        assert set(triangles_per_edge(k4()).values()) == {2}
+        assert k4().triangles.tolist() == [2] * 6
 
     def test_tree_triangle_free(self):
         g = parse_graph("0 1\n1 2\n1 3")
-        assert set(triangles_per_edge(g).values()) == {0}
+        assert g.triangles.tolist() == [0] * 3
 
     def test_triangle(self):
-        assert set(triangles_per_edge(triangle()).values()) == {1}
+        assert triangle().triangles.tolist() == [1] * 3
+
+    def test_no_edges(self):
+        g = WeightedGraph(3, ())
+        assert g.triangles.shape == (0,) and g.triangles.dtype == np.intp
+
+
+class TestZeroWeightEdges:
+    """A zero-weight edge is still an edge: `csr` stores it as an explicit
+    zero, and every csgraph traversal sees it."""
+
+    G = parse_graph("0 1 0\n1 2 1\n0 2 0")
+
+    def test_stored_as_edges(self):
+        assert self.G.csr.nnz == 6
+
+    def test_triangles(self):
+        assert self.G.triangles.tolist() == [1, 1, 1]
+
+    def test_spanning_tree(self):
+        assert spanning_tree(self.G) == [(0, 1, 0.0), (0, 2, 0.0)]
+
+    def test_one_component(self):
+        assert connected_components(self.G) == [[0, 1, 2]]
+
+    def test_color_classes_proper(self):
+        assert [c.tolist() for c in self.G.color_classes] == [[0], [1], [2]]
+
+    def test_singlet_state(self):
+        state, val = match_singlet_state(self.G)
+        assert state.pairs == ((1, 2),) and state.bits == {0: 0}
+        assert val == pair_product_energy(self.G, state) == 2.0
+
+
+class TestConnectedComponents:
+    def test_sorted_in_order_of_smallest_vertex(self):
+        g = WeightedGraph.from_edges(6, [(4, 1), (3, 5), (1, 0)])
+        assert connected_components(g) == [[0, 1, 4], [2], [3, 5]]
 
 
 class TestSpanningTree:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from quantum_maxcut import (
+    ConvergenceError,
     ResourceLimitError,
     WeightedGraph,
     apply_hamiltonian,
@@ -11,6 +13,7 @@ from quantum_maxcut import (
     brute_force_maxcut,
     energy,
     max_eigenvalue,
+    oracle,
     parse_graph,
     simulate_variational_state,
 )
@@ -69,12 +72,21 @@ class TestMaxEigenvalue:
 
     def test_iterative_path_matches_dense(self):
         rng = np.random.default_rng(1)
-        g = gnp_graph(10, 0.4, rng, weights="uniform")  # dim 1024 > dense cutoff
-        opt = max_eigenvalue(g)
-        dim = 2 ** g.n
-        eye = np.eye(dim)
-        h = np.column_stack([apply_hamiltonian(g, eye[:, k]) for k in range(dim)])
-        assert opt == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-8)
+        graphs = [gnp_graph(n, 0.4, rng, weights="uniform") for n in range(2, 11)]
+        graphs.append(parse_graph("0 1 0\n1 2 0"))  # H_G = 0
+        for g in graphs:
+            dim = 2 ** g.n
+            eye = np.eye(dim)
+            h = np.column_stack([apply_hamiltonian(g, eye[:, k]) for k in range(dim)])
+            assert max_eigenvalue(g) == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-8)
+
+    def test_lanczos_failure_is_convergence_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(oracle, "eigsh", no_convergence)
+        with pytest.raises(ConvergenceError, match="Lanczos"):
+            max_eigenvalue(TRIANGLE)
 
     def test_weighted_star_matches_laplacian_norm(self):
         # top Hamiltonian eigenvalue of a star equals the Laplacian norm

@@ -63,7 +63,7 @@ def unit_rows(rng, n, r):
 
 def cyclic_reference(g, vecs, sweeps, order):
     """One-vertex coordinate ascent steps, visiting vertices in the given order."""
-    adj = g.weight_matrix
+    adj = g.csr.toarray()
     for _ in range(sweeps):
         for i in order:
             s = -(adj[i] @ vecs)
@@ -213,6 +213,20 @@ class TestRank3Round:
         sol = solve_maxcut_sdp(K4)
         out = rank3_round(K4, sol, seed=3, attempts=20)
         assert out.value == pytest.approx(product_energy(K4, out.bloch), abs=1e-12)
+
+    def test_threshold_uses_certified_sdp_bound(self):
+        # the cut (0, 1, 0) of the triangle as a rank-1 Gram factor: every
+        # projection gives Bloch vectors (b, -b, b), of energy 2; that lies between
+        # 0.478 * 3.75 (the SDP-combined bound 3 * 9/4 - 3) and 0.478 * 4.5
+        # (the degree-sum bound)
+        vecs = np.array([[1.0], [-1.0], [1.0]])
+        hand = GramSolution(vecs, objective=2.0, residual=0.0, converged=True, sweeps=0)
+        assert rank3_round(TRIANGLE, hand, attempts=5).failed  # dual_bound unset: inf
+        certified = GramSolution(vecs, objective=2.0, residual=0.0, converged=True,
+                                 sweeps=0, dual_bound=2.25)
+        out = rank3_round(TRIANGLE, certified, attempts=5)
+        assert out.value == pytest.approx(2.0, abs=1e-12)
+        assert not out.failed
 
 
     def test_matches_per_attempt_loop(self):
