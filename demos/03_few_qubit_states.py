@@ -10,6 +10,7 @@ from quantum_maxcut import (
     match_singlet_state,
     max_eigenvalue,
     parse_graph,
+    rank3_round,
     solve_maxcut_sdp,
     tree_coloring_state,
 )
@@ -29,17 +30,19 @@ print(f"forest  F  = {dec.forest}")
 print(f"identity: sum of per-vertex maxima = m + f = "
       f"{g.total_weight + sum(w for _, _, w in dec.forest):.3f}")
 
-state, state_energy = match_singlet_state(g)
+state, state_energy = match_singlet_state(g, dec)
 print(f"\nmatch-singlet pairs {state.pairs}, energy {state_energy:.4f} "
       f"(floor 1.5m + 0.5W = {1.5 * sum(w for _, _, w in dec.matching) + 0.5 * g.total_weight:.4f})")
 
 bits, cut = tree_coloring_state(g)
-print(f"tree-coloring bits {bits} cut all spanning-tree edges: value {cut:.4f}")
+print(f"tree-coloring bits {bits} cut all spanning-forest edges: value {cut:.4f}")
 
 rng = np.random.default_rng(5)
 g2 = random_connected_graph(9, p=0.45, weights="exp", rng=rng)
 sol = solve_maxcut_sdp(g2, seed=0)
-cand = best_few_qubit_candidate(g2, sol, seed=3)
+dec2 = match_forest_decompose(g2)
+cand = best_few_qubit_candidate(g2, dec2, match_singlet_state(g2, dec2),
+                                rank3_round(g2, sol, seed=3))
 opt = max_eigenvalue(g2)
 print(f"\nrandom 9-vertex graph: best candidate is '{cand.label}' with energy "
       f"{cand.energy:.4f}")

@@ -10,10 +10,12 @@ from quantum_maxcut import (
     approximation_guarantee,
     best_angle,
     circuit_energy,
+    gw_round,
     max_eigenvalue,
     regular_sat_envelope,
     shallow_circuit_pipeline,
     simulate_variational_state,
+    solve_maxcut_sdp,
 )
 from quantum_maxcut.generate import regular_graph
 
@@ -26,7 +28,8 @@ print("(the guarantee exceeds the hyperplane-rounding constant for d=3,4)")
 
 rng = np.random.default_rng(2)
 g = regular_graph(10, 3, rng=rng)
-res = shallow_circuit_pipeline(g, seed=0)
+sol = solve_maxcut_sdp(g, seed=0)
+res = shallow_circuit_pipeline(g, sol, gw_round(g, sol, seed=0))
 opt = max_eigenvalue(g)
 print(f"\n3-regular pipeline on n=10: circuit energy {res.energy:.4f}, "
       f"OPT {opt:.4f}, ratio {res.energy / opt:.4f} "

@@ -33,7 +33,6 @@ from .graphs import (
     match_forest_decompose,
     parse_graph,
     proper_edge_coloring,
-    spanning_tree,
     two_color_forest,
 )
 from .oracle import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightedGraph, proper_edge_coloring
-from .sdp import GW_RATIO, GramSolution, RoundingOutcome, gw_round, solve_maxcut_sdp
+from .sdp import GW_RATIO, GramSolution, RoundingOutcome
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 THETA_GRID = 400   # grid intervals on [0, pi/4] before the golden-section refinement
@@ -126,13 +126,6 @@ class VariationalCircuit:
     pauli: tuple[str, ...]  # per-vertex, "X" iff the base bit is 1
     layers: tuple[tuple[tuple[int, int], ...], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "z": "".join(str(b) for b in self.bits),
-            "theta": self.theta,
-            "layers": [[list(e) for e in layer] for layer in self.layers],
-        }
-
 
 def build_circuit(g: WeightedGraph, bits, theta: float) -> VariationalCircuit:
     """Arrange the gate per edge into vertex-disjoint layers by edge color."""
@@ -174,41 +167,33 @@ def optimize_angle(g: WeightedGraph, bits) -> tuple[float, float]:
 class PipelineResult:
     circuit: VariationalCircuit
     energy: float
-    sdp: GramSolution
-    gw: RoundingOutcome
     ratio: float              # energy / relaxation objective
     guaranteed: bool          # 3- or 4-regular and the rounding met its bound
     guarantee_value: float | None
 
 
-def shallow_circuit_pipeline(g: WeightedGraph, seed: int = 0,
-                             attempts: int = 200,
-                             sdp_solution: GramSolution | None = None,
-                             gw: RoundingOutcome | None = None) -> PipelineResult:
-    """Relaxation -> hyperplane rounding -> variational circuit on the cut.
+def shallow_circuit_pipeline(g: WeightedGraph, sol: GramSolution,
+                             gw: RoundingOutcome) -> PipelineResult:
+    """Variational circuit on the cut `gw`, a `gw_round` outcome of the
+    relaxation `sol`.
 
     For 3- and 4-regular graphs the angle is the degree's optimal envelope
     angle and, whenever the rounding met its 0.8785 bound, the reported
     energy over the relaxation objective is at least the degree's guarantee.
     Other graphs run with a warning and a numerically optimized angle.
-    A relaxation and its `gw_round` outcome (same seed and attempts) already
-    computed for g may be passed in.
     """
-    sol = sdp_solution if sdp_solution is not None else solve_maxcut_sdp(g, seed=seed)
-    outcome = gw if gw is not None else gw_round(g, sol, seed=seed, attempts=attempts)
     d = g.is_regular()
     if d in (3, 4):
         theta, _ = best_angle(d)
-        energy_val = circuit_energy(g, outcome.bits, theta)
+        energy_val = circuit_energy(g, gw.bits, theta)
         guarantee = approximation_guarantee(d)
     else:
         warnings.warn("energy guarantee only holds for 3- and 4-regular graphs",
                       stacklevel=2)
-        theta, energy_val = optimize_angle(g, outcome.bits)
+        theta, energy_val = optimize_angle(g, gw.bits)
         guarantee = None
-    circ = build_circuit(g, outcome.bits, theta)
+    circ = build_circuit(g, gw.bits, theta)
     ratio = energy_val / sol.objective if sol.objective > 0 else math.inf
-    guaranteed = guarantee is not None and not outcome.failed
-    return PipelineResult(circuit=circ, energy=float(energy_val), sdp=sol,
-                          gw=outcome, ratio=float(ratio),
-                          guaranteed=guaranteed, guarantee_value=guarantee)
+    return PipelineResult(circuit=circ, energy=float(energy_val), ratio=float(ratio),
+                          guaranteed=guarantee is not None and not gw.failed,
+                          guarantee_value=guarantee)

@@ -2,9 +2,9 @@
 pinned numeric checks.
 
 Exit codes for `solve`: 0 on success; 1 with a one-line `error:` message on
-a file or parse error, an unknown algorithm, `--attempts` or `--rank` below
-1, the tree algorithm on a disconnected graph, or an oracle run over the
-qubit cap or without convergence; 2 if any claimed guarantee check failed.
+a file or parse error (a non-finite weight included), an unknown algorithm,
+`--attempts` or `--rank` below 1, or an oracle run over the qubit cap or
+without convergence; 2 if any claimed guarantee check failed.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def run_solve(args) -> int:
         return 1
     try:
         report = _solve(g, args, algorithms)
-    except (GraphError, oracle.ResourceLimitError, oracle.ConvergenceError) as exc:
+    except (oracle.ResourceLimitError, oracle.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args)
@@ -80,7 +80,10 @@ def run_solve(args) -> int:
 
 
 def _solve(g, args, algorithms) -> dict:
-    """Run the oracle, the relaxation and the requested algorithms; the report."""
+    """Run the oracle, the relaxation and the requested algorithms; the report.
+
+    The only place that composes stages: each runs at most once, and a later
+    stage takes the outcomes of the earlier ones it depends on."""
     use_oracle = args.oracle == "on" or (args.oracle == "auto" and g.n <= ORACLE_AUTO_LIMIT)
     opt = oracle.max_eigenvalue(g) if use_oracle else None
     t0 = time.perf_counter()
@@ -114,8 +117,6 @@ def _solve(g, args, algorithms) -> dict:
         bits, val = states.tree_coloring_state(g)
         record("tree-coloring", val, {"bits": "".join(map(str, bits)),
                                       "seconds": time.perf_counter() - t0})
-    # Stages that feed a later one run once here; the later stage takes
-    # their outcome instead of recomputing it with the same seed.
     if "singlet" in algorithms or "best" in algorithms:
         t0 = time.perf_counter()
         decomp = match_forest_decompose(g)
@@ -135,13 +136,11 @@ def _solve(g, args, algorithms) -> dict:
         t0 = time.perf_counter()
         rank3 = sdp.rank3_round(g, sol, seed=args.seed, attempts=args.attempts)
         if "rank3" in algorithms:
-            record("rank3-product", states.product_energy(g, rank3.bloch),
+            record("rank3-product", rank3.value,
                    {"failed": rank3.failed, "seconds": time.perf_counter() - t0})
     if "best" in algorithms:
         t0 = time.perf_counter()
-        rep = states.best_few_qubit_candidate(g, sol, seed=args.seed,
-                                              attempts=args.attempts, decomp=decomp,
-                                              singlet=singlet, rounding=rank3)
+        rep = states.best_few_qubit_candidate(g, decomp, singlet, rank3)
         record("best-candidate", rep.energy,
                {"winner": rep.label, "seconds": time.perf_counter() - t0})
         if opt:
@@ -153,8 +152,7 @@ def _solve(g, args, algorithms) -> dict:
         t0 = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = circuit_mod.shallow_circuit_pipeline(
-                g, seed=args.seed, attempts=args.attempts, sdp_solution=sol, gw=gw)
+            res = circuit_mod.shallow_circuit_pipeline(g, sol, gw)
         record("shallow-circuit", res.energy,
                {"theta": res.circuit.theta, "layers": len(res.circuit.layers),
                 "warnings": [str(w.message) for w in caught],

@@ -1,8 +1,8 @@
 """Weighted graph container and the combinatorial subroutines used everywhere else.
 
 Vertices are integers 0..n-1. Edges are stored canonically as (u, v, w) with
-u < v and w >= 0. Graphs are immutable after construction; all operations here
-are pure functions.
+u < v and finite w >= 0. Graphs are immutable after construction; all
+operations here are pure functions.
 
 Every numeric evaluator reads one core, computed once per graph on first use
 and read-only: edge arrays `u`, `v`, `w` in edge order, the sparse weight matrix
@@ -12,6 +12,7 @@ and read-only: edge arrays `u`, `v`, `w` in edge order, the sparse weight matrix
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple undirected graph with nonnegative edge weights."""
+    """Simple undirected graph with finite nonnegative edge weights."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
@@ -48,6 +49,8 @@ class WeightedGraph:
                 raise GraphError(f"edge ({u}, {v}) not in canonical u < v order")
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
+            if not math.isfinite(w):
+                raise GraphError(f"non-finite weight {w} on edge ({u}, {v})")
             if w < 0:
                 raise GraphError(f"negative weight {w} on edge ({u}, {v})")
             seen.add((u, v))
@@ -159,6 +162,8 @@ def parse_graph(text: str) -> WeightedGraph:
                 raise ParseError(f"line {lineno}: weight must be a real number") from None
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+        if not math.isfinite(w):
+            raise ParseError(f"line {lineno}: weight must be finite, got {w}")
         if w < 0:
             raise ParseError(f"line {lineno}: negative weight {w}")
         if u < 0 or v < 0:
@@ -180,35 +185,31 @@ def connected_components(g: WeightedGraph) -> list[list[int]]:
     return [np.flatnonzero(labels == c).tolist() for c in range(count)]
 
 
-def spanning_tree(g: WeightedGraph) -> list[tuple[int, int, float]]:
-    """BFS spanning tree of a connected graph (|V|-1 edges) from vertex 0.
-    Errors if disconnected."""
-    if g.n == 1:  # an empty lookup in csr below would give a sparse array
-        return []
-    order, parent = csgraph.breadth_first_order(g.csr, 0)  # csr is symmetric
-    if len(order) != g.n:
-        raise GraphError("graph is disconnected; no spanning tree exists")
-    child = order[1:]
-    ends = np.sort(np.c_[parent[child], child], axis=1)
-    weights = g.csr[ends[:, 0], ends[:, 1]]
-    return [(a, b, w) for (a, b), w in zip(ends.tolist(), weights.tolist())]
-
-
 def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
     """Proper 2-coloring of the given forest edges; vertices in no edge get bit 0.
 
-    A vertex's bit is the parity of its depth in a BFS of its tree from the
-    tree's smallest vertex. Errors if the edge set contains a cycle (more
-    edges than n minus the number of components).
+    A vertex's bit is the parity of its depth in its tree (`depth_parity`).
+    Errors if the edge set contains a cycle (more edges than n minus the
+    number of components).
     """
     ends = np.array([e[:2] for e in forest], dtype=np.intp).reshape(-1, 2)
     f = sp.csr_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(g.n, g.n))
-    count, labels = csgraph.connected_components(f, directed=False)
+    count, bits = depth_parity(f)
     if len(ends) != g.n - count:
         raise GraphError("edge set contains a cycle")
-    _, roots = np.unique(labels, return_index=True)  # each tree's smallest vertex
-    depth = csgraph.dijkstra(f, directed=False, indices=roots, unweighted=True, min_only=True)
-    return tuple((depth % 2).astype(int).tolist())
+    return bits
+
+
+def depth_parity(a: sp.csr_array) -> tuple[int, tuple[int, ...]]:
+    """Number of components of the undirected graph with sparsity pattern a,
+    and each vertex's parity of its unweighted BFS depth from the smallest
+    vertex of its component. The parities properly 2-color a BFS spanning
+    forest of a: all n minus (number of components) of its edges are cut.
+    """
+    count, labels = csgraph.connected_components(a, directed=False)
+    _, roots = np.unique(labels, return_index=True)  # each component's smallest vertex
+    depth = csgraph.dijkstra(a, directed=False, indices=roots, unweighted=True, min_only=True)
+    return count, tuple((depth % 2).astype(int).tolist())
 
 
 def cut_value(g: WeightedGraph, bits):

@@ -1,10 +1,10 @@
 """Small-instance ground truth via dense state vectors.
 
 The Heisenberg-interaction Hamiltonian of a weighted graph acts on 2^n
-amplitudes. Per edge {i,j} the term w * (1/2)(I - XX - YY - ZZ) maps
-|01> -> |01> - |10> and |10> -> |10> - |01> on the bit pair and annihilates
-|00>, |11>, so it is applied with slice arithmetic and never materialized
-as a dense 2^n x 2^n matrix.
+amplitudes. Per edge {i,j} the term w * (1/2)(I - XX - YY - ZZ) equals
+w * (I - SWAP_ij), and SWAP_ij swaps axes i and j of the amplitude tensor,
+so H_G = W * I - sum_e w_e SWAP_e is applied by axis swaps and never
+materialized as a dense 2^n x 2^n matrix.
 
 Bit convention: qubit q is axis q of amplitudes.reshape([2]*n), i.e. bit q of
 index i is (i >> (n-1-q)) & 1, so a bit string reads like the binary index.
@@ -33,13 +33,6 @@ def _check_cap(n, cap):
         raise ResourceLimitError(f"{n} qubits exceeds the cap of {cap}")
 
 
-def _block(n, i, j, bi, bj):
-    sl = [slice(None)] * n
-    sl[i] = bi
-    sl[j] = bj
-    return tuple(sl)
-
-
 def basis_state(n: int, bits) -> np.ndarray:
     """Computational basis state |bits> as a 2^n amplitude vector."""
     if len(bits) != n:
@@ -54,13 +47,9 @@ def apply_hamiltonian(g: WeightedGraph, psi: np.ndarray,
     """Return H_G |psi> (unnormalized), preserving the input dtype."""
     _check_cap(g.n, cap)
     t = np.asarray(psi).reshape([2] * g.n)
-    out = np.zeros_like(t)
+    out = g.total_weight * t
     for u, v, w in g.edges:
-        a01 = t[_block(g.n, u, v, 0, 1)]
-        a10 = t[_block(g.n, u, v, 1, 0)]
-        diff = w * (a01 - a10)
-        out[_block(g.n, u, v, 0, 1)] += diff
-        out[_block(g.n, u, v, 1, 0)] -= diff
+        out -= w * np.swapaxes(t, u, v)
     return out.reshape(-1)
 
 
@@ -106,7 +95,9 @@ def simulate_variational_state(g: WeightedGraph, bits, theta: float,
     """Apply the commuting gate product prod_{{j,k} in E} exp(i theta P(j)P(k)) to |bits>.
 
     P(j) = X if bit j is 1, else Y. Gates commute, so they are applied in edge
-    order; edge weights do not enter the circuit.
+    order; edge weights do not enter the circuit. P(u)P(v) flips axes u and v;
+    as Y|b> = i(-1)^b |1-b>, each Y axis also takes the phase -i on output
+    bit 0 and +i on output bit 1.
     """
     _check_cap(g.n, cap)
     n = g.n
@@ -114,19 +105,14 @@ def simulate_variational_state(g: WeightedGraph, bits, theta: float,
         raise ValueError("bit string length must equal qubit count")
     bits = tuple(int(b) for b in bits)
     t = basis_state(n, bits).reshape([2] * n)
+    y_phase = [np.array([-1j, 1j]).reshape([2 if a == q else 1 for a in range(n)])
+               for q in range(n)]
     c, s = np.cos(theta), np.sin(theta)
     for u, v, _ in g.edges:
-        pauli_u = "X" if bits[u] else "Y"
-        pauli_v = "X" if bits[v] else "Y"
-        flipped = np.empty_like(t)
-        for bu in (0, 1):
-            for bv in (0, 1):
-                ph = 1 + 0j
-                if pauli_u == "Y":
-                    ph *= 1j * (1 - 2 * bu)  # Y|b> = i(-1)^b |1-b>
-                if pauli_v == "Y":
-                    ph *= 1j * (1 - 2 * bv)
-                flipped[_block(n, u, v, 1 - bu, 1 - bv)] = ph * t[_block(n, u, v, bu, bv)]
+        flipped = np.flip(t, (u, v))
+        for q in (u, v):
+            if not bits[q]:
+                flipped = flipped * y_phase[q]
         t = c * t + 1j * s * flipped
     return t.reshape(-1)
 

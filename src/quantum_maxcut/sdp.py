@@ -52,27 +52,15 @@ class GramSolution:
         """Duality gap: how far the optimum can lie above the objective."""
         return self.dual_bound - self.objective
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "vectors": self.vectors.tolist(),
-            "objective": self.objective,
-            "residual": self.residual,
-            "dual_bound": self.dual_bound,
-            "converged": self.converged,
-        }
-
 
 @dataclass
 class RoundingOutcome:
     """Best rounded object over a number of attempts; value is recomputed
     from the returned bits / Bloch vectors, never trusted from sampling."""
 
-    kind: str  # "cut" or "product"
     bits: tuple[int, ...] | None
     bloch: np.ndarray | None
     value: float
-    attempts: int
     failed: bool
 
 
@@ -177,8 +165,7 @@ def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     best = np.argmax(cut_value(g, signs))  # the first of equal best cuts
     best_bits = tuple(int(b) for b in signs[best])
     best_val = cut_value(g, best_bits)
-    return RoundingOutcome(kind="cut", bits=best_bits, bloch=None,
-                           value=best_val, attempts=attempts,
+    return RoundingOutcome(bits=best_bits, bloch=None, value=best_val,
                            failed=best_val < GW_RATIO * sol.objective)
 
 
@@ -208,6 +195,5 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     best_bloch = bloch[np.argmin(pull)].copy()  # the first of equal best
     best_val = sdp_objective(g, best_bloch)
     threshold = RANK3_PROXY_RATIO * opt_upper_bound(g, sdp_value=sol.dual_bound).best
-    return RoundingOutcome(kind="product", bits=None, bloch=best_bloch,
-                           value=best_val, attempts=attempts,
+    return RoundingOutcome(bits=None, bloch=best_bloch, value=best_val,
                            failed=best_val < threshold - 1e-12)

@@ -13,11 +13,10 @@ from .graphs import (
     MatchForestDecomposition,
     WeightedGraph,
     cut_value,
-    match_forest_decompose,
+    depth_parity,
     two_color_forest,
-    spanning_tree,
 )
-from .sdp import GramSolution, RoundingOutcome, mixing_ascent, rank3_round, sdp_objective
+from .sdp import RoundingOutcome, mixing_ascent, sdp_objective
 
 
 def product_energy(g: WeightedGraph, bloch) -> float:
@@ -30,9 +29,10 @@ def product_energy(g: WeightedGraph, bloch) -> float:
 
 
 def tree_coloring_state(g: WeightedGraph) -> tuple[tuple[int, ...], float]:
-    """2-coloring of a spanning tree; cuts all |V|-1 tree edges."""
-    tree = spanning_tree(g)
-    bits = two_color_forest(g, tree)
+    """2-coloring of a BFS spanning forest: each vertex's bit is the parity of
+    its unweighted distance from the smallest vertex of its component, so all
+    n - (number of components) forest edges are cut."""
+    _, bits = depth_parity(g.csr)
     return bits, cut_value(g, bits)
 
 
@@ -82,17 +82,14 @@ def pair_product_energy(g: WeightedGraph, state: PairProductState) -> float:
     return float(g.w @ per_weight)
 
 
-def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition | None = None
+def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition
                         ) -> tuple[PairProductState, float]:
     """Singlets on the doubly-maximal matching, bits elsewhere by local search.
 
     The bits are chosen by flip-while-improving on the subgraph induced by
     the unmatched vertices, so they cut at least half of its weight and the
     returned value is at least (3/2) * matching weight + W/2, deterministically.
-    A decomposition of g already computed may be passed in.
     """
-    if decomp is None:
-        decomp = match_forest_decompose(g)
     pairs = tuple((u, v) for u, v, _ in decomp.matching)
     unmatched = np.array(decomp.unmatched, dtype=np.intp)
     sub = g.csr[unmatched][:, unmatched]  # the subgraph they induce
@@ -180,38 +177,27 @@ class CandidateReport:
     energy: float
     payload: dict
     candidates: dict[str, float]
-    rounding_failed: bool
 
 
-def best_few_qubit_candidate(g: WeightedGraph, sol: GramSolution,
-                             seed: int = 0, attempts: int = 200, *,
-                             decomp: MatchForestDecomposition | None = None,
-                             singlet: tuple[PairProductState, float] | None = None,
-                             rounding: RoundingOutcome | None = None) -> CandidateReport:
-    """Maximum-energy candidate among the forest 2-coloring basis state, the
-    matching/singlet state, and the rank-3 rounded product state.
+def best_few_qubit_candidate(g: WeightedGraph, decomp: MatchForestDecomposition,
+                             singlet: tuple[PairProductState, float],
+                             rounding: RoundingOutcome) -> CandidateReport:
+    """Maximum-energy candidate among the forest 2-coloring basis state of
+    `decomp`, the matching/singlet state `singlet` (from `match_singlet_state`)
+    and the rank-3 rounded product state `rounding` (from `rank3_round`).
 
-    If the rank-3 rounding flags failure that candidate is skipped and the
-    flag is propagated in the report. Stages already computed for g (the
-    decomposition, `match_singlet_state` and `rank3_round` with the same
-    seed and attempts) may be passed in; each missing one is computed here.
+    If the rank-3 rounding flags failure that candidate is skipped.
     """
-    if decomp is None:
-        decomp = match_forest_decompose(g)
     forest_bits = two_color_forest(g, decomp.forest)
-    entries = []
-    entries.append(("tree-coloring", cut_value(g, forest_bits),
-                    {"bits": list(forest_bits)}))
-    pair_state, pair_val = singlet if singlet is not None else match_singlet_state(g, decomp)
-    entries.append(("match-singlet", pair_val,
-                    {"pairs": [list(p) for p in pair_state.pairs],
-                     "bits": {str(k): v for k, v in pair_state.bits.items()}}))
-    if rounding is None:
-        rounding = rank3_round(g, sol, seed=seed, attempts=attempts)
+    pair_state, pair_val = singlet
+    entries = [
+        ("tree-coloring", cut_value(g, forest_bits), {"bits": list(forest_bits)}),
+        ("match-singlet", pair_val,
+         {"pairs": [list(p) for p in pair_state.pairs],
+          "bits": {str(k): v for k, v in pair_state.bits.items()}}),
+    ]
     if not rounding.failed:
-        entries.append(("rank3-product", product_energy(g, rounding.bloch),
-                        {"bloch": rounding.bloch.tolist()}))
+        entries.append(("rank3-product", rounding.value, {"bloch": rounding.bloch.tolist()}))
     label, energy_val, payload = max(entries, key=lambda e: e[1])
     return CandidateReport(label=label, energy=float(energy_val), payload=payload,
-                           candidates={lab: float(val) for lab, val, _ in entries},
-                           rounding_failed=rounding.failed)
+                           candidates={lab: float(val) for lab, val, _ in entries})

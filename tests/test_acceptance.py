@@ -22,6 +22,7 @@ from quantum_maxcut import (
     pair_product_energy,
     pair_product_statevector,
     parse_graph,
+    rank3_round,
     shallow_circuit_pipeline,
     simulate_variational_state,
     solve_maxcut_sdp,
@@ -78,8 +79,10 @@ def test_03_three_regular_circuit_beats_product_states():
     for k in range(50):
         n = (12, 14, 16)[k % 3]
         g = regular_graph(n, 3, rng)
-        res = shallow_circuit_pipeline(g, seed=k)
-        if not res.gw.failed:
+        sol = solve_maxcut_sdp(g, seed=k)
+        gw = gw_round(g, sol, seed=k)
+        res = shallow_circuit_pipeline(g, sol, gw)
+        if not gw.failed:
             assert res.ratio >= 1.047 - 1e-6
         _, prod_val = local_search_product_state(g, starts=50, seed=k)
         assert res.energy > prod_val
@@ -96,7 +99,9 @@ def test_04_weighted_candidate_ratios():
                                    weights="exp")
         opt = max_eigenvalue(g)
         sol = solve_maxcut_sdp(g)
-        rep = best_few_qubit_candidate(g, sol, seed=k, attempts=100)
+        decomp = match_forest_decompose(g)
+        rep = best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp),
+                                       rank3_round(g, sol, seed=k, attempts=100))
         assert rep.energy / opt >= 0.53
         _, prod_val = local_search_product_state(g, starts=50, seed=k)
         assert max(rep.energy, prod_val) / opt >= 0.55
@@ -219,7 +224,7 @@ def test_10_pair_product_closed_form():
             continue
         checked += 1
         d = match_forest_decompose(g)
-        _, val = match_singlet_state(g)
+        _, val = match_singlet_state(g, d)
         assert val >= 1.5 * d.matching_weight + 0.5 * g.total_weight - 1e-12
     report("10 pair-product closed form and matching/singlet floor")
 

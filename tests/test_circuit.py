@@ -12,11 +12,13 @@ from quantum_maxcut import (
     edge_energy_sat,
     edge_energy_unsat,
     energy,
+    gw_round,
     optimize_angle,
     parse_graph,
     regular_sat_envelope,
     shallow_circuit_pipeline,
     simulate_variational_state,
+    solve_maxcut_sdp,
 )
 from quantum_maxcut.generate import gnp_graph, regular_graph
 
@@ -146,19 +148,19 @@ class TestBuildCircuit:
         circ = build_circuit(EDGE, (0, 1), 0.1)
         assert circ.pauli == ("Y", "X")
 
-    def test_json_schema(self):
-        blob = build_circuit(TRIANGLE, (0, 1, 0), 0.25).to_json()
-        assert blob["z"] == "010"
-        assert blob["theta"] == 0.25
-        assert all(isinstance(layer, list) for layer in blob["layers"])
+
+def relaxation_and_cut(g, seed):
+    sol = solve_maxcut_sdp(g, seed=seed)
+    return sol, gw_round(g, sol, seed=seed)
 
 
 class TestPipeline:
     def test_k4_energy(self):
-        res = shallow_circuit_pipeline(K4, seed=0)
+        sol, gw = relaxation_and_cut(K4, seed=0)
+        res = shallow_circuit_pipeline(K4, sol, gw)
         # cut 4 equals the relaxation value, so the energy clears F(theta*,3)/2 * 4
         _, fval = best_angle(3)
-        assert res.gw.value == 4.0
+        assert gw.value == 4.0
         assert res.energy >= fval / 2 * 4 - 1e-9
         assert res.ratio >= 1.19
 
@@ -166,21 +168,24 @@ class TestPipeline:
         rng = np.random.default_rng(4)
         for k in range(5):
             g = regular_graph(12, 3, rng)
-            res = shallow_circuit_pipeline(g, seed=k)
-            if not res.gw.failed:
+            sol, gw = relaxation_and_cut(g, seed=k)
+            res = shallow_circuit_pipeline(g, sol, gw)
+            if not gw.failed:
                 assert res.ratio >= approximation_guarantee(3) - 1e-9
 
     def test_out_of_guarantee_degree_warns(self):
         g = WeightedGraph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])  # K2,2
+        sol, gw = relaxation_and_cut(g, seed=0)
         with pytest.warns(UserWarning, match="3- and 4-regular"):
-            res = shallow_circuit_pipeline(g, seed=0)
+            res = shallow_circuit_pipeline(g, sol, gw)
         assert not res.guaranteed
         assert res.energy > 0
 
     def test_layered_circuit_energy_matches_oracle(self):
         rng = np.random.default_rng(5)
         g = regular_graph(8, 3, rng)
-        res = shallow_circuit_pipeline(g, seed=0)
+        sol, gw = relaxation_and_cut(g, seed=0)
+        res = shallow_circuit_pipeline(g, sol, gw)
         psi = simulate_variational_state(g, res.circuit.bits, res.circuit.theta)
         assert res.energy == pytest.approx(energy(g, psi), abs=1e-9)
 

@@ -109,6 +109,16 @@ class TestSolve:
         assert by_label["shallow-circuit"]["warnings"] == [
             "energy guarantee only holds for 3- and 4-regular graphs"]
 
+    def test_tree_on_disconnected_graph(self, tmp_path, capsys):
+        """The forest coloring cuts n - (number of components) edges."""
+        path = tmp_path / "two.txt"
+        path.write_text("0 1\n2 3\n")
+        code, out = run(capsys, "solve", str(path), "--algorithms", "tree")
+        assert code == 0
+        by_label = {e["label"]: e for e in json.loads(out)["algorithms"]}
+        assert by_label["tree-coloring"]["bits"] == "0101"
+        assert by_label["tree-coloring"]["value"] == 2.0
+
     def test_each_stage_runs_once(self, tmp_path, capsys, monkeypatch):
         """Stages that feed later ones (roundings, singlet state, decomposition)
         run once per solve; later stages take their outcome."""
@@ -152,11 +162,11 @@ class TestSolveErrors:
         path.write_text("".join(f"{i} {(i + 1) % 22}\n" for i in range(22)))
         assert_one_line_error(main(["solve", str(path), "--oracle", "on"]), capsys)
 
-    def test_tree_on_disconnected_graph(self, tmp_path, capsys):
-        path = tmp_path / "two.txt"
-        path.write_text("0 1\n2 3\n")
-        assert_one_line_error(main(["solve", str(path), "--algorithms", "tree"]),
-                              capsys)
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight(self, tmp_path, capsys, weight):
+        path = tmp_path / "path.txt"
+        path.write_text(f"0 1 {weight}\n1 2 1\n")
+        assert_one_line_error(main(["solve", str(path), "--oracle", "off"]), capsys)
 
     @pytest.mark.parametrize("rank", ["0", "-2"])
     def test_rank_below_one(self, tmp_path, capsys, rank):

@@ -13,7 +13,7 @@ from quantum_maxcut import (
     pair_product_energy,
     parse_graph,
     proper_edge_coloring,
-    spanning_tree,
+    tree_coloring_state,
     two_color_forest,
 )
 from quantum_maxcut.generate import gnp_graph
@@ -44,6 +44,11 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_graph("0 1 -2")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ParseError, match="line 2: weight must be finite"):
+            parse_graph(f"1 2 1\n0 1 {weight}")
+
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError, match="self-loop"):
             parse_graph("3 3")
@@ -72,6 +77,11 @@ class TestGraphInvariants:
     def test_noncanonical_order_rejected(self):
         with pytest.raises(GraphError):
             WeightedGraph(3, ((2, 1, 1.0),))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(GraphError, match="non-finite"):
+            WeightedGraph(3, ((0, 1, 1.0), (1, 2, weight)))
 
 
 class TestEdgeArrays:
@@ -276,8 +286,8 @@ class TestZeroWeightEdges:
     def test_triangles(self):
         assert self.G.triangles.tolist() == [1, 1, 1]
 
-    def test_spanning_tree(self):
-        assert spanning_tree(self.G) == [(0, 1, 0.0), (0, 2, 0.0)]
+    def test_tree_coloring(self):
+        assert tree_coloring_state(self.G) == ((0, 1, 1), 0.0)
 
     def test_one_component(self):
         assert connected_components(self.G) == [[0, 1, 2]]
@@ -286,7 +296,7 @@ class TestZeroWeightEdges:
         assert [c.tolist() for c in self.G.color_classes] == [[0], [1], [2]]
 
     def test_singlet_state(self):
-        state, val = match_singlet_state(self.G)
+        state, val = match_singlet_state(self.G, match_forest_decompose(self.G))
         assert state.pairs == ((1, 2),) and state.bits == {0: 0}
         assert val == pair_product_energy(self.G, state) == 2.0
 
@@ -297,29 +307,43 @@ class TestConnectedComponents:
         assert connected_components(g) == [[0, 1, 4], [2], [3, 5]]
 
 
-class TestSpanningTree:
-    def test_path_is_its_own_tree(self):
-        g = parse_graph("0 1\n1 2")
-        assert sorted((u, v) for u, v, _ in spanning_tree(g)) == [(0, 1), (1, 2)]
+def bfs_depths(g):
+    """Unweighted BFS depth of each vertex from the smallest vertex of its component."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    depth = [None] * g.n
+    for root in range(g.n):
+        if depth[root] is None:
+            depth[root], queue = 0, [root]
+            for x in queue:
+                for y in nbrs[x]:
+                    if depth[y] is None:
+                        depth[y] = depth[x] + 1
+                        queue.append(y)
+    return depth
 
-    def test_triangle_tree_size(self):
-        assert len(spanning_tree(triangle())) == 2
 
-    def test_disconnected_errors(self):
-        g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(GraphError, match="disconnected"):
-            spanning_tree(g)
+class TestSpanningForestColoring:
+    def test_path_alternates(self):
+        assert tree_coloring_state(parse_graph("0 1\n1 2")) == ((0, 1, 0), 2.0)
 
-    def test_tree_coloring_cuts_all_tree_edges(self):
+    def test_triangle_cuts_two_edges(self):
+        assert tree_coloring_state(triangle()) == ((0, 1, 1), 2.0)
+
+    def test_disconnected_colors_each_component(self):
+        g = WeightedGraph.from_edges(5, [(0, 1), (2, 3)])
+        assert tree_coloring_state(g) == ((0, 1, 0, 1, 0), 2.0)
+
+    def test_cuts_n_minus_components_forest_edges(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            g = gnp_graph(int(rng.integers(2, 12)), 0.7, rng)
-            try:
-                tree = spanning_tree(g)
-            except GraphError:
-                continue
-            bits = two_color_forest(g, tree)
-            assert all(bits[u] != bits[v] for u, v, _ in tree)
+            g = gnp_graph(int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.7)), rng)
+            bits, _ = tree_coloring_state(g)
+            assert bits == tuple(d % 2 for d in bfs_depths(g))
+            cut = sum(bits[u] != bits[v] for u, v, _ in g.edges)
+            assert cut >= g.n - len(connected_components(g))
 
 
 class TestTwoColorForest:

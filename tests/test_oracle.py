@@ -135,6 +135,50 @@ class TestSimulateVariationalState:
             assert abs(np.linalg.norm(psi) - 1) < 1e-10
 
 
+PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+         "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1.0, -1.0])}
+
+
+def pauli_string(n, ops):
+    """Dense 2^n x 2^n product of single-qubit Paulis (qubit -> name, else I);
+    qubit 0 is the leading Kronecker factor."""
+    m = np.eye(1)
+    for q in range(n):
+        m = np.kron(m, PAULI[ops.get(q, "I")])
+    return m
+
+
+class TestDensePauliReference:
+    """The tensor forms against dense Pauli-string matrices built from the
+    definitions: H_G = sum_e w (1/2)(I - XX - YY - ZZ), and the circuit's
+    gates exp(i theta P(u)P(v)) = cos(theta) I + i sin(theta) P(u)P(v)."""
+
+    def test_hamiltonian(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            g = gnp_graph(int(rng.integers(2, 7)), 0.6, rng, weights="uniform")
+            dim = 2 ** g.n
+            h = np.zeros((dim, dim), dtype=complex)
+            for u, v, w in g.edges:
+                h += 0.5 * w * (np.eye(dim) - sum(pauli_string(g.n, {u: p, v: p})
+                                                  for p in "XYZ"))
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            assert np.allclose(apply_hamiltonian(g, psi), h @ psi, rtol=0, atol=1e-12)
+
+    def test_variational_state(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            g = gnp_graph(int(rng.integers(2, 7)), 0.6, rng)
+            z = tuple(int(b) for b in rng.integers(0, 2, g.n))
+            theta = float(rng.uniform(0, math.pi))
+            psi = basis_state(g.n, z)
+            for u, v, _ in g.edges:
+                gate = pauli_string(g.n, {q: "X" if z[q] else "Y" for q in (u, v)})
+                psi = math.cos(theta) * psi + 1j * math.sin(theta) * (gate @ psi)
+            assert np.allclose(simulate_variational_state(g, z, theta), psi,
+                               rtol=0, atol=1e-12)
+
+
 class TestEnergy:
     def test_basis_state_gives_cut(self):
         rng = np.random.default_rng(4)

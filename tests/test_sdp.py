@@ -49,12 +49,6 @@ class TestSolver:
         sol = solve_maxcut_sdp(K4, max_sweeps=1)
         assert not sol.converged
 
-    def test_json_roundtrip(self):
-        sol = solve_maxcut_sdp(TRIANGLE)
-        blob = sol.to_json()
-        assert blob["rank"] == sol.rank
-        assert blob["objective"] == pytest.approx(2.25, abs=1e-6)
-
 
 def unit_rows(rng, n, r):
     vecs = rng.standard_normal((n, r))

@@ -1,10 +1,13 @@
-"""Source checks: library invariants must survive `python -O`."""
+"""Source checks: library invariants must survive `python -O`, and only the
+CLI composes stages."""
 import ast
 from pathlib import Path
 
 import pytest
 
 SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "quantum_maxcut").glob("*.py"))
+# Stages whose outcomes later stages take as arguments, never recompute.
+STAGES = {"solve_maxcut_sdp", "gw_round", "rank3_round", "match_forest_decompose"}
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
@@ -12,3 +15,19 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statement at line(s) {lines}; raise instead"
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name in ("states.py", "circuit.py")],
+                         ids=lambda p: p.name)
+def test_stages_take_their_inputs(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & STAGES, (
+        f"{path.name} refers to {sorted(names & STAGES)}; take the outcome as an argument")

@@ -16,6 +16,7 @@ from quantum_maxcut import (
     parse_graph,
     product_energy,
     product_statevector,
+    rank3_round,
     solve_maxcut_sdp,
     tree_coloring_state,
 )
@@ -23,6 +24,17 @@ from quantum_maxcut.generate import gnp_graph, random_connected_graph, star_grap
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
+
+
+def singlet_state(g):
+    return match_singlet_state(g, match_forest_decompose(g))
+
+
+def best_candidate(g, sol, seed, attempts=200):
+    """The best candidate over the stages `qmaxcut solve` runs before it."""
+    decomp = match_forest_decompose(g)
+    return best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp),
+                                    rank3_round(g, sol, seed=seed, attempts=attempts))
 
 
 def bloch_120():
@@ -137,17 +149,17 @@ class TestPairProductEnergy:
 class TestMatchSingletState:
     def test_single_edge(self):
         g = parse_graph("0 1 3.0")
-        st, val = match_singlet_state(g)
+        st, val = singlet_state(g)
         assert st.pairs == ((0, 1),) and val == 6.0
 
     def test_two_disjoint_edges(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
-        st, val = match_singlet_state(g)
+        st, val = singlet_state(g)
         assert len(st.pairs) == 2 and val == 4.0
 
     def test_weighted_path(self):
         g = parse_graph("0 1 1\n1 2 2")
-        st, val = match_singlet_state(g)
+        st, val = singlet_state(g)
         assert st.pairs == ((1, 2),)
         assert val == pytest.approx(2 * 2 + 0.5 * 1)  # = (3/2)m + W/2 here
 
@@ -158,7 +170,7 @@ class TestMatchSingletState:
             if not g.edges:
                 continue
             d = match_forest_decompose(g)
-            _, val = match_singlet_state(g)
+            _, val = match_singlet_state(g, d)
             assert val >= 1.5 * d.matching_weight + 0.5 * g.total_weight - 1e-12
 
 
@@ -176,20 +188,20 @@ class TestLocalSearchProductState:
 class TestBestFewQubitCandidate:
     def test_single_edge_singlet_wins(self):
         sol = solve_maxcut_sdp(EDGE)
-        rep = best_few_qubit_candidate(EDGE, sol, seed=0)
+        rep = best_candidate(EDGE, sol, seed=0)
         assert rep.label == "match-singlet"
         assert rep.energy == pytest.approx(2.0)
 
     def test_triangle(self):
         sol = solve_maxcut_sdp(TRIANGLE)
-        rep = best_few_qubit_candidate(TRIANGLE, sol, seed=0)
+        rep = best_candidate(TRIANGLE, sol, seed=0)
         assert rep.energy >= 2.25 - 0.1
         assert rep.energy / 3.0 >= 0.53  # oracle OPT(C3) = 3
 
     def test_small_star(self):
         g = star_graph(4)  # K_{1,3}
         sol = solve_maxcut_sdp(g)
-        rep = best_few_qubit_candidate(g, sol, seed=0)
+        rep = best_candidate(g, sol, seed=0)
         # singlet on one leaf edge plus two cross edges: 2 + 2 * 0.5 = 3
         assert rep.candidates["match-singlet"] == pytest.approx(3.0)
         assert max_eigenvalue(g) == pytest.approx(4.0, abs=1e-8)
@@ -201,7 +213,7 @@ class TestBestFewQubitCandidate:
             g = random_connected_graph(int(rng.integers(3, 10)), 0.4, rng,
                                        weights="exp")
             sol = solve_maxcut_sdp(g)
-            rep = best_few_qubit_candidate(g, sol, seed=k, attempts=100)
+            rep = best_candidate(g, sol, seed=k, attempts=100)
             opt = max_eigenvalue(g)
             assert rep.energy <= opt + 1e-8
             assert rep.energy / opt >= 0.53
