@@ -25,7 +25,7 @@ instances = {
 for name, g in instances.items():
     opt = max_eigenvalue(g)
     sol = solve_maxcut_sdp(g)
-    rep = opt_upper_bound(g, sdp_value=sol.objective + sol.residual)
+    rep = opt_upper_bound(g, sdp_value=sol.dual_bound)
     print(f"{name:12s}  OPT={opt:7.4f}  trivial={rep.trivial:6.2f}  "
           f"degree-sum={rep.degree_sum:6.2f}  sdp-combined={rep.sdp_combined:6.2f}")
 

@@ -9,7 +9,7 @@ closed-form energies, and an exact small-instance oracle to validate all of
 the above.
 """
 
-from .bounds import BoundReport, graph_laplacian, opt_upper_bound, sdp_combined_bound, star_bound
+from .bounds import BoundReport, opt_upper_bound, sdp_combined_bound, star_bound
 from .circuit import (
     PipelineResult,
     VariationalCircuit,
@@ -28,7 +28,6 @@ from .graphs import (
     MatchForestDecomposition,
     ParseError,
     WeightedGraph,
-    connected_components,
     cut_value,
     match_forest_decompose,
     parse_graph,

@@ -23,12 +23,6 @@ def star_bound(weights) -> float:
     return float(max(weights) + sum(weights))
 
 
-def graph_laplacian(g: WeightedGraph) -> np.ndarray:
-    """Weighted graph Laplacian: weighted degree on the diagonal, -w off it."""
-    a = g.csr.toarray()
-    return np.diag(a.sum(axis=1)) - a
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Collection of upper bounds on the maximum energy; best = min of them."""

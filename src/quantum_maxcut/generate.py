@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import GraphError, WeightedGraph, connected_components
+from .graphs import GraphError, WeightedGraph, depth_parity
 
 
 def sample_weights(kind: str, count: int, rng) -> list[float]:
@@ -30,7 +30,7 @@ def random_connected_graph(n: int, p: float, rng, weights: str = "unit",
     random spanning tree if rejection takes too long."""
     for _ in range(max_tries):
         g = gnp_graph(n, p, rng, weights)
-        if len(connected_components(g)) == 1:
+        if depth_parity(g.csr)[0] == 1:
             return g
     # pad: random permutation tree plus the gnp edges
     perm = list(rng.permutation(n))

@@ -179,12 +179,6 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges)
 
 
-def connected_components(g: WeightedGraph) -> list[list[int]]:
-    """Vertex sets of the components, each sorted, in order of smallest vertex."""
-    count, labels = csgraph.connected_components(g.csr)  # csr is symmetric
-    return [np.flatnonzero(labels == c).tolist() for c in range(count)]
-
-
 def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
     """Proper 2-coloring of the given forest edges; vertices in no edge get bit 0.
 

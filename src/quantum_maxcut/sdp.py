@@ -74,38 +74,55 @@ def sdp_objective(g: WeightedGraph, vectors: np.ndarray) -> float:
     return float(0.5 * (g.w @ (1.0 - dots)))
 
 
+def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
+    """Objective of each start of a stack of unit rows, vecs of shape (n, S, r),
+    as W/2 - (sum_i v_i . (A V)_i) / 4 by one sparse product; unchecked."""
+    flat = vecs.reshape(g.n, -1)
+    pull = np.einsum("ij,ij->j", flat, g.csr @ flat).reshape(vecs.shape[1:]).sum(axis=1)
+    return g.total_weight / 2 - pull / 4
+
+
 def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
-                  max_sweeps: int) -> tuple[float, bool, int]:
-    """Cyclic coordinate ascent v_i <- -normalize(sum_j w_ij v_j) on unit rows,
-    in place, until the relative objective change of a sweep is at most tol.
+                  max_sweeps: int) -> tuple[np.ndarray, bool, int]:
+    """Cyclic coordinate ascent v_i <- -normalize(sum_j w_ij v_j) on a stack of
+    S independent starts of unit rows, vecs of shape (n, S, r), in place, until
+    no start's objective changes in a sweep by more than tol times
+    max(1, smallest objective).
 
     A sweep visits the vertices class by class of `g.color_classes`. No edge
     joins two vertices of a class, so one sparse product updates a whole
-    class exactly as one-vertex steps in any order within it would. A vertex
-    whose neighbor sum is zero keeps its vector.
+    class, in every start, exactly as one-vertex steps in any order within
+    it would. A vertex whose neighbor sum is zero keeps its vector.
 
-    Returns (objective, converged, sweeps). The objective never decreases;
-    a decrease beyond rounding is an error.
+    Returns (objective of each start, converged, sweeps). No objective
+    decreases; a decrease beyond rounding is an error.
     """
+    n, starts, r = vecs.shape
+    if np.any(np.abs(np.sqrt(np.einsum("ijk,ijk->ij", vecs, vecs)) - 1.0) > 1e-8):
+        raise ValueError("all vectors must be unit length")
+    work = np.ascontiguousarray(vecs)  # a copy only when vecs is a strided view
+    flat = work.reshape(n, starts * r)
     blocks = [(b, g.csr[b]) for b in g.color_classes]
-    obj = sdp_objective(g, vecs)
+    obj = stack_objective(g, work)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         for b, rows in blocks:
-            s = rows @ vecs  # the update is -s / |s|
-            ns = np.sqrt(np.einsum("ij,ij->i", s, s))
+            s = (rows @ flat).reshape(-1, starts, r)  # the update is -s / |s|
+            ns = np.sqrt(np.einsum("ijk,ijk->ij", s, s))
             stay = ns == 0
             if stay.any():
-                s[stay], ns[stay] = -vecs[b[stay]], 1.0
-            vecs[b] = s / -ns[:, None]
-        new_obj = sdp_objective(g, vecs)
-        if new_obj < obj - 1e-9:
+                s[stay], ns[stay] = -work[b][stay], 1.0
+            work[b] = s / -ns[..., None]
+        new_obj = stack_objective(g, work)
+        rise = (new_obj - obj).tolist()  # Python floats: cheaper than numpy at S = 1
+        if min(rise) < -1e-9:
             raise AssertionError("objective decreased during coordinate ascent")
-        converged = abs(new_obj - obj) <= tol * max(1.0, abs(new_obj))
+        converged = max(map(abs, rise)) <= tol * max(1.0, min(new_obj.tolist()))
         obj = new_obj
         if converged:
             break
+    vecs[...] = work
     return obj, converged, sweeps
 
 
@@ -125,7 +142,8 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    obj, converged, sweeps = mixing_ascent(g, vecs, tol, max_sweeps)
+    _, converged, sweeps = mixing_ascent(g, vecs[:, None], tol, max_sweeps)
+    obj = sdp_objective(g, vecs)
     grad = g.csr @ vecs  # d(objective)/dv_i = -grad_i / 2
     radial = np.einsum("ij,ij->i", grad, vecs)
     tangential = grad - radial[:, None] * vecs
@@ -189,10 +207,8 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
         bloch[bad] = rng.standard_normal((int(bad.sum()), 3))
         norms = np.linalg.norm(bloch, axis=2)
     bloch /= norms[..., None]
-    cols = bloch.transpose(1, 0, 2).reshape(g.n, 3 * attempts)
-    # objective = W/2 - (sum_i v_i . (A V)_i) / 4: rank the attempts by that sum
-    pull = np.einsum("ij,ij->j", cols, g.csr @ cols).reshape(attempts, 3).sum(axis=1)
-    best_bloch = bloch[np.argmin(pull)].copy()  # the first of equal best
+    best = np.argmax(stack_objective(g, bloch.transpose(1, 0, 2)))  # the first of equal best
+    best_bloch = bloch[best].copy()
     best_val = sdp_objective(g, best_bloch)
     threshold = RANK3_PROXY_RATIO * opt_upper_bound(g, sdp_value=sol.dual_bound).best
     return RoundingOutcome(bits=None, bloch=best_bloch, value=best_val,

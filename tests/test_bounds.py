@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quantum_maxcut import (
-    graph_laplacian,
     max_eigenvalue,
     opt_upper_bound,
     parse_graph,
@@ -37,29 +36,6 @@ class TestStarBound:
             star_bound([1, -1])
 
 
-class TestLaplacian:
-    def test_single_edge(self):
-        g = parse_graph("0 1 1.0")
-        assert np.array_equal(graph_laplacian(g), [[1, -1], [-1, 1]])
-
-    def test_triangle(self):
-        lap = graph_laplacian(TRIANGLE)
-        assert np.array_equal(np.diag(lap), [2, 2, 2])
-        assert lap[0, 1] == lap[1, 2] == -1
-
-    def test_two_leaf_star_norm(self):
-        lap = graph_laplacian(parse_graph("0 1\n0 2"))
-        assert np.linalg.eigvalsh(lap)[-1] == pytest.approx(3.0, abs=1e-12)
-
-    def test_rows_sum_to_zero_and_psd(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            g = gnp_graph(int(rng.integers(2, 10)), 0.5, rng, weights="exp")
-            lap = graph_laplacian(g)
-            assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
-            assert np.linalg.eigvalsh(lap)[0] >= -1e-10
-
-
 class TestOptUpperBound:
     def test_unweighted_triangle(self):
         rep = opt_upper_bound(TRIANGLE)
@@ -83,7 +59,7 @@ class TestOptUpperBound:
                 continue
             opt = max_eigenvalue(g)
             sol = solve_maxcut_sdp(g)
-            rep = opt_upper_bound(g, sdp_value=sol.objective + sol.residual + 1e-9)
+            rep = opt_upper_bound(g, sdp_value=sol.dual_bound)
             assert rep.trivial >= opt - 1e-8
             assert rep.degree_sum >= opt - 1e-8
             assert rep.sdp_combined >= opt - 1e-6

@@ -7,7 +7,6 @@ from quantum_maxcut import (
     PairProductState,
     ParseError,
     WeightedGraph,
-    connected_components,
     match_forest_decompose,
     match_singlet_state,
     pair_product_energy,
@@ -17,6 +16,7 @@ from quantum_maxcut import (
     two_color_forest,
 )
 from quantum_maxcut.generate import gnp_graph
+from quantum_maxcut.graphs import depth_parity
 
 
 def k4():
@@ -220,8 +220,7 @@ class TestEvaluatorsMatchEdgeLoops:
 
     def test_random_weighted_graphs(self):
         from quantum_maxcut import (circuit_energy, cut_value, edge_energy_sat,
-                                    edge_energy_unsat, graph_laplacian,
-                                    opt_upper_bound, sdp_objective)
+                                    edge_energy_unsat, opt_upper_bound, sdp_objective)
 
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -233,13 +232,9 @@ class TestEvaluatorsMatchEdgeLoops:
             bits = rng.integers(0, 2, (5, g.n))
             assert cut_value(g, bits) == pytest.approx(
                 [sum(w for u, v, w in g.edges if b[u] != b[v]) for b in bits], abs=1e-12)
-            lap = np.zeros((g.n, g.n))
             top = [0.0] * g.n
             for u, v, w in g.edges:
-                lap[[u, v], [u, v]] += w
-                lap[[u, v], [v, u]] -= w
                 top[u], top[v] = max(top[u], w), max(top[v], w)
-            assert np.allclose(graph_laplacian(g), lap, atol=1e-12)
             assert opt_upper_bound(g).degree_sum == pytest.approx(
                 g.total_weight + 0.5 * sum(top), abs=1e-12)
             if not g.edges:
@@ -290,7 +285,7 @@ class TestZeroWeightEdges:
         assert tree_coloring_state(self.G) == ((0, 1, 1), 0.0)
 
     def test_one_component(self):
-        assert connected_components(self.G) == [[0, 1, 2]]
+        assert depth_parity(self.G.csr)[0] == 1
 
     def test_color_classes_proper(self):
         assert [c.tolist() for c in self.G.color_classes] == [[0], [1], [2]]
@@ -303,8 +298,9 @@ class TestZeroWeightEdges:
 
 class TestConnectedComponents:
     def test_sorted_in_order_of_smallest_vertex(self):
+        # components {0, 1, 4}, {2}, {3, 5}; depths count from 0, 2 and 3
         g = WeightedGraph.from_edges(6, [(4, 1), (3, 5), (1, 0)])
-        assert connected_components(g) == [[0, 1, 4], [2], [3, 5]]
+        assert depth_parity(g.csr) == (3, (0, 1, 0, 0, 0, 1))
 
 
 def bfs_depths(g):
@@ -343,7 +339,7 @@ class TestSpanningForestColoring:
             bits, _ = tree_coloring_state(g)
             assert bits == tuple(d % 2 for d in bfs_depths(g))
             cut = sum(bits[u] != bits[v] for u, v, _ in g.edges)
-            assert cut >= g.n - len(connected_components(g))
+            assert cut >= g.n - depth_parity(g.csr)[0]
 
 
 class TestTwoColorForest:

@@ -73,7 +73,7 @@ class TestBlockKernel:
                                           for u in range(6) for v in range(u + 1, 6)])
         start = unit_rows(np.random.default_rng(0), 6, 4)
         block = start.copy()
-        mixing_ascent(k6, block, tol=-1, max_sweeps=25)
+        mixing_ascent(k6, block[:, None], tol=-1, max_sweeps=25)
         reference = cyclic_reference(k6, start.copy(), 25, range(6))
         assert np.allclose(block, reference, rtol=0, atol=1e-12)
 
@@ -84,7 +84,7 @@ class TestBlockKernel:
                           weights="exp")
             start = unit_rows(rng, g.n, 5)
             block = start.copy()
-            _, _, sweeps = mixing_ascent(g, block, tol=-1, max_sweeps=15)
+            _, _, sweeps = mixing_ascent(g, block[:, None], tol=-1, max_sweeps=15)
             assert sweeps == 15
             reference = cyclic_reference(g, start.copy(), 15,
                                          np.concatenate(g.color_classes))
@@ -92,11 +92,34 @@ class TestBlockKernel:
 
     def test_isolated_vertex_keeps_its_vector(self):
         g = WeightedGraph.from_edges(3, [(0, 1)])
-        vecs = unit_rows(np.random.default_rng(1), 3, 3)
-        isolated = vecs[2].copy()
-        mixing_ascent(g, vecs, tol=-1, max_sweeps=3)
-        assert np.array_equal(vecs[2], isolated)
-        assert vecs[0] @ vecs[1] == pytest.approx(-1.0, abs=1e-12)
+        for starts in (1, 4):  # one start, and a stack of them
+            vecs = unit_rows(np.random.default_rng(1), 3 * starts, 3).reshape(3, starts, 3)
+            isolated = vecs[2].copy()
+            mixing_ascent(g, vecs, tol=-1, max_sweeps=3)
+            assert np.array_equal(vecs[2], isolated)
+            assert np.einsum("sk,sk->s", vecs[0], vecs[1]) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_stack_matches_each_start_alone(self):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            g = gnp_graph(int(rng.integers(2, 30)), float(rng.uniform(0.1, 0.6)), rng,
+                          weights="exp")
+            starts = int(rng.integers(2, 9))
+            stack = unit_rows(rng, g.n * starts, 3).reshape(starts, g.n, 3)
+            alone = stack.copy()
+            values, _, sweeps = mixing_ascent(g, stack.transpose(1, 0, 2), tol=-1,
+                                              max_sweeps=12)
+            assert sweeps == 12
+            for k in range(starts):
+                value, _, _ = mixing_ascent(g, alone[k][:, None], tol=-1, max_sweeps=12)
+                assert np.allclose(stack[k], alone[k], rtol=0, atol=1e-12)
+                assert values[k] == pytest.approx(value[0], rel=1e-12, abs=1e-12)
+                assert values[k] == pytest.approx(sdp_objective(g, stack[k]), rel=1e-12)
+
+    def test_non_unit_rows_rejected(self):
+        vecs = np.array([[[2.0, 0.0]], [[1.0, 0.0]]])
+        with pytest.raises(ValueError, match="unit"):
+            mixing_ascent(EDGE, vecs, tol=-1, max_sweeps=1)
 
 
 class TestDualBound:

@@ -20,7 +20,9 @@ from quantum_maxcut import (
     solve_maxcut_sdp,
     tree_coloring_state,
 )
+from quantum_maxcut import states
 from quantum_maxcut.generate import gnp_graph, random_connected_graph, star_graph
+from quantum_maxcut.sdp import mixing_ascent
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
@@ -183,6 +185,17 @@ class TestLocalSearchProductState:
         bloch, val = local_search_product_state(EDGE, starts=5, seed=0)
         assert val == pytest.approx(1.0, abs=1e-9)
         assert bloch[0] @ bloch[1] == pytest.approx(-1.0, abs=1e-7)
+
+    def test_one_kernel_call_for_all_starts(self, monkeypatch):
+        calls = []
+
+        def spy(g, vecs, tol, max_sweeps):
+            calls.append(vecs.shape)
+            return mixing_ascent(g, vecs, tol, max_sweeps)
+
+        monkeypatch.setattr(states, "mixing_ascent", spy)
+        local_search_product_state(TRIANGLE, starts=7, seed=0)
+        assert calls == [(3, 7, 3)]
 
 
 class TestBestFewQubitCandidate:
