@@ -134,7 +134,8 @@ def _solve(g, args, algorithms) -> dict:
             verdicts["gw_guarantee"] = "fail" if gw.failed else "pass"
     if "rank3" in algorithms or "best" in algorithms:
         t0 = time.perf_counter()
-        rank3 = sdp.rank3_round(g, sol, seed=args.seed, attempts=args.attempts)
+        rank3 = sdp.rank3_round(g, sol, report_bounds.best, seed=args.seed,
+                                attempts=args.attempts)
         if "rank3" in algorithms:
             record("rank3-product", rank3.value,
                    {"failed": rank3.failed, "seconds": time.perf_counter() - t0})

@@ -1,10 +1,13 @@
-"""Small-instance ground truth via dense state vectors.
+"""Small-instance ground truth: exact maximum energy, energies, circuits.
 
 The Heisenberg-interaction Hamiltonian of a weighted graph acts on 2^n
 amplitudes. Per edge {i,j} the term w * (1/2)(I - XX - YY - ZZ) equals
 w * (I - SWAP_ij), and SWAP_ij swaps axes i and j of the amplitude tensor,
-so H_G = W * I - sum_e w_e SWAP_e is applied by axis swaps and never
-materialized as a dense 2^n x 2^n matrix.
+so H_G = W * I - sum_e w_e SWAP_e is applied to a state by axis swaps.
+Energies and the circuit, whose state does not conserve S_z, use that.
+A swap keeps the number of 1 bits, and every spin multiplet has a member
+of Hamming weight floor(n/2) (S_z = 0 or 1/2), so the maximum eigenvalue
+is found on that block alone, a sparse matrix of C(n, floor(n/2)) rows.
 
 Bit convention: qubit q is axis q of amplitudes.reshape([2]*n), i.e. bit q of
 index i is (i >> (n-1-q)) & 1, so a bit string reads like the binary index.
@@ -12,7 +15,8 @@ index i is (i >> (n-1-q)) & 1, so a bit string reads like the binary index.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from scipy.sparse import coo_array
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graphs import WeightedGraph
 
@@ -65,26 +69,50 @@ def energy(g: WeightedGraph, psi: np.ndarray, cap: int = DEFAULT_QUBIT_CAP) -> f
     return float(val.real)
 
 
+def sector_hamiltonian(g: WeightedGraph):
+    """H_G on the sorted basis states of Hamming weight floor(n/2), as a
+    sparse CSR matrix; row and column i stand for the i-th smallest index.
+
+    On a state whose bits at u and v differ, the edge term w (I - SWAP_uv)
+    adds w on the diagonal and -w at the partner with both bits swapped; on
+    any other state it is zero.
+    """
+    n = g.n
+    idx = np.arange(2 ** n, dtype=np.int64)
+    states = np.flatnonzero(sum((idx >> b) & 1 for b in range(n)) == n // 2)
+    dim = len(states)
+    diag = np.zeros(dim)
+    rows, cols, vals = [np.arange(dim, dtype=np.int32)], [np.arange(dim, dtype=np.int32)], [diag]
+    for u, v, w in g.edges:  # int32 indices: 3M entries on a 3-regular n=20 graph
+        bu, bv = n - 1 - u, n - 1 - v
+        differ = np.flatnonzero(((states >> bu) ^ (states >> bv)) & 1).astype(np.int32)
+        diag[differ] += w
+        rows.append(differ)
+        partner = states[differ] ^ ((1 << bu) | (1 << bv))
+        cols.append(np.searchsorted(states, partner).astype(np.int32))
+        vals.append(np.full(len(differ), -w))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))  # drops the pieces
+    return coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
 def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8,
-                   cap: int = DEFAULT_QUBIT_CAP, maxiter: int = 20000) -> float:
-    """Largest eigenvalue of H_G by Lanczos, certified by the residual
-    ||H v - lam v|| <= tol; ConvergenceError if Lanczos fails or the residual
-    is larger."""
+                   cap: int = DEFAULT_QUBIT_CAP) -> float:
+    """Largest eigenvalue of H_G by Lanczos on `sector_hamiltonian(g)`,
+    certified by the residual ||H v - lam v|| <= tol in that block, which is
+    H_G on an invariant subspace; ConvergenceError if Lanczos fails or the
+    residual is larger."""
     _check_cap(g.n, cap)
     if g.total_weight == 0:
         return 0.0  # H_G = 0, on which Lanczos has no start vector
-    dim = 2 ** g.n
-    # H_G is real symmetric in the computational basis
-    op = LinearOperator((dim, dim), dtype=float,
-                        matvec=lambda x: apply_hamiltonian(g, x, cap=cap))
+    h = sector_hamiltonian(g)  # real symmetric
     rng = np.random.default_rng(7)  # fixed start for reproducible failures
     try:
-        lams, vecs = eigsh(op, k=1, which="LA", tol=0,
-                           v0=rng.standard_normal(dim), maxiter=maxiter)
+        lams, vecs = eigsh(h, k=1, which="LA", tol=0,
+                           v0=rng.standard_normal(h.shape[0]), maxiter=20000)
     except ArpackError as exc:  # ArpackNoConvergence included
         raise ConvergenceError(f"Lanczos failed: {exc}") from exc
     lam, vec = float(lams[0]), vecs[:, 0]
-    residual = np.linalg.norm(apply_hamiltonian(g, vec) - lam * vec)
+    residual = np.linalg.norm(h @ vec - lam * vec)
     if residual > max(tol, 1e-12) * max(1.0, abs(lam)):
         raise ConvergenceError(f"residual {residual} exceeds tolerance {tol}")
     return lam

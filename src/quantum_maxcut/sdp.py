@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .bounds import opt_upper_bound
 from .graphs import WeightedGraph, cut_value
 
 GW_RATIO = 0.8785
@@ -187,8 +186,8 @@ def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
                            failed=best_val < GW_RATIO * sol.objective)
 
 
-def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
-                attempts: int = 200) -> RoundingOutcome:
+def rank3_round(g: WeightedGraph, sol: GramSolution, upper_bound: float,
+                seed: int = 0, attempts: int = 200) -> RoundingOutcome:
     """Best product state over Gaussian projections of the Gram vectors to R^3.
 
     Each attempt draws a 3 x r standard normal matrix, maps every vertex
@@ -196,8 +195,8 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     the relaxation objective formula in R^3. All attempts are drawn at once
     and scored by one sparse product; the winner is re-scored alone. The
     guarantee constant 0.956 is relative to the (uncomputable) best product
-    state, so the failure flag compares against 0.478 times the best
-    computable upper bound (SDP-combined included when dual_bound is set).
+    state, so the failure flag compares against 0.478 times `upper_bound`,
+    an upper bound on the maximum energy (the CLI passes its best bound).
     """
     rng = np.random.default_rng(seed)
     bloch = sol.vectors @ rng.standard_normal((attempts, sol.rank, 3))  # (attempts, n, 3)
@@ -210,6 +209,5 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     best = np.argmax(stack_objective(g, bloch.transpose(1, 0, 2)))  # the first of equal best
     best_bloch = bloch[best].copy()
     best_val = sdp_objective(g, best_bloch)
-    threshold = RANK3_PROXY_RATIO * opt_upper_bound(g, sdp_value=sol.dual_bound).best
     return RoundingOutcome(bits=None, bloch=best_bloch, value=best_val,
-                           failed=best_val < threshold - 1e-12)
+                           failed=best_val < RANK3_PROXY_RATIO * upper_bound - 1e-12)

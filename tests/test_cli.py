@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from quantum_maxcut import graphs, oracle, sdp, states
+from quantum_maxcut import bounds, graphs, oracle, sdp, states
 from quantum_maxcut.cli import main
 
 
@@ -122,27 +122,43 @@ class TestSolve:
     def test_each_stage_runs_once(self, tmp_path, capsys, monkeypatch):
         """Stages that feed later ones (roundings, singlet state, decomposition)
         run once per solve; later stages take their outcome."""
-        calls = {}
         traced = [(sdp, "gw_round"), (sdp, "rank3_round"),
                   (states, "match_singlet_state"), (graphs, "match_forest_decompose")]
-        modules = [m for name, m in list(sys.modules.items())
-                   if name == "quantum_maxcut" or name.startswith("quantum_maxcut.")]
-        for module, name in traced:
-            original = getattr(module, name)
-
-            def counted(*args, _name=name, _fn=original, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
-
-            for mod in modules:
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, counted)
+        calls = count_calls(monkeypatch, traced)
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
         code, _ = run(capsys, "solve", str(path))
         assert code == 0
         assert calls == {name: 1 for _, name in traced}
+
+    def test_upper_bound_computed_once(self, tmp_path, capsys, monkeypatch):
+        """rank3_round takes the report's bound instead of computing its own."""
+        calls = count_calls(monkeypatch, [(bounds, "opt_upper_bound")])
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+        code, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        assert calls == {"opt_upper_bound": 1}
+
+
+def count_calls(monkeypatch, traced):
+    """Count calls of each (module, name) under every name it is bound to in
+    the package; the returned dict fills in as they run."""
+    calls = {}
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "quantum_maxcut" or name.startswith("quantum_maxcut.")]
+    for module, name in traced:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 def assert_one_line_error(code, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from quantum_maxcut import (
     ConvergenceError,
@@ -17,11 +17,49 @@ from quantum_maxcut import (
     parse_graph,
     simulate_variational_state,
 )
-from quantum_maxcut.generate import gnp_graph, star_graph
+from quantum_maxcut.generate import cycle_graph, gnp_graph, star_graph
 from quantum_maxcut.states import cut_value
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
+
+
+def dense_hamiltonian(g):
+    """H_G as a dense 2^n x 2^n matrix, column by column from apply_hamiltonian."""
+    eye = np.eye(2 ** g.n)
+    return np.column_stack([apply_hamiltonian(g, eye[:, k]) for k in range(2 ** g.n)])
+
+
+def lanczos_full_space(g):
+    """Largest eigenvalue by Lanczos over apply_hamiltonian on all 2^n amplitudes,
+    with its own residual check: the full-space reference for n above 10."""
+    dim = 2 ** g.n
+    op = LinearOperator((dim, dim), dtype=float, matvec=lambda x: apply_hamiltonian(g, x))
+    lams, vecs = eigsh(op, k=1, which="LA", tol=0,
+                       v0=np.random.default_rng(0).standard_normal(dim))
+    assert np.linalg.norm(apply_hamiltonian(g, vecs[:, 0]) - lams[0] * vecs[:, 0]) < 1e-9
+    return float(lams[0])
+
+
+def sector_test_graphs(n, rng):
+    """Graphs on n vertices: exp-weighted G(n, 1/2) and star (a star's top
+    multiplet has large total spin), a star with an isolated vertex, a cycle
+    with zero-weight edges and two disjoint halves."""
+    graphs = [gnp_graph(n, 0.5, rng, weights="exp")]
+    if n >= 2:
+        graphs.append(star_graph(n, weights="exp", rng=rng))
+    if n >= 3:
+        ws = rng.exponential(size=n)
+        graphs.append(WeightedGraph.from_edges(n, [(0, v, ws[v]) for v in range(1, n - 1)]))
+        cycle = cycle_graph(n, "uniform", rng)  # its two edges at vertex 0 weigh 0
+        graphs.append(WeightedGraph.from_edges(
+            n, [(u, v, 0.0 if u == 0 else w) for u, v, w in cycle.edges]))
+    if n >= 4:
+        h = n // 2
+        left, right = gnp_graph(h, 0.7, rng, "uniform"), gnp_graph(n - h, 0.7, rng, "uniform")
+        graphs.append(WeightedGraph.from_edges(
+            n, list(left.edges) + [(u + h, v + h, w) for u, v, w in right.edges]))
+    return graphs
 
 
 def singlet():
@@ -75,10 +113,29 @@ class TestMaxEigenvalue:
         graphs = [gnp_graph(n, 0.4, rng, weights="uniform") for n in range(2, 11)]
         graphs.append(parse_graph("0 1 0\n1 2 0"))  # H_G = 0
         for g in graphs:
-            dim = 2 ** g.n
-            eye = np.eye(dim)
-            h = np.column_stack([apply_hamiltonian(g, eye[:, k]) for k in range(dim)])
+            h = dense_hamiltonian(g)
             assert max_eigenvalue(g) == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-8)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sector_matches_full_space(self, n):
+        """The weight-floor(n/2) block holds the top eigenvalue: dense eigvalsh
+        of the full H_G up to n = 10, full-space Lanczos at n = 11 and 12."""
+        for g in sector_test_graphs(n, np.random.default_rng(100 + n)):
+            ref = (np.linalg.eigvalsh(dense_hamiltonian(g))[-1] if n <= 10
+                   else lanczos_full_space(g))
+            assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+    def test_no_full_space_matvec(self, monkeypatch):
+        calls, original = [], oracle.apply_hamiltonian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "apply_hamiltonian", counted)
+        assert max_eigenvalue(gnp_graph(9, 0.5, np.random.default_rng(3))) > 0
+        assert max_eigenvalue(TRIANGLE) == pytest.approx(3.0, abs=1e-8)
+        assert calls == []
 
     def test_lanczos_failure_is_convergence_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -88,6 +145,16 @@ class TestMaxEigenvalue:
         with pytest.raises(ConvergenceError, match="Lanczos"):
             max_eigenvalue(TRIANGLE)
 
+    def test_residual_certificate(self, monkeypatch):
+        """A Ritz pair off by 1e-3 fails the residual check in the sector."""
+        def shifted(h, **kwargs):
+            lams, vecs = eigsh(h, **kwargs)
+            return lams + 1e-3, vecs
+
+        monkeypatch.setattr(oracle, "eigsh", shifted)
+        with pytest.raises(ConvergenceError, match="residual"):
+            max_eigenvalue(TRIANGLE)
+
     def test_weighted_star_matches_laplacian_norm(self):
         # top Hamiltonian eigenvalue of a star equals the Laplacian norm
         rng = np.random.default_rng(9)
@@ -95,6 +162,21 @@ class TestMaxEigenvalue:
         a = g.csr.toarray()
         lam = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)[-1]
         assert max_eigenvalue(g) == pytest.approx(lam, abs=1e-8)
+
+
+class TestSectorHamiltonian:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_dense_block(self, n):
+        """Entry for entry the weight-floor(n/2) rows and columns of the dense
+        H_G, and no entry of those columns leaves the block."""
+        weight = np.array([bin(i).count("1") for i in range(2 ** n)])
+        block = np.flatnonzero(weight == n // 2)
+        for g in sector_test_graphs(n, np.random.default_rng(200 + n)):
+            h = dense_hamiltonian(g)
+            sector = oracle.sector_hamiltonian(g)
+            assert sector.shape == (len(block), len(block))
+            assert np.allclose(sector.toarray(), h[np.ix_(block, block)], rtol=0, atol=1e-12)
+            assert not h[np.ix_(weight != n // 2, block)].any()
 
 
 class TestSimulateVariationalState:

@@ -6,6 +6,7 @@ from quantum_maxcut import (
     WeightedGraph,
     brute_force_maxcut,
     gw_round,
+    opt_upper_bound,
     parse_graph,
     product_energy,
     rank3_round,
@@ -19,6 +20,11 @@ from quantum_maxcut.states import cut_value
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
 K4 = WeightedGraph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+
+
+def upper(g, sol):
+    """The upper bound `qmaxcut solve` passes to `rank3_round`."""
+    return opt_upper_bound(g, sdp_value=sol.dual_bound).best
 
 
 class TestSolver:
@@ -210,25 +216,25 @@ class TestGwRound:
 class TestRank3Round:
     def test_single_edge(self):
         sol = solve_maxcut_sdp(EDGE)
-        out = rank3_round(EDGE, sol, seed=0, attempts=10)
+        out = rank3_round(EDGE, sol, upper(EDGE, sol), seed=0, attempts=10)
         assert out.value == pytest.approx(1.0, abs=1e-9)
         assert not out.failed
 
     def test_triangle_best_of_50(self):
         sol = solve_maxcut_sdp(TRIANGLE)
-        out = rank3_round(TRIANGLE, sol, seed=0, attempts=50)
+        out = rank3_round(TRIANGLE, sol, upper(TRIANGLE, sol), seed=0, attempts=50)
         # best product state of the triangle has energy 2.25 (coplanar 120deg)
         assert out.value >= 2.1
 
     def test_zero_weights(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)])
         sol = solve_maxcut_sdp(g)
-        out = rank3_round(g, sol, seed=0, attempts=5)
+        out = rank3_round(g, sol, upper(g, sol), seed=0, attempts=5)
         assert out.value == 0.0
 
     def test_value_is_product_energy_of_bloch(self):
         sol = solve_maxcut_sdp(K4)
-        out = rank3_round(K4, sol, seed=3, attempts=20)
+        out = rank3_round(K4, sol, upper(K4, sol), seed=3, attempts=20)
         assert out.value == pytest.approx(product_energy(K4, out.bloch), abs=1e-12)
 
     def test_threshold_uses_certified_sdp_bound(self):
@@ -238,10 +244,11 @@ class TestRank3Round:
         # (the degree-sum bound)
         vecs = np.array([[1.0], [-1.0], [1.0]])
         hand = GramSolution(vecs, objective=2.0, residual=0.0, converged=True, sweeps=0)
-        assert rank3_round(TRIANGLE, hand, attempts=5).failed  # dual_bound unset: inf
+        # dual_bound unset (inf): the bound is the degree sum, 4.5
+        assert rank3_round(TRIANGLE, hand, upper(TRIANGLE, hand), attempts=5).failed
         certified = GramSolution(vecs, objective=2.0, residual=0.0, converged=True,
                                  sweeps=0, dual_bound=2.25)
-        out = rank3_round(TRIANGLE, certified, attempts=5)
+        out = rank3_round(TRIANGLE, certified, upper(TRIANGLE, certified), attempts=5)
         assert out.value == pytest.approx(2.0, abs=1e-12)
         assert not out.failed
 
@@ -253,7 +260,7 @@ class TestRank3Round:
             if not g.edges:
                 continue
             sol = solve_maxcut_sdp(g, max_sweeps=5, tol=-1)
-            out = rank3_round(g, sol, seed=k, attempts=50)
+            out = rank3_round(g, sol, upper(g, sol), seed=k, attempts=50)
             draws = np.random.default_rng(k)
             best_bloch, best_val = None, -1.0
             for _ in range(50):
@@ -277,7 +284,7 @@ class TestRelaxationChain:
                 continue
             sol = solve_maxcut_sdp(g)
             mc, _ = brute_force_maxcut(g)
-            out = rank3_round(g, sol, seed=0, attempts=100)
+            out = rank3_round(g, sol, upper(g, sol), seed=0, attempts=100)
             assert mc <= out.value + 0.05 * mc + 1e-6  # within the rounding slack
             assert out.value <= sol.objective + 1e-6
             assert mc <= sol.objective + 1e-6  # solver-tolerance slack

@@ -11,6 +11,7 @@ from quantum_maxcut import (
     match_forest_decompose,
     match_singlet_state,
     max_eigenvalue,
+    opt_upper_bound,
     pair_product_energy,
     pair_product_statevector,
     parse_graph,
@@ -36,7 +37,8 @@ def best_candidate(g, sol, seed, attempts=200):
     """The best candidate over the stages `qmaxcut solve` runs before it."""
     decomp = match_forest_decompose(g)
     return best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp),
-                                    rank3_round(g, sol, seed=seed, attempts=attempts))
+                                    rank3_round(g, sol, opt_upper_bound(g, sol.dual_bound).best,
+                                                seed=seed, attempts=attempts))
 
 
 def bloch_120():
