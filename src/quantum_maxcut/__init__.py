@@ -19,6 +19,7 @@ from .circuit import (
     circuit_energy,
     edge_energy_sat,
     edge_energy_unsat,
+    energy_curve,
     optimize_angle,
     regular_sat_envelope,
     shallow_circuit_pipeline,

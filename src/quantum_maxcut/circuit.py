@@ -4,7 +4,10 @@ The circuit applies the commuting gates exp(i theta P(j)P(k)) over all edges,
 with P(j) = X when the base bit is 1 and Y when it is 0. The energy of the
 resulting state decomposes edge by edge into closed forms that depend only on
 whether the base cut satisfies the edge, the endpoint degrees, and the number
-of triangles containing the edge.
+of triangles containing the edge. Summed over the edges, the energy is a
+polynomial in cos 2theta, sin 2theta and cos 4theta whose coefficients are
+edge sums that do not depend on the angle: energy_curve takes those sums
+once per (graph, cut), and every angle is evaluated from them.
 """
 from __future__ import annotations
 
@@ -19,16 +22,27 @@ from .sdp import GW_RATIO, GramSolution, RoundingOutcome
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 THETA_GRID = 400   # grid intervals on [0, pi/4] before the golden-section refinement
-GRID_BLOCK = 64    # angles evaluated per call, bounding the (angles x edges) temporaries
 
 
 def _check_edge_inputs(d_i, d_j, triangles):
-    d_i, d_j, triangles = np.asarray(d_i), np.asarray(d_j), np.asarray(triangles)
-    if np.any(d_i < 1) or np.any(d_j < 1):
-        raise ValueError("endpoint degrees must be at least 1")
-    if np.any((triangles < 0) | (triangles > np.minimum(d_i, d_j) - 1)):
-        raise ValueError(f"triangle count {triangles} out of range for degrees "
-                         f"({d_i}, {d_j})")
+    """Require 0 <= triangles <= min(d_i, d_j) - 1, which also makes both
+    degrees at least 1; the error names the first offending edge (its index
+    among the broadcast inputs)."""
+    bad = (triangles < 0) | (triangles >= np.minimum(d_i, d_j))
+    if np.any(bad):
+        d_i, d_j, triangles, bad = (a.ravel() for a in
+                                    np.broadcast_arrays(d_i, d_j, triangles, bad))
+        k = int(np.argmax(bad))
+        raise ValueError(f"edge {k} has endpoint degrees ({d_i[k]}, {d_j[k]}) and "
+                         f"{triangles[k]} triangles; degrees must be at least 1 and "
+                         "the triangle count at most the smaller degree - 1")
+
+
+def _bins(x):
+    """Distinct values of the non-negative integers x, ascending, and the
+    slot of each entry of x among them."""
+    present = np.bincount(x) > 0
+    return np.flatnonzero(present), np.cumsum(present)[x] - 1
 
 
 def edge_energy_sat(theta, d_i, d_j, triangles):
@@ -51,24 +65,62 @@ def edge_energy_unsat(theta, d_i, d_j, triangles):
     return 1.0 - c2 ** (d_i + d_j - 2 - 2 * triangles)
 
 
-def circuit_energy(g: WeightedGraph, bits, theta):
-    """Total energy of the variational state, summed edge by edge in closed
-    form; an array of angles gives the array of energies at those angles."""
+def energy_curve(g: WeightedGraph, bits):
+    """Total energy of the variational state on the base cut `bits` as a
+    function of the angle; the returned function maps an angle to a float
+    and an array of angles to the array of energies.
+
+    Summing edge_energy_sat over the cut edges and edge_energy_unsat over the
+    rest, with c = cos 2t, s = sin 2t and q = cos 4t, gives
+
+        E(t) = W/2 + (s/2) sum_k alpha_k c^k + sum_k b_k c^k
+               + sum_{j,k} B_jk q^j c^k,
+
+    where W is the total weight, alpha_k sums the cut weights over endpoints
+    with degree - 1 = k, b_k sums w/4 over cut and -w/2 over uncut edges with
+    d_u + d_v - 2 - 2T = k (T the edge's triangle count), and B_jk sums w/4
+    over cut edges with T = j and that exponent. The sums are taken here,
+    once; an evaluation of A angles costs (A, K) tables of powers over the K
+    distinct exponents and triangle counts, not a pass over the edges.
+    Every evaluation on a d-regular graph checks the energy against the
+    triangle-free floor W_cut * envelope / 2.
+    """
     bits = np.asarray(bits)
     if bits.shape != (g.n,):
         raise ValueError("bit string length must equal vertex count")
-    sat = bits[g.u] != bits[g.v]
     deg = np.asarray(g.degree)
     du, dv, tri, w = deg[g.u], deg[g.v], g.triangles, g.w
-    t = np.asarray(theta, dtype=float)[..., None]  # angles down, edges across
-    total = 0.5 * (edge_energy_sat(t, du[sat], dv[sat], tri[sat]) @ w[sat]
-                   + edge_energy_unsat(t, du[~sat], dv[~sat], tri[~sat]) @ w[~sat])
-    d = g.is_regular()
-    if d is not None and d >= 1:
-        floor = 0.5 * regular_sat_envelope(theta, d) * w[sat].sum()
-        if np.any(total < floor - 1e-9):
-            raise AssertionError("regular-graph energy floor violated")
-    return float(total) if total.ndim == 0 else total
+    _check_edge_inputs(du, dv, tri)
+    cut = bits[g.u] != bits[g.v]
+    w_sat = np.where(cut, w, 0.0)
+    m = len(w)
+    powers, slot = _bins(np.concatenate([du - 1, dv - 1, du + dv - 2 - 2 * tri, tri]))
+    k = len(powers)
+    alpha = np.bincount(slot[:2 * m], np.tile(w_sat, 2), minlength=k)
+    c_slot, q_slot = slot[2 * m:3 * m], slot[3 * m:]
+    b = np.bincount(c_slot, np.where(cut, 0.25 * w, -0.5 * w), minlength=k)
+    tri_b = np.bincount(q_slot * k + c_slot, 0.25 * w_sat, minlength=k * k).reshape(k, k)
+    half_total, w_cut, d = 0.5 * float(w.sum()), float(w_sat.sum()), g.is_regular()
+
+    def energy(theta):
+        t = np.asarray(theta, dtype=float)
+        c_pow = np.cos(2 * t)[..., None] ** powers
+        q_pow = np.cos(4 * t)[..., None] ** powers
+        total = (half_total + 0.5 * np.sin(2 * t) * (c_pow @ alpha) + c_pow @ b
+                 + np.sum((q_pow @ tri_b) * c_pow, axis=-1))
+        if d is not None and d >= 1:
+            floor = 0.5 * regular_sat_envelope(t, d) * w_cut
+            if np.any(total < floor - 1e-9):
+                raise AssertionError("regular-graph energy floor violated")
+        return float(total) if total.ndim == 0 else total
+
+    return energy
+
+
+def circuit_energy(g: WeightedGraph, bits, theta):
+    """Total energy of the variational state at `theta` (an angle or an array
+    of angles): one evaluation of energy_curve(g, bits)."""
+    return energy_curve(g, bits)(theta)
 
 
 def regular_sat_envelope(theta, d: int):
@@ -145,22 +197,23 @@ def build_circuit(g: WeightedGraph, bits, theta: float) -> VariationalCircuit:
 
 def optimize_angle(g: WeightedGraph, bits) -> tuple[float, float]:
     """Best angle for the closed-form total energy of an arbitrary graph:
-    coarse grid on [0, pi/4] refined by golden-section around the best point."""
+    coarse grid on [0, pi/4] refined by golden-section around the best point.
+    The edge sums are taken once (energy_curve); the whole grid is one
+    evaluation and each golden-section step one more."""
+    energy = energy_curve(g, bits)
     step = (math.pi / 4) / THETA_GRID
     grid = np.arange(THETA_GRID + 1) * step
-    energies = np.concatenate([circuit_energy(g, bits, grid[k:k + GRID_BLOCK])
-                               for k in range(0, len(grid), GRID_BLOCK)])
-    best_t = float(grid[np.argmax(energies)])  # the first of equal maxima
+    best_t = float(grid[np.argmax(energy(grid))])  # the first of equal maxima
     lo, hi = max(0.0, best_t - step), min(math.pi / 4, best_t + step)
     while hi - lo > 1e-10:
         a, b = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-        ea, eb = circuit_energy(g, bits, np.array([a, b]))
+        ea, eb = energy(np.array([a, b]))
         if ea >= eb:
             hi = b
         else:
             lo = a
     t = (lo + hi) / 2
-    return t, circuit_energy(g, bits, t)
+    return t, energy(t)
 
 
 @dataclass

@@ -3,13 +3,16 @@ pinned numeric checks.
 
 Exit codes for `solve`: 0 on success; 1 with a one-line `error:` message on
 a file or parse error (a non-finite weight included), an unknown algorithm,
-`--attempts` or `--rank` below 1, or an oracle run over the qubit cap or
-without convergence; 2 if any claimed guarantee check failed.
+`--attempts` or `--rank` below 1, a negative `--seed`, a `--tol` of nan, or
+an oracle run over the qubit cap or without convergence; 2 if any claimed
+guarantee check failed. `random` and `reproduce` also exit 1 with one
+`error:` line on a negative `--seed`, and `random` on an unknown model.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -48,7 +51,20 @@ def _grid_minimum(weakened: bool, step: float = 1e-3) -> float:
     return best
 
 
+def _negative_seed(args) -> bool:
+    """Report a negative --seed, which numpy's generators reject."""
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return True
+    return False
+
+
 def run_solve(args) -> int:
+    if _negative_seed(args):
+        return 1
+    if math.isnan(args.tol):
+        print("error: --tol must be a number, got nan", file=sys.stderr)
+        return 1
     try:
         with open(args.path) as fh:
             g = parse_graph(fh.read())
@@ -178,13 +194,15 @@ def _solve(g, args, algorithms) -> dict:
 
 
 def run_random(args) -> int:
+    if _negative_seed(args):
+        return 1
     rng = np.random.default_rng(args.seed)
+    degree = args.model.removeprefix("regular-")
     try:
         if args.model == "gnp":
             g = generate.gnp_graph(args.n, args.p, rng, weights=args.weights)
-        elif args.model.startswith("regular-"):
-            d = int(args.model.split("-", 1)[1])
-            g = generate.regular_graph(args.n, d, rng, weights=args.weights)
+        elif args.model.startswith("regular-") and degree.isdecimal():
+            g = generate.regular_graph(args.n, int(degree), rng, weights=args.weights)
         elif args.model == "star":
             g = generate.star_graph(args.n, weights=args.weights, rng=rng)
         elif args.model == "cycle":
@@ -205,6 +223,8 @@ def run_random(args) -> int:
 
 
 def run_reproduce(args) -> int:
+    if _negative_seed(args):
+        return 1
     if args.which == "G-values":
         report = {"schema": SCHEMA_VERSION, "which": "G-values"}
         for d in (3, 4):

@@ -5,6 +5,7 @@ import pytest
 
 from quantum_maxcut import (
     WeightedGraph,
+    circuit,
     approximation_guarantee,
     best_angle,
     build_circuit,
@@ -68,6 +69,15 @@ class TestEdgeEnergies:
         with pytest.raises(ValueError):
             edge_energy_unsat(0.1, 1, 3, 1)
 
+    def test_error_names_first_offending_edge(self):
+        with pytest.raises(ValueError, match=r"edge 1 has endpoint degrees \(2, 2\) "
+                                             r"and 2 triangles"):
+            edge_energy_sat(0.1, np.array([3, 2, 4, 1]), np.array([3, 2, 4, 1]),
+                            np.array([1, 2, 0, 1]))
+        with pytest.raises(ValueError, match=r"edge 2 has endpoint degrees \(0, 3\) "
+                                             r"and 0 triangles"):
+            edge_energy_unsat(np.zeros((5, 1)), np.array([1, 2, 0]), 3, 0)
+
 
 class TestCircuitEnergy:
     def test_theta_zero_reduces_to_cut(self):
@@ -99,6 +109,98 @@ class TestCircuitEnergy:
             simulated = energy(TRIANGLE,
                                simulate_variational_state(TRIANGLE, (0, 1, 0), theta))
             assert closed == pytest.approx(simulated, abs=1e-9)
+
+
+def edge_loop_energy(g, bits, theta):
+    """Reference: edge_energy_sat / edge_energy_unsat summed edge by edge."""
+    deg = g.degree
+    return sum(0.5 * w * (edge_energy_sat if bits[u] != bits[v] else edge_energy_unsat)(
+        theta, deg[u], deg[v], int(tri)) for (u, v, w), tri in zip(g.edges, g.triangles))
+
+
+class TestEnergyCurve:
+    """The binned edge sums against the per-edge closed forms."""
+
+    @pytest.mark.parametrize("name", ["dense-exp", "K8", "isolated", "no-edges", "random"])
+    def test_matches_edge_loop(self, name):
+        rng = np.random.default_rng(7)
+        graphs = {
+            "dense-exp": [gnp_graph(30, 0.9, rng, weights="exp")],
+            "K8": [WeightedGraph.from_edges(
+                8, [(u, v) for u in range(8) for v in range(u + 1, 8)])],
+            "isolated": [WeightedGraph.from_edges(
+                12, [(0, 1, 0.5), (1, 2, 2.0), (0, 2, 1.5), (2, 5, 3.0), (5, 7, 0.0)])],
+            "no-edges": [WeightedGraph(5, ())],
+            "random": [gnp_graph(int(rng.integers(2, 16)), float(rng.uniform(0.2, 0.9)),
+                                 rng, weights="exp") for _ in range(10)],
+        }[name]
+        thetas = np.linspace(-math.pi / 2, math.pi / 2, 37)  # cos 2t < 0 on the ends
+        for g in graphs:
+            for _ in range(3):
+                bits = tuple(int(b) for b in rng.integers(0, 2, g.n))
+                expected = [edge_loop_energy(g, bits, t) for t in thetas]
+                assert circuit_energy(g, bits, thetas) == pytest.approx(expected, abs=1e-12)
+                for t, e in zip(thetas[::6], expected[::6]):
+                    assert circuit_energy(g, bits, t) == pytest.approx(e, abs=1e-12)
+
+    def test_no_edges_is_zero(self):
+        g = WeightedGraph(3, ())
+        assert circuit_energy(g, (0, 1, 0), 0.3) == 0.0
+        assert optimize_angle(g, (0, 1, 0))[1] == 0.0
+
+    def test_optimize_angle_builds_curve_once(self, monkeypatch):
+        """One set of edge sums per search: the grid is one evaluation, each
+        golden-section step one more, and circuit_energy is not called."""
+        built, shapes, energies = [], [], []
+        original = circuit.energy_curve
+
+        def spy(g, bits):
+            built.append(1)
+            energy = original(g, bits)
+
+            def counted(theta):
+                shapes.append(np.shape(theta))
+                return energy(theta)
+            return counted
+
+        monkeypatch.setattr(circuit, "energy_curve", spy)
+        monkeypatch.setattr(circuit, "circuit_energy", lambda *a: energies.append(1))
+        g = gnp_graph(20, 0.5, np.random.default_rng(8), weights="exp")
+        bits = tuple(i % 2 for i in range(g.n))
+        theta, val = optimize_angle(g, bits)
+        assert built == [1] and energies == []
+        assert shapes[0] == (circuit.THETA_GRID + 1,)
+        assert set(shapes[1:-1]) == {(2,)} and shapes[-1] == ()
+        assert val == pytest.approx(edge_loop_energy(g, bits, theta), abs=1e-12)
+
+    def test_regular_floor_checked_every_evaluation(self, monkeypatch):
+        """On a cycle (2-regular) each evaluation of the search compares the
+        energy with the envelope floor."""
+        calls = {"envelope": 0, "energy": 0}
+        envelope, curve = circuit.regular_sat_envelope, circuit.energy_curve
+
+        def counted_envelope(theta, d):
+            calls["envelope"] += 1
+            return envelope(theta, d)
+
+        def counted_curve(g, bits):
+            energy = curve(g, bits)
+
+            def counted(theta):
+                calls["energy"] += 1
+                return energy(theta)
+            return counted
+
+        monkeypatch.setattr(circuit, "regular_sat_envelope", counted_envelope)
+        monkeypatch.setattr(circuit, "energy_curve", counted_curve)
+        cycle = WeightedGraph.from_edges(9, [(i, (i + 1) % 9, 1.0 + i) for i in range(9)])
+        optimize_angle(cycle, (0, 1, 0, 1, 0, 1, 0, 1, 1))
+        assert calls["energy"] > 2 and calls["envelope"] == calls["energy"]
+
+    def test_regular_floor_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(circuit, "regular_sat_envelope", lambda theta, d: 10.0 + 0 * theta)
+        with pytest.raises(AssertionError, match="floor"):
+            circuit_energy(K4, (0, 1, 0, 1), 0.2)
 
 
 class TestAngleOptimization:

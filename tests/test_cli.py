@@ -203,6 +203,23 @@ class TestSolveErrors:
         path.write_text("0 1\n1 2\n2 0\n")
         assert_one_line_error(main(["solve", str(path), "--oracle", "on"]), capsys)
 
+    def test_negative_seed(self, tmp_path, capsys):
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n2 0\n")
+        assert_one_line_error(main(["solve", str(path), "--seed", "-1"]), capsys)
+
+    def test_nan_tol(self, tmp_path, capsys):
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n2 0\n")
+        assert_one_line_error(main(["solve", str(path), "--tol", "nan"]), capsys)
+
+    def test_negative_tol_runs_to_cap(self, tmp_path, capsys):
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n2 0\n")
+        code, out = run(capsys, "solve", str(path), "--tol", "-1", "--algorithms", "gw")
+        assert code == 0
+        assert json.loads(out)["algorithms"][0]["sweeps"] == 2000
+
     def test_theta_grid_flag_rejected(self, tmp_path, capsys):
         path = tmp_path / "edge.txt"
         path.write_text("0 1\n")
@@ -220,6 +237,13 @@ class TestRandom:
 
     def test_odd_degree_product_rejected(self, capsys):
         assert main(["random", "--n", "5", "--model", "regular-3"]) == 1
+
+    def test_negative_seed(self, capsys):
+        assert_one_line_error(main(["random", "--n", "6", "--seed", "-1"]), capsys)
+
+    @pytest.mark.parametrize("model", ["regular-x", "regular-", "regular-3.5"])
+    def test_malformed_regular_model(self, capsys, model):
+        assert_one_line_error(main(["random", "--n", "6", "--model", model]), capsys)
 
     def test_star(self, capsys):
         code, out = run(capsys, "random", "--n", "6", "--model", "star")
@@ -254,6 +278,10 @@ class TestReproduce:
         assert report["exact_minimum"] >= 0.55
         assert report["weakened_minimum"] >= 0.53
         assert report["passed"]
+
+    def test_negative_seed(self, capsys):
+        assert_one_line_error(main(["reproduce", "--which", "theorem5", "--seed", "-2",
+                                    "--instances", "1"]), capsys)
 
     def test_basis_state_batch(self, capsys):
         code, out = run(capsys, "reproduce", "--which", "theorem5",
