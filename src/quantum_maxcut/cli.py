@@ -2,11 +2,13 @@
 pinned numeric checks.
 
 Exit codes for `solve`: 0 on success; 1 with a one-line `error:` message on
-a file or parse error (a non-finite weight included), an unknown algorithm,
-`--attempts` or `--rank` below 1, a negative `--seed`, a `--tol` of nan, or
-an oracle run over the qubit cap or without convergence; 2 if any claimed
+a file or parse error (a file that is not UTF-8 and a non-finite weight
+included), an unknown algorithm, `--attempts` or `--rank` below 1, a negative
+`--seed`, a `--tol` of nan, an oracle run over the qubit cap or without
+convergence, or an `--out` path that cannot be written; 2 if any claimed
 guarantee check failed. `random` and `reproduce` also exit 1 with one
-`error:` line on a negative `--seed`, and `random` on an unknown model.
+`error:` line on a negative `--seed` or an `--out` path that cannot be
+written, and `random` on an unknown model.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ def run_solve(args) -> int:
     try:
         with open(args.path) as fh:
             g = parse_graph(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
     except (ParseError, GraphError) as exc:
@@ -91,7 +93,8 @@ def run_solve(args) -> int:
     except (oracle.ResourceLimitError, oracle.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args)
+    if not _emit(report, args):
+        return 1
     return 2 if "fail" in report["verdicts"].values() else 0
 
 
@@ -213,13 +216,7 @@ def run_random(args) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = generate.to_edge_list(g)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0 if _output(generate.to_edge_list(g), args.out) else 1
 
 
 def run_reproduce(args) -> int:
@@ -262,17 +259,28 @@ def run_reproduce(args) -> int:
     else:
         print(f"error: unknown reproduction {args.which!r}", file=sys.stderr)
         return 1
-    _emit(report, args)
+    if not _emit(report, args):
+        return 1
     return 0 if report.get("passed", True) else 2
 
 
-def _emit(report: dict, args):
-    text = json.dumps(report, indent=2, default=float)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(report: dict, args) -> bool:
+    return _output(json.dumps(report, indent=2, default=float) + "\n", args.out)
+
+
+def _output(text: str, path) -> bool:
+    """Write text to stdout, or to path if given; False, after one `error:`
+    line, if path cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

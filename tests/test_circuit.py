@@ -16,6 +16,7 @@ from quantum_maxcut import (
     gw_round,
     optimize_angle,
     parse_graph,
+    proper_edge_coloring,
     regular_sat_envelope,
     shallow_circuit_pipeline,
     simulate_variational_state,
@@ -224,6 +225,15 @@ class TestAngleOptimization:
             assert approximation_guarantee(d) >= 0.8785 - 1e-9
 
 
+def assert_layers_cover_disjoint(g, circ):
+    """The layers hold every edge once, and no layer touches a vertex twice."""
+    covered = sorted(e for layer in circ.layers for e in layer)
+    assert covered == sorted((u, v) for u, v, _ in g.edges)
+    for layer in circ.layers:
+        touched = [x for e in layer for x in e]
+        assert len(touched) == len(set(touched))
+
+
 class TestBuildCircuit:
     def test_matching_single_layer(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
@@ -240,11 +250,15 @@ class TestBuildCircuit:
             g = regular_graph(10, 3, rng)
             circ = build_circuit(g, tuple(rng.integers(0, 2, 10)), 0.2)
             assert len(circ.layers) <= 4
-            covered = sorted(e for layer in circ.layers for e in layer)
-            assert covered == sorted((u, v) for u, v, _ in g.edges)
-            for layer in circ.layers:
-                touched = [x for e in layer for x in e]
-                assert len(touched) == len(set(touched))
+            assert_layers_cover_disjoint(g, circ)
+
+    def test_dense_graph_layers_are_the_colors(self):
+        rng = np.random.default_rng(8)
+        g = gnp_graph(30, 0.7, rng, weights="exp")
+        circ = build_circuit(g, tuple(rng.integers(0, 2, g.n)), 0.2)
+        assert len(circ.layers) == len(set(proper_edge_coloring(g).values()))
+        assert len(circ.layers) <= g.max_degree + 1
+        assert_layers_cover_disjoint(g, circ)
 
     def test_pauli_assignment(self):
         circ = build_circuit(EDGE, (0, 1), 0.1)

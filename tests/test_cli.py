@@ -213,6 +213,17 @@ class TestSolveErrors:
         path.write_text("0 1\n1 2\n2 0\n")
         assert_one_line_error(main(["solve", str(path), "--tol", "nan"]), capsys)
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert_one_line_error(main(["solve", str(path)]), capsys)
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = tmp_path / "edge.txt"
+        path.write_text("0 1\n")
+        out = tmp_path / "no" / "such" / "x.json"
+        assert_one_line_error(main(["solve", str(path), "--out", str(out)]), capsys)
+
     def test_negative_tol_runs_to_cap(self, tmp_path, capsys):
         path = tmp_path / "tri.txt"
         path.write_text("0 1\n1 2\n2 0\n")
@@ -244,6 +255,10 @@ class TestRandom:
     @pytest.mark.parametrize("model", ["regular-x", "regular-", "regular-3.5"])
     def test_malformed_regular_model(self, capsys, model):
         assert_one_line_error(main(["random", "--n", "6", "--model", model]), capsys)
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.txt"
+        assert_one_line_error(main(["random", "--n", "6", "--out", str(out)]), capsys)
 
     def test_star(self, capsys):
         code, out = run(capsys, "random", "--n", "6", "--model", "star")
@@ -282,6 +297,11 @@ class TestReproduce:
     def test_negative_seed(self, capsys):
         assert_one_line_error(main(["reproduce", "--which", "theorem5", "--seed", "-2",
                                     "--instances", "1"]), capsys)
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.json"
+        assert_one_line_error(main(["reproduce", "--which", "G-values", "--out", str(out)]),
+                              capsys)
 
     def test_basis_state_batch(self, capsys):
         code, out = run(capsys, "reproduce", "--which", "theorem5",

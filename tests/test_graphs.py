@@ -15,12 +15,16 @@ from quantum_maxcut import (
     tree_coloring_state,
     two_color_forest,
 )
-from quantum_maxcut.generate import gnp_graph
+from quantum_maxcut.generate import gnp_graph, regular_graph
 from quantum_maxcut.graphs import depth_parity
 
 
+def complete_graph(n):
+    return WeightedGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
 def k4():
-    return WeightedGraph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    return complete_graph(4)
 
 
 def triangle():
@@ -363,13 +367,46 @@ class TestTwoColorForest:
         assert bits[2] == 0 and bits[3] == 0
 
 
+def exp_weighted_gnm(n, m, rng):
+    """G(n, m) with exponential weights: m distinct pairs drawn uniformly."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picks = rng.choice(len(pairs), size=m, replace=False)
+    return WeightedGraph.from_edges(n, [(*pairs[i], rng.exponential()) for i in picks])
+
+
+def assert_proper_within_vizing(g, col):
+    """Every edge colored exactly once, no color twice at a vertex, and at
+    most max_degree + 1 colors."""
+    assert sorted(col) == sorted((u, v) for u, v, _ in g.edges)
+    assert max(col.values()) + 1 <= g.max_degree + 1
+    used = set()
+    for (u, v), c in col.items():
+        assert (u, c) not in used and (v, c) not in used
+        used.add((u, c))
+        used.add((v, c))
+
+
 class TestEdgeColoring:
     def test_path_two_colors(self):
         col = proper_edge_coloring(parse_graph("0 1\n1 2"))
         assert col[(0, 1)] != col[(1, 2)]
 
+    @pytest.mark.parametrize("text", ["0 1\n1 2\n2 3", "0 1\n1 2\n2 3\n3 4\n4 5\n5 0"])
+    def test_path_and_even_cycle_two_colors(self, text):
+        g = parse_graph(text)
+        col = proper_edge_coloring(g)
+        assert_proper_within_vizing(g, col)
+        assert len(set(col.values())) == 2
+
     def test_triangle_three_colors(self):
         assert len(set(proper_edge_coloring(triangle()).values())) == 3
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_complete_graph(self, n):
+        # in canonical order no color is free at both ends of 2 edges of K5
+        # and 3 of K6, so these run the Misra-Gries fan and path step
+        g = complete_graph(n)
+        assert_proper_within_vizing(g, proper_edge_coloring(g))
 
     def test_matching_one_color(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
@@ -381,14 +418,17 @@ class TestEdgeColoring:
             g = gnp_graph(int(rng.integers(2, 18)), float(rng.uniform(0.1, 0.9)), rng)
             if not g.edges:
                 continue
-            col = proper_edge_coloring(g)
-            assert len(col) == len(g.edges)
-            assert max(col.values()) + 1 <= g.max_degree + 1
-            used = set()
-            for (u, v), c in col.items():
-                assert (u, c) not in used and (v, c) not in used
-                used.add((u, c))
-                used.add((v, c))
+            assert_proper_within_vizing(g, proper_edge_coloring(g))
+
+    @pytest.mark.parametrize("family", ["exp-gnm", "3-regular"])
+    def test_benchmark_sizes(self, family):
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            if family == "exp-gnm":
+                g = exp_weighted_gnm(50, 500, rng)
+            else:
+                g = regular_graph(100, 3, rng)
+            assert_proper_within_vizing(g, proper_edge_coloring(g))
 
 
 class TestMatchForestDecompose:
