@@ -2,19 +2,21 @@
 pinned numeric checks.
 
 Exit codes for `solve`: 0 on success; 1 with a one-line `error:` message on
-a file or parse error (a file that is not UTF-8 and a non-finite weight
-included), an unknown algorithm, `--attempts` or `--rank` below 1, a negative
-`--seed`, a `--tol` of nan, an oracle run over the qubit cap or without
-convergence, or an `--out` path that cannot be written; 2 if any claimed
-guarantee check failed. `random` and `reproduce` also exit 1 with one
-`error:` line on a negative `--seed` or an `--out` path that cannot be
-written, and `random` on an unknown model.
+a file or parse error (a file that is not UTF-8, a non-finite weight and a
+total weight whose double is not finite included), an unknown algorithm,
+`--attempts` or `--rank` below 1, a negative `--seed`, a `--tol` of nan, an
+oracle run over the qubit cap or without convergence, or an `--out` path
+that cannot be written; 2 if any claimed guarantee check failed. `random`
+and `reproduce` also exit 1 with one `error:` line on a negative `--seed` or
+an `--out` path that cannot be written, and `random` on an unknown model.
+Every command checks its `--out` path before it does any work.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -268,6 +270,18 @@ def _emit(report: dict, args) -> bool:
     return _output(json.dumps(report, indent=2, default=float) + "\n", args.out)
 
 
+def _writable(path) -> bool:
+    """Check before any work that path can be written, as an existing file or
+    a new one in an existing directory (`os.access`); False, after one
+    `error:` line, if not. The final write still reports its own failure."""
+    where = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(where, os.W_OK):
+        kind = "file" if where == path else "directory"
+        print(f"error: cannot write {path}: {where} is not a writable {kind}", file=sys.stderr)
+        return False
+    return True
+
+
 def _output(text: str, path) -> bool:
     """Write text to stdout, or to path if given; False, after one `error:`
     line, if path cannot be written."""
@@ -325,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out and not _writable(args.out):
+        return 1
     return args.func(args)
 
 

@@ -12,6 +12,7 @@ and read-only: edge arrays `u`, `v`, `w` in edge order, the sparse weight matrix
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,6 +55,8 @@ class WeightedGraph:
             if w < 0:
                 raise GraphError(f"negative weight {w} on edge ({u}, {v})")
             seen.add((u, v))
+        if not math.isfinite(2 * self.total_weight):
+            raise GraphError(f"total weight {self.total_weight} too large: twice it must be finite")
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -114,14 +117,26 @@ class WeightedGraph:
 
     @cached_property
     def color_classes(self) -> tuple[np.ndarray, ...]:
-        """Greedy first-fit proper vertex coloring, visiting vertices in order:
-        one sorted index array per color, at most max_degree + 1 of them. No
+        """DSATUR proper vertex coloring (Brelaz, CACM 22, 1979): each step gives
+        the uncolored vertex with the most distinct neighbor colors (ties: higher
+        degree, then lower index) its lowest free color. One sorted index array
+        per color, at most max_degree + 1 of them, two on a bipartite graph. No
         edge joins two vertices of one class."""
         indptr, indices = self.csr.indptr.tolist(), self.csr.indices.tolist()
-        color = [0] * self.n
-        for x in range(self.n):
-            taken = {color[y] for y in indices[indptr[x]:indptr[x + 1]] if y < x}
-            color[x] = next(c for c in range(len(taken) + 1) if c not in taken)
+        color = [-1] * self.n
+        taken = [0] * self.n  # bit c of taken[x] is set iff a neighbor of x has color c
+        # (-saturation, -degree, vertex); stale entries rank below a vertex's current one
+        heap = [(0, -d, x) for x, d in enumerate(self.degree)]
+        heapq.heapify(heap)
+        while heap:
+            *_, x = heapq.heappop(heap)
+            if color[x] >= 0:
+                continue
+            c = color[x] = _lowest_free(taken[x])
+            for y in indices[indptr[x]:indptr[x + 1]]:
+                if color[y] < 0 and not taken[y] >> c & 1:
+                    taken[y] |= 1 << c
+                    heapq.heappush(heap, (-taken[y].bit_count(), -self.degree[y], y))
         color = np.array(color)
         return tuple(_read_only(np.flatnonzero(color == c)) for c in range(color.max() + 1))
 
@@ -134,6 +149,11 @@ class WeightedGraph:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _lowest_free(mask: int) -> int:
+    """Index of the lowest clear bit of a bitmask of taken colors."""
+    return (~mask & (mask + 1)).bit_length() - 1
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -279,9 +299,6 @@ def proper_edge_coloring(g: WeightedGraph) -> dict[tuple[int, int], int]:
     def ckey(u, v):
         return (u, v) if u < v else (v, u)
 
-    def lowest_free(mask):
-        return (~mask & (mask + 1)).bit_length() - 1
-
     def set_color(u, v, c):
         key = ckey(u, v)
         old = color.pop(key, None)
@@ -298,13 +315,13 @@ def proper_edge_coloring(g: WeightedGraph) -> dict[tuple[int, int], int]:
             used[v] |= 1 << c
 
     def free_color(v):
-        c = lowest_free(used[v])
+        c = _lowest_free(used[v])
         if c >= ncolors:
             raise AssertionError("no free color; degree bound violated")
         return c
 
     for u0, v0, _ in g.edges:
-        c = lowest_free(used[u0] | used[v0])
+        c = _lowest_free(used[u0] | used[v0])
         if c < ncolors:
             set_color(u0, v0, c)
             continue

@@ -2,10 +2,11 @@
 
 The relaxation max { sum (w/2)(1 - M_uv) : M PSD, diag(M) = I } is solved in
 factored form: one unit vector per vertex, updated cyclically by
-v_i <- -normalize(sum_j w_ij v_j) (the "mixing method"), one independent set
-of vertices at a time. With rank above sqrt(2n) this coordinate ascent has no
-spurious local optima for this SDP. Each solve ends with a certified upper
-bound on the optimum from a feasible point of the dual.
+v_i <- -normalize(sum_j w_ij v_j) (the "mixing method", arXiv:1706.00476),
+one color class (an independent set, a slab of rows) at a time. With rank
+above sqrt(2n) this coordinate ascent has no spurious local optima for this
+SDP. Each solve ends with a certified upper bound on the optimum from a
+feasible point of the dual.
 
 Two roundings of a solved Gram factor are provided: random-hyperplane signs
 to a cut, and Gaussian projection to R^3 followed by normalization to Bloch
@@ -75,10 +76,15 @@ def sdp_objective(g: WeightedGraph, vectors: np.ndarray) -> float:
 
 def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
     """Objective of each start of a stack of unit rows, vecs of shape (n, S, r),
-    as W/2 - (sum_i v_i . (A V)_i) / 4 by one sparse product; unchecked."""
+    by one sparse product; unchecked."""
     flat = vecs.reshape(g.n, -1)
-    pull = np.einsum("ij,ij->j", flat, g.csr @ flat).reshape(vecs.shape[1:]).sum(axis=1)
-    return g.total_weight / 2 - pull / 4
+    return _objective(g.total_weight, flat, g.csr @ flat, vecs.shape[1])
+
+
+def _objective(total_weight: float, flat: np.ndarray, pull: np.ndarray, starts: int) -> np.ndarray:
+    """W/2 - (sum_i v_i . (A V)_i) / 4 for each start, from V and A V as
+    (n, starts * r) arrays in the same vertex order."""
+    return total_weight / 2 - np.einsum("ij,ij->j", flat, pull).reshape(starts, -1).sum(axis=1) / 4
 
 
 def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
@@ -91,7 +97,10 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     A sweep visits the vertices class by class of `g.color_classes`. No edge
     joins two vertices of a class, so one sparse product updates a whole
     class, in every start, exactly as one-vertex steps in any order within
-    it would. A vertex whose neighbor sum is zero keeps its vector.
+    it would. Renumbered once into class order, each class is a slab of rows
+    updated in place, and the product A V that scores a sweep holds the next
+    sweep's first neighbor sums: k classes take k sparse products. A vertex
+    whose neighbor sum is zero keeps its vector.
 
     Returns (objective of each start, converged, sweeps). No objective
     decreases; a decrease beyond rounding is an error.
@@ -99,21 +108,24 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     n, starts, r = vecs.shape
     if np.any(np.abs(np.sqrt(np.einsum("ijk,ijk->ij", vecs, vecs)) - 1.0) > 1e-8):
         raise ValueError("all vectors must be unit length")
-    work = np.ascontiguousarray(vecs)  # a copy only when vecs is a strided view
+    order = np.concatenate(g.color_classes)
+    a = g.csr[order][:, order]
+    ends = np.cumsum([len(b) for b in g.color_classes]).tolist()
+    slabs = [(lo, hi, a[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    work = np.ascontiguousarray(vecs[order])  # flat must view it; written back at the end
     flat = work.reshape(n, starts * r)
-    blocks = [(b, g.csr[b]) for b in g.color_classes]
-    obj = stack_objective(g, work)
+    pull = a @ flat
+    obj = _objective(g.total_weight, flat, pull, starts)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for b, rows in blocks:
-            s = (rows @ flat).reshape(-1, starts, r)  # the update is -s / |s|
-            ns = np.sqrt(np.einsum("ijk,ijk->ij", s, s))
-            stay = ns == 0
-            if stay.any():
-                s[stay], ns[stay] = -work[b][stay], 1.0
-            work[b] = s / -ns[..., None]
-        new_obj = stack_objective(g, work)
+        for lo, hi, rows in slabs:
+            # the first class's neighbor sums are the first slab of the last A V
+            s = (pull[lo:hi] if lo == 0 else rows @ flat).reshape(-1, starts, r)
+            ns = np.sqrt(np.einsum("ijk,ijk->ij", s, s))[..., None]
+            np.divide(s, -ns, out=work[lo:hi], where=ns > 0)  # the update is -s / |s|
+        pull = a @ flat
+        new_obj = _objective(g.total_weight, flat, pull, starts)
         rise = (new_obj - obj).tolist()  # Python floats: cheaper than numpy at S = 1
         if min(rise) < -1e-9:
             raise AssertionError("objective decreased during coordinate ascent")
@@ -121,7 +133,7 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
         obj = new_obj
         if converged:
             break
-    vecs[...] = work
+    vecs[order] = work
     return obj, converged, sweeps
 
 

@@ -224,6 +224,36 @@ class TestSolveErrors:
         out = tmp_path / "no" / "such" / "x.json"
         assert_one_line_error(main(["solve", str(path), "--out", str(out)]), capsys)
 
+    @pytest.mark.parametrize("out", ["no/such/x.json", "."])  # a missing directory, a directory
+    def test_unwritable_out_found_before_any_stage(self, tmp_path, capsys, monkeypatch, out):
+        calls = count_calls(monkeypatch, [(sdp, "solve_maxcut_sdp")])
+        path = tmp_path / "edge.txt"
+        path.write_text("0 1\n")
+        out = tmp_path / out
+        assert_one_line_error(main(["solve", str(path), "--out", str(out)]), capsys)
+        assert calls == {}
+
+    def test_failed_solve_leaves_no_out_file(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"{i} {(i + 1) % 22}\n" for i in range(22)))
+        out = tmp_path / "x.json"
+        assert_one_line_error(main(["solve", str(path), "--oracle", "on",
+                                    "--out", str(out)]), capsys)
+        assert not out.exists()
+
+    def test_failure_at_final_write(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("quantum_maxcut.cli._writable", lambda path: True)
+        path = tmp_path / "edge.txt"
+        path.write_text("0 1\n")
+        out = tmp_path / "no" / "such" / "x.json"
+        assert_one_line_error(main(["solve", str(path), "--out", str(out)]), capsys)
+
+    @pytest.mark.parametrize("oracle_flag", ["off", "on"])
+    def test_total_weight_overflow(self, tmp_path, capsys, oracle_flag):
+        path = tmp_path / "path.txt"
+        path.write_text("0 1 1e308\n1 2 1e308\n")
+        assert_one_line_error(main(["solve", str(path), "--oracle", oracle_flag]), capsys)
+
     def test_negative_tol_runs_to_cap(self, tmp_path, capsys):
         path = tmp_path / "tri.txt"
         path.write_text("0 1\n1 2\n2 0\n")

@@ -87,6 +87,15 @@ class TestGraphInvariants:
         with pytest.raises(GraphError, match="non-finite"):
             WeightedGraph(3, ((0, 1, 1.0), (1, 2, weight)))
 
+    @pytest.mark.parametrize("weights", [(1e308, 1e308), (1e308, 7e307), (1.7e308,)])
+    def test_total_weight_whose_double_overflows_rejected(self, weights):
+        text = "".join(f"{i} {i + 1} {w!r}\n" for i, w in enumerate(weights))
+        with pytest.raises(GraphError, match="total weight"):
+            parse_graph(text)
+
+    def test_largest_total_weight_accepted(self):
+        assert parse_graph("0 1 4e307\n1 2 4e307").total_weight == 8e307
+
 
 class TestEdgeArrays:
     def test_arrays_match_edges(self):
@@ -120,6 +129,20 @@ class TestColorClasses:
                 assert members.tolist() == sorted(members.tolist())
                 color[members] = c
             assert not np.any(color[g.u] == color[g.v])
+
+    def test_bipartite_graphs_get_two_classes(self):
+        """DSATUR is exact on bipartite graphs; first-fit in index order is not
+        (it used 3 classes on most of these)."""
+        rng = np.random.default_rng(12)
+        graphs = []
+        for n in range(8, 80, 2):  # even cycles with permuted labels
+            p = rng.permutation(n).tolist()
+            graphs.append(WeightedGraph.from_edges(n, [(p[i], p[i - 1]) for i in range(n)]))
+        for n in range(3, 60):  # random trees: each vertex joins an earlier one
+            p = rng.permutation(n).tolist()
+            graphs.append(WeightedGraph.from_edges(
+                n, [(p[i], p[int(rng.integers(i))]) for i in range(1, n)]))
+        assert [len(g.color_classes) for g in graphs] == [2] * len(graphs)
 
     def test_complete_graph_one_vertex_per_class(self):
         g = WeightedGraph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
