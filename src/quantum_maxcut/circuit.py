@@ -7,10 +7,12 @@ whether the base cut satisfies the edge, the endpoint degrees, and the number
 of triangles containing the edge. Summed over the edges, the energy is a
 polynomial in cos 2theta, sin 2theta and cos 4theta whose coefficients are
 edge sums that do not depend on the angle: energy_curve takes those sums
-once per (graph, cut), and every angle is evaluated from them.
+once per (graph, cut), and every angle is evaluated from them. Both angle
+searches (optimize_angle, best_angle) are a few nested-grid evaluations.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ import numpy as np
 from .graphs import WeightedGraph, proper_edge_coloring
 from .sdp import GW_RATIO, GramSolution, RoundingOutcome
 
-GOLDEN = (math.sqrt(5) - 1) / 2
-THETA_GRID = 400   # grid intervals on [0, pi/4] before the golden-section refinement
+THETA_GRID = 400   # intervals of the first grid on [0, pi/4]
+REFINE_GRID = 20   # intervals of each refining grid, which spans two of the last one's
 
 
 def _check_edge_inputs(d_i, d_j, triangles):
@@ -80,10 +82,10 @@ def energy_curve(g: WeightedGraph, bits):
     with degree - 1 = k, b_k sums w/4 over cut and -w/2 over uncut edges with
     d_u + d_v - 2 - 2T = k (T the edge's triangle count), and B_jk sums w/4
     over cut edges with T = j and that exponent. The sums are taken here,
-    once; an evaluation of A angles costs (A, K) tables of powers over the K
-    distinct exponents and triangle counts, not a pass over the edges.
-    Every evaluation on a d-regular graph checks the energy against the
-    triangle-free floor W_cut * envelope / 2.
+    once; an evaluation raises c to the K distinct exponents k and q to the
+    J distinct triangle counts j, not a pass over the edges. Every evaluation
+    on a d-regular graph checks the energy against the triangle-free floor
+    W_cut * envelope / 2.
     """
     bits = np.asarray(bits)
     if bits.shape != (g.n,):
@@ -94,18 +96,19 @@ def energy_curve(g: WeightedGraph, bits):
     cut = bits[g.u] != bits[g.v]
     w_sat = np.where(cut, w, 0.0)
     m = len(w)
-    powers, slot = _bins(np.concatenate([du - 1, dv - 1, du + dv - 2 - 2 * tri, tri]))
-    k = len(powers)
+    c_powers, slot = _bins(np.concatenate([du - 1, dv - 1, du + dv - 2 - 2 * tri]))
+    q_powers, q_slot = _bins(tri)
+    k, j, c_slot = len(c_powers), len(q_powers), slot[2 * m:]
     alpha = np.bincount(slot[:2 * m], np.tile(w_sat, 2), minlength=k)
-    c_slot, q_slot = slot[2 * m:3 * m], slot[3 * m:]
     b = np.bincount(c_slot, np.where(cut, 0.25 * w, -0.5 * w), minlength=k)
-    tri_b = np.bincount(q_slot * k + c_slot, 0.25 * w_sat, minlength=k * k).reshape(k, k)
+    tri_b = np.bincount(q_slot * k + c_slot, 0.25 * w_sat, minlength=j * k).reshape(j, k)
     half_total, w_cut, d = 0.5 * float(w.sum()), float(w_sat.sum()), g.is_regular()
 
     def energy(theta):
         t = np.asarray(theta, dtype=float)
-        c_pow = np.cos(2 * t)[..., None] ** powers
-        q_pow = np.cos(4 * t)[..., None] ** powers
+        c_pow = np.cos(2 * t)[..., None] ** c_powers
+        q = np.cos(4 * t)[..., None]  # < 0 past pi/8: numpy's pow of a negative base is ~7x slower
+        q_pow = np.abs(q) ** q_powers * np.where(q_powers % 2, np.sign(q), 1.0)
         total = (half_total + 0.5 * np.sin(2 * t) * (c_pow @ alpha) + c_pow @ b
                  + np.sum((q_pow @ tri_b) * c_pow, axis=-1))
         if d is not None and d >= 1:
@@ -132,30 +135,28 @@ def regular_sat_envelope(theta, d: int):
     return 1.0 + 2.0 * c2 ** (d - 1) * s2 + c2 ** (2 * d - 2)
 
 
+def _maximize(f) -> tuple[float, float]:
+    """First of equal maxima of the vectorized f on [0, pi/4], and its value:
+    the best point of a THETA_GRID-interval grid, then of REFINE_GRID-interval
+    grids on the two intervals around the best point so far, until those span
+    at most 1e-10. Each bracket is a tenth of the last: at most nine calls of f."""
+    step = (math.pi / 4) / THETA_GRID
+    grid = np.arange(THETA_GRID + 1) * step
+    while True:
+        vals = f(grid)
+        i = int(np.argmax(vals))  # the first of equal maxima
+        lo, hi = max(0.0, grid[i] - step), min(math.pi / 4, grid[i] + step)
+        if hi - lo <= 1e-10:
+            return float(grid[i]), float(vals[i])
+        step = (hi - lo) / REFINE_GRID
+        grid = lo + np.arange(REFINE_GRID + 1) * step
+
+
+@functools.cache
 def best_angle(d: int) -> tuple[float, float]:
-    """Maximizer of the d-regular cut-edge envelope on [0, pi/4].
-
-    Golden-section search refined to width 1e-10; ties resolved toward the
-    smaller angle by the bracket update.
-    """
-    lo, hi = 0.0, math.pi / 4
-
-    def f(t):
-        return regular_sat_envelope(t, d)
-
-    a, b = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    fa, fb = f(a), f(b)
-    while hi - lo > 1e-10:
-        if fa >= fb:  # keep the left bracket on ties
-            hi, b, fb = b, a, fa
-            a = hi - GOLDEN * (hi - lo)
-            fa = f(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + GOLDEN * (hi - lo)
-            fb = f(b)
-    t = (lo + hi) / 2
-    return t, f(t)
+    """Maximizer of the d-regular cut-edge envelope on [0, pi/4] and its value,
+    by the search of optimize_angle; computed once per degree."""
+    return _maximize(lambda t: regular_sat_envelope(t, d))
 
 
 def approximation_guarantee(d: int) -> float:
@@ -196,24 +197,10 @@ def build_circuit(g: WeightedGraph, bits, theta: float) -> VariationalCircuit:
 
 
 def optimize_angle(g: WeightedGraph, bits) -> tuple[float, float]:
-    """Best angle for the closed-form total energy of an arbitrary graph:
-    coarse grid on [0, pi/4] refined by golden-section around the best point.
-    The edge sums are taken once (energy_curve); the whole grid is one
-    evaluation and each golden-section step one more."""
-    energy = energy_curve(g, bits)
-    step = (math.pi / 4) / THETA_GRID
-    grid = np.arange(THETA_GRID + 1) * step
-    best_t = float(grid[np.argmax(energy(grid))])  # the first of equal maxima
-    lo, hi = max(0.0, best_t - step), min(math.pi / 4, best_t + step)
-    while hi - lo > 1e-10:
-        a, b = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-        ea, eb = energy(np.array([a, b]))
-        if ea >= eb:
-            hi = b
-        else:
-            lo = a
-    t = (lo + hi) / 2
-    return t, energy(t)
+    """Best angle on [0, pi/4] for the closed-form total energy of an
+    arbitrary graph, and that energy: the edge sums are taken once
+    (energy_curve), then evaluated on the few grids of _maximize."""
+    return _maximize(energy_curve(g, bits))
 
 
 @dataclass

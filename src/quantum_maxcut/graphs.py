@@ -110,10 +110,21 @@ class WeightedGraph:
 
     @cached_property
     def triangles(self) -> np.ndarray:
-        """Per-edge number of common neighbors of the endpoints."""
+        """Per-edge number of common neighbors of the endpoints: the binary
+        pattern of `csr` is sampled at (other endpoint, x) for each neighbor x
+        of the lower-degree endpoint, in O(sum over edges of the smaller degree)."""
         a = self.csr
         pattern = sp.csr_array((np.ones_like(a.data), a.indices, a.indptr), shape=a.shape)
-        return _read_only(pattern[self.u].multiply(pattern[self.v]).sum(axis=1).astype(np.intp))
+        deg = np.diff(a.indptr)
+        swap = deg[self.u] > deg[self.v]
+        low, high = np.where(swap, self.v, self.u), np.where(swap, self.u, self.v)
+        count = deg[low]
+        edge = np.repeat(np.arange(len(low)), count)
+        # where in `a.indices` the neighbors of each edge's low endpoint sit
+        pos = np.arange(len(edge)) + np.repeat(a.indptr[low] - np.cumsum(count) + count, count)
+        # scipy answers empty index arrays with a sparse array, not an ndarray
+        hits = pattern[high[edge], a.indices[pos]] if len(edge) else np.zeros(0)
+        return _read_only(np.bincount(edge, hits, minlength=len(low)).astype(np.intp))
 
     @cached_property
     def color_classes(self) -> tuple[np.ndarray, ...]:

@@ -98,22 +98,23 @@ def sector_hamiltonian(g: WeightedGraph):
 def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8,
                    cap: int = DEFAULT_QUBIT_CAP) -> float:
     """Largest eigenvalue of H_G by Lanczos on `sector_hamiltonian(g)`,
-    certified by the residual ||H v - lam v|| <= tol in that block, which is
-    H_G on an invariant subspace; ConvergenceError if Lanczos fails or the
-    residual is larger."""
+    certified by the residual ||H v - lam v|| <= max(tol, 1e-12) * max(1, |lam|)
+    in that block, which is H_G on an invariant subspace; ConvergenceError if
+    Lanczos fails or the residual is larger."""
     _check_cap(g.n, cap)
     if g.total_weight == 0:
         return 0.0  # H_G = 0, on which Lanczos has no start vector
     h = sector_hamiltonian(g)  # real symmetric
     rng = np.random.default_rng(7)  # fixed start for reproducible failures
+    bound = max(tol, 1e-12)  # Lanczos stops at a hundredth of it, not at machine precision
     try:
-        lams, vecs = eigsh(h, k=1, which="LA", tol=0,
+        lams, vecs = eigsh(h, k=1, which="LA", tol=bound / 100,
                            v0=rng.standard_normal(h.shape[0]), maxiter=20000)
     except ArpackError as exc:  # ArpackNoConvergence included
         raise ConvergenceError(f"Lanczos failed: {exc}") from exc
     lam, vec = float(lams[0]), vecs[:, 0]
     residual = np.linalg.norm(h @ vec - lam * vec)
-    if residual > max(tol, 1e-12) * max(1.0, abs(lam)):
+    if residual > bound * max(1.0, abs(lam)):
         raise ConvergenceError(f"residual {residual} exceeds tolerance {tol}")
     return lam
 

@@ -150,8 +150,9 @@ class TestEnergyCurve:
         assert optimize_angle(g, (0, 1, 0))[1] == 0.0
 
     def test_optimize_angle_builds_curve_once(self, monkeypatch):
-        """One set of edge sums per search: the grid is one evaluation, each
-        golden-section step one more, and circuit_energy is not called."""
+        """One set of edge sums per search, evaluated on a few grids: the
+        first is the THETA_GRID + 1 point grid, each later one a refining
+        grid, never a single angle, and circuit_energy is not called."""
         built, shapes, energies = [], [], []
         original = circuit.energy_curve
 
@@ -171,7 +172,7 @@ class TestEnergyCurve:
         theta, val = optimize_angle(g, bits)
         assert built == [1] and energies == []
         assert shapes[0] == (circuit.THETA_GRID + 1,)
-        assert set(shapes[1:-1]) == {(2,)} and shapes[-1] == ()
+        assert set(shapes[1:]) == {(circuit.REFINE_GRID + 1,)} and len(shapes) <= 12
         assert val == pytest.approx(edge_loop_energy(g, bits, theta), abs=1e-12)
 
     def test_regular_floor_checked_every_evaluation(self, monkeypatch):
@@ -212,6 +213,24 @@ class TestAngleOptimization:
     def test_guarantee_values(self):
         assert approximation_guarantee(3) == pytest.approx(1.047, abs=1e-3)
         assert approximation_guarantee(4) == pytest.approx(1.001, abs=1e-3)
+
+    def test_best_angle_searches_once_per_degree(self, monkeypatch):
+        calls, envelope = [], circuit.regular_sat_envelope
+
+        def counted(theta, d):
+            calls.append(d)
+            return envelope(theta, d)
+
+        monkeypatch.setattr(circuit, "regular_sat_envelope", counted)
+        best_angle.cache_clear()
+        try:
+            first = best_angle(3)
+            searched = len(calls)
+            assert searched > 0 and best_angle(3) == first and len(calls) == searched
+            approximation_guarantee(3)
+            assert len(calls) == searched
+        finally:
+            best_angle.cache_clear()
 
     def test_best_angle_matches_dense_grid(self):
         for d in (2, 3, 4, 6):
@@ -314,3 +333,31 @@ class TestOptimizeAngle:
         theta, val = optimize_angle(g, bits)
         assert val >= circuit_energy(g, bits, 0.0) - 1e-12
         assert 0 <= theta <= math.pi / 4
+
+    @pytest.mark.parametrize("name", ["random", "hub", "no-edges", "all-uncut"])
+    def test_reaches_dense_grid_maximum(self, name):
+        """The nested-grid search reaches the maximum over 200001 angles."""
+        rng = np.random.default_rng(9)
+        if name == "random":
+            cases = []
+            while len(cases) < 20:
+                g = gnp_graph(int(rng.integers(4, 17)), float(rng.uniform(0.2, 0.9)), rng,
+                              weights=str(rng.choice(["unit", "uniform", "exp"])))
+                if g.edges and g.is_regular() is None:
+                    cases.append((g, tuple(int(b) for b in rng.integers(0, 2, g.n))))
+        elif name == "hub":
+            g = WeightedGraph.from_edges(2001, [(0, x, float(rng.exponential()))
+                                                for x in range(1, 2001)])
+            cases = [(g, (1,) + tuple(int(b) for b in rng.integers(0, 2, 2000)))]
+        elif name == "no-edges":
+            cases = [(WeightedGraph(6, ()), (0, 1, 0, 1, 0, 1))]
+        else:
+            g = gnp_graph(12, 0.6, rng, weights="exp")
+            cases = [(g, (0,) * g.n)]
+        grid = np.linspace(0, math.pi / 4, 200001)
+        for g, bits in cases:
+            theta, val = optimize_angle(g, bits)
+            top = float(np.max(circuit_energy(g, bits, grid)))
+            assert 0 <= theta <= math.pi / 4
+            assert val >= top - 1e-9
+            assert val == pytest.approx(circuit_energy(g, bits, theta), abs=1e-12)

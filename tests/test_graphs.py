@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,8 @@ from quantum_maxcut import (
 )
 from quantum_maxcut.generate import gnp_graph, regular_graph
 from quantum_maxcut.graphs import depth_parity
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def complete_graph(n):
@@ -294,6 +301,50 @@ class TestTriangles:
     def test_no_edges(self):
         g = WeightedGraph(3, ())
         assert g.triangles.shape == (0,) and g.triangles.dtype == np.intp
+
+    @pytest.mark.parametrize("name", ["random", "complete", "star", "zero-weight"])
+    def test_matches_edge_loop(self, name):
+        rng = np.random.default_rng(11)
+        graphs = {
+            "random": [gnp_graph(int(rng.integers(2, 25)), float(rng.uniform(0.1, 0.9)), rng,
+                                 weights="exp") for _ in range(30)],
+            "complete": [complete_graph(n) for n in (2, 3, 7, 12)],
+            "star": [WeightedGraph.from_edges(n, [(0, x) for x in range(1, n)])
+                     for n in (2, 5, 40)],
+            "zero-weight": [WeightedGraph.from_edges(9, [
+                (u, v, float(rng.integers(0, 2))) for u in range(9) for v in range(u + 1, 9)
+                if rng.random() < 0.6]) for _ in range(10)],
+        }[name]
+        for g in graphs:
+            nbrs = [set() for _ in range(g.n)]
+            for u, v, _ in g.edges:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            expected = [len(nbrs[u] & nbrs[v]) for u, v, _ in g.edges]
+            assert g.triangles.tolist() == expected
+            assert g.triangles.dtype == np.intp
+
+    def test_hub_memory_goes_with_its_edges(self):
+        """A 30000-leaf star takes well under 1 GiB of address space: each edge
+        looks up the neighbors of its leaf, not of the hub (a row-wise product
+        of the hub's rows would need 900M entries). Run in a subprocess with
+        its address space capped, so a failure cannot exhaust the host."""
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+            "from quantum_maxcut import WeightedGraph, optimize_angle\n"
+            "n = 30001\n"
+            "g = WeightedGraph(n, tuple((0, x, 1.0) for x in range(1, n)))\n"
+            "assert not g.triangles.any() and len(g.triangles) == n - 1\n"
+            "theta, val = optimize_angle(g, [1] + [0] * (n - 1))\n"
+            "assert val > n - 1, val\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestZeroWeightEdges:

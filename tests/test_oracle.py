@@ -113,8 +113,9 @@ class TestMaxEigenvalue:
         graphs = [gnp_graph(n, 0.4, rng, weights="uniform") for n in range(2, 11)]
         graphs.append(parse_graph("0 1 0\n1 2 0"))  # H_G = 0
         for g in graphs:
-            h = dense_hamiltonian(g)
-            assert max_eigenvalue(g) == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-8)
+            top = np.linalg.eigvalsh(dense_hamiltonian(g))[-1]
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12):  # 1e-8 is the default
+                assert max_eigenvalue(g, tol=tol) == pytest.approx(top, abs=min(tol, 1e-8))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_sector_matches_full_space(self, n):
