@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh
+from scipy.sparse import _sparsetools
 
 from .graphs import WeightedGraph, cut_value
 
@@ -78,13 +79,29 @@ def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
     """Objective of each start of a stack of unit rows, vecs of shape (n, S, r),
     by one sparse product; unchecked."""
     flat = vecs.reshape(g.n, -1)
-    return _objective(g.total_weight, flat, g.csr @ flat, vecs.shape[1])
+    return g.total_weight / 2 - _start_sums(flat, g.csr @ flat, np.empty(vecs.shape[1:])) / 4
 
 
-def _objective(total_weight: float, flat: np.ndarray, pull: np.ndarray, starts: int) -> np.ndarray:
-    """W/2 - (sum_i v_i . (A V)_i) / 4 for each start, from V and A V as
-    (n, starts * r) arrays in the same vertex order."""
-    return total_weight / 2 - np.einsum("ij,ij->j", flat, pull).reshape(starts, -1).sum(axis=1) / 4
+def _start_sums(flat: np.ndarray, pull: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """sum_i v_i . pull_i for each start, from V and pull as (n, S * r) arrays
+    in the same vertex order; `dots`, of shape (S, r), takes the column sums."""
+    np.einsum("ij,ij->j", flat, pull, out=dots.reshape(-1))
+    return dots.sum(axis=1)
+
+
+def _csr_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 x: np.ndarray, out: np.ndarray) -> None:
+    """out = A x for the CSR rows (indptr, indices, data) and a C-contiguous
+    float x of shape (n, c); out is a C-contiguous float array of rows * c
+    entries. This is the routine `csr_array @ x` runs after its dispatch."""
+    out.fill(0.0)  # csr_matvecs adds into out
+    _sparsetools.csr_matvecs(len(indptr) - 1, x.shape[0], x.shape[1], indptr, indices,
+                             data, x, out)
+
+
+# A neighbor sum at most this long (in units of the largest weight) is taken
+# as zero: its squared length, below the smallest normal double, has lost bits.
+_TINY_SUM = 2.0 ** -511
 
 
 def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
@@ -99,42 +116,70 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     class, in every start, exactly as one-vertex steps in any order within
     it would. Renumbered once into class order, each class is a slab of rows
     updated in place, and the product A V that scores a sweep holds the next
-    sweep's first neighbor sums: k classes take k sparse products. A vertex
-    whose neighbor sum is zero keeps its vector.
+    sweep's first neighbor sums: a sweep takes one sparse product per class.
+
+    The kernel runs on a = -A / 2^k, with 2^k the power of two just above the
+    largest weight (`frexp`), so the update is normalize(a V). Negation and
+    power-of-two scaling are exact: the iterates are those of A, bit for bit,
+    and scaling every weight by a power of two changes none of them, while
+    no squared length of a neighbor sum can overflow. A vertex whose neighbor
+    sum is zero, or so small in the units of a (at most 2^-511) that its
+    square would lose bits to underflow, keeps its vector. Every buffer is
+    allocated once per call, and each product calls scipy's CSR routine
+    directly into its buffer, with no dispatch.
 
     Returns (objective of each start, converged, sweeps). No objective
-    decreases; a decrease beyond rounding is an error.
+    decreases; a decrease beyond rounding (1e-12 of the objective in the
+    units of a) is an error.
     """
     n, starts, r = vecs.shape
     if np.any(np.abs(np.sqrt(np.einsum("ijk,ijk->ij", vecs, vecs)) - 1.0) > 1e-8):
         raise ValueError("all vectors must be unit length")
     order = np.concatenate(g.color_classes)
     a = g.csr[order][:, order]
-    ends = np.cumsum([len(b) for b in g.color_classes]).tolist()
-    slabs = [(lo, hi, a[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    k = math.frexp(float(g.w.max(initial=0.0)))[1]
+    indices, data = a.indices, -np.ldexp(a.data, -k)
+    half_weight = math.ldexp(g.total_weight, -k) / 2
     work = np.ascontiguousarray(vecs[order])  # flat must view it; written back at the end
     flat = work.reshape(n, starts * r)
-    pull = a @ flat
-    obj = _objective(g.total_weight, flat, pull, starts)
+    pull = np.empty((n, starts * r))  # a V, whose first slab is the first class's sums
+    dots = np.empty((starts, r))
+    slabs = []  # (row pointers, or None for the first class; sums, norms, squares, mask, rows)
+    lo = 0
+    for hi in np.cumsum([len(b) for b in g.color_classes]).tolist():
+        sums = pull[:hi].reshape(hi, starts, r) if lo == 0 else np.empty((hi - lo, starts, r))
+        norms = np.empty((hi - lo, starts, 1))
+        slabs.append((a.indptr[lo:hi + 1] if lo else None, sums, norms, norms[..., 0],
+                      np.empty(norms.shape, dtype=bool), work[lo:hi]))
+        lo = hi
+
+    def score() -> list[float]:
+        _csr_product(a.indptr, indices, data, flat, pull)
+        return [half_weight + x / 4 for x in _start_sums(flat, pull, dots).tolist()]
+
+    obj = score()
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for lo, hi, rows in slabs:
-            # the first class's neighbor sums are the first slab of the last A V
-            s = (pull[lo:hi] if lo == 0 else rows @ flat).reshape(-1, starts, r)
-            ns = np.sqrt(np.einsum("ijk,ijk->ij", s, s))[..., None]
-            np.divide(s, -ns, out=work[lo:hi], where=ns > 0)  # the update is -s / |s|
-        pull = a @ flat
-        new_obj = _objective(g.total_weight, flat, pull, starts)
-        rise = (new_obj - obj).tolist()  # Python floats: cheaper than numpy at S = 1
-        if min(rise) < -1e-9:
+        for indptr, s, norms, squares, mask, out in slabs:
+            if indptr is not None:
+                _csr_product(indptr, indices, data, flat, s)
+            np.einsum("ijk,ijk->ij", s, s, out=squares)
+            np.sqrt(norms, out=norms)
+            np.greater(norms, _TINY_SUM, out=mask)
+            np.divide(s, norms, out=out, where=mask)
+        new = score()
+        rise = [x - y for x, y in zip(new, obj)]  # Python floats: cheaper than numpy at S = 1
+        if min(rise) < -1e-12 * max(1.0, max(new)):
             raise AssertionError("objective decreased during coordinate ascent")
-        converged = max(map(abs, rise)) <= tol * max(1.0, min(new_obj.tolist()))
-        obj = new_obj
+        # the stop rule is not scale-free (its max(1, .) floor), so it reads in the units of A
+        converged = (math.ldexp(max(map(abs, rise)), k)
+                     <= tol * max(1.0, math.ldexp(min(new), k)))
+        obj = new
         if converged:
             break
     vecs[order] = work
-    return obj, converged, sweeps
+    return np.ldexp(obj, k), converged, sweeps
 
 
 def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,

@@ -161,6 +161,24 @@ def count_calls(monkeypatch, traced):
     return calls
 
 
+@pytest.mark.parametrize("edges", [
+    pytest.param("0 1 1e155\n1 2 1e155\n2 3 1\n", id="overflow"),
+    pytest.param("0 1 1e200\n1 2 1e-200\n2 3 1\n", id="overflow-and-underflow"),
+    pytest.param("0 1 1e159\n1 2 1\n", id="sum-1e-159-of-largest"),
+    pytest.param("0 1 1e-160\n1 2 1e-160\n2 0 1e-160\n", id="underflow"),
+])
+def test_extreme_weights_solve(tmp_path, capsys, edges):
+    """Squared neighbor sums of these weights overflow or underflow in double."""
+    path = tmp_path / "g.txt"
+    path.write_text(edges)
+    code = main(["solve", str(path), "--oracle", "off"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert all(np.isfinite(e["value"]) for e in report["algorithms"])
+
+
 def assert_one_line_error(code, capsys):
     assert code == 1
     err = capsys.readouterr().err

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from quantum_maxcut import (
     GramSolution,
@@ -14,7 +17,7 @@ from quantum_maxcut import (
     solve_maxcut_sdp,
 )
 from quantum_maxcut.generate import gnp_graph, regular_graph
-from quantum_maxcut.sdp import mixing_ascent
+from quantum_maxcut.sdp import _csr_product, mixing_ascent
 from quantum_maxcut.states import cut_value
 
 EDGE = parse_graph("0 1 1.0")
@@ -144,6 +147,45 @@ class TestBlockKernel:
         vecs = np.array([[[2.0, 0.0]], [[1.0, 0.0]]])
         with pytest.raises(ValueError, match="unit"):
             mixing_ascent(EDGE, vecs, tol=-1, max_sweeps=1)
+
+
+class TestWeightScale:
+    @pytest.mark.parametrize("j", [-540, -300, 20, 300, 515])
+    def test_power_of_two_scaling_is_exact(self, j):
+        """Scaling every weight by 2^j leaves the iterates bit for bit and
+        scales the objective exactly: no squared length overflows or
+        underflows, and rounding at large weights does not trip the guard."""
+        g = regular_graph(40, 3, np.random.default_rng(1))
+        scaled = WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, j)) for u, v, w in g.edges])
+        base = solve_maxcut_sdp(g, tol=-1, max_sweeps=2000, seed=3)
+        sol = solve_maxcut_sdp(scaled, tol=-1, max_sweeps=2000, seed=3)
+        assert np.array_equal(sol.vectors, base.vectors)
+        assert sol.objective == math.ldexp(base.objective, j)
+        assert sol.sweeps == base.sweeps == 2000
+
+
+def slab_cases():
+    """(matrix, first row, end row, V as (n, S * r)) for the kernel's product: a
+    slab with an empty row, a stack of S = 4 starts, and int64 indices."""
+    rng = np.random.default_rng(12)
+    isolated = WeightedGraph.from_edges(6, [(0, 1, 2.0), (1, 2, 0.5), (3, 4, 1.5)]).csr
+    yield pytest.param(isolated, 2, 6, rng.standard_normal((6, 3)), id="empty-row")  # vertex 5
+    stacked = gnp_graph(20, 0.4, rng, weights="exp").csr
+    yield pytest.param(stacked, 7, 15, rng.standard_normal((20, 4 * 3)), id="stack")
+    wide = gnp_graph(15, 0.5, rng, weights="exp").csr
+    wide = sp.csr_array((wide.data, wide.indices.astype(np.int64),
+                         wide.indptr.astype(np.int64)), shape=wide.shape)
+    assert wide.indptr.dtype == wide.indices.dtype == np.int64
+    yield pytest.param(wide, 0, 9, rng.standard_normal((15, 2 * 5)), id="int64")
+
+
+@pytest.mark.parametrize("a, lo, hi, flat", list(slab_cases()))
+def test_csr_product_matches_matmul(a, lo, hi, flat):
+    """The kernel calls scipy's private CSR routine on a slab of rows, with the
+    matrix's own indptr view; it must equal the public product bit for bit."""
+    out = np.full((hi - lo, flat.shape[1]), np.nan)  # the product must overwrite it
+    _csr_product(a.indptr[lo:hi + 1], a.indices, a.data, flat, out)
+    assert np.array_equal(out, a[lo:hi] @ flat)
 
 
 class TestDualBound:

@@ -31,3 +31,10 @@ def test_stages_take_their_inputs(path):
             names.add(node.attr)
     assert not names & STAGES, (
         f"{path.name} refers to {sorted(names & STAGES)}; take the outcome as an argument")
+
+
+def test_only_the_kernel_calls_private_scipy():
+    """`sdp.mixing_ascent` calls scipy's private CSR product directly, pinned
+    by `test_sdp.test_csr_product_matches_matmul`; no other module may."""
+    names = [p.name for p in SRC if "_sparsetools" in p.read_text()]
+    assert names == ["sdp.py"]
