@@ -85,7 +85,8 @@ def energy_curve(g: WeightedGraph, bits):
     once; an evaluation raises c to the K distinct exponents k and q to the
     J distinct triangle counts j, not a pass over the edges. Every evaluation
     on a d-regular graph checks the energy against the triangle-free floor
-    W_cut * envelope / 2.
+    W_cut * envelope / 2, up to rounding of 1e-12 W: a relative slack, so
+    scaling every weight by a power of two never changes whether it trips.
     """
     bits = np.asarray(bits)
     if bits.shape != (g.n,):
@@ -103,6 +104,7 @@ def energy_curve(g: WeightedGraph, bits):
     b = np.bincount(c_slot, np.where(cut, 0.25 * w, -0.5 * w), minlength=k)
     tri_b = np.bincount(q_slot * k + c_slot, 0.25 * w_sat, minlength=j * k).reshape(j, k)
     half_total, w_cut, d = 0.5 * float(w.sum()), float(w_sat.sum()), g.is_regular()
+    slack = 2e-12 * half_total
 
     def energy(theta):
         t = np.asarray(theta, dtype=float)
@@ -113,7 +115,7 @@ def energy_curve(g: WeightedGraph, bits):
                  + np.sum((q_pow @ tri_b) * c_pow, axis=-1))
         if d is not None and d >= 1:
             floor = 0.5 * regular_sat_envelope(t, d) * w_cut
-            if np.any(total < floor - 1e-9):
+            if np.any(total < floor - slack):
                 raise AssertionError("regular-graph energy floor violated")
         return float(total) if total.ndim == 0 else total
 

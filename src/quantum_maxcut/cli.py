@@ -14,6 +14,7 @@ Every command checks its `--out` path before it does any work.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -337,8 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a build takes about ten parses' time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.out and not _writable(args.out):
         return 1
     return args.func(args)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh
-from scipy.sparse import _sparsetools
+from scipy.sparse import _sparsetools, csr_array
 
 from .graphs import WeightedGraph, cut_value
 
@@ -68,25 +68,50 @@ class RoundingOutcome:
 def sdp_objective(g: WeightedGraph, vectors: np.ndarray) -> float:
     """sum over edges of (w/2)(1 - v_u . v_v) for unit vectors."""
     vectors = np.asarray(vectors, dtype=float)
-    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        raise ValueError("all vectors must be unit length")
-    dots = np.einsum("ij,ij->i", vectors.take(g.u, axis=0), vectors.take(g.v, axis=0))
+    _check_unit(vectors)
+    dots = np.vecdot(vectors.take(g.u, axis=0), vectors.take(g.v, axis=0))
     return float(0.5 * (g.w @ (1.0 - dots)))
 
 
 def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
     """Objective of each start of a stack of unit rows, vecs of shape (n, S, r),
     by one sparse product; unchecked."""
-    flat = vecs.reshape(g.n, -1)
-    return g.total_weight / 2 - _start_sums(flat, g.csr @ flat, np.empty(vecs.shape[1:])) / 4
+    pull = (g.csr @ vecs.reshape(g.n, -1)).reshape(vecs.shape)
+    return g.total_weight / 2 - _start_sums(vecs, pull, np.empty(vecs.shape[:2])) / 4
 
 
-def _start_sums(flat: np.ndarray, pull: np.ndarray, dots: np.ndarray) -> np.ndarray:
-    """sum_i v_i . pull_i for each start, from V and pull as (n, S * r) arrays
-    in the same vertex order; `dots`, of shape (S, r), takes the column sums."""
-    np.einsum("ij,ij->j", flat, pull, out=dots.reshape(-1))
-    return dots.sum(axis=1)
+def _check_unit(vectors: np.ndarray) -> None:
+    """Raise ValueError unless every vector along the last axis has unit length."""
+    if np.any(np.abs(np.sqrt(np.vecdot(vectors, vectors)) - 1.0) > 1e-8):
+        raise ValueError("all vectors must be unit length")
+
+
+def _start_sums(vecs: np.ndarray, pull: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """sum_i v_i . pull_i for each start, from V and pull of shape (n, S, r) in
+    the same vertex order; `dots`, of shape (n, S), takes each v_i . pull_i.
+    The dots run along the contiguous last axis: strided dots down the columns
+    of (n, S * r) took 2.3 times as long at n = 3000, and 7 times at 30000."""
+    np.vecdot(vecs, pull, out=dots)
+    return dots.sum(axis=0)
+
+
+def _renumbered(a: csr_array, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of the CSR matrix a[order][:, order] for a
+    permutation `order`: row i is row order[i] of a, its entries in their
+    stored order, each column renamed to its position in `order`. These are
+    the arrays scipy's fancy indexing builds, without its index checks."""
+    rank = np.empty(len(order), dtype=a.indices.dtype)
+    rank[order] = np.arange(len(order))
+    counts = np.diff(a.indptr)[order]
+    indptr = np.zeros(len(order) + 1, dtype=a.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    pos = np.repeat(a.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
+    return indptr, rank[a.indices[pos]], a.data[pos]
+
+
+def _weight_exponent(g: WeightedGraph) -> int:
+    """k with 2^k the power of two just above the largest weight (`frexp`)."""
+    return math.frexp(float(g.w.max(initial=0.0)))[1]
 
 
 def _csr_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
@@ -124,47 +149,49 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     and scaling every weight by a power of two changes none of them, while
     no squared length of a neighbor sum can overflow. A vertex whose neighbor
     sum is zero, or so small in the units of a (at most 2^-511) that its
-    square would lose bits to underflow, keeps its vector. Every buffer is
-    allocated once per call, and each product calls scipy's CSR routine
-    directly into its buffer, with no dispatch.
+    square would lose bits to underflow, keeps its vector. The class-order
+    matrix is a numpy permutation of A's CSR arrays, every buffer is
+    allocated once per call, each product calls scipy's CSR routine
+    directly into its buffer, with no dispatch, and the squared lengths and
+    per-start sums are `np.vecdot` gufunc reductions, with no subscript
+    parsing.
 
     Returns (objective of each start, converged, sweeps). No objective
     decreases; a decrease beyond rounding (1e-12 of the objective in the
     units of a) is an error.
     """
     n, starts, r = vecs.shape
-    if np.any(np.abs(np.sqrt(np.einsum("ijk,ijk->ij", vecs, vecs)) - 1.0) > 1e-8):
-        raise ValueError("all vectors must be unit length")
+    _check_unit(vecs)
     order = np.concatenate(g.color_classes)
-    a = g.csr[order][:, order]
-    k = math.frexp(float(g.w.max(initial=0.0)))[1]
-    indices, data = a.indices, -np.ldexp(a.data, -k)
+    k = _weight_exponent(g)
+    indptr, indices, data = _renumbered(g.csr, order)
+    data = -np.ldexp(data, -k)
     half_weight = math.ldexp(g.total_weight, -k) / 2
     work = np.ascontiguousarray(vecs[order])  # flat must view it; written back at the end
     flat = work.reshape(n, starts * r)
-    pull = np.empty((n, starts * r))  # a V, whose first slab is the first class's sums
-    dots = np.empty((starts, r))
+    pull = np.empty((n, starts, r))  # a V, whose first slab is the first class's sums
+    dots = np.empty((n, starts))
     slabs = []  # (row pointers, or None for the first class; sums, norms, squares, mask, rows)
     lo = 0
     for hi in np.cumsum([len(b) for b in g.color_classes]).tolist():
-        sums = pull[:hi].reshape(hi, starts, r) if lo == 0 else np.empty((hi - lo, starts, r))
+        sums = pull[:hi] if lo == 0 else np.empty((hi - lo, starts, r))
         norms = np.empty((hi - lo, starts, 1))
-        slabs.append((a.indptr[lo:hi + 1] if lo else None, sums, norms, norms[..., 0],
+        slabs.append((indptr[lo:hi + 1] if lo else None, sums, norms, norms[..., 0],
                       np.empty(norms.shape, dtype=bool), work[lo:hi]))
         lo = hi
 
     def score() -> list[float]:
-        _csr_product(a.indptr, indices, data, flat, pull)
-        return [half_weight + x / 4 for x in _start_sums(flat, pull, dots).tolist()]
+        _csr_product(indptr, indices, data, flat, pull)
+        return [half_weight + x / 4 for x in _start_sums(work, pull, dots).tolist()]
 
     obj = score()
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for indptr, s, norms, squares, mask, out in slabs:
-            if indptr is not None:
-                _csr_product(indptr, indices, data, flat, s)
-            np.einsum("ijk,ijk->ij", s, s, out=squares)
+        for rows, s, norms, squares, mask, out in slabs:
+            if rows is not None:
+                _csr_product(rows, indices, data, flat, s)
+            np.vecdot(s, s, out=squares)
             np.sqrt(norms, out=norms)
             np.greater(norms, _TINY_SUM, out=mask)
             np.divide(s, norms, out=out, where=mask)
@@ -197,13 +224,15 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
         raise ValueError(f"rank must be at least 1, got {r}")
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((g.n, r))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
     _, converged, sweeps = mixing_ascent(g, vecs[:, None], tol, max_sweeps)
     obj = sdp_objective(g, vecs)
     grad = g.csr @ vecs  # d(objective)/dv_i = -grad_i / 2
-    radial = np.einsum("ij,ij->i", grad, vecs)
-    tangential = grad - radial[:, None] * vecs
-    residual = float(np.max(np.linalg.norm(tangential, axis=1)) / 2) if g.n else 0.0
+    radial = np.vecdot(grad, vecs)
+    # the tangential gradient in the units of A / 2^k, as in the kernel: no square overflows
+    k = _weight_exponent(g)
+    tangential = np.ldexp(grad - radial[:, None] * vecs, -k)
+    residual = math.ldexp(math.sqrt(np.vecdot(tangential, tangential).max(initial=0.0)), k) / 2
     return GramSolution(vectors=vecs, objective=float(obj), residual=residual,
                         converged=converged, sweeps=sweeps,
                         dual_bound=_dual_bound(g, obj, radial))
@@ -257,11 +286,11 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, upper_bound: float,
     """
     rng = np.random.default_rng(seed)
     bloch = sol.vectors @ rng.standard_normal((attempts, sol.rank, 3))  # (attempts, n, 3)
-    norms = np.linalg.norm(bloch, axis=2)
+    norms = np.sqrt(np.vecdot(bloch, bloch))
     while np.any(norms == 0):  # probability-0; resample the zero rows
         bad = norms == 0
         bloch[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(bloch, axis=2)
+        norms = np.sqrt(np.vecdot(bloch, bloch))
     bloch /= norms[..., None]
     best = np.argmax(stack_objective(g, bloch.transpose(1, 0, 2)))  # the first of equal best
     best_bloch = bloch[best].copy()

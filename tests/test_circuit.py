@@ -199,6 +199,17 @@ class TestEnergyCurve:
         optimize_angle(cycle, (0, 1, 0, 1, 0, 1, 0, 1, 1))
         assert calls["energy"] > 2 and calls["envelope"] == calls["energy"]
 
+    @pytest.mark.parametrize("j", [-600, 30, 600])
+    def test_regular_floor_check_is_scale_free(self, j):
+        """Scaling every weight by 2^j scales each energy exactly and never
+        trips the floor check (an absolute slack tripped at j = 30)."""
+        c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        scaled_c4 = [(u, v, math.ldexp(1.0, j)) for u, v in c4]
+        base = circuit.energy_curve(WeightedGraph.from_edges(4, c4), (0, 1, 0, 1))
+        scaled = circuit.energy_curve(WeightedGraph.from_edges(4, scaled_c4), (0, 1, 0, 1))
+        theta = np.linspace(0, np.pi / 4, 401)
+        assert np.array_equal(scaled(theta), np.ldexp(base(theta), j))
+
     def test_regular_floor_violation_raises(self, monkeypatch):
         monkeypatch.setattr(circuit, "regular_sat_envelope", lambda theta, d: 10.0 + 0 * theta)
         with pytest.raises(AssertionError, match="floor"):

@@ -166,17 +166,36 @@ def count_calls(monkeypatch, traced):
     pytest.param("0 1 1e200\n1 2 1e-200\n2 3 1\n", id="overflow-and-underflow"),
     pytest.param("0 1 1e159\n1 2 1\n", id="sum-1e-159-of-largest"),
     pytest.param("0 1 1e-160\n1 2 1e-160\n2 0 1e-160\n", id="underflow"),
+    pytest.param("0 1 1e6\n1 2 1e6\n2 3 1e6\n0 3 1e6\n", id="floor-cycle-1e6"),
+    pytest.param("0 1 1e10\n1 2 1e10\n2 0 1e10\n", id="floor-triangle-1e10"),
+    pytest.param("0 1 1e180\n1 2 1e180\n2 0 1e180\n", id="floor-and-residual-1e180"),
 ])
 def test_extreme_weights_solve(tmp_path, capsys, edges):
-    """Squared neighbor sums of these weights overflow or underflow in double."""
+    """Squared neighbor sums of these weights overflow or underflow in double;
+    on the regular ones, rounding at large weights dips the circuit energy a
+    few ulps below its floor, and the SDP residual's squares overflow at 1e180."""
     path = tmp_path / "g.txt"
     path.write_text(edges)
     code = main(["solve", str(path), "--oracle", "off"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
     report = json.loads(captured.out)
     assert all(np.isfinite(e["value"]) for e in report["algorithms"])
+
+
+def test_consecutive_calls_share_no_parsed_state(tmp_path, capsys):
+    """The parser is built once per process; each call parses its own flags."""
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+    ranks = []
+    for flags in (["--rank", "3"], []):
+        code, out = run(capsys, "solve", str(path), "--oracle", "off",
+                        "--algorithms", "gw", *flags)
+        assert code == 0
+        by_label = {e["label"]: e for e in json.loads(out)["algorithms"]}
+        ranks.append(by_label["sdp-relaxation"]["rank"])
+    assert ranks == [3, sdp.auto_rank(10)]
 
 
 def assert_one_line_error(code, capsys):

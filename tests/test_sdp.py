@@ -17,7 +17,7 @@ from quantum_maxcut import (
     solve_maxcut_sdp,
 )
 from quantum_maxcut.generate import gnp_graph, regular_graph
-from quantum_maxcut.sdp import _csr_product, mixing_ascent
+from quantum_maxcut.sdp import _csr_product, _renumbered, mixing_ascent, stack_objective
 from quantum_maxcut.states import cut_value
 
 EDGE = parse_graph("0 1 1.0")
@@ -150,17 +150,20 @@ class TestBlockKernel:
 
 
 class TestWeightScale:
-    @pytest.mark.parametrize("j", [-540, -300, 20, 300, 515])
+    @pytest.mark.parametrize("j", [-540, -300, 20, 300, 515, 600])
     def test_power_of_two_scaling_is_exact(self, j):
         """Scaling every weight by 2^j leaves the iterates bit for bit and
-        scales the objective exactly: no squared length overflows or
-        underflows, and rounding at large weights does not trip the guard."""
+        scales the objective and the residual exactly: no squared length
+        overflows or underflows (in the units of A the residual's squares
+        overflow at j = 600), and rounding at large weights does not trip
+        the guard."""
         g = regular_graph(40, 3, np.random.default_rng(1))
         scaled = WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, j)) for u, v, w in g.edges])
         base = solve_maxcut_sdp(g, tol=-1, max_sweeps=2000, seed=3)
         sol = solve_maxcut_sdp(scaled, tol=-1, max_sweeps=2000, seed=3)
         assert np.array_equal(sol.vectors, base.vectors)
         assert sol.objective == math.ldexp(base.objective, j)
+        assert sol.residual == math.ldexp(base.residual, j) and math.isfinite(sol.residual)
         assert sol.sweeps == base.sweeps == 2000
 
 
@@ -186,6 +189,19 @@ def test_csr_product_matches_matmul(a, lo, hi, flat):
     out = np.full((hi - lo, flat.shape[1]), np.nan)  # the product must overwrite it
     _csr_product(a.indptr[lo:hi + 1], a.indices, a.data, flat, out)
     assert np.array_equal(out, a[lo:hi] @ flat)
+
+
+@pytest.mark.parametrize("a, lo, hi, flat", list(slab_cases()))
+def test_renumbering_matches_fancy_indexing(a, lo, hi, flat):
+    """The kernel permutes the CSR arrays with numpy; they must be scipy's
+    a[order][:, order], entry order within each row included."""
+    for order in (np.random.default_rng(lo).permutation(a.shape[0]),
+                  np.arange(a.shape[0])[::-1]):
+        expected = a[order][:, order]
+        got = _renumbered(a, order)
+        for x, y in zip(got, (expected.indptr, expected.indices, expected.data)):
+            assert np.array_equal(x, y)
+        assert got[0].dtype == got[1].dtype == a.indices.dtype
 
 
 class TestDualBound:
@@ -223,7 +239,24 @@ class TestRank:
             solve_maxcut_sdp(TRIANGLE, rank=rank)
 
 
+def edge_loop_objective(g, vecs):
+    """sum over edges of (w/2)(1 - v_u . v_v), one edge at a time."""
+    return sum(w / 2 * (1 - sum(float(x) * float(y) for x, y in zip(vecs[u], vecs[v])))
+               for u, v, w in g.edges)
+
+
 class TestObjective:
+    def test_matches_edge_loop(self):
+        rng = np.random.default_rng(13)
+        for _ in range(8):
+            g = gnp_graph(int(rng.integers(2, 25)), float(rng.uniform(0.2, 0.7)), rng,
+                          weights="exp")
+            starts = int(rng.integers(1, 6))
+            stack = unit_rows(rng, g.n * starts, 4).reshape(g.n, starts, 4)
+            expected = [edge_loop_objective(g, stack[:, k]) for k in range(starts)]
+            assert sdp_objective(g, stack[:, 0]) == pytest.approx(expected[0], rel=1e-12)
+            assert stack_objective(g, stack) == pytest.approx(expected, rel=1e-12)
+
     def test_all_equal_vectors(self):
         v = np.tile([1.0, 0.0, 0.0], (3, 1))
         assert sdp_objective(TRIANGLE, v) == 0.0
