@@ -85,14 +85,17 @@ def energy_curve(g: WeightedGraph, bits):
     once; an evaluation raises c to the K distinct exponents k and q to the
     J distinct triangle counts j, not a pass over the edges. Every evaluation
     on a d-regular graph checks the energy against the triangle-free floor
-    W_cut * envelope / 2, up to rounding of 1e-12 W: a relative slack, so
-    scaling every weight by a power of two never changes whether it trips.
+    W_cut * envelope / 2, up to rounding of 1e-12 W. The sums are taken on
+    w / 2^k, 2^k the power of two just above the largest weight: exact, so
+    scaling every weight by a power of two changes neither the energies nor
+    whether the check trips, and subnormal weights keep full precision.
     """
     bits = np.asarray(bits)
     if bits.shape != (g.n,):
         raise ValueError("bit string length must equal vertex count")
     deg = np.asarray(g.degree)
-    du, dv, tri, w = deg[g.u], deg[g.v], g.triangles, g.w
+    scale = math.frexp(float(g.w.max(initial=0.0)))[1]  # sums on w / 2^scale: exact
+    du, dv, tri, w = deg[g.u], deg[g.v], g.triangles, np.ldexp(g.w, -scale)
     _check_edge_inputs(du, dv, tri)
     cut = bits[g.u] != bits[g.v]
     w_sat = np.where(cut, w, 0.0)
@@ -117,6 +120,7 @@ def energy_curve(g: WeightedGraph, bits):
             floor = 0.5 * regular_sat_envelope(t, d) * w_cut
             if np.any(total < floor - slack):
                 raise AssertionError("regular-graph energy floor violated")
+        total = np.ldexp(total, scale)
         return float(total) if total.ndim == 0 else total
 
     return energy
@@ -157,8 +161,22 @@ def _maximize(f) -> tuple[float, float]:
 @functools.cache
 def best_angle(d: int) -> tuple[float, float]:
     """Maximizer of the d-regular cut-edge envelope on [0, pi/4] and its value,
-    by the search of optimize_angle; computed once per degree."""
-    return _maximize(lambda t: regular_sat_envelope(t, d))
+    once per degree: the search of optimize_angle, which the flat peak leaves
+    1e-9 off, then bisection to adjacent doubles on the root of the derivative
+    4 c^(d-2) (c^2 - (d-1) s (s + c^(d-1))), c = cos 2t and s = sin 2t."""
+    theta, fval = _maximize(lambda t: regular_sat_envelope(t, d))
+
+    def slope(t):  # the derivative over 4 c^(d-2), which is positive below pi/4
+        c, s = math.cos(2 * t), math.sin(2 * t)
+        return c * c - (d - 1) * s * (s + c ** (d - 1))
+
+    step = (math.pi / 4) / THETA_GRID
+    lo, hi = max(0.0, theta - step), min(math.pi / 4, theta + step)
+    if slope(lo) > 0 > slope(hi):  # else the maximum is at an end (d = 1)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        theta, fval = lo, float(regular_sat_envelope(lo, d))
+    return theta, fval
 
 
 def approximation_guarantee(d: int) -> float:

@@ -1,15 +1,13 @@
 """Command-line harness: solve instances, generate test graphs, reproduce the
 pinned numeric checks.
 
-Exit codes for `solve`: 0 on success; 1 with a one-line `error:` message on
-a file or parse error (a file that is not UTF-8, a non-finite weight and a
-total weight whose double is not finite included), an unknown algorithm,
-`--attempts` or `--rank` below 1, a negative `--seed`, a `--tol` of nan, an
-oracle run over the qubit cap or without convergence, or an `--out` path
-that cannot be written; 2 if any claimed guarantee check failed. `random`
-and `reproduce` also exit 1 with one `error:` line on a negative `--seed` or
-an `--out` path that cannot be written, and `random` on an unknown model.
-Every command checks its `--out` path before it does any work.
+Exit codes: 0 on success; 2 only when a verdict or pinned check fails; 1,
+with one `error:` line, on any bad input: a malformed or out-of-range flag
+value, an unknown flag or a missing argument (`build_parser` checks them all
+before any file is read), a file that cannot be read or parsed, a rejected
+graph, a request numpy cannot allocate, an oracle run over the qubit cap or
+without convergence, or an `--out` path that cannot be written (checked
+before any work). `main` is the one place an error is reported.
 """
 from __future__ import annotations
 
@@ -56,56 +54,20 @@ def _grid_minimum(weakened: bool, step: float = 1e-3) -> float:
     return best
 
 
-def _negative_seed(args) -> bool:
-    """Report a negative --seed, which numpy's generators reject."""
-    if args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return True
-    return False
-
-
 def run_solve(args) -> int:
-    if _negative_seed(args):
-        return 1
-    if math.isnan(args.tol):
-        print("error: --tol must be a number, got nan", file=sys.stderr)
-        return 1
-    try:
-        with open(args.path) as fh:
-            g = parse_graph(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    algorithms = args.algorithms.split(",") if args.algorithms else list(ALL_ALGORITHMS)
-    for name in algorithms:
-        if name not in ALL_ALGORITHMS:
-            print(f"error: unknown algorithm {name!r}", file=sys.stderr)
-            return 1
-    if args.attempts < 1:
-        print(f"error: --attempts must be at least 1, got {args.attempts}", file=sys.stderr)
-        return 1
-    if args.rank is not None and args.rank < 1:
-        print(f"error: --rank must be at least 1, got {args.rank}", file=sys.stderr)
-        return 1
-    try:
-        report = _solve(g, args, algorithms)
-    except (oracle.ResourceLimitError, oracle.ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not _emit(report, args):
-        return 1
+    with open(args.path) as fh:
+        g = parse_graph(fh.read())
+    report = _solve(g, args)
+    _emit(report, args)
     return 2 if "fail" in report["verdicts"].values() else 0
 
 
-def _solve(g, args, algorithms) -> dict:
+def _solve(g, args) -> dict:
     """Run the oracle, the relaxation and the requested algorithms; the report.
 
     The only place that composes stages: each runs at most once, and a later
     stage takes the outcomes of the earlier ones it depends on."""
+    algorithms = args.algorithms
     use_oracle = args.oracle == "on" or (args.oracle == "auto" and g.n <= ORACLE_AUTO_LIMIT)
     opt = oracle.max_eigenvalue(g) if use_oracle else None
     t0 = time.perf_counter()
@@ -187,7 +149,7 @@ def _solve(g, args, algorithms) -> dict:
             verdicts["circuit_guarantee"] = "not-applicable"
 
     d = g.is_regular()
-    report = {
+    return {
         "schema": SCHEMA_VERSION,
         "graph": {"n": g.n, "edges": len(g.edges), "total_weight": g.total_weight,
                   "regular_degree": d if d is not None else "irregular"},
@@ -196,35 +158,24 @@ def _solve(g, args, algorithms) -> dict:
         "algorithms": entries,
         "verdicts": verdicts,
     }
-    return report
 
 
 def run_random(args) -> int:
-    if _negative_seed(args):
-        return 1
     rng = np.random.default_rng(args.seed)
-    degree = args.model.removeprefix("regular-")
-    try:
-        if args.model == "gnp":
-            g = generate.gnp_graph(args.n, args.p, rng, weights=args.weights)
-        elif args.model.startswith("regular-") and degree.isdecimal():
-            g = generate.regular_graph(args.n, int(degree), rng, weights=args.weights)
-        elif args.model == "star":
-            g = generate.star_graph(args.n, weights=args.weights, rng=rng)
-        elif args.model == "cycle":
-            g = generate.cycle_graph(args.n, weights=args.weights, rng=rng)
-        else:
-            print(f"error: unknown model {args.model!r}", file=sys.stderr)
-            return 1
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0 if _output(generate.to_edge_list(g), args.out) else 1
+    if args.model == "gnp":
+        g = generate.gnp_graph(args.n, args.p, rng, weights=args.weights)
+    elif args.model == "star":
+        g = generate.star_graph(args.n, weights=args.weights, rng=rng)
+    elif args.model == "cycle":
+        g = generate.cycle_graph(args.n, weights=args.weights, rng=rng)
+    else:  # regular-D, as _model checked
+        degree = int(args.model.removeprefix("regular-"))
+        g = generate.regular_graph(args.n, degree, rng, weights=args.weights)
+    _output(generate.to_edge_list(g), args.out)
+    return 0
 
 
 def run_reproduce(args) -> int:
-    if _negative_seed(args):
-        return 1
     if args.which == "G-values":
         report = {"schema": SCHEMA_VERSION, "which": "G-values"}
         for d in (3, 4):
@@ -244,7 +195,7 @@ def run_reproduce(args) -> int:
         }
         report["passed"] = (report["exact_minimum"] >= 0.55
                             and report["weakened_minimum"] >= 0.53)
-    elif args.which == "theorem5":
+    else:  # theorem5
         rng = np.random.default_rng(args.seed)
         results = []
         for _ in range(args.instances):
@@ -259,47 +210,77 @@ def run_reproduce(args) -> int:
         report = {"schema": SCHEMA_VERSION, "which": "theorem5",
                   "instances": results,
                   "passed": all(r["ok"] for r in results)}
-    else:
-        print(f"error: unknown reproduction {args.which!r}", file=sys.stderr)
-        return 1
-    if not _emit(report, args):
-        return 1
+    _emit(report, args)
     return 0 if report.get("passed", True) else 2
 
 
-def _emit(report: dict, args) -> bool:
-    return _output(json.dumps(report, indent=2, default=float) + "\n", args.out)
+def _emit(report: dict, args) -> None:
+    _output(json.dumps(report, indent=2, default=float) + "\n", args.out)
 
 
-def _writable(path) -> bool:
+def _writable(path) -> None:
     """Check before any work that path can be written, as an existing file or
-    a new one in an existing directory (`os.access`); False, after one
-    `error:` line, if not. The final write still reports its own failure."""
+    a new one in an existing directory (`os.access`); OSError if not."""
     where = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.access(where, os.W_OK):
         kind = "file" if where == path else "directory"
-        print(f"error: cannot write {path}: {where} is not a writable {kind}", file=sys.stderr)
-        return False
-    return True
+        raise OSError(f"cannot write {path}: {where} is not a writable {kind}")
 
 
-def _output(text: str, path) -> bool:
-    """Write text to stdout, or to path if given; False, after one `error:`
-    line, if path cannot be written."""
+def _output(text: str, path) -> None:
+    """Write text to stdout, or to path if given."""
     if not path:
         sys.stdout.write(text)
-        return True
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as `ArgumentError` for `main` to report."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _checked(convert, ok, requirement: str):
+    """An argparse type: `convert` the text, then reject a value not `ok`."""
+    def check(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse names it in "invalid int value: ..."
+    return check
+
+
+_SEED = _checked(int, lambda x: x >= 0, "non-negative")
+_COUNT = _checked(int, lambda x: x >= 1, "at least 1")
+_TOL = _checked(float, lambda x: not math.isnan(x), "a number")
+
+
+def _algorithms(text: str) -> list[str]:
+    """Comma-separated subset of ALL_ALGORITHMS, as a list; all of them if empty."""
+    names = text.split(",") if text else list(ALL_ALGORITHMS)
+    for name in names:
+        if name not in ALL_ALGORITHMS:
+            raise argparse.ArgumentTypeError(f"unknown algorithm {name!r}")
+    return names
+
+
+def _model(text: str) -> str:
+    """`random --model`: gnp, star, cycle or regular-D."""
+    degree = text.removeprefix("regular-")
+    if text in ("gnp", "star", "cycle") or (text != degree and degree.isdecimal()):
+        return text
+    raise argparse.ArgumentTypeError(f"unknown model {text!r}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built once per process: a build takes about ten parses' time."""
+    parser = _Parser(
         prog="qmaxcut",
         description="Approximation algorithms and bounds for the quantum Max Cut "
                     "Hamiltonian of a weighted graph.")
@@ -307,48 +288,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run algorithms on an edge-list file")
     p_solve.add_argument("path")
-    p_solve.add_argument("--algorithms", default="",
+    p_solve.add_argument("--algorithms", type=_algorithms, default="",
                          help=f"comma-separated subset of {','.join(ALL_ALGORITHMS)}")
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--attempts", type=int, default=200)
+    p_solve.add_argument("--seed", type=_SEED, default=0)
+    p_solve.add_argument("--attempts", type=_COUNT, default=200)
     p_solve.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p_solve.add_argument("--rank", type=int, default=None)
-    p_solve.add_argument("--tol", type=float, default=1e-13)
+    p_solve.add_argument("--rank", type=_COUNT, default=None)
+    p_solve.add_argument("--tol", type=_TOL, default=1e-13)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=run_solve)
 
     p_rand = sub.add_parser("random", help="generate a random edge-list file")
     p_rand.add_argument("--n", type=int, required=True)
-    p_rand.add_argument("--model", default="gnp",
+    p_rand.add_argument("--model", type=_model, default="gnp",
                         help="gnp | regular-D | star | cycle")
     p_rand.add_argument("--p", type=float, default=0.5, help="edge probability for gnp")
     p_rand.add_argument("--weights", choices=("unit", "uniform", "exp"),
                         default="unit")
-    p_rand.add_argument("--seed", type=int, default=0)
+    p_rand.add_argument("--seed", type=_SEED, default=0)
     p_rand.add_argument("--out", default=None)
     p_rand.set_defaults(func=run_random)
 
     p_rep = sub.add_parser("reproduce", help="re-run the pinned numeric checks")
     p_rep.add_argument("--which", choices=("G-values", "prod2-minmax", "theorem5"),
                        required=True)
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=_SEED, default=0)
     p_rep.add_argument("--instances", type=int, default=50)
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(func=run_reproduce)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: a build takes about ten parses' time."""
-    return build_parser()
+# What the user can get wrong; a fault inside a stage keeps its traceback.
+USER_ERRORS = (argparse.ArgumentError, OSError, UnicodeDecodeError, ParseError, GraphError,
+               MemoryError, oracle.ResourceLimitError, oracle.ConvergenceError)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    if args.out and not _writable(args.out):
+    try:
+        args = build_parser().parse_args(argv)
+        if args.out:
+            _writable(args.out)
+        return args.func(args)
+    except USER_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+MAX_VERTEX_ID = int(np.iinfo(np.intp).max) - 1  # so that n = max id + 1 is a numpy index
+
 
 class GraphError(ValueError):
     """Structurally invalid graph, or an operation's precondition failed."""
@@ -199,6 +201,8 @@ def parse_graph(text: str) -> WeightedGraph:
             raise ParseError(f"line {lineno}: negative weight {w}")
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex id")
+        if max(u, v) > MAX_VERTEX_ID:
+            raise ParseError(f"line {lineno}: vertex id too large, above {MAX_VERTEX_ID}")
         key = (min(u, v), max(u, v))
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate edge {key}")

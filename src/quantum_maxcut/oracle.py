@@ -113,7 +113,8 @@ def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8,
     except ArpackError as exc:  # ArpackNoConvergence included
         raise ConvergenceError(f"Lanczos failed: {exc}") from exc
     lam, vec = float(lams[0]), vecs[:, 0]
-    residual = np.linalg.norm(h @ vec - lam * vec)
+    k = np.frexp(g.w.max())[1]  # in units of w / 2^k no square overflows
+    residual = np.ldexp(np.linalg.norm(np.ldexp(h @ vec - lam * vec, -k)), k)
     if residual > bound * max(1.0, abs(lam)):
         raise ConvergenceError(f"residual {residual} exceeds tolerance {tol}")
     return lam

@@ -166,12 +166,11 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50,
 
 @dataclass
 class CandidateReport:
-    """Best few-qubit candidate found for a graph; energy is recomputed from
-    the payload by the closed-form evaluators."""
+    """Best few-qubit candidate found for a graph, and the energy of each one
+    considered."""
 
     label: str    # "tree-coloring" | "match-singlet" | "rank3-product"
     energy: float
-    payload: dict
     candidates: dict[str, float]
 
 
@@ -184,16 +183,9 @@ def best_few_qubit_candidate(g: WeightedGraph, decomp: MatchForestDecomposition,
 
     If the rank-3 rounding flags failure that candidate is skipped.
     """
-    forest_bits = two_color_forest(g, decomp.forest)
-    pair_state, pair_val = singlet
-    entries = [
-        ("tree-coloring", cut_value(g, forest_bits), {"bits": list(forest_bits)}),
-        ("match-singlet", pair_val,
-         {"pairs": [list(p) for p in pair_state.pairs],
-          "bits": {str(k): v for k, v in pair_state.bits.items()}}),
-    ]
+    candidates = {"tree-coloring": float(cut_value(g, two_color_forest(g, decomp.forest))),
+                  "match-singlet": float(singlet[1])}
     if not rounding.failed:
-        entries.append(("rank3-product", rounding.value, {"bloch": rounding.bloch.tolist()}))
-    label, energy_val, payload = max(entries, key=lambda e: e[1])
-    return CandidateReport(label=label, energy=float(energy_val), payload=payload,
-                           candidates={lab: float(val) for lab, val, _ in entries})
+        candidates["rank3-product"] = float(rounding.value)
+    label = max(candidates, key=candidates.get)  # the first of equal best
+    return CandidateReport(label=label, energy=candidates[label], candidates=candidates)

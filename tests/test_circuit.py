@@ -199,16 +199,22 @@ class TestEnergyCurve:
         optimize_angle(cycle, (0, 1, 0, 1, 0, 1, 0, 1, 1))
         assert calls["energy"] > 2 and calls["envelope"] == calls["energy"]
 
-    @pytest.mark.parametrize("j", [-600, 30, 600])
+    @pytest.mark.parametrize("j", [-1070, -600, 30, 600, 1000])
     def test_regular_floor_check_is_scale_free(self, j):
         """Scaling every weight by 2^j scales each energy exactly and never
-        trips the floor check (an absolute slack tripped at j = 30)."""
-        c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
-        scaled_c4 = [(u, v, math.ldexp(1.0, j)) for u, v in c4]
-        base = circuit.energy_curve(WeightedGraph.from_edges(4, c4), (0, 1, 0, 1))
-        scaled = circuit.energy_curve(WeightedGraph.from_edges(4, scaled_c4), (0, 1, 0, 1))
+        trips the floor check, on a 4-cycle and on K5 with weights 1 to 4 (an
+        absolute slack tripped at j = 30; sums in the units of w tripped it on
+        subnormal weights, j = -1070)."""
+        c4 = [(i, (i + 1) % 4, 1.0) for i in range(4)]
+        k5 = [(u, v, float(1 + (u + v) % 4)) for u in range(5) for v in range(u + 1, 5)]
         theta = np.linspace(0, np.pi / 4, 401)
-        assert np.array_equal(scaled(theta), np.ldexp(base(theta), j))
+        for n, edges in ((4, c4), (5, k5)):
+            bits = (0, 1, 0, 1, 1)[:n]
+            base = circuit.energy_curve(WeightedGraph.from_edges(n, edges), bits)
+            scaled = circuit.energy_curve(
+                WeightedGraph.from_edges(n, [(u, v, math.ldexp(w, j)) for u, v, w in edges]),
+                bits)
+            assert np.array_equal(scaled(theta), np.ldexp(base(theta), j))
 
     def test_regular_floor_violation_raises(self, monkeypatch):
         monkeypatch.setattr(circuit, "regular_sat_envelope", lambda theta, d: 10.0 + 0 * theta)
@@ -249,6 +255,22 @@ class TestAngleOptimization:
             grid = np.linspace(0, math.pi / 4, 20001)
             vals = [regular_sat_envelope(t, d) for t in grid]
             assert fval == pytest.approx(max(vals), abs=1e-8)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_best_angle_is_the_root_of_the_slope(self, d):
+        """theta*_d is the envelope's stationary point to 1e-13 and F_d its
+        value to 1e-15, against a 40-digit mpmath root of the derivative."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            def envelope(t):
+                c, s = mpmath.cos(2 * t), mpmath.sin(2 * t)
+                return 1 + 2 * c ** (d - 1) * s + c ** (2 * d - 2)
+
+            root = mpmath.findroot(lambda t: mpmath.diff(envelope, t), 0.16)
+            peak = envelope(root)
+        theta, fval = best_angle(d)
+        assert abs(theta - float(root)) <= 1e-13
+        assert fval == pytest.approx(float(peak), rel=1e-15, abs=0)
 
     def test_guarantee_above_gw_for_all_degrees(self):
         for d in range(1, 21):

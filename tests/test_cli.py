@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from quantum_maxcut import bounds, graphs, oracle, sdp, states
 from quantum_maxcut.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -301,9 +306,115 @@ class TestSolveErrors:
     def test_theta_grid_flag_rejected(self, tmp_path, capsys):
         path = tmp_path / "edge.txt"
         path.write_text("0 1\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", str(path), "--theta-grid", "400"])
-        assert exc.value.code == 2
+        assert_one_line_error(main(["solve", str(path), "--theta-grid", "400"]), capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["--oracle", "maybe"], ["--seed", "abc"], ["--attempts", "1.5"], ["--tol", "x"],
+        ["--algorithms", "gw,nope"]])
+    def test_bad_flag_found_before_the_file_is_read(self, tmp_path, capsys, monkeypatch, flags):
+        calls = count_calls(monkeypatch, [(graphs, "parse_graph")])
+        path = tmp_path / "edge.txt"
+        path.write_text("0 1\n")
+        assert_one_line_error(main(["solve", str(path), *flags]), capsys)
+        assert calls == {}
+
+
+def fuzz_cases(count=200, seed=15):
+    """A seeded corpus of malformed and extreme `solve` inputs, drawn with plain
+    numpy: (edge-list text, or None for no path, and the flags). Each case
+    perturbs a cycle, a complete graph or a random subgraph of one, on at most
+    8 vertices, once: a malformed line, an extreme id or weight, a duplicate
+    or reversed edge, or a bad flag; valid flags ride along. No id above 64
+    parses, so every solve stays small."""
+    rng = np.random.default_rng(seed)
+    junk = ["0", "0 1 2 3", "a b", "0 0", "1.5 2", "0 1 x", "# comment", "", "\t3\t4\t"]
+    ids = ["-1", "64", "99999999999999999999", str(10**30), str(2**63 - 1), "nan", "1e3", "0x1"]
+    weights = ["-1", "nan", "inf", "-inf", "1e-320", "1e308", "1e300", "1e-300", str(10**30),
+               "0", "-0", "x"]
+    bad_flags = [["--seed", "abc"], ["--attempts", "1.5"], ["--tol", "x"], ["--oracle", "maybe"],
+                 ["--rank", "-2"], ["--bogus"], ["--seed", "-3"], ["--tol", "nan"],
+                 ["--attempts", "0"], ["--algorithms", "gw,nope"], ["--rank"], ["--seed", "1e3"]]
+    good_flags = [[], [], ["--oracle", "off"], ["--algorithms", "gw,circuit,best"],
+                  ["--rank", "2"], ["--tol", "1e-6"], ["--attempts", "3"], ["--seed", "5"]]
+    cases = [(None, []), (None, ["--seed", "1"])]
+    while len(cases) < count:
+        n, shape = int(rng.integers(3, 9)), int(rng.integers(3))
+        if shape == 0:  # a cycle: 2-regular
+            picked = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        else:  # a complete graph (regular), or a random subset of its edges
+            picked = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+            if shape == 2:
+                picked = picked[rng.permutation(len(picked))[:int(rng.integers(1, len(picked)))]]
+        lines = [[str(u), str(v), f"{w:.6g}"]
+                 for (u, v), w in zip(picked, rng.exponential(size=len(picked)))]
+        flags = list(good_flags[rng.integers(len(good_flags))])
+        at = int(rng.integers(len(lines)))
+        kind = int(rng.integers(5))
+        if kind == 0:
+            lines[at] = [junk[rng.integers(len(junk))]]
+        elif kind == 1:
+            lines[at][int(rng.integers(2))] = ids[rng.integers(len(ids))]
+        elif kind == 2:  # on one edge, or on every edge
+            weight = weights[rng.integers(len(weights))]
+            for line in lines if rng.random() < 0.5 else [lines[at]]:
+                line[2] = weight
+        elif kind == 3:
+            u, v = lines[at][:2]
+            lines.append([v, u] if rng.random() < 0.5 else [u, v, "2"])
+        else:
+            flags += bad_flags[rng.integers(len(bad_flags))]
+        cases.append(("\n".join(" ".join(line) for line in lines) + "\n", flags))
+    return cases
+
+
+def test_fuzz_corpus_exits_cleanly(tmp_path, capsys):
+    """Every case exits 0, 1 or 2 without raising, and prints one `error:`
+    line exactly when it exits 1."""
+    path = tmp_path / "g.txt"
+    failures = []
+    for i, (text, flags) in enumerate(fuzz_cases()):
+        if text is not None:
+            path.write_text(text)
+        try:
+            code = main(["solve", *([str(path)] if text is not None else []), *flags])
+        except (Exception, SystemExit) as exc:  # what escapes is the finding
+            code = f"raised {exc!r}"
+        err = capsys.readouterr().err
+        one_error_line = err.startswith("error: ") and err.count("\n") == 1
+        if code not in (0, 1, 2) or one_error_line != (code == 1) or (code != 1 and err):
+            failures.append(f"case {i}: {text!r} {flags}: exit {code}, stderr {err!r}")
+    assert not failures, "\n".join(failures)
+
+
+def test_huge_requests_exit_1_under_memory_cap(tmp_path):
+    """Requests numpy cannot allocate (1e9 rounding attempts on one edge, 14.9
+    GiB; a vertex id of 99999999999) exit 1 with one `error:` line. They run
+    in one subprocess with its address space capped at 1 GiB, so a buffer the
+    host would overcommit is never touched."""
+    pytest.importorskip("resource")
+    edge, far = tmp_path / "edge.txt", tmp_path / "far.txt"
+    edge.write_text("0 1\n")
+    far.write_text("0 99999999999\n")
+    cases = [["solve", str(edge), "--attempts", "1000000000"], ["solve", str(far)],
+             ["solve", str(far), "--rank", "1", "--oracle", "off"]]
+    code = (
+        "import contextlib, io, json, resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+        "from quantum_maxcut.cli import main\n"
+        "results = []\n"
+        f"for argv in {cases!r}:\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        results.append([main(argv), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for argv, (exit_code, err) in zip(cases, json.loads(result.stdout)):
+        assert exit_code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 class TestRandom:

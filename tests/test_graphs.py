@@ -68,6 +68,14 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate"):
             parse_graph("0 1\n1 0 2.0")
 
+    def test_vertex_id_too_large_rejected(self):
+        """n = max id + 1 must be a numpy index."""
+        top = int(np.iinfo(np.intp).max)
+        assert parse_graph(f"0 {top - 1}").n == top
+        for big in (top, 10**30):
+            with pytest.raises(ParseError, match="line 2: vertex id too large"):
+                parse_graph(f"0 1\n{big} 1")
+
     def test_comments_and_blanks(self):
         g = parse_graph("# header\n\n0 1 2.5  # trailing\n")
         assert g.edges == ((0, 1, 2.5),)

@@ -156,6 +156,15 @@ class TestMaxEigenvalue:
         with pytest.raises(ConvergenceError, match="residual"):
             max_eigenvalue(TRIANGLE)
 
+    @pytest.mark.parametrize("j", [-600, 600, 1000])
+    def test_power_of_two_scaling(self, j):
+        """Scaling every weight of K5 by 2^j scales the eigenvalue; the residual
+        is taken in units of w / 2^k, whose squares overflowed at j = 1000."""
+        edges = [(u, v, float(1 + (u + v) % 4)) for u in range(5) for v in range(u + 1, 5)]
+        base = max_eigenvalue(WeightedGraph.from_edges(5, edges))
+        scaled = WeightedGraph.from_edges(5, [(u, v, math.ldexp(w, j)) for u, v, w in edges])
+        assert max_eigenvalue(scaled) == pytest.approx(math.ldexp(base, j), rel=1e-10)
+
     def test_weighted_star_matches_laplacian_norm(self):
         # top Hamiltonian eigenvalue of a star equals the Laplacian norm
         rng = np.random.default_rng(9)

@@ -38,3 +38,12 @@ def test_only_the_kernel_calls_private_scipy():
     by `test_sdp.test_csr_product_matches_matmul`; no other module may."""
     names = [p.name for p in SRC if "_sparsetools" in p.read_text()]
     assert names == ["sdp.py"]
+
+
+def test_only_main_writes_to_stderr():
+    """`cli.main` is the CLI's one error path: every other function raises."""
+    tree = ast.parse(next(p for p in SRC if p.name == "cli.py").read_text())
+    writers = {getattr(top, "name", "<module>") for top in tree.body
+               for node in ast.walk(top) if isinstance(node, ast.Attribute)
+               and node.attr in ("stderr", "__stderr__")}
+    assert writers == {"main"}, f"cli.py writes to stderr in {sorted(writers - {'main'})}"
