@@ -6,20 +6,20 @@ operations here are pure functions.
 
 Every numeric evaluator reads one core, computed once per graph on first use
 and read-only: edge arrays `u`, `v`, `w` in edge order, the sparse weight matrix
-`csr` (the only neighborhood structure, which traversals hand to
-`scipy.sparse.csgraph`), per-edge `triangles` and a proper vertex coloring
+`csr` (the only neighborhood structure; the BFS of `depth_parity` walks its
+`indptr` and `indices`), per-edge `triangles` and a proper vertex coloring
 `color_classes`.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 MAX_VERTEX_ID = int(np.iinfo(np.intp).max) - 1  # so that n = max id + 1 is a numpy index
 
@@ -222,7 +222,10 @@ def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
     number of components).
     """
     ends = np.array([e[:2] for e in forest], dtype=np.intp).reshape(-1, 2)
-    f = sp.csr_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(g.n, g.n))
+    # each edge stored both ways, as the BFS follows stored entries only
+    f = sp.csr_array((np.ones(2 * len(ends)), (np.r_[ends[:, 0], ends[:, 1]],
+                                               np.r_[ends[:, 1], ends[:, 0]])),
+                     shape=(g.n, g.n))
     count, bits = depth_parity(f)
     if len(ends) != g.n - count:
         raise GraphError("edge set contains a cycle")
@@ -230,15 +233,29 @@ def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
 
 
 def depth_parity(a: sp.csr_array) -> tuple[int, tuple[int, ...]]:
-    """Number of components of the undirected graph with sparsity pattern a,
+    """Number of components of the undirected graph whose edges are the
+    stored entries of the symmetric CSR matrix a (explicit zeros included),
     and each vertex's parity of its unweighted BFS depth from the smallest
     vertex of its component. The parities properly 2-color a BFS spanning
     forest of a: all n minus (number of components) of its edges are cut.
     """
-    count, labels = csgraph.connected_components(a, directed=False)
-    _, roots = np.unique(labels, return_index=True)  # each component's smallest vertex
-    depth = csgraph.dijkstra(a, directed=False, indices=roots, unweighted=True, min_only=True)
-    return count, tuple((depth % 2).astype(int).tolist())
+    indptr, indices = a.indptr.tolist(), a.indices.tolist()
+    parity = [-1] * a.shape[0]
+    count = 0
+    for root in range(a.shape[0]):  # in vertex order: each new root is its component's smallest
+        if parity[root] >= 0:
+            continue
+        count += 1
+        parity[root] = 0
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            bit = 1 - parity[x]
+            for y in indices[indptr[x]:indptr[x + 1]]:
+                if parity[y] < 0:
+                    parity[y] = bit
+                    queue.append(y)
+    return count, tuple(parity)
 
 
 def cut_value(g: WeightedGraph, bits):

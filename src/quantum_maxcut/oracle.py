@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import coo_array
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graphs import WeightedGraph
 
@@ -97,14 +96,24 @@ def sector_hamiltonian(g: WeightedGraph):
 
 def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8,
                    cap: int = DEFAULT_QUBIT_CAP) -> float:
-    """Largest eigenvalue of H_G by Lanczos on `sector_hamiltonian(g)`,
-    certified by the residual ||H v - lam v|| <= max(tol, 1e-12) * max(1, |lam|)
-    in that block, which is H_G on an invariant subspace; ConvergenceError if
-    Lanczos fails or the residual is larger."""
+    """Largest eigenvalue of H_G by Lanczos on `sector_hamiltonian(g)`, which
+    is H_G on an invariant subspace; ConvergenceError if Lanczos fails or the
+    residual ||H v - lam v|| exceeds max(tol, 1e-12) * lam.
+
+    Lanczos and the residual run on H / 2^k, with 2^k the power of two just
+    above the largest weight (`frexp`), and lam is scaled back: the scaling
+    is exact, no square in the residual overflows, and as lam >= 2 max w
+    (the top of one edge's term), lam >= 1 in those units, so the relative
+    bound needs no floor and holds at any weight scale. `scipy.sparse.linalg`
+    is imported here, so that only runs of the oracle load it."""
+    from scipy.sparse.linalg import ArpackError, eigsh
+
     _check_cap(g.n, cap)
     if g.total_weight == 0:
         return 0.0  # H_G = 0, on which Lanczos has no start vector
     h = sector_hamiltonian(g)  # real symmetric
+    k = np.frexp(g.w.max())[1]
+    np.ldexp(h.data, -k, out=h.data)
     rng = np.random.default_rng(7)  # fixed start for reproducible failures
     bound = max(tol, 1e-12)  # Lanczos stops at a hundredth of it, not at machine precision
     try:
@@ -113,11 +122,10 @@ def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8,
     except ArpackError as exc:  # ArpackNoConvergence included
         raise ConvergenceError(f"Lanczos failed: {exc}") from exc
     lam, vec = float(lams[0]), vecs[:, 0]
-    k = np.frexp(g.w.max())[1]  # in units of w / 2^k no square overflows
-    residual = np.ldexp(np.linalg.norm(np.ldexp(h @ vec - lam * vec, -k)), k)
-    if residual > bound * max(1.0, abs(lam)):
-        raise ConvergenceError(f"residual {residual} exceeds tolerance {tol}")
-    return lam
+    residual = np.linalg.norm(h @ vec - lam * vec)
+    if residual > bound * lam:
+        raise ConvergenceError(f"residual {np.ldexp(residual, k)} exceeds tolerance {tol}")
+    return float(np.ldexp(lam, k))
 
 
 def simulate_variational_state(g: WeightedGraph, bits, theta: float,

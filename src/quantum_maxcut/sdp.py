@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 from scipy.sparse import _sparsetools, csr_array
 
 from .graphs import WeightedGraph, cut_value
@@ -107,6 +106,15 @@ def _renumbered(a: csr_array, order: np.ndarray) -> tuple[np.ndarray, np.ndarray
     np.cumsum(counts, out=indptr[1:])
     pos = np.repeat(a.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
     return indptr, rank[a.indices[pos]], a.data[pos]
+
+
+def _check_size(*shape: int) -> None:
+    """MemoryError, naming the size, for a float array whose byte count numpy
+    cannot even index (it would raise ValueError, "array is too big")."""
+    count = math.prod(shape)
+    if count * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate a {' x '.join(map(str, shape))} float array: "
+                          f"{count * 8} bytes is beyond numpy's index range")
 
 
 def _weight_exponent(g: WeightedGraph) -> int:
@@ -222,6 +230,7 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     r = rank if rank is not None else auto_rank(g.n)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
+    _check_size(g.n, max(r, g.n))  # the (n, r) vectors and the dense n x n certificate
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
@@ -245,12 +254,12 @@ def _dual_bound(g: WeightedGraph, objective: float, radial: np.ndarray) -> float
     min(0, lambda_min(Diag(y) - L/4)) is feasible for the dual
     min { sum y : Diag(y) - L/4 PSD }. As radial_i = v_i . (A V)_i, that
     matrix is Diag(y) - L/4 = (A - Diag(radial)) / 4. lambda_min comes from
-    a dense eigensolver: a Lanczos (Ritz) value is not a certified lower
-    bound.
+    a dense eigensolver (numpy's, so that a solve needs no `scipy.linalg`): a
+    Lanczos (Ritz) value is not a certified lower bound.
     """
     m = g.csr.toarray()
     m.flat[::g.n + 1] = -radial
-    lam = eigvalsh(m, subset_by_index=(0, 0), overwrite_a=True)[0] / 4
+    lam = np.linalg.eigvalsh(m)[0] / 4
     return float(objective - g.n * min(0.0, lam))
 
 
@@ -262,6 +271,7 @@ def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     (zero counts as bit 0). failed is set when even the best cut is below
     0.8785 times the relaxation objective.
     """
+    _check_size(attempts, max(sol.rank, g.n))  # the planes and the (attempts, n) signs
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((attempts, sol.rank))
     signs = planes @ sol.vectors.T > 0  # (attempts, n)
@@ -284,6 +294,7 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, upper_bound: float,
     state, so the failure flag compares against 0.478 times `upper_bound`,
     an upper bound on the maximum energy (the CLI passes its best bound).
     """
+    _check_size(attempts, max(sol.rank, g.n), 3)  # the projections and the Bloch vectors
     rng = np.random.default_rng(seed)
     bloch = sol.vectors @ rng.standard_normal((attempts, sol.rank, 3))  # (attempts, n, 3)
     norms = np.sqrt(np.vecdot(bloch, bloch))

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from quantum_maxcut import bounds, graphs, oracle, sdp, states
+from quantum_maxcut import bounds, graphs, sdp, states
 from quantum_maxcut.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -240,7 +241,7 @@ class TestSolveErrors:
         def failing_eigsh(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(oracle, "eigsh", failing_eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
         path = tmp_path / "tri.txt"
         path.write_text("0 1\n1 2\n2 0\n")
         assert_one_line_error(main(["solve", str(path), "--oracle", "on"]), capsys)
@@ -388,15 +389,20 @@ def test_fuzz_corpus_exits_cleanly(tmp_path, capsys):
 
 def test_huge_requests_exit_1_under_memory_cap(tmp_path):
     """Requests numpy cannot allocate (1e9 rounding attempts on one edge, 14.9
-    GiB; a vertex id of 99999999999) exit 1 with one `error:` line. They run
-    in one subprocess with its address space capped at 1 GiB, so a buffer the
-    host would overcommit is never touched."""
+    GiB; a vertex id of 99999999999) exit 1 with one `error:` line, and so do
+    sizes whose byte count numpy cannot even index (an n x n certificate at a
+    vertex id of 999999999999999, 1e18 attempts), where numpy would raise
+    ValueError. They run in one subprocess with its address space capped at
+    1 GiB, so a buffer the host would overcommit is never touched."""
     pytest.importorskip("resource")
-    edge, far = tmp_path / "edge.txt", tmp_path / "far.txt"
+    edge, far, farther = tmp_path / "edge.txt", tmp_path / "far.txt", tmp_path / "farther.txt"
     edge.write_text("0 1\n")
     far.write_text("0 99999999999\n")
+    farther.write_text("0 999999999999999\n")
     cases = [["solve", str(edge), "--attempts", "1000000000"], ["solve", str(far)],
-             ["solve", str(far), "--rank", "1", "--oracle", "off"]]
+             ["solve", str(far), "--rank", "1", "--oracle", "off"],
+             ["solve", str(farther), "--oracle", "off"],
+             ["solve", str(edge), "--attempts", "1000000000000000000"]]
     code = (
         "import contextlib, io, json, resource\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
@@ -415,6 +421,36 @@ def test_huge_requests_exit_1_under_memory_cap(tmp_path):
     assert result.returncode == 0, result.stderr
     for argv, (exit_code, err) in zip(cases, json.loads(result.stdout)):
         assert exit_code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_oracle_off_solve_imports_no_scipy_linalg(tmp_path):
+    """`solve --oracle off` needs numpy and scipy.sparse alone: no scipy
+    subpackage that pulls in scipy.linalg is imported. `--oracle on` then
+    loads scipy.sparse.linalg, and answers."""
+    path = tmp_path / "tri.txt"
+    path.write_text("0 1\n1 2\n2 0\n")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from quantum_maxcut.cli import main\n"
+        "runs = []\n"
+        "for oracle in ('off', 'on'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        f"        code = main(['solve', {str(path)!r}, '--oracle', oracle])\n"
+        "    heavy = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')\n"
+        "    runs.append([code, json.loads(out.getvalue())['opt'],\n"
+        "                 [m for m in heavy if m in sys.modules]])\n"
+        "print(json.dumps(runs))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    (off_code, off_opt, off_loaded), (on_code, on_opt, on_loaded) = json.loads(result.stdout)
+    assert (off_code, off_opt, off_loaded) == (0, None, [])
+    assert on_code == 0 and on_opt == pytest.approx(3.0, abs=1e-8)
+    assert "scipy.sparse.linalg" in on_loaded
 
 
 class TestRandom:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from quantum_maxcut import (
     GraphError,
@@ -357,7 +359,7 @@ class TestTriangles:
 
 class TestZeroWeightEdges:
     """A zero-weight edge is still an edge: `csr` stores it as an explicit
-    zero, and every csgraph traversal sees it."""
+    zero, and the BFS of `depth_parity` follows it like any stored entry."""
 
     G = parse_graph("0 1 0\n1 2 1\n0 2 0")
 
@@ -387,6 +389,53 @@ class TestConnectedComponents:
         # components {0, 1, 4}, {2}, {3, 5}; depths count from 0, 2 and 3
         g = WeightedGraph.from_edges(6, [(4, 1), (3, 5), (1, 0)])
         assert depth_parity(g.csr) == (3, (0, 1, 0, 0, 0, 1))
+
+
+def csgraph_depth_parity(a):
+    """`depth_parity` by `scipy.sparse.csgraph`, the reference: components
+    from `connected_components`, depths by an unweighted `dijkstra` from each
+    component's smallest vertex; a stored entry in either direction is an edge."""
+    count, labels = csgraph.connected_components(a, directed=False)
+    _, roots = np.unique(labels, return_index=True)
+    depth = csgraph.dijkstra(a, directed=False, indices=roots, unweighted=True, min_only=True)
+    return count, tuple((depth % 2).astype(int).tolist())
+
+
+def random_forest(n, rng):
+    """Edges of a random forest on n vertices, each as (parent, child) or
+    (child, parent) at random: in a random order, each vertex but the first
+    takes an earlier one as its parent with probability 0.8."""
+    order = rng.permutation(n).tolist()
+    forest = []
+    for i in range(1, n):
+        if rng.random() < 0.8:
+            parent, child = order[int(rng.integers(i))], order[i]
+            forest.append((parent, child) if rng.random() < 0.5 else (child, parent))
+    return forest
+
+
+class TestDepthParityMatchesCsgraph:
+    def test_disconnected_graphs_with_isolated_vertices(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            # sparse G(n, p): components with and without cycles, isolated vertices
+            g = gnp_graph(n, float(rng.uniform(0.0, 4.0 / n)), rng)
+            assert depth_parity(g.csr) == csgraph_depth_parity(g.csr)
+
+    def test_forests_stored_one_way(self):
+        """`two_color_forest` gets each edge once, in either orientation; its
+        bits are those of csgraph on the one-way matrix, symmetrized."""
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            n = int(rng.integers(1, 50))
+            forest = random_forest(n, rng)
+            g = WeightedGraph.from_edges(n, forest)
+            ends = np.array(forest, dtype=np.intp).reshape(-1, 2)
+            one_way = sp.csr_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+            count, bits = csgraph_depth_parity(one_way)
+            assert two_color_forest(g, forest) == bits
+            assert len(forest) == n - count
 
 
 def bfs_depths(g):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from quantum_maxcut import (
@@ -142,7 +143,7 @@ class TestMaxEigenvalue:
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(oracle, "eigsh", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         with pytest.raises(ConvergenceError, match="Lanczos"):
             max_eigenvalue(TRIANGLE)
 
@@ -152,7 +153,7 @@ class TestMaxEigenvalue:
             lams, vecs = eigsh(h, **kwargs)
             return lams + 1e-3, vecs
 
-        monkeypatch.setattr(oracle, "eigsh", shifted)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted)
         with pytest.raises(ConvergenceError, match="residual"):
             max_eigenvalue(TRIANGLE)
 
@@ -164,6 +165,12 @@ class TestMaxEigenvalue:
         base = max_eigenvalue(WeightedGraph.from_edges(5, edges))
         scaled = WeightedGraph.from_edges(5, [(u, v, math.ldexp(w, j)) for u, v, w in edges])
         assert max_eigenvalue(scaled) == pytest.approx(math.ldexp(base, j), rel=1e-10)
+
+    def test_subnormal_weights(self):
+        """K5 with every weight 1e-320 (subnormal): lambda_max = 8 w exactly.
+        A residual bound floored at 1 in the units of w certified 3.2e-319."""
+        g = WeightedGraph.from_edges(5, [(u, v, 1e-320) for u in range(5) for v in range(u + 1, 5)])
+        assert max_eigenvalue(g) == 8 * g.w[0]
 
     def test_weighted_star_matches_laplacian_norm(self):
         # top Hamiltonian eigenvalue of a star equals the Laplacian norm
