@@ -331,7 +331,8 @@ def main(argv=None) -> int:
             _writable(args.out)
         return args.func(args)
     except USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Python's own MemoryError carries no text: name the exception instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -258,16 +258,12 @@ def depth_parity(a: sp.csr_array) -> tuple[int, tuple[int, ...]]:
     return count, tuple(parity)
 
 
-def cut_value(g: WeightedGraph, bits):
-    """Total weight of the edges cut by a bit string.
-
-    A (k, n) array of bit strings gives an array of k cut values.
-    """
+def cut_value(g: WeightedGraph, bits) -> float:
+    """Total weight of the edges cut by a bit string of length n."""
     bits = np.asarray(bits)
-    if bits.shape[-1:] != (g.n,):
+    if bits.shape != (g.n,):
         raise GraphError("bit string length must equal the vertex count")
-    values = (bits[..., g.u] != bits[..., g.v]) @ g.w
-    return float(values) if values.ndim == 0 else values
+    return float((bits[g.u] != bits[g.v]) @ g.w)
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,15 @@ def sdp_objective(g: WeightedGraph, vectors: np.ndarray) -> float:
 
 
 def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
-    """Objective of each start of a stack of unit rows, vecs of shape (n, S, r),
-    by one sparse product; unchecked."""
-    pull = (g.csr @ vecs.reshape(g.n, -1)).reshape(vecs.shape)
-    return g.total_weight / 2 - _start_sums(vecs, pull, np.empty(vecs.shape[:2])) / 4
+    """Objective W/2 - (1/4) sum_i x_i . (A x)_i of each attempt of a stack of
+    unit rows, vecs of shape (n, attempts, d), by one CSR product, an
+    elementwise product and column sums; unchecked. On spins x_i = +-1 (d = 1)
+    it is the cut value, exact on integer weights and equal for complements."""
+    flat = np.ascontiguousarray(vecs.reshape(g.n, -1))
+    pull = np.empty(flat.shape)
+    _csr_product(g.csr.indptr, g.csr.indices, g.csr.data, flat, pull)
+    pull *= flat
+    return g.total_weight / 2 - pull.sum(axis=0).reshape(vecs.shape[1:]).sum(axis=1) / 4
 
 
 def _check_unit(vectors: np.ndarray) -> None:
@@ -268,14 +273,17 @@ def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     """Best cut over random-hyperplane roundings of the Gram vectors.
 
     bit_i = 1 iff the Gaussian vector has positive inner product with v_i
-    (zero counts as bit 0). failed is set when even the best cut is below
+    (zero counts as bit 0). All cuts are ranked as spins 1 - 2 bit_i (d = 1) by
+    `stack_objective`, there the cut value; the first of equal best is
+    re-scored by `cut_value`. failed is set when even the best cut is below
     0.8785 times the relaxation objective.
     """
-    _check_size(attempts, max(sol.rank, g.n))  # the planes and the (attempts, n) signs
+    _check_size(attempts, max(sol.rank, g.n))  # the planes and the (n, attempts) spins
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((attempts, sol.rank))
     signs = planes @ sol.vectors.T > 0  # (attempts, n)
-    best = np.argmax(cut_value(g, signs))  # the first of equal best cuts
+    spins = 1.0 - 2.0 * np.ascontiguousarray(signs.T)  # (n, attempts); bits transposed as bytes
+    best = np.argmax(stack_objective(g, spins[..., None]))  # the first of equal best cuts
     best_bits = tuple(int(b) for b in signs[best])
     best_val = cut_value(g, best_bits)
     return RoundingOutcome(bits=best_bits, bloch=None, value=best_val,
@@ -289,22 +297,24 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, upper_bound: float,
     Each attempt draws a 3 x r standard normal matrix, maps every vertex
     vector through it and normalizes, giving Bloch vectors whose energy is
     the relaxation objective formula in R^3. All attempts are drawn at once
-    and scored by one sparse product; the winner is re-scored alone. The
-    guarantee constant 0.956 is relative to the (uncomputable) best product
-    state, so the failure flag compares against 0.478 times `upper_bound`,
-    an upper bound on the maximum energy (the CLI passes its best bound).
+    and projected by one GEMM, V times the draws side by side as (r, 3 *
+    attempts): the (n, attempts, 3) stack `stack_objective` scores. The first
+    of equal best is re-scored alone. The guarantee constant 0.956 is relative
+    to the (uncomputable) best product state, so the failure flag compares
+    against 0.478 times `upper_bound`, an upper bound on the maximum energy
+    (the CLI passes its best bound), less 1e-12 of it.
     """
     _check_size(attempts, max(sol.rank, g.n), 3)  # the projections and the Bloch vectors
     rng = np.random.default_rng(seed)
-    bloch = sol.vectors @ rng.standard_normal((attempts, sol.rank, 3))  # (attempts, n, 3)
-    norms = np.sqrt(np.vecdot(bloch, bloch))
-    while np.any(norms == 0):  # probability-0; resample the zero rows
-        bad = norms == 0
-        bloch[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.sqrt(np.vecdot(bloch, bloch))
+    draws = rng.standard_normal((attempts, sol.rank, 3))
+    bloch = (sol.vectors @ draws.transpose(1, 0, 2).reshape(sol.rank, -1)).reshape(g.n, attempts, 3)
+    x, y, z = bloch.transpose(2, 0, 1)  # lengths by component: a quarter of np.vecdot's time
+    while np.any((norms := np.sqrt(x * x + y * y + z * z)) == 0):  # probability-0; resample
+        at, vertex = np.nonzero(norms.T == 0)  # the zero rows, attempt by attempt
+        bloch[vertex, at] = rng.standard_normal((len(at), 3))
     bloch /= norms[..., None]
-    best = np.argmax(stack_objective(g, bloch.transpose(1, 0, 2)))  # the first of equal best
-    best_bloch = bloch[best].copy()
+    best = np.argmax(stack_objective(g, bloch))  # the first of equal best
+    best_bloch = bloch[:, best].copy()
     best_val = sdp_objective(g, best_bloch)
     return RoundingOutcome(bits=None, bloch=best_bloch, value=best_val,
-                           failed=best_val < RANK3_PROXY_RATIO * upper_bound - 1e-12)
+                           failed=best_val < RANK3_PROXY_RATIO * upper_bound * (1 - 1e-12))

@@ -91,19 +91,23 @@ def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition
     returned value is at least (3/2) * matching weight + W/2, deterministically.
     """
     pairs = tuple((u, v) for u, v, _ in decomp.matching)
-    unmatched = np.array(decomp.unmatched, dtype=np.intp)
-    sub = g.csr[unmatched][:, unmatched]  # the subgraph they induce
-    spin = np.ones(len(unmatched))  # +1 for bit 0, -1 for bit 1
+    free = np.zeros(g.n, dtype=bool)
+    free[list(decomp.unmatched)] = True
+    inside = free[g.u] & free[g.v]  # the edges of the subgraph they induce
+    neighbors = {i: [] for i in decomp.unmatched}  # (neighbor, weight), in index order
+    for a, b, w in zip(g.u[inside].tolist(), g.v[inside].tolist(), g.w[inside].tolist()):
+        neighbors[a].append((b, w))
+        neighbors[b].append((a, w))
+    spin = dict.fromkeys(decomp.unmatched, 1.0)  # +1 for bit 0, -1 for bit 1
     improved = True
     while improved:
         improved = False
-        for i in range(len(unmatched)):
-            row = slice(sub.indptr[i], sub.indptr[i + 1])
+        for i, row in neighbors.items():
             # uncut minus cut neighbor weight: flipping gains it
-            if spin[i] * (sub.data[row] @ spin[sub.indices[row]]) > 0:
+            if spin[i] * sum(w * spin[j] for j, w in row) > 0:
                 spin[i] = -spin[i]
                 improved = True
-    bits = dict(zip(unmatched.tolist(), (spin < 0).astype(int).tolist()))
+    bits = {i: int(s < 0) for i, s in spin.items()}
     state = PairProductState(pairs=pairs, bits=bits)
     return state, pair_product_energy(g, state)
 

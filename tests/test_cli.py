@@ -423,6 +423,33 @@ def test_huge_requests_exit_1_under_memory_cap(tmp_path):
         assert exit_code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+def test_textless_memory_error_is_named_under_memory_cap():
+    """`random --n 10^18` for a star or a cycle builds Python lists until the
+    address-space cap stops them with a MemoryError that carries no text;
+    the one `error:` line names the exception instead of ending blank."""
+    pytest.importorskip("resource")
+    cases = [["random", "--n", "1000000000000000000", "--model", model]
+             for model in ("star", "cycle")]
+    code = (
+        "import contextlib, io, json, resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+        "from quantum_maxcut.cli import main\n"
+        "results = []\n"
+        f"for argv in {cases!r}:\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        results.append([main(argv), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for argv, (exit_code, err) in zip(cases, json.loads(result.stdout)):
+        assert exit_code == 1 and err == "error: MemoryError\n", (argv, err)
+
+
 def test_oracle_off_solve_imports_no_scipy_linalg(tmp_path):
     """`solve --oracle off` needs numpy and scipy.sparse alone: no scipy
     subpackage that pulls in scipy.linalg is imported. `--oracle on` then

@@ -274,7 +274,7 @@ class TestEvaluatorsMatchEdgeLoops:
             assert sdp_objective(g, vecs) == pytest.approx(
                 sum(0.5 * w * (1 - vecs[u] @ vecs[v]) for u, v, w in g.edges), abs=1e-12)
             bits = rng.integers(0, 2, (5, g.n))
-            assert cut_value(g, bits) == pytest.approx(
+            assert [cut_value(g, b) for b in bits] == pytest.approx(
                 [sum(w for u, v, w in g.edges if b[u] != b[v]) for b in bits], abs=1e-12)
             top = [0.0] * g.n
             for u, v, w in g.edges:

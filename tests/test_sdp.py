@@ -16,6 +16,7 @@ from quantum_maxcut import (
     sdp_objective,
     solve_maxcut_sdp,
 )
+from quantum_maxcut import sdp
 from quantum_maxcut.generate import gnp_graph, regular_graph
 from quantum_maxcut.sdp import _csr_product, _renumbered, mixing_ascent, stack_objective
 from quantum_maxcut.states import cut_value
@@ -167,6 +168,35 @@ class TestWeightScale:
         assert sol.sweeps == base.sweeps == 2000
 
 
+    @pytest.mark.parametrize("j", [-600, -40, 0, 600])
+    def test_roundings_scale_exactly(self, j):
+        """Under 2^j scaling both roundings pick the same winner, their values
+        scale exactly and their failure flags hold: the rank-3 flag's slack is
+        relative to the bound, so the hand-built triangle of
+        `test_threshold_uses_certified_sdp_bound` fails at every scale."""
+        def scale(g, e):
+            return WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, e)) for u, v, w in g.edges])
+
+        def outcomes(e):
+            g = scale(gnp_graph(30, 0.3, np.random.default_rng(2), weights="exp"), e)
+            sol = solve_maxcut_sdp(g, tol=-1, max_sweeps=50, seed=1)
+            found = [gw_round(g, sol, seed=4), rank3_round(g, sol, upper(g, sol), seed=4)]
+            tri, vecs = scale(TRIANGLE, e), np.array([[1.0], [-1.0], [1.0]])
+            for dual in (math.inf, 2.25):  # the degree-sum bound, then the certified one
+                hand = GramSolution(vecs, objective=math.ldexp(2.0, e), residual=0.0,
+                                    converged=True, sweeps=0, dual_bound=math.ldexp(dual, e))
+                found.append(rank3_round(tri, hand, upper(tri, hand), attempts=5))
+            return found
+
+        base, scaled = outcomes(0), outcomes(j)
+        assert [x.failed for x in base] == [x.failed for x in scaled] == [False, False, True, False]
+        assert scaled[0].bits == base[0].bits
+        for x, y in zip(scaled, base):
+            assert x.value == math.ldexp(y.value, j)
+        for x, y in zip(scaled[1:], base[1:]):
+            assert np.array_equal(x.bloch, y.bloch)
+
+
 def slab_cases():
     """(matrix, first row, end row, V as (n, S * r)) for the kernel's product: a
     slab with an empty row, a stack of S = 4 starts, and int64 indices."""
@@ -257,6 +287,21 @@ class TestObjective:
             assert sdp_objective(g, stack[:, 0]) == pytest.approx(expected[0], rel=1e-12)
             assert stack_objective(g, stack) == pytest.approx(expected, rel=1e-12)
 
+    def test_spins_give_the_cut_value(self):
+        """At d = 1, on spins 1 - 2 * bit, the objective is the cut value:
+        exactly on unit weights, and the same for a cut and its complement."""
+        rng = np.random.default_rng(14)
+        for weights in ("unit", "exp"):
+            g = gnp_graph(20, 0.4, rng, weights=weights)
+            bits = rng.integers(0, 2, (7, g.n))
+            spins = (1.0 - 2.0 * bits.T)[..., None]  # (n, 7, 1)
+            values = stack_objective(g, spins)
+            expected = [cut_value(g, b) for b in bits]
+            assert values == pytest.approx(expected, rel=1e-12)
+            assert np.array_equal(stack_objective(g, -spins), values)
+            if weights == "unit":
+                assert values.tolist() == expected
+
     def test_all_equal_vectors(self):
         v = np.tile([1.0, 0.0, 0.0], (3, 1))
         assert sdp_objective(TRIANGLE, v) == 0.0
@@ -304,6 +349,60 @@ class TestGwRound:
             sol = solve_maxcut_sdp(g)
             out = gw_round(g, sol, seed=seed)
             assert out.value == cut_value(g, out.bits)
+
+
+    @pytest.mark.parametrize("weights", ["unit", "exp"])
+    def test_matches_per_attempt_loop(self, weights):
+        """The winner is the first best of an edge loop over the attempts'
+        cuts, on unit weights (many ties) and exp weights."""
+        rng = np.random.default_rng(15)
+        for k in range(8):
+            g = gnp_graph(int(rng.integers(3, 25)), 0.4, rng, weights=weights)
+            if not g.edges:
+                continue
+            sol = solve_maxcut_sdp(g, max_sweeps=int(rng.integers(1, 30)), tol=-1,
+                                   rank=int(rng.integers(1, 4)))
+            out = gw_round(g, sol, seed=k, attempts=60)
+            planes = np.random.default_rng(k).standard_normal((60, sol.rank))
+            best_bits, best_val = None, -1.0
+            for signs in planes @ sol.vectors.T > 0:
+                val = sum(w for u, v, w in g.edges if signs[u] != signs[v])
+                if val > best_val:
+                    best_val, best_bits = val, tuple(int(b) for b in signs)
+            assert out.bits == best_bits
+            assert out.value == pytest.approx(best_val, rel=1e-12)
+            assert out.value == cut_value(g, out.bits)
+
+    def test_complementary_cuts_tie_to_the_first(self):
+        """A rank-1 factor of a cut gives each attempt that cut or its
+        complement: all tie, and the first attempt's bits win."""
+        g = gnp_graph(12, 0.5, np.random.default_rng(16))
+        side = np.array([[1.0], [-1.0]])[np.random.default_rng(17).integers(0, 2, g.n)]
+        sol = GramSolution(side, objective=2.0 * g.total_weight, residual=0.0,
+                           converged=True, sweeps=0)
+        signs = np.random.default_rng(5).standard_normal((10, 1)) @ side.T > 0
+        assert len({tuple(row) for row in signs}) == 2  # both complements are drawn
+        out = gw_round(g, sol, seed=5, attempts=10)
+        assert out.bits == tuple(int(b) for b in signs[0])
+        assert out.value == cut_value(g, 1 - np.array(out.bits))
+
+
+@pytest.mark.parametrize("rounding", ["gw", "rank3"])
+def test_each_rounding_scores_its_attempts_once(monkeypatch, rounding):
+    """Each rounding ranks all of its attempts in one `stack_objective` call."""
+    shapes = []
+
+    def spy(g, vecs):
+        shapes.append(vecs.shape)
+        return stack_objective(g, vecs)
+
+    monkeypatch.setattr(sdp, "stack_objective", spy)
+    sol = solve_maxcut_sdp(K4)
+    if rounding == "gw":
+        gw_round(K4, sol, attempts=7)
+    else:
+        rank3_round(K4, sol, upper(K4, sol), attempts=7)
+    assert shapes == [(4, 7, 1 if rounding == "gw" else 3)]
 
 
 class TestRank3Round:

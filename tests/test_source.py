@@ -34,8 +34,10 @@ def test_stages_take_their_inputs(path):
 
 
 def test_only_the_kernel_calls_private_scipy():
-    """`sdp.mixing_ascent` calls scipy's private CSR product directly, pinned
-    by `test_sdp.test_csr_product_matches_matmul`; no other module may."""
+    """`sdp._csr_product`, which the mixing kernel and the roundings' scorer
+    `sdp.stack_objective` both use, is the one caller of scipy's private CSR
+    product, pinned by `test_sdp.test_csr_product_matches_matmul`; no other
+    module may call it."""
     names = [p.name for p in SRC if "_sparsetools" in p.read_text()]
     assert names == ["sdp.py"]
 

@@ -89,6 +89,10 @@ class TestCutValue:
         with pytest.raises(ValueError):
             cut_value(EDGE, (0, 1, 0))
 
+    def test_one_bit_string_only(self):
+        with pytest.raises(ValueError):
+            cut_value(EDGE, [(0, 1), (1, 1)])
+
 
 class TestTreeColoringState:
     def test_path(self):
