@@ -32,24 +32,17 @@ class BoundReport:
     sdp_combined: float | None
     best: float
 
-    def to_json(self) -> dict:
-        return {
-            "trivial": self.trivial,
-            "degree_sum": self.degree_sum,
-            "sdp_combined": self.sdp_combined,
-            "best": self.best,
-        }
-
 
 def sdp_combined_bound(g: WeightedGraph, sdp_value: float) -> float:
     """Upper bound 3*sdp_value - W on the maximum energy.
 
     Valid because the maximum energy is at most W/2 plus three times the top
     diagonal (ZZ) eigenvalue, which itself is at most sdp_value - W/2.
-    Requires sdp_value to be at least the true relaxation optimum.
+    Requires sdp_value to be at least the true relaxation optimum, which is
+    at least W/2: a value below W/2 by more than 1e-12 of it is rejected.
     """
     half_w = g.total_weight / 2
-    if sdp_value < half_w - 1e-12:
+    if sdp_value < half_w * (1 - 1e-12):
         raise ValueError(f"sdp_value {sdp_value} below W/2 = {half_w}; infeasible")
     return float(3 * sdp_value - g.total_weight)
 

@@ -86,16 +86,15 @@ def energy_curve(g: WeightedGraph, bits):
     J distinct triangle counts j, not a pass over the edges. Every evaluation
     on a d-regular graph checks the energy against the triangle-free floor
     W_cut * envelope / 2, up to rounding of 1e-12 W. The sums are taken on
-    w / 2^k, 2^k the power of two just above the largest weight: exact, so
-    scaling every weight by a power of two changes neither the energies nor
-    whether the check trips, and subnormal weights keep full precision.
+    w / 2^k, k the graph's `weight_exponent`: exact, so scaling every weight
+    by a power of two changes neither the energies nor whether the check
+    trips, and subnormal weights keep full precision.
     """
     bits = np.asarray(bits)
     if bits.shape != (g.n,):
         raise ValueError("bit string length must equal vertex count")
     deg = np.asarray(g.degree)
-    scale = math.frexp(float(g.w.max(initial=0.0)))[1]  # sums on w / 2^scale: exact
-    du, dv, tri, w = deg[g.u], deg[g.v], g.triangles, np.ldexp(g.w, -scale)
+    du, dv, tri, w = deg[g.u], deg[g.v], g.triangles, np.ldexp(g.w, -g.weight_exponent)
     _check_edge_inputs(du, dv, tri)
     cut = bits[g.u] != bits[g.v]
     w_sat = np.where(cut, w, 0.0)
@@ -120,7 +119,7 @@ def energy_curve(g: WeightedGraph, bits):
             floor = 0.5 * regular_sat_envelope(t, d) * w_cut
             if np.any(total < floor - slack):
                 raise AssertionError("regular-graph energy floor violated")
-        total = np.ldexp(total, scale)
+        total = np.ldexp(total, g.weight_exponent)
         return float(total) if total.ndim == 0 else total
 
     return energy

@@ -12,6 +12,7 @@ before any work). `main` is the one place an error is reported.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -30,20 +31,22 @@ from .graphs import GraphError, ParseError, match_forest_decompose, parse_graph
 SCHEMA_VERSION = 1
 ORACLE_AUTO_LIMIT = 16
 ALL_ALGORITHMS = ("tree", "singlet", "rank3", "gw", "circuit", "best")
+GRID_STEP = 1e-3  # of the prod2-minmax grid
 
 
-def _grid_minimum(weakened: bool, step: float = 1e-3) -> float:
-    """Minimum over 0 <= x <= y <= 1 of the three-way candidate ratio.
+def _grid_minimum(weakened: bool) -> float:
+    """Minimum over 0 <= x <= y <= 1, on a grid of GRID_STEP, of the three-way
+    candidate ratio.
 
     x and y are the matching and forest weights as fractions of the total;
     the denominator 2 + y + x is twice the degree-sum upper bound in the
     same units. The weakened variant replaces the exact product-state terms
     by their efficiently-achievable counterparts.
     """
-    xs = np.arange(0.0, 1.0 + step / 2, step)
+    xs = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
     best = np.inf
     for x in xs:
-        y = np.arange(x, 1.0 + step / 2, step)
+        y = np.arange(x, 1.0 + GRID_STEP / 2, GRID_STEP)
         if weakened:
             top = np.maximum(np.maximum(2 * y, 3 * x + 0.98),
                              (0.956 / 3) * (4 + x + y))
@@ -62,6 +65,13 @@ def run_solve(args) -> int:
     return 2 if "fail" in report["verdicts"].values() else 0
 
 
+def _timed(stage, *args, **kwargs):
+    """stage(*args, **kwargs) and the seconds it took."""
+    start = time.perf_counter()
+    result = stage(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
 def _solve(g, args) -> dict:
     """Run the oracle, the relaxation and the requested algorithms; the report.
 
@@ -70,78 +80,55 @@ def _solve(g, args) -> dict:
     algorithms = args.algorithms
     use_oracle = args.oracle == "on" or (args.oracle == "auto" and g.n <= ORACLE_AUTO_LIMIT)
     opt = oracle.max_eigenvalue(g) if use_oracle else None
-    t0 = time.perf_counter()
-    sol = sdp.solve_maxcut_sdp(g, rank=args.rank, tol=args.tol, seed=args.seed)
-    sdp_seconds = time.perf_counter() - t0
+    sol, seconds = _timed(sdp.solve_maxcut_sdp, g, rank=args.rank, tol=args.tol, seed=args.seed)
     report_bounds = bounds_mod.opt_upper_bound(g, sdp_value=sol.dual_bound)
     denom = report_bounds.best
 
     entries = []
     verdicts = {}
 
-    def record(label, value, extra=None):
-        entry = {
-            "label": label,
-            "value": value,
-            "ratio_vs_upper_bound": value / denom if denom > 0 else None,
-            "ratio_vs_opt": value / opt if opt else None,
-            "seed": args.seed,
-        }
-        if extra:
-            entry.update(extra)
-        entries.append(entry)
-        return entry
+    def record(label, value, seconds, **extra):
+        entries.append({"label": label, "value": value,
+                        "ratio_vs_upper_bound": value / denom if denom > 0 else None,
+                        "ratio_vs_opt": value / opt if opt else None,
+                        "seed": args.seed, **extra, "seconds": seconds})
 
-    record("sdp-relaxation", sol.objective,
-           {"rank": sol.rank, "converged": sol.converged, "sweeps": sol.sweeps,
-            "residual": sol.residual, "gap": sol.gap, "seconds": sdp_seconds})
+    record("sdp-relaxation", sol.objective, seconds, rank=sol.rank, converged=sol.converged,
+           sweeps=sol.sweeps, residual=sol.residual, gap=sol.gap)
 
     if "tree" in algorithms:
-        t0 = time.perf_counter()
-        bits, val = states.tree_coloring_state(g)
-        record("tree-coloring", val, {"bits": "".join(map(str, bits)),
-                                      "seconds": time.perf_counter() - t0})
+        (bits, val), seconds = _timed(states.tree_coloring_state, g)
+        record("tree-coloring", val, seconds, bits="".join(map(str, bits)))
     if "singlet" in algorithms or "best" in algorithms:
-        t0 = time.perf_counter()
-        decomp = match_forest_decompose(g)
-        singlet = states.match_singlet_state(g, decomp)
-        st, val = singlet
+        decomp, decomp_seconds = _timed(match_forest_decompose, g)
+        singlet, seconds = _timed(states.match_singlet_state, g, decomp)
         if "singlet" in algorithms:
-            record("match-singlet", val, {"pairs": [list(p) for p in st.pairs],
-                                          "seconds": time.perf_counter() - t0})
+            record("match-singlet", singlet[1], decomp_seconds + seconds,
+                   pairs=[list(p) for p in singlet[0].pairs])
     if "gw" in algorithms or "circuit" in algorithms:
-        t0 = time.perf_counter()
-        gw = sdp.gw_round(g, sol, seed=args.seed, attempts=args.attempts)
+        gw, seconds = _timed(sdp.gw_round, g, sol, seed=args.seed, attempts=args.attempts)
         if "gw" in algorithms:
-            record("gw-cut", gw.value, {"failed": gw.failed,
-                                        "seconds": time.perf_counter() - t0})
+            record("gw-cut", gw.value, seconds, failed=gw.failed)
             verdicts["gw_guarantee"] = "fail" if gw.failed else "pass"
     if "rank3" in algorithms or "best" in algorithms:
-        t0 = time.perf_counter()
-        rank3 = sdp.rank3_round(g, sol, report_bounds.best, seed=args.seed,
+        rank3, seconds = _timed(sdp.rank3_round, g, sol, report_bounds.best, seed=args.seed,
                                 attempts=args.attempts)
         if "rank3" in algorithms:
-            record("rank3-product", rank3.value,
-                   {"failed": rank3.failed, "seconds": time.perf_counter() - t0})
+            record("rank3-product", rank3.value, seconds, failed=rank3.failed)
     if "best" in algorithms:
-        t0 = time.perf_counter()
-        rep = states.best_few_qubit_candidate(g, decomp, singlet, rank3)
-        record("best-candidate", rep.energy,
-               {"winner": rep.label, "seconds": time.perf_counter() - t0})
+        rep, seconds = _timed(states.best_few_qubit_candidate, g, decomp, singlet, rank3)
+        record("best-candidate", rep.energy, seconds, winner=rep.label)
         if opt:
             verdicts["candidate_ratio"] = (
                 "pass" if rep.energy / opt >= 0.53 - 1e-9 else "fail")
         else:
             verdicts["candidate_ratio"] = "not-applicable"
     if "circuit" in algorithms:
-        t0 = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = circuit_mod.shallow_circuit_pipeline(g, sol, gw)
-        record("shallow-circuit", res.energy,
-               {"theta": res.circuit.theta, "layers": len(res.circuit.layers),
-                "warnings": [str(w.message) for w in caught],
-                "seconds": time.perf_counter() - t0})
+            res, seconds = _timed(circuit_mod.shallow_circuit_pipeline, g, sol, gw)
+        record("shallow-circuit", res.energy, seconds, theta=res.circuit.theta,
+               layers=len(res.circuit.layers), warnings=[str(w.message) for w in caught])
         if res.guaranteed:
             verdicts["circuit_guarantee"] = (
                 "pass" if res.ratio >= res.guarantee_value - 1e-9 else "fail")
@@ -153,7 +140,7 @@ def _solve(g, args) -> dict:
         "schema": SCHEMA_VERSION,
         "graph": {"n": g.n, "edges": len(g.edges), "total_weight": g.total_weight,
                   "regular_degree": d if d is not None else "irregular"},
-        "bounds": report_bounds.to_json(),
+        "bounds": dataclasses.asdict(report_bounds),
         "opt": opt,
         "algorithms": entries,
         "verdicts": verdicts,
@@ -187,7 +174,7 @@ def run_reproduce(args) -> int:
         report = {
             "schema": SCHEMA_VERSION,
             "which": "prod2-minmax",
-            "grid_step": 1e-3,
+            "grid_step": GRID_STEP,
             "exact_minimum": _grid_minimum(weakened=False),
             "weakened_minimum": _grid_minimum(weakened=True),
             "exact_target": 0.55,

@@ -1,9 +1,16 @@
-"""Random test-instance generators (edge-list graphs)."""
+"""Random test-instance generators (edge-list graphs).
+
+Each generator checks that numpy can index the arrays its vertex count asks
+for (`check_size`) before it allocates: a count it cannot is a MemoryError.
+"""
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import GraphError, WeightedGraph, depth_parity
+from .graphs import GraphError, WeightedGraph, check_size, depth_parity
+
+CONNECT_TRIES = 1000  # G(n, p) draws before random_connected_graph pads with a tree
+PAIRING_TRIES = 2000  # pairings regular_graph draws before it gives up
 
 
 def sample_weights(kind: str, count: int, rng) -> list[float]:
@@ -18,40 +25,48 @@ def sample_weights(kind: str, count: int, rng) -> list[float]:
     raise ValueError(f"unknown weight model {kind!r}")
 
 
+def _gnp_pairs(n: int, p: float, rng) -> list[tuple[int, int]]:
+    """The pairs u < v of G(n, p) in order, each kept if its uniform draw is
+    below p; the draws of pairs (u, u+1..n-1) are taken as one row."""
+    check_size(n)
+    pairs = []
+    for u in range(n):
+        kept = np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1
+        pairs.extend((u, v) for v in kept.tolist())
+    return pairs
+
+
 def gnp_graph(n: int, p: float, rng, weights: str = "unit") -> WeightedGraph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges = _gnp_pairs(n, p, rng)
     ws = sample_weights(weights, len(edges), rng)
     return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, ws)])
 
 
-def random_connected_graph(n: int, p: float, rng, weights: str = "unit",
-                           max_tries: int = 1000) -> WeightedGraph:
-    """G(n, p) conditioned on connectivity; falls back to padding with a
-    random spanning tree if rejection takes too long."""
-    for _ in range(max_tries):
+def random_connected_graph(n: int, p: float, rng, weights: str = "unit") -> WeightedGraph:
+    """G(n, p) conditioned on connectivity; after CONNECT_TRIES draws, falls
+    back to padding a random spanning tree with the pairs of one more draw."""
+    for _ in range(CONNECT_TRIES):
         g = gnp_graph(n, p, rng, weights)
         if depth_parity(g.csr)[0] == 1:
             return g
     # pad: random permutation tree plus the gnp edges
     perm = list(rng.permutation(n))
     tree = [(perm[i], perm[i + 1]) for i in range(n - 1)]
-    extra = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     keys = {(min(u, v), max(u, v)) for u, v in tree}
-    edges = list(keys) + [e for e in ((min(u, v), max(u, v)) for u, v in extra)
-                          if e not in keys]
+    edges = list(keys) + [e for e in _gnp_pairs(n, p, rng) if e not in keys]
     ws = sample_weights(weights, len(edges), rng)
     return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, ws)])
 
 
-def regular_graph(n: int, d: int, rng, weights: str = "unit",
-                  max_tries: int = 2000) -> WeightedGraph:
+def regular_graph(n: int, d: int, rng, weights: str = "unit") -> WeightedGraph:
     """Random d-regular simple graph by the pairing model with rejection."""
     if n * d % 2 != 0:
         raise GraphError(f"no {d}-regular graph on {n} vertices (n*d is odd)")
     if d >= n:
         raise GraphError("degree must be below the vertex count")
+    check_size(n, d)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
         keys = set()
@@ -72,6 +87,7 @@ def regular_graph(n: int, d: int, rng, weights: str = "unit",
 def star_graph(n: int, weights: str = "unit", rng=None) -> WeightedGraph:
     if n < 2:
         raise GraphError("a star needs at least 2 vertices")
+    check_size(n)
     rng = rng if rng is not None else np.random.default_rng(0)
     ws = sample_weights(weights, n - 1, rng)
     return WeightedGraph.from_edges(n, [(0, v, ws[v - 1]) for v in range(1, n)])
@@ -80,6 +96,7 @@ def star_graph(n: int, weights: str = "unit", rng=None) -> WeightedGraph:
 def cycle_graph(n: int, weights: str = "unit", rng=None) -> WeightedGraph:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
+    check_size(n)
     rng = rng if rng is not None else np.random.default_rng(0)
     ws = sample_weights(weights, n, rng)
     edges = [(v, (v + 1) % n, ws[v]) for v in range(n)]

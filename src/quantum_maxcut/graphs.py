@@ -7,8 +7,9 @@ operations here are pure functions.
 Every numeric evaluator reads one core, computed once per graph on first use
 and read-only: edge arrays `u`, `v`, `w` in edge order, the sparse weight matrix
 `csr` (the only neighborhood structure; the BFS of `depth_parity` walks its
-`indptr` and `indices`), per-edge `triangles` and a proper vertex coloring
-`color_classes`.
+`indptr` and `indices`), the `weight_exponent` k of the exact w / 2^k
+scaling that scale-free stages run on, per-edge `triangles` and a proper
+vertex coloring `color_classes`.
 """
 from __future__ import annotations
 
@@ -111,6 +112,12 @@ class WeightedGraph:
         return a
 
     @cached_property
+    def weight_exponent(self) -> int:
+        """k with 2^k the power of two just above the largest weight (0 if none
+        is positive): stages run on w / 2^k, exact, so results scale with w."""
+        return math.frexp(float(self.w.max(initial=0.0)))[1]
+
+    @cached_property
     def triangles(self) -> np.ndarray:
         """Per-edge number of common neighbors of the endpoints: the binary
         pattern of `csr` is sampled at (other endpoint, x) for each neighbor x
@@ -157,6 +164,15 @@ class WeightedGraph:
         """Return the common degree if the graph is regular, else None."""
         degs = set(self.degree)
         return self.degree[0] if len(degs) == 1 else None
+
+
+def check_size(*shape: int) -> None:
+    """MemoryError, naming the size, for a float array whose byte count numpy
+    cannot even index (it would raise ValueError, "array is too big")."""
+    count = math.prod(shape)
+    if count * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate a {' x '.join(map(str, shape))} float array: "
+                          f"{count * 8} bytes is beyond numpy's index range")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

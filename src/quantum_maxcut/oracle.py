@@ -19,12 +19,12 @@ from scipy.sparse import coo_array
 
 from .graphs import WeightedGraph
 
-DEFAULT_QUBIT_CAP = 20
+QUBIT_CAP = 20  # states, energies and the eigenvalue: at most this many qubits
 BRUTE_FORCE_CAP = 24
 
 
 class ResourceLimitError(RuntimeError):
-    """Instance exceeds the configured qubit cap."""
+    """Instance exceeds the qubit cap."""
 
 
 class ConvergenceError(RuntimeError):
@@ -45,10 +45,9 @@ def basis_state(n: int, bits) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def apply_hamiltonian(g: WeightedGraph, psi: np.ndarray,
-                      cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def apply_hamiltonian(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
     """Return H_G |psi> (unnormalized), preserving the input dtype."""
-    _check_cap(g.n, cap)
+    _check_cap(g.n, QUBIT_CAP)
     t = np.asarray(psi).reshape([2] * g.n)
     out = g.total_weight * t
     for u, v, w in g.edges:
@@ -56,13 +55,13 @@ def apply_hamiltonian(g: WeightedGraph, psi: np.ndarray,
     return out.reshape(-1)
 
 
-def energy(g: WeightedGraph, psi: np.ndarray, cap: int = DEFAULT_QUBIT_CAP) -> float:
+def energy(g: WeightedGraph, psi: np.ndarray) -> float:
     """<psi| H_G |psi> for a normalized state."""
     psi = np.asarray(psi)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state is not normalized (norm {norm})")
-    val = np.vdot(psi, apply_hamiltonian(g, psi, cap=cap))
+    val = np.vdot(psi, apply_hamiltonian(g, psi))
     if abs(val.imag) > 1e-10:
         raise AssertionError(f"energy has imaginary part {val.imag}")
     return float(val.real)
@@ -94,25 +93,24 @@ def sector_hamiltonian(g: WeightedGraph):
     return coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8,
-                   cap: int = DEFAULT_QUBIT_CAP) -> float:
+def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8) -> float:
     """Largest eigenvalue of H_G by Lanczos on `sector_hamiltonian(g)`, which
     is H_G on an invariant subspace; ConvergenceError if Lanczos fails or the
     residual ||H v - lam v|| exceeds max(tol, 1e-12) * lam.
 
-    Lanczos and the residual run on H / 2^k, with 2^k the power of two just
-    above the largest weight (`frexp`), and lam is scaled back: the scaling
-    is exact, no square in the residual overflows, and as lam >= 2 max w
-    (the top of one edge's term), lam >= 1 in those units, so the relative
-    bound needs no floor and holds at any weight scale. `scipy.sparse.linalg`
-    is imported here, so that only runs of the oracle load it."""
+    Lanczos and the residual run on H / 2^k, k the graph's `weight_exponent`,
+    and lam is scaled back: the scaling is exact, no square in the residual
+    overflows, and as lam >= 2 max w (the top of one edge's term), lam >= 1
+    in those units, so the relative bound needs no floor and holds at any
+    weight scale. `scipy.sparse.linalg` is imported here, so that only runs
+    of the oracle load it."""
     from scipy.sparse.linalg import ArpackError, eigsh
 
-    _check_cap(g.n, cap)
+    _check_cap(g.n, QUBIT_CAP)
     if g.total_weight == 0:
         return 0.0  # H_G = 0, on which Lanczos has no start vector
     h = sector_hamiltonian(g)  # real symmetric
-    k = np.frexp(g.w.max())[1]
+    k = g.weight_exponent
     np.ldexp(h.data, -k, out=h.data)
     rng = np.random.default_rng(7)  # fixed start for reproducible failures
     bound = max(tol, 1e-12)  # Lanczos stops at a hundredth of it, not at machine precision
@@ -128,8 +126,7 @@ def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8,
     return float(np.ldexp(lam, k))
 
 
-def simulate_variational_state(g: WeightedGraph, bits, theta: float,
-                               cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def simulate_variational_state(g: WeightedGraph, bits, theta: float) -> np.ndarray:
     """Apply the commuting gate product prod_{{j,k} in E} exp(i theta P(j)P(k)) to |bits>.
 
     P(j) = X if bit j is 1, else Y. Gates commute, so they are applied in edge
@@ -137,7 +134,7 @@ def simulate_variational_state(g: WeightedGraph, bits, theta: float,
     as Y|b> = i(-1)^b |1-b>, each Y axis also takes the phase -i on output
     bit 0 and +i on output bit 1.
     """
-    _check_cap(g.n, cap)
+    _check_cap(g.n, QUBIT_CAP)
     n = g.n
     if len(bits) != n:
         raise ValueError("bit string length must equal qubit count")

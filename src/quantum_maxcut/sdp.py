@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import _sparsetools, csr_array
 
-from .graphs import WeightedGraph, cut_value
+from .graphs import WeightedGraph, check_size, cut_value
 
 GW_RATIO = 0.8785
 # 0.956 (rank-3 rounding vs best product state) times the 0.5 worst case of
@@ -113,20 +113,6 @@ def _renumbered(a: csr_array, order: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return indptr, rank[a.indices[pos]], a.data[pos]
 
 
-def _check_size(*shape: int) -> None:
-    """MemoryError, naming the size, for a float array whose byte count numpy
-    cannot even index (it would raise ValueError, "array is too big")."""
-    count = math.prod(shape)
-    if count * 8 > np.iinfo(np.intp).max:
-        raise MemoryError(f"cannot allocate a {' x '.join(map(str, shape))} float array: "
-                          f"{count * 8} bytes is beyond numpy's index range")
-
-
-def _weight_exponent(g: WeightedGraph) -> int:
-    """k with 2^k the power of two just above the largest weight (`frexp`)."""
-    return math.frexp(float(g.w.max(initial=0.0)))[1]
-
-
 def _csr_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                  x: np.ndarray, out: np.ndarray) -> None:
     """out = A x for the CSR rows (indptr, indices, data) and a C-contiguous
@@ -156,10 +142,9 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     updated in place, and the product A V that scores a sweep holds the next
     sweep's first neighbor sums: a sweep takes one sparse product per class.
 
-    The kernel runs on a = -A / 2^k, with 2^k the power of two just above the
-    largest weight (`frexp`), so the update is normalize(a V). Negation and
-    power-of-two scaling are exact: the iterates are those of A, bit for bit,
-    and scaling every weight by a power of two changes none of them, while
+    The kernel runs on a = -A / 2^k, with k the graph's `weight_exponent`,
+    so the update is normalize(a V). Negation and power-of-two scaling are
+    exact: the iterates are those of A, bit for bit, and scaling every weight by a power of two changes none of them, while
     no squared length of a neighbor sum can overflow. A vertex whose neighbor
     sum is zero, or so small in the units of a (at most 2^-511) that its
     square would lose bits to underflow, keeps its vector. The class-order
@@ -176,7 +161,7 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     n, starts, r = vecs.shape
     _check_unit(vecs)
     order = np.concatenate(g.color_classes)
-    k = _weight_exponent(g)
+    k = g.weight_exponent
     indptr, indices, data = _renumbered(g.csr, order)
     data = -np.ldexp(data, -k)
     half_weight = math.ldexp(g.total_weight, -k) / 2
@@ -235,7 +220,7 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     r = rank if rank is not None else auto_rank(g.n)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
-    _check_size(g.n, max(r, g.n))  # the (n, r) vectors and the dense n x n certificate
+    check_size(g.n, max(r, g.n))  # the (n, r) vectors and the dense n x n certificate
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
@@ -244,7 +229,7 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     grad = g.csr @ vecs  # d(objective)/dv_i = -grad_i / 2
     radial = np.vecdot(grad, vecs)
     # the tangential gradient in the units of A / 2^k, as in the kernel: no square overflows
-    k = _weight_exponent(g)
+    k = g.weight_exponent
     tangential = np.ldexp(grad - radial[:, None] * vecs, -k)
     residual = math.ldexp(math.sqrt(np.vecdot(tangential, tangential).max(initial=0.0)), k) / 2
     return GramSolution(vectors=vecs, objective=float(obj), residual=residual,
@@ -278,7 +263,7 @@ def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     re-scored by `cut_value`. failed is set when even the best cut is below
     0.8785 times the relaxation objective.
     """
-    _check_size(attempts, max(sol.rank, g.n))  # the planes and the (n, attempts) spins
+    check_size(attempts, max(sol.rank, g.n))  # the planes and the (n, attempts) spins
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((attempts, sol.rank))
     signs = planes @ sol.vectors.T > 0  # (attempts, n)
@@ -304,7 +289,7 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, upper_bound: float,
     against 0.478 times `upper_bound`, an upper bound on the maximum energy
     (the CLI passes its best bound), less 1e-12 of it.
     """
-    _check_size(attempts, max(sol.rank, g.n), 3)  # the projections and the Bloch vectors
+    check_size(attempts, max(sol.rank, g.n), 3)  # the projections and the Bloch vectors
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((attempts, sol.rank, 3))
     bloch = (sol.vectors @ draws.transpose(1, 0, 2).reshape(sol.rank, -1)).reshape(g.n, attempts, 3)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from quantum_maxcut import (
+    WeightedGraph,
     max_eigenvalue,
     opt_upper_bound,
     parse_graph,
@@ -86,6 +89,15 @@ class TestSdpCombinedBound:
     def test_infeasible_value_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             sdp_combined_bound(TRIANGLE, 1.0)
+
+    @pytest.mark.parametrize("j", [-60, -500, 0, 500])
+    def test_feasibility_slack_scales_with_weights(self, j):
+        """The slack below W/2 is relative: at weights 2^j, 0 is rejected,
+        so no bound comes out negative, and W/2 itself is accepted."""
+        g = WeightedGraph.from_edges(3, [(0, 1, 2.0 ** j), (1, 2, 2.0 ** j), (0, 2, 2.0 ** j)])
+        with pytest.raises(ValueError, match="infeasible"):
+            opt_upper_bound(g, sdp_value=0.0)
+        assert opt_upper_bound(g, sdp_value=g.total_weight / 2).best == math.ldexp(1.5, j)
 
 
 class TestBasisStateRatio:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from quantum_maxcut import bounds, graphs, sdp, states
+from quantum_maxcut import bounds, generate, graphs, sdp, states
 from quantum_maxcut.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -188,6 +189,41 @@ def test_extreme_weights_solve(tmp_path, capsys, edges):
     assert "Traceback" not in captured.err and "Warning" not in captured.err
     report = json.loads(captured.out)
     assert all(np.isfinite(e["value"]) for e in report["algorithms"])
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda rng: generate.regular_graph(12, 3, rng), id="regular3-n12"),
+    pytest.param(lambda rng: generate.gnp_graph(10, 0.5, rng, weights="exp"), id="exp-gnp-n10"),
+])
+def test_reports_scale_with_power_of_two_weights(tmp_path, capsys, graph):
+    """At weights times 2^j, j in {-500, -40, 0, 40, 500}, the exit code,
+    verdicts, bits, pairs, winner, failure flags and angle are those at j = 0,
+    and every value, bound and the exact optimum scale by 2^j to 1e-12
+    relative (the ratios by 1). The SDP runs its 2000 sweeps (`--tol -1`):
+    the stop rule's max(1, .) floor is not scale-free."""
+    g = graph(np.random.default_rng(5))
+
+    def scaled(value, base, j):
+        return value == pytest.approx(math.ldexp(base, j), rel=1e-12, abs=0)
+
+    runs = {}
+    for j in (-500, -40, 0, 40, 500):
+        path = tmp_path / f"g{j}.txt"
+        path.write_text("".join(f"{u} {v} {math.ldexp(w, j)!r}\n" for u, v, w in g.edges))
+        code, out = run(capsys, "solve", str(path), "--tol", "-1", "--oracle", "on")
+        runs[j] = code, json.loads(out)
+    base_code, base = runs[0]
+    for j, (code, report) in runs.items():
+        assert (code, report["verdicts"]) == (base_code, base["verdicts"]), j
+        assert scaled(report["opt"], base["opt"], j), j
+        assert all(scaled(report["bounds"][key], value, j)
+                   for key, value in base["bounds"].items()), j
+        for entry, ref in zip(report["algorithms"], base["algorithms"], strict=True):
+            assert scaled(entry["value"], ref["value"], j), (j, ref["label"])
+            for key in ("ratio_vs_upper_bound", "ratio_vs_opt"):
+                assert scaled(entry[key], ref[key], 0), (j, ref["label"], key)
+            for key in ("bits", "pairs", "winner", "failed", "theta", "layers", "sweeps"):
+                assert entry.get(key) == ref.get(key), (j, ref["label"], key)
 
 
 def test_consecutive_calls_share_no_parsed_state(tmp_path, capsys):
@@ -392,8 +428,9 @@ def test_huge_requests_exit_1_under_memory_cap(tmp_path):
     GiB; a vertex id of 99999999999) exit 1 with one `error:` line, and so do
     sizes whose byte count numpy cannot even index (an n x n certificate at a
     vertex id of 999999999999999, 1e18 attempts), where numpy would raise
-    ValueError. They run in one subprocess with its address space capped at
-    1 GiB, so a buffer the host would overcommit is never touched."""
+    ValueError, and `random` at every model for 1e18, 2e18 and 1e19 vertices.
+    They run in one subprocess with its address space capped at 1 GiB, so a
+    buffer the host would overcommit is never touched."""
     pytest.importorskip("resource")
     edge, far, farther = tmp_path / "edge.txt", tmp_path / "far.txt", tmp_path / "farther.txt"
     edge.write_text("0 1\n")
@@ -403,6 +440,8 @@ def test_huge_requests_exit_1_under_memory_cap(tmp_path):
              ["solve", str(far), "--rank", "1", "--oracle", "off"],
              ["solve", str(farther), "--oracle", "off"],
              ["solve", str(edge), "--attempts", "1000000000000000000"]]
+    cases += [["random", "--n", str(n), "--model", model] for n in (10**18, 2 * 10**18, 10**19)
+              for model in ("gnp", "star", "cycle", "regular-3")]
     code = (
         "import contextlib, io, json, resource\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"

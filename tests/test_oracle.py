@@ -83,9 +83,14 @@ class TestApplyHamiltonian:
         assert energy(TRIANGLE, psi) == pytest.approx(2.0, abs=1e-12)
 
     def test_cap_enforced(self):
-        big = WeightedGraph.from_edges(5, [(0, 1)])
-        with pytest.raises(ResourceLimitError):
-            apply_hamiltonian(big, np.zeros(2 ** 5), cap=4)
+        """Each full-space routine and the eigenvalue refuse a graph over the
+        20-qubit cap before they touch a state."""
+        big = WeightedGraph.from_edges(21, [(0, 1)])
+        for run in (lambda: apply_hamiltonian(big, np.zeros(2 ** 5)),
+                    lambda: energy(big, np.ones(1)), lambda: max_eigenvalue(big),
+                    lambda: simulate_variational_state(big, (0,) * 21, 0.1)):
+            with pytest.raises(ResourceLimitError, match="21 qubits exceeds the cap of 20"):
+                run()
 
 
 class TestMaxEigenvalue:

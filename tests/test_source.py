@@ -42,6 +42,14 @@ def test_only_the_kernel_calls_private_scipy():
     assert names == ["sdp.py"]
 
 
+def test_only_the_graph_takes_the_weight_exponent():
+    """`WeightedGraph.weight_exponent` is the one place the exponent k of the
+    w / 2^k scaling is worked out (by `frexp`); the SDP kernel and residual,
+    the circuit energies and the oracle read it."""
+    names = [p.name for p in SRC if "frexp" in p.read_text()]
+    assert names == ["graphs.py"]
+
+
 def test_only_main_writes_to_stderr():
     """`cli.main` is the CLI's one error path: every other function raises."""
     tree = ast.parse(next(p for p in SRC if p.name == "cli.py").read_text())
