@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import GraphError, WeightedGraph, check_size, depth_parity
+from .graphs import GraphError, WeightedGraph, check_size, pair_depth_parity
 
 CONNECT_TRIES = 1000  # G(n, p) draws before random_connected_graph pads with a tree
 PAIRING_TRIES = 2000  # pairings regular_graph draws before it gives up
@@ -44,11 +44,15 @@ def gnp_graph(n: int, p: float, rng, weights: str = "unit") -> WeightedGraph:
 
 def random_connected_graph(n: int, p: float, rng, weights: str = "unit") -> WeightedGraph:
     """G(n, p) conditioned on connectivity; after CONNECT_TRIES draws, falls
-    back to padding a random spanning tree with the pairs of one more draw."""
+    back to padding a random spanning tree with the pairs of one more draw.
+    Every draw takes its weights, so the RNG stream is that of drawing whole
+    graphs, but connectivity is tested on the pairs and only the accepted
+    draw becomes a graph (fewer than n - 1 pairs cannot be connected)."""
     for _ in range(CONNECT_TRIES):
-        g = gnp_graph(n, p, rng, weights)
-        if depth_parity(g.csr)[0] == 1:
-            return g
+        edges = _gnp_pairs(n, p, rng)
+        ws = sample_weights(weights, len(edges), rng)
+        if len(edges) >= n - 1 and pair_depth_parity(n, edges)[0] == 1:
+            return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, ws)])
     # pad: random permutation tree plus the gnp edges
     perm = list(rng.permutation(n))
     tree = [(perm[i], perm[i + 1]) for i in range(n - 1)]

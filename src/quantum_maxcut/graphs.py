@@ -4,19 +4,22 @@ Vertices are integers 0..n-1. Edges are stored canonically as (u, v, w) with
 u < v and finite w >= 0. Graphs are immutable after construction; all
 operations here are pure functions.
 
-Every numeric evaluator reads one core, computed once per graph on first use
-and read-only: edge arrays `u`, `v`, `w` in edge order, the sparse weight matrix
-`csr` (the only neighborhood structure; the BFS of `depth_parity` walks its
-`indptr` and `indices`), the `weight_exponent` k of the exact w / 2^k
-scaling that scale-free stages run on, per-edge `triangles` and a proper
-vertex coloring `color_classes`.
+Every numeric evaluator reads one read-only core. Construction turns `edges`
+into the edge arrays `u`, `v`, `w` (edge order) once, and validates those
+arrays in one vectorized pass; `parse_graph` likewise tokenizes a document in
+one Python pass and checks every value as array expressions, its errors
+still naming the first bad line. Computed on first use: the sparse weight
+matrix `csr` (the only neighborhood structure; the BFS of `depth_parity`
+walks its `indptr` and `indices`), the `weight_exponent` k of the exact
+w / 2^k scaling that scale-free stages run on, per-edge `triangles` and a
+proper vertex coloring `color_classes`.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,67 +42,52 @@ class WeightedGraph:
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
+    # built from `edges` at construction: read-only arrays in edge order, and
+    # Python's sequential sum of the weights
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("graph needs at least one vertex")
-        seen = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if u > v:
-                raise GraphError(f"edge ({u}, {v}) not in canonical u < v order")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            if not math.isfinite(w):
-                raise GraphError(f"non-finite weight {w} on edge ({u}, {v})")
-            if w < 0:
-                raise GraphError(f"negative weight {w} on edge ({u}, {v})")
-            seen.add((u, v))
-        if not math.isfinite(2 * self.total_weight):
-            raise GraphError(f"total weight {self.total_weight} too large: twice it must be finite")
+        us, vs, ws = zip(*self.edges) if self.edges else ((), (), ())
+        u, v, w = _ids(us), _ids(vs), np.array(ws, dtype=float)
+        _raise_first(GraphError, [
+            ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.n),
+             "vertex id out of range in edge ({u}, {v})"),
+            (u == v, "self-loop at vertex {u}"),
+            (u > v, "edge ({u}, {v}) not in canonical u < v order"),
+            (_repeats(u, v)[0], "duplicate edge ({u}, {v})"),
+            (~np.isfinite(w), "non-finite weight {w} on edge ({u}, {v})"),
+            (w < 0, "negative weight {w} on edge ({u}, {v})"),
+        ], u=us, v=vs, w=ws)
+        total = float(sum(ws))
+        if not math.isfinite(2 * total):
+            raise GraphError(f"total weight {total} too large: twice it must be finite")
+        object.__setattr__(self, "u", _read_only(u.astype(np.intp, copy=False)))
+        object.__setattr__(self, "v", _read_only(v.astype(np.intp, copy=False)))
+        object.__setattr__(self, "w", _read_only(w))
+        object.__setattr__(self, "total_weight", total)
 
     @classmethod
     def from_edges(cls, n, edges):
         """Build a graph from (u, v) or (u, v, w) items, canonicalizing order."""
-        canon = []
-        for e in edges:
-            if len(e) == 2:
-                u, v = e
-                w = 1.0
-            else:
-                u, v, w = e
-            if u > v:
-                u, v = v, u
-            canon.append((int(u), int(v), float(w)))
-        canon.sort(key=lambda e: (e[0], e[1]))
-        return cls(n, tuple(canon))
+        rows = [e if len(e) != 2 else (*e, 1.0) for e in edges]
+        us, vs, ws = zip(*rows) if rows else ((), (), ())
+        u, v = _ids(list(map(int, us))), _ids(list(map(int, vs)))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        w = np.array(list(map(float, ws)), dtype=float)
+        return cls(n, _edge_tuple(lo, hi, w, np.lexsort((hi, lo))))
 
     @cached_property
     def degree(self) -> tuple[int, ...]:
         return tuple(np.bincount(np.r_[self.u, self.v], minlength=self.n).tolist())
 
     @cached_property
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
-
-    @cached_property
     def max_degree(self) -> int:
         return max(self.degree) if self.n else 0
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        return _read_only(np.array([e[0] for e in self.edges], dtype=np.intp))
-
-    @cached_property
-    def v(self) -> np.ndarray:
-        return _read_only(np.array([e[1] for e in self.edges], dtype=np.intp))
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return _read_only(np.array([e[2] for e in self.edges], dtype=float))
 
     @cached_property
     def csr(self) -> sp.csr_array:
@@ -188,46 +176,88 @@ def _lowest_free(mask: int) -> int:
 def parse_graph(text: str) -> WeightedGraph:
     """Parse an edge-list document: lines "u v [w]", '#' comments, blanks ignored.
 
-    Weights default to 1.0. Vertex count is max id + 1.
+    Weights default to 1.0. Vertex count is max id + 1. An error names the
+    first bad line and, on it, the first failing check in this order: token
+    count, integer ids, real weight, self-loop, finite weight, nonnegative
+    weight, nonnegative ids, ids at most MAX_VERTEX_ID, a pair no earlier
+    line has. One Python pass tokenizes and converts up to the first token
+    that does not convert; the other checks run on the arrays of the lines
+    before it.
     """
-    edges = []
-    seen = set()
+    lines, us, vs, ws = [], [], [], []
+    fault = None  # the first line whose tokens do not convert
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) not in (2, 3):
-            raise ParseError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
+            fault = f"line {lineno}: expected 'u v [w]', got {raw!r}"
+            break
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"line {lineno}: vertex ids must be integers") from None
-        w = 1.0
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: weight must be a real number") from None
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        if not math.isfinite(w):
-            raise ParseError(f"line {lineno}: weight must be finite, got {w}")
-        if w < 0:
-            raise ParseError(f"line {lineno}: negative weight {w}")
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex id")
-        if max(u, v) > MAX_VERTEX_ID:
-            raise ParseError(f"line {lineno}: vertex id too large, above {MAX_VERTEX_ID}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append((u, v, w))
-    if not edges:
+            fault = f"line {lineno}: vertex ids must be integers"
+            break
+        try:
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            fault = f"line {lineno}: weight must be a real number"
+            break
+        lines.append(lineno)
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    u, v, w = _ids(us), _ids(vs), np.array(ws, dtype=float)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    repeated, order = _repeats(lo, hi)
+    _raise_first(ParseError, [
+        (u == v, "line {line}: self-loop at vertex {u}"),
+        (~np.isfinite(w), "line {line}: weight must be finite, got {w}"),
+        (w < 0, "line {line}: negative weight {w}"),
+        (lo < 0, "line {line}: negative vertex id"),
+        (hi > MAX_VERTEX_ID, f"line {{line}}: vertex id too large, above {MAX_VERTEX_ID}"),
+        (repeated, "line {line}: duplicate edge ({lo}, {hi})"),
+    ], line=lines, u=us, w=ws, lo=lo, hi=hi)
+    if fault is not None:
+        raise ParseError(fault)
+    if not us:
         raise ParseError("no edges in document")
-    n = max(max(u, v) for u, v, _ in edges) + 1
-    return WeightedGraph.from_edges(n, edges)
+    return WeightedGraph(int(hi.max()) + 1, _edge_tuple(lo, hi, w, order))
+
+
+def _ids(values) -> np.ndarray:
+    """Vertex ids as an intp array, or as an object array of Python ints when
+    one is beyond intp, so that the checks can still name it."""
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _repeats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of rows whose pair (a, b) an earlier row already has, and the
+    rows in (a, b) order: a stable lexsort, so a pair's first row leads."""
+    order = np.lexsort((b, a))
+    a_sorted, b_sorted = a[order], b[order]
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = (a_sorted[1:] == a_sorted[:-1]) & (b_sorted[1:] == b_sorted[:-1])
+    return repeated, order
+
+
+def _edge_tuple(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, order: np.ndarray) -> tuple:
+    """The edges (lo, hi, w) as Python tuples, in `order`."""
+    return tuple(zip(lo[order].tolist(), hi[order].tolist(), w[order].tolist()))
+
+
+def _raise_first(error: type, checks: list, **columns) -> None:
+    """Raise `error` at the first row flagged by any mask of `checks`, a list
+    of (mask, message template) in check order, with the template of the
+    first mask that flags it, formatted with that row of each column."""
+    flagged = np.array([mask for mask, _ in checks])
+    if np.count_nonzero(flagged):
+        row = int(flagged.any(axis=0).argmax())
+        template = checks[int(flagged[:, row].argmax())][1]
+        raise error(template.format(**{name: col[row] for name, col in columns.items()}))
 
 
 def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
@@ -237,15 +267,20 @@ def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
     Errors if the edge set contains a cycle (more edges than n minus the
     number of components).
     """
-    ends = np.array([e[:2] for e in forest], dtype=np.intp).reshape(-1, 2)
-    # each edge stored both ways, as the BFS follows stored entries only
-    f = sp.csr_array((np.ones(2 * len(ends)), (np.r_[ends[:, 0], ends[:, 1]],
-                                               np.r_[ends[:, 1], ends[:, 0]])),
-                     shape=(g.n, g.n))
-    count, bits = depth_parity(f)
-    if len(ends) != g.n - count:
+    count, bits = pair_depth_parity(g.n, forest)
+    if len(forest) != g.n - count:
         raise GraphError("edge set contains a cycle")
     return bits
+
+
+def pair_depth_parity(n: int, pairs) -> tuple[int, tuple[int, ...]]:
+    """`depth_parity` of the graph on vertices 0..n-1 whose edges are the
+    (u, v, ...) items of pairs, each given once in either orientation."""
+    ends = np.array([e[:2] for e in pairs], dtype=np.intp).reshape(-1, 2)
+    # each edge stored both ways, as the BFS follows stored entries only
+    return depth_parity(sp.csr_array((np.ones(2 * len(ends)),
+                                      (np.r_[ends[:, 0], ends[:, 1]], np.r_[ends[:, 1], ends[:, 0]])),
+                                     shape=(n, n)))
 
 
 def depth_parity(a: sp.csr_array) -> tuple[int, tuple[int, ...]]:

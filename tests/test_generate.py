@@ -100,3 +100,19 @@ def test_regular_star_cycle_match_references(kind):
                             n, [(v, (v + 1) % n, w) for v, w in
                                 enumerate(sample_weights(kind, n, rng))]), seed)
 
+
+
+@pytest.mark.parametrize("kind, edges, state", [
+    ("unit", ((0, 1, 1.0), (0, 4, 1.0), (1, 3, 1.0), (2, 3, 1.0)),
+     72780832909491781002118416579071300325),
+    ("exp", ((0, 3, 0.0018691730287954329), (0, 4, 0.8212897033214399),
+             (1, 2, 0.14309163031586639), (1, 4, 2.1768294093094633)),
+     129645811320608282106713265716104536944),
+])
+def test_pad_path_pinned(kind, edges, state):
+    """G(5, 0.01) is never connected in CONNECT_TRIES draws: the padded graph
+    and the generator's state after the call, as recorded."""
+    rng = np.random.default_rng(7)
+    g = random_connected_graph(5, 0.01, rng, kind)
+    assert (g.n, g.edges) == (5, edges)
+    assert rng.bit_generator.state["state"]["state"] == state
