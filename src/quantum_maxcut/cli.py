@@ -245,6 +245,7 @@ def _checked(convert, ok, requirement: str):
 _SEED = _checked(int, lambda x: x >= 0, "non-negative")
 _COUNT = _checked(int, lambda x: x >= 1, "at least 1")
 _TOL = _checked(float, lambda x: not math.isnan(x), "a number")
+_PROBABILITY = _checked(float, lambda x: 0 <= x <= 1, "in [0, 1]")
 
 
 def _algorithms(text: str) -> list[str]:
@@ -257,9 +258,9 @@ def _algorithms(text: str) -> list[str]:
 
 
 def _model(text: str) -> str:
-    """`random --model`: gnp, star, cycle or regular-D."""
+    """`random --model`: gnp, star, cycle or regular-D, D at least 1."""
     degree = text.removeprefix("regular-")
-    if text in ("gnp", "star", "cycle") or (text != degree and degree.isdecimal()):
+    if text in ("gnp", "star", "cycle") or text != degree and degree.isdecimal() and int(degree):
         return text
     raise argparse.ArgumentTypeError(f"unknown model {text!r}")
 
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("--n", type=int, required=True)
     p_rand.add_argument("--model", type=_model, default="gnp",
                         help="gnp | regular-D | star | cycle")
-    p_rand.add_argument("--p", type=float, default=0.5, help="edge probability for gnp")
+    p_rand.add_argument("--p", type=_PROBABILITY, default=0.5, help="edge probability for gnp")
     p_rand.add_argument("--weights", choices=("unit", "uniform", "exp"),
                         default="unit")
     p_rand.add_argument("--seed", type=_SEED, default=0)
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--which", choices=("G-values", "prod2-minmax", "theorem5"),
                        required=True)
     p_rep.add_argument("--seed", type=_SEED, default=0)
-    p_rep.add_argument("--instances", type=int, default=50)
+    p_rep.add_argument("--instances", type=_COUNT, default=50)
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(func=run_reproduce)
     return parser

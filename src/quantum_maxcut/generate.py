@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import GraphError, WeightedGraph, check_size, pair_depth_parity
+from .graphs import GraphError, WeightedGraph, _repeats, check_size, pair_depth_parity
 
 CONNECT_TRIES = 1000  # G(n, p) draws before random_connected_graph pads with a tree
 PAIRING_TRIES = 2000  # pairings regular_graph draws before it gives up
@@ -25,21 +25,18 @@ def sample_weights(kind: str, count: int, rng) -> list[float]:
     raise ValueError(f"unknown weight model {kind!r}")
 
 
-def _gnp_pairs(n: int, p: float, rng) -> list[tuple[int, int]]:
-    """The pairs u < v of G(n, p) in order, each kept if its uniform draw is
-    below p; the draws of pairs (u, u+1..n-1) are taken as one row."""
+def _gnp_pairs(n: int, p: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs u < v of G(n, p) in order, as arrays u and v, each kept if its
+    uniform draw is below p; the draws of pairs (u, u+1..n-1) are taken as one row."""
     check_size(n)
-    pairs = []
-    for u in range(n):
-        kept = np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1
-        pairs.extend((u, v) for v in kept.tolist())
-    return pairs
+    rows = [np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1 for u in range(n)]
+    return (np.repeat(np.arange(n), [len(row) for row in rows]),
+            np.concatenate([np.zeros(0, dtype=np.intp), *rows]))
 
 
 def gnp_graph(n: int, p: float, rng, weights: str = "unit") -> WeightedGraph:
-    edges = _gnp_pairs(n, p, rng)
-    ws = sample_weights(weights, len(edges), rng)
-    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, ws)])
+    u, v = _gnp_pairs(n, p, rng)
+    return WeightedGraph(n, u, v, sample_weights(weights, len(u), rng))
 
 
 def random_connected_graph(n: int, p: float, rng, weights: str = "unit") -> WeightedGraph:
@@ -49,15 +46,16 @@ def random_connected_graph(n: int, p: float, rng, weights: str = "unit") -> Weig
     graphs, but connectivity is tested on the pairs and only the accepted
     draw becomes a graph (fewer than n - 1 pairs cannot be connected)."""
     for _ in range(CONNECT_TRIES):
-        edges = _gnp_pairs(n, p, rng)
-        ws = sample_weights(weights, len(edges), rng)
-        if len(edges) >= n - 1 and pair_depth_parity(n, edges)[0] == 1:
-            return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, ws)])
+        u, v = _gnp_pairs(n, p, rng)
+        ws = sample_weights(weights, len(u), rng)
+        if len(u) >= n - 1 and pair_depth_parity(n, u, v)[0] == 1:
+            return WeightedGraph(n, u, v, ws)
     # pad: random permutation tree plus the gnp edges
     perm = list(rng.permutation(n))
     tree = [(perm[i], perm[i + 1]) for i in range(n - 1)]
     keys = {(min(u, v), max(u, v)) for u, v in tree}
-    edges = list(keys) + [e for e in _gnp_pairs(n, p, rng) if e not in keys]
+    u, v = _gnp_pairs(n, p, rng)
+    edges = list(keys) + [e for e in zip(u.tolist(), v.tolist()) if e not in keys]
     ws = sample_weights(weights, len(edges), rng)
     return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, ws)])
 
@@ -72,19 +70,10 @@ def regular_graph(n: int, d: int, rng, weights: str = "unit") -> WeightedGraph:
     stubs = np.repeat(np.arange(n), d)
     for _ in range(PAIRING_TRIES):
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        keys = set()
-        ok = True
-        for a, b in pairs:
-            a, b = int(a), int(b)
-            if a == b or (min(a, b), max(a, b)) in keys:
-                ok = False
-                break
-            keys.add((min(a, b), max(a, b)))
-        if ok:
-            ws = sample_weights(weights, len(keys), rng)
-            edges = sorted(keys)
-            return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, ws)])
+        lo, hi = np.minimum(stubs[0::2], stubs[1::2]), np.maximum(stubs[0::2], stubs[1::2])
+        repeated, order = _repeats(lo, hi)
+        if not (lo == hi).any() and not repeated.any():  # no self-loop, no duplicate
+            return WeightedGraph(n, lo[order], hi[order], sample_weights(weights, len(lo), rng))
     raise GraphError("pairing model failed to produce a simple graph")
 
 
@@ -94,7 +83,7 @@ def star_graph(n: int, weights: str = "unit", rng=None) -> WeightedGraph:
     check_size(n)
     rng = rng if rng is not None else np.random.default_rng(0)
     ws = sample_weights(weights, n - 1, rng)
-    return WeightedGraph.from_edges(n, [(0, v, ws[v - 1]) for v in range(1, n)])
+    return WeightedGraph(n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n), ws)
 
 
 def cycle_graph(n: int, weights: str = "unit", rng=None) -> WeightedGraph:
@@ -103,8 +92,7 @@ def cycle_graph(n: int, weights: str = "unit", rng=None) -> WeightedGraph:
     check_size(n)
     rng = rng if rng is not None else np.random.default_rng(0)
     ws = sample_weights(weights, n, rng)
-    edges = [(v, (v + 1) % n, ws[v]) for v in range(n)]
-    return WeightedGraph.from_edges(n, edges)
+    return WeightedGraph.from_edges(n, [(v, (v + 1) % n, ws[v]) for v in range(n)])
 
 
 def to_edge_list(g: WeightedGraph) -> str:

@@ -4,15 +4,15 @@ Vertices are integers 0..n-1. Edges are stored canonically as (u, v, w) with
 u < v and finite w >= 0. Graphs are immutable after construction; all
 operations here are pure functions.
 
-Every numeric evaluator reads one read-only core. Construction turns `edges`
-into the edge arrays `u`, `v`, `w` (edge order) once, and validates those
-arrays in one vectorized pass; `parse_graph` likewise tokenizes a document in
-one Python pass and checks every value as array expressions, its errors
-still naming the first bad line. Computed on first use: the sparse weight
-matrix `csr` (the only neighborhood structure; the BFS of `depth_parity`
-walks its `indptr` and `indices`), the `weight_exponent` k of the exact
-w / 2^k scaling that scale-free stages run on, per-edge `triangles` and a
-proper vertex coloring `color_classes`.
+Every numeric evaluator reads one read-only core: a graph is built from its
+edge arrays `u`, `v`, `w` (edge order), copied and validated once in one
+vectorized pass, and `edges` is derived from them. `parse_graph` tokenizes a
+document in one Python pass, checks every value as array expressions (its
+errors still name the first bad line) and hands its canonical arrays over.
+Computed on first use: the sparse weight matrix `csr` (the only neighborhood
+structure; the BFS of `depth_parity` walks its `indptr` and `indices`), the
+`weight_exponent` k of the exact w / 2^k scaling that scale-free stages run
+on, per-edge `triangles` and a proper vertex coloring `color_classes`.
 """
 from __future__ import annotations
 
@@ -38,22 +38,26 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple undirected graph with finite nonnegative edge weights."""
+    """Simple undirected graph with finite nonnegative edge weights: edge i
+    joins u[i] < v[i] with weight w[i], kept as read-only intp and float copies
+    (never the caller's arrays). `==` and `hash` compare `n` and `edges`."""
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
-    # built from `edges` at construction: read-only arrays in edge order, and
-    # Python's sequential sum of the weights
-    u: np.ndarray = field(init=False, repr=False, compare=False)
-    v: np.ndarray = field(init=False, repr=False, compare=False)
-    w: np.ndarray = field(init=False, repr=False, compare=False)
-    total_weight: float = field(init=False, repr=False, compare=False)
+    u: np.ndarray = field(repr=False, compare=False)
+    v: np.ndarray = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
+    edges: tuple[tuple[int, int, float], ...] = field(init=False)
+    total_weight: float = field(init=False, repr=False, compare=False)  # Python's sum()
 
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("graph needs at least one vertex")
-        us, vs, ws = zip(*self.edges) if self.edges else ((), (), ())
-        u, v, w = _ids(us), _ids(vs), np.array(ws, dtype=float)
+        u = self.u if isinstance(self.u, np.ndarray) else np.array(self.u, dtype=object)
+        v = self.v if isinstance(self.v, np.ndarray) else np.array(self.v, dtype=object)
+        w = np.array(self.w, dtype=float)
+        if not u.ndim == v.ndim == w.ndim == 1 or not len(u) == len(v) == len(w):
+            raise GraphError(f"u, v, w must be 1-D of one length: {u.shape}, {v.shape}, {w.shape}")
+        u, v = _vertex_ids(u), _vertex_ids(v)
         _raise_first(GraphError, [
             ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.n),
              "vertex id out of range in edge ({u}, {v})"),
@@ -62,14 +66,14 @@ class WeightedGraph:
             (_repeats(u, v)[0], "duplicate edge ({u}, {v})"),
             (~np.isfinite(w), "non-finite weight {w} on edge ({u}, {v})"),
             (w < 0, "negative weight {w} on edge ({u}, {v})"),
-        ], u=us, v=vs, w=ws)
+        ], u=u, v=v, w=w)
+        ws = w.tolist()
         total = float(sum(ws))
         if not math.isfinite(2 * total):
             raise GraphError(f"total weight {total} too large: twice it must be finite")
-        object.__setattr__(self, "u", _read_only(u.astype(np.intp, copy=False)))
-        object.__setattr__(self, "v", _read_only(v.astype(np.intp, copy=False)))
-        object.__setattr__(self, "w", _read_only(w))
-        object.__setattr__(self, "total_weight", total)
+        u, v = _read_only(u.astype(np.intp, copy=False)), _read_only(v.astype(np.intp, copy=False))
+        vars(self).update(u=u, v=v, w=_read_only(w), total_weight=total,  # frozen: not setattr
+                          edges=tuple(zip(u.tolist(), v.tolist(), ws)))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -79,7 +83,8 @@ class WeightedGraph:
         u, v = _ids(list(map(int, us))), _ids(list(map(int, vs)))
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         w = np.array(list(map(float, ws)), dtype=float)
-        return cls(n, _edge_tuple(lo, hi, w, np.lexsort((hi, lo))))
+        order = np.lexsort((hi, lo))
+        return cls(n, lo[order], hi[order], w[order])
 
     @cached_property
     def degree(self) -> tuple[int, ...]:
@@ -150,8 +155,7 @@ class WeightedGraph:
 
     def is_regular(self):
         """Return the common degree if the graph is regular, else None."""
-        degs = set(self.degree)
-        return self.degree[0] if len(degs) == 1 else None
+        return self.degree[0] if len(set(self.degree)) == 1 else None
 
 
 def check_size(*shape: int) -> None:
@@ -222,7 +226,7 @@ def parse_graph(text: str) -> WeightedGraph:
         raise ParseError(fault)
     if not us:
         raise ParseError("no edges in document")
-    return WeightedGraph(int(hi.max()) + 1, _edge_tuple(lo, hi, w, order))
+    return WeightedGraph(int(hi.max()) + 1, lo[order], hi[order], w[order])
 
 
 def _ids(values) -> np.ndarray:
@@ -234,6 +238,18 @@ def _ids(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _vertex_ids(a: np.ndarray) -> np.ndarray:
+    """`_ids` of a 1-D array as a new array; GraphError at the first id that is
+    not an integer, or is a bool (a sequence arrives as objects, so none is cast)."""
+    if a.dtype == np.intp or a.dtype.kind in "iu" and np.can_cast(a.dtype, np.intp):
+        return a.astype(np.intp)
+    ids = a.tolist()
+    for x in ids:
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise GraphError(f"vertex id {x!r} is not an integer")
+    return _ids(ids)
+
+
 def _repeats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mask of rows whose pair (a, b) an earlier row already has, and the
     rows in (a, b) order: a stable lexsort, so a pair's first row leads."""
@@ -242,11 +258,6 @@ def _repeats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     repeated = np.zeros(len(order), dtype=bool)
     repeated[order[1:]] = (a_sorted[1:] == a_sorted[:-1]) & (b_sorted[1:] == b_sorted[:-1])
     return repeated, order
-
-
-def _edge_tuple(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, order: np.ndarray) -> tuple:
-    """The edges (lo, hi, w) as Python tuples, in `order`."""
-    return tuple(zip(lo[order].tolist(), hi[order].tolist(), w[order].tolist()))
 
 
 def _raise_first(error: type, checks: list, **columns) -> None:
@@ -267,19 +278,18 @@ def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
     Errors if the edge set contains a cycle (more edges than n minus the
     number of components).
     """
-    count, bits = pair_depth_parity(g.n, forest)
+    ends = np.array([e[:2] for e in forest], dtype=np.intp).reshape(-1, 2)
+    count, bits = pair_depth_parity(g.n, ends[:, 0], ends[:, 1])
     if len(forest) != g.n - count:
         raise GraphError("edge set contains a cycle")
     return bits
 
 
-def pair_depth_parity(n: int, pairs) -> tuple[int, tuple[int, ...]]:
+def pair_depth_parity(n: int, u: np.ndarray, v: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """`depth_parity` of the graph on vertices 0..n-1 whose edges are the
-    (u, v, ...) items of pairs, each given once in either orientation."""
-    ends = np.array([e[:2] for e in pairs], dtype=np.intp).reshape(-1, 2)
+    pairs (u[i], v[i]), each given once in either orientation."""
     # each edge stored both ways, as the BFS follows stored entries only
-    return depth_parity(sp.csr_array((np.ones(2 * len(ends)),
-                                      (np.r_[ends[:, 0], ends[:, 1]], np.r_[ends[:, 1], ends[:, 0]])),
+    return depth_parity(sp.csr_array((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])),
                                      shape=(n, n)))
 
 

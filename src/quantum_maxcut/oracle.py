@@ -77,7 +77,7 @@ def sector_hamiltonian(g: WeightedGraph):
     """
     n = g.n
     idx = np.arange(2 ** n, dtype=np.int64)
-    states = np.flatnonzero(sum((idx >> b) & 1 for b in range(n)) == n // 2)
+    states = np.flatnonzero(np.bitwise_count(idx) == n // 2)
     dim = len(states)
     diag = np.zeros(dim)
     rows, cols, vals = [np.arange(dim, dtype=np.int32)], [np.arange(dim, dtype=np.int32)], [diag]
@@ -159,9 +159,7 @@ def brute_force_maxcut(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
     idx = np.arange(2 ** n, dtype=np.int64)
     total = np.zeros(2 ** n)
     for u, v, w in g.edges:
-        bu = (idx >> (n - 1 - u)) & 1
-        bv = (idx >> (n - 1 - v)) & 1
-        total += w * (bu ^ bv)
+        total += w * (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1)
     k = int(np.argmax(total))
     bits = tuple(int((k >> (n - 1 - q)) & 1) for q in range(n))
     return float(total[k]), bits

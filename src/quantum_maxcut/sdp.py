@@ -144,8 +144,9 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
 
     The kernel runs on a = -A / 2^k, with k the graph's `weight_exponent`,
     so the update is normalize(a V). Negation and power-of-two scaling are
-    exact: the iterates are those of A, bit for bit, and scaling every weight by a power of two changes none of them, while
-    no squared length of a neighbor sum can overflow. A vertex whose neighbor
+    exact: the iterates are those of A, bit for bit, and scaling every
+    weight by a power of two changes none of them, while no squared length
+    of a neighbor sum can overflow. A vertex whose neighbor
     sum is zero, or so small in the units of a (at most 2^-511) that its
     square would lose bits to underflow, keeps its vector. The class-order
     matrix is a numpy permutation of A's CSR arrays, every buffer is

@@ -131,7 +131,7 @@ class TestEnergyCurve:
                 8, [(u, v) for u in range(8) for v in range(u + 1, 8)])],
             "isolated": [WeightedGraph.from_edges(
                 12, [(0, 1, 0.5), (1, 2, 2.0), (0, 2, 1.5), (2, 5, 3.0), (5, 7, 0.0)])],
-            "no-edges": [WeightedGraph(5, ())],
+            "no-edges": [WeightedGraph(5, [], [], [])],
             "random": [gnp_graph(int(rng.integers(2, 16)), float(rng.uniform(0.2, 0.9)),
                                  rng, weights="exp") for _ in range(10)],
         }[name]
@@ -145,7 +145,7 @@ class TestEnergyCurve:
                     assert circuit_energy(g, bits, t) == pytest.approx(e, abs=1e-12)
 
     def test_no_edges_is_zero(self):
-        g = WeightedGraph(3, ())
+        g = WeightedGraph(3, [], [], [])
         assert circuit_energy(g, (0, 1, 0), 0.3) == 0.0
         assert optimize_angle(g, (0, 1, 0))[1] == 0.0
 
@@ -383,7 +383,7 @@ class TestOptimizeAngle:
                                                 for x in range(1, 2001)])
             cases = [(g, (1,) + tuple(int(b) for b in rng.integers(0, 2, 2000)))]
         elif name == "no-edges":
-            cases = [(WeightedGraph(6, ()), (0, 1, 0, 1, 0, 1))]
+            cases = [(WeightedGraph(6, [], [], []), (0, 1, 0, 1, 0, 1))]
         else:
             g = gnp_graph(12, 0.6, rng, weights="exp")
             cases = [(g, (0,) * g.n)]

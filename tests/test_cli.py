@@ -558,6 +558,17 @@ class TestRandom:
         assert g.n <= 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--which", "theorem5", "--instances", "0"],
+    ["reproduce", "--which", "theorem5", "--instances", "-3"],
+    ["random", "--n", "6", "--p", "nan"], ["random", "--n", "6", "--p", "-1"],
+    ["random", "--n", "6", "--p", "7"], ["random", "--n", "6", "--model", "regular-0"]])
+def test_out_of_range_random_and_reproduce_flags(capsys, argv):
+    """No vacuous theorem5 pass, no edgeless or silently clamped G(n, p), no
+    0-regular graph: each value is a bad flag."""
+    assert_one_line_error(main(argv), capsys)
+
+
 class TestReproduce:
     def test_g_values(self, capsys):
         code, out = run(capsys, "reproduce", "--which", "G-values")

@@ -97,12 +97,12 @@ class TestGraphInvariants:
 
     def test_noncanonical_order_rejected(self):
         with pytest.raises(GraphError):
-            WeightedGraph(3, ((2, 1, 1.0),))
+            WeightedGraph(3, [2], [1], [1.0])
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(GraphError, match="non-finite"):
-            WeightedGraph(3, ((0, 1, 1.0), (1, 2, weight)))
+            WeightedGraph(3, [0, 1], [1, 2], [1.0, weight])
 
     @pytest.mark.parametrize("weights", [(1e308, 1e308), (1e308, 7e307), (1.7e308,)])
     def test_total_weight_whose_double_overflows_rejected(self, weights):
@@ -309,7 +309,7 @@ class TestTriangles:
         assert triangle().triangles.tolist() == [1] * 3
 
     def test_no_edges(self):
-        g = WeightedGraph(3, ())
+        g = WeightedGraph(3, [], [], [])
         assert g.triangles.shape == (0,) and g.triangles.dtype == np.intp
 
     @pytest.mark.parametrize("name", ["random", "complete", "star", "zero-weight"])
@@ -345,7 +345,7 @@ class TestTriangles:
             f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
             "from quantum_maxcut import WeightedGraph, optimize_angle\n"
             "n = 30001\n"
-            "g = WeightedGraph(n, tuple((0, x, 1.0) for x in range(1, n)))\n"
+            "g = WeightedGraph(n, [0] * (n - 1), range(1, n), [1.0] * (n - 1))\n"
             "assert not g.triangles.any() and len(g.triangles) == n - 1\n"
             "theta, val = optimize_angle(g, [1] + [0] * (n - 1))\n"
             "assert val > n - 1, val\n"

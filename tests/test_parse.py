@@ -169,11 +169,11 @@ class TestConstructor:
     ])
     def test_first_bad_edge_in_tuple_order(self, edges, message):
         with pytest.raises(GraphError) as info:
-            WeightedGraph(5, edges)
+            WeightedGraph(5, *zip(*edges))
         assert str(info.value) == message
 
     def test_unsorted_tuple_kept_in_order(self):
-        g = WeightedGraph(5, ((2, 3, 1.5), (0, 4, 0.5), (0, 1, 2.0)))
+        g = WeightedGraph(5, [2, 0, 0], [3, 4, 1], [1.5, 0.5, 2.0])
         assert g.u.tolist() == [2, 0, 0] and g.v.tolist() == [3, 4, 1]
         assert g.w.tolist() == [1.5, 0.5, 2.0]
 
@@ -184,6 +184,54 @@ class TestConstructor:
         g = WeightedGraph.from_edges(18, [(0, v, w) for v, w in enumerate(weights, 1)])
         assert g.total_weight == sum(weights) == 1.0
         assert float(np.sum(g.w)) != g.total_weight
+
+    @pytest.mark.parametrize("u, v", [
+        ([0], [1.5]), ([0], ["1"]), ([0], [True]), ([0, 1], [1, True]),
+        (np.array([0.0]), np.array([1.0])), (np.array([False]), np.array([True]))])
+    def test_non_integer_ids_rejected(self, u, v):
+        """An id that is not an integer is rejected, not truncated: `v` and
+        `edges` could otherwise disagree."""
+        with pytest.raises(GraphError, match="is not an integer"):
+            WeightedGraph(3, u, v, [1.0] * len(u))
+
+    @pytest.mark.parametrize("u, v, w", [
+        ([0, 1], [1], [1.0, 1.0]), ([0], [1], [1.0, 2.0]), ([0], [1], []),
+        (np.array([[0, 1]]), np.array([[1, 2]]), np.ones((1, 2))), (0, 1, 1.0)])
+    def test_ragged_or_not_1d_rejected(self, u, v, w):
+        with pytest.raises(GraphError, match="must be 1-D of one length"):
+            WeightedGraph(3, u, v, w)
+
+    @pytest.mark.parametrize("empty", [(), [], np.zeros(0), np.zeros(0, dtype=bool),
+                                       np.zeros(0, dtype="U1"), np.zeros(0, dtype=np.uint64)])
+    def test_empty_inputs_of_any_dtype(self, empty):
+        g = WeightedGraph(2, empty, empty, empty)
+        assert g.edges == () and g.total_weight == 0.0
+        assert g.u.dtype == g.v.dtype == np.intp and g.w.dtype == float
+
+    def test_integer_dtypes_converted_and_checked(self):
+        g = WeightedGraph(3, np.array([0], dtype=np.int8), np.array([2], dtype=np.uint64), [1])
+        assert g.u.dtype == g.v.dtype == np.intp and g.edges == ((0, 2, 1.0),)
+        with pytest.raises(GraphError, match=rf"out of range in edge \(0, {2**63}\)"):
+            WeightedGraph(3, np.zeros(1, dtype=np.uint64), np.full(1, 2**63, dtype=np.uint64), [1])
+
+    def test_caller_arrays_copied_not_frozen(self):
+        u, v, w = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
+        g = WeightedGraph(3, u, v, w)
+        assert all(a.flags.writeable for a in (u, v, w))
+        assert not any(a.flags.writeable for a in (g.u, g.v, g.w))
+        assert not any(np.shares_memory(a, b) for a, b in ((u, g.u), (v, g.v), (w, g.w)))
+        u[0], w[0] = 2, -1.0
+        assert g.edges == ((0, 1, 1.0), (1, 2, 2.0)) and g.u[0] == 0 and g.w[0] == 1.0
+
+    def test_parse_equals_from_edges_on_a_shuffled_reoriented_copy(self):
+        rng = np.random.default_rng(4)
+        edges = [(u, v, float(rng.exponential())) for u in range(8) for v in range(u + 1, 8)
+                 if (u, v) == (0, 7) or rng.random() < 0.5]
+        copy = [edges[i] if rng.random() < 0.5 else edges[i][1::-1] + edges[i][2:]
+                for i in rng.permutation(len(edges))]
+        g = parse_graph("".join(f"{u} {v} {w!r}\n" for u, v, w in copy))
+        h = WeightedGraph.from_edges(8, copy)
+        assert g == h and hash(g) == hash(h) and g.edges == tuple(edges)
 
     def test_from_edges_canonicalizes(self):
         g = WeightedGraph.from_edges(4, [(3, 1), (0, 2, 0.5), (1, 0, 2)])

@@ -1,5 +1,5 @@
-"""Source checks: library invariants must survive `python -O`, and only the
-CLI composes stages."""
+"""Source checks: library invariants must survive `python -O`, only the CLI
+composes stages, and every source line fits in 100 columns."""
 import ast
 from pathlib import Path
 
@@ -15,6 +15,12 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statement at line(s) {lines}; raise instead"
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_lines_fit_in_100_columns(path):
+    long = [i for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert not long, f"{path.name}: line(s) {long} longer than 100 characters"
 
 
 @pytest.mark.parametrize("path", [p for p in SRC if p.name in ("states.py", "circuit.py")],
