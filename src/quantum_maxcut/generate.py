@@ -45,6 +45,8 @@ def random_connected_graph(n: int, p: float, rng, weights: str = "unit") -> Weig
     Every draw takes its weights, so the RNG stream is that of drawing whole
     graphs, but connectivity is tested on the pairs and only the accepted
     draw becomes a graph (fewer than n - 1 pairs cannot be connected)."""
+    if n < 1:  # the connectivity test cannot take a negative count
+        raise GraphError("graph needs at least one vertex")
     for _ in range(CONNECT_TRIES):
         u, v = _gnp_pairs(n, p, rng)
         ws = sample_weights(weights, len(u), rng)

@@ -54,7 +54,10 @@ class WeightedGraph:
             raise GraphError("graph needs at least one vertex")
         u = self.u if isinstance(self.u, np.ndarray) else np.array(self.u, dtype=object)
         v = self.v if isinstance(self.v, np.ndarray) else np.array(self.v, dtype=object)
-        w = np.array(self.w, dtype=float)
+        try:
+            w = np.array(self.w, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"weights must be numbers: {exc}") from exc
         if not u.ndim == v.ndim == w.ndim == 1 or not len(u) == len(v) == len(w):
             raise GraphError(f"u, v, w must be 1-D of one length: {u.shape}, {v.shape}, {w.shape}")
         u, v = _vertex_ids(u), _vertex_ids(v)

@@ -7,20 +7,27 @@ so H_G = W * I - sum_e w_e SWAP_e is applied to a state by axis swaps.
 Energies and the circuit, whose state does not conserve S_z, use that.
 A swap keeps the number of 1 bits, and every spin multiplet has a member
 of Hamming weight floor(n/2) (S_z = 0 or 1/2), so the maximum eigenvalue
-is found on that block alone, a sparse matrix of C(n, floor(n/2)) rows.
+is found on that block alone, a sparse matrix of C(n, floor(n/2)) rows, by
+a thick-restart Lanczos in numpy that stops on its own residual certificate.
 
 Bit convention: qubit q is axis q of amplitudes.reshape([2]*n), i.e. bit q of
 index i is (i >> (n-1-q)) & 1, so a bit string reads like the binary index.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import _sparsetools, csr_array
 
 from .graphs import WeightedGraph
 
 QUBIT_CAP = 20  # states, energies and the eigenvalue: at most this many qubits
 BRUTE_FORCE_CAP = 24
+_BLOCK = 2 ** 18  # entries per block of the sector build and of a Lanczos restart
+_BASIS = 30  # Lanczos vectors: 44 MiB at the qubit cap
+_CHECKS = (6, 9, 13, 19)  # steps that solve the projected matrix, besides a full basis
+_RESTARTS = 20000  # each takes _BASIS / 2 products with H; then ConvergenceError
 
 
 class ResourceLimitError(RuntimeError):
@@ -67,62 +74,139 @@ def energy(g: WeightedGraph, psi: np.ndarray) -> float:
     return float(val.real)
 
 
-def sector_hamiltonian(g: WeightedGraph):
+def sector_hamiltonian(g: WeightedGraph) -> csr_array:
     """H_G on the sorted basis states of Hamming weight floor(n/2), as a
     sparse CSR matrix; row and column i stand for the i-th smallest index.
 
     On a state whose bits at u and v differ, the edge term w (I - SWAP_uv)
     adds w on the diagonal and -w at the partner with both bits swapped; on
-    any other state it is zero.
+    any other state it is zero. Each row holds its diagonal, then one entry
+    per such edge in edge order. Every edge has 2 C(n-2, floor(n/2)-1) such
+    states, so the arrays are allocated at their final size and filled in
+    blocks of rows, at most `_BLOCK` (row, edge) pairs each. A table over all
+    2^n indices gives the row of each partner, and -1 for a partner outside
+    the sector: the bits at u and v agreed.
     """
-    n = g.n
-    idx = np.arange(2 ** n, dtype=np.int64)
-    states = np.flatnonzero(np.bitwise_count(idx) == n // 2)
+    n, m = g.n, len(g.u)
+    states = np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) == n // 2)
     dim = len(states)
-    diag = np.zeros(dim)
-    rows, cols, vals = [np.arange(dim, dtype=np.int32)], [np.arange(dim, dtype=np.int32)], [diag]
-    for u, v, w in g.edges:  # int32 indices: 3M entries on a 3-regular n=20 graph
-        bu, bv = n - 1 - u, n - 1 - v
-        differ = np.flatnonzero(((states >> bu) ^ (states >> bv)) & 1).astype(np.int32)
-        diag[differ] += w
-        rows.append(differ)
-        partner = states[differ] ^ ((1 << bu) | (1 << bv))
-        cols.append(np.searchsorted(states, partner).astype(np.int32))
-        vals.append(np.full(len(differ), -w))
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))  # drops the pieces
-    return coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    rank = np.full(2 ** n, -1, dtype=np.int32)
+    rank[states] = np.arange(dim)
+    flips = (1 << (n - 1 - g.u)) | (1 << (n - 1 - g.v))
+    nnz = dim + (2 * m * math.comb(n - 2, n // 2 - 1) if m else 0)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)  # int32: 3M entries on a 3-regular n=20 graph
+    data = np.empty(nnz)
+    step = _BLOCK // (m + 1)
+    for r0 in range(0, dim, step):
+        s = states[r0:r0 + step]
+        cols = np.empty((len(s), m + 1), dtype=np.int32)  # column 0: the diagonal
+        cols[:, 0] = np.arange(r0, r0 + len(s))
+        cols[:, 1:] = rank[s[:, None] ^ flips]
+        keep = cols >= 0
+        vals = np.empty(cols.shape)
+        vals[:, 0] = keep[:, 1:] @ g.w
+        vals[:, 1:] = -g.w
+        at = np.flatnonzero(keep)  # row by row: CSR order
+        lo = indptr[r0]
+        indptr[r0 + 1:r0 + 1 + len(s)] = lo + np.cumsum(keep.sum(axis=1))
+        np.take(cols, at, out=indices[lo:lo + len(at)])
+        np.take(vals, at, out=data[lo:lo + len(at)])
+    return csr_array((data, indices, indptr), shape=(dim, dim))
+
+
+def _matvec(h: csr_array, x: np.ndarray, out: np.ndarray) -> None:
+    """out += h x for a CSR matrix h and float vectors x and out: the routine
+    `h @ x` runs after its dispatch, adding into `out` instead of a new array."""
+    _sparsetools.csr_matvec(h.shape[0], h.shape[1], h.indptr, h.indices, h.data, x, out)
+
+
+def _lanczos(h: csr_array, bound: float) -> tuple[float, float]:
+    """Top Ritz value lam of the symmetric h by thick-restart Lanczos with its
+    residual ||h v - lam v||, unit v; returns once that is at most bound * lam,
+    when the Krylov space is invariant, or after `_RESTARTS` restarts.
+
+    From a fixed random start each step takes one product with h and
+    orthogonalizes it twice, first against its predecessors in the recurrence,
+    then against the whole basis, which one pass leaves drifting. At the steps
+    `_CHECKS` and when the basis holds `_BASIS` vectors, the projected matrix
+    V h V^T gives the top Ritz pair, and if the residual the recurrence
+    predicts is within the bound, the residual itself is taken. A full basis
+    restarts from its top half of Ritz vectors: restarts from the top one
+    alone stalled on weighted stars, whose top eigenvalues lie about 1e-4
+    apart.
+    """
+    dim = h.shape[0]
+    size = min(_BASIS, dim)
+    basis = np.empty((size + 1, dim))  # orthonormal rows
+    t = np.zeros((size, size))  # V h V^T, lower triangle
+    start = np.random.default_rng(7).standard_normal(dim)  # fixed: reproducible failures
+    basis[0] = start / np.linalg.norm(start)
+    kept = 0
+    for _ in range(_RESTARTS + 1):
+        for j in range(kept, size):
+            w = basis[j + 1]
+            w.fill(0.0)
+            _matvec(h, basis[j], w)
+            for lo in (0 if j == kept else j - 1, 0):  # after a restart, all kept are predecessors
+                c = basis[lo:j + 1] @ w
+                w -= c @ basis[lo:j + 1]
+                t[j, lo:j + 1] += c
+            beta = np.linalg.norm(w)
+            if j + 1 < size and j + 1 not in _CHECKS and beta > bound:
+                w /= beta
+                continue
+            try:
+                lams, ys = np.linalg.eigh(t[:j + 1, :j + 1])
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"Lanczos failed: {exc}") from exc
+            lam, residual = lams[-1], beta * abs(ys[j, -1])
+            if residual <= bound * lam:
+                v = ys[:, -1] @ basis[:j + 1]
+                hv = -lam * v
+                _matvec(h, v, hv)
+                residual = np.linalg.norm(hv)
+                if residual <= bound * lam:
+                    return lam, residual
+            if beta <= bound:  # an invariant Krylov space: no restart adds to it
+                return lam, residual
+            if j + 1 == size:
+                break
+            w /= beta
+        kept = size // 2
+        top = ys[:, -kept:].T
+        cols = _BLOCK // size
+        for c in range(0, dim, cols):  # in place, a block of columns at a time
+            basis[:kept, c:c + cols] = top @ basis[:size, c:c + cols]
+        basis[kept] = basis[size] / beta
+        t.fill(0.0)
+        np.fill_diagonal(t[:kept, :kept], lams[-kept:])
+    return lam, residual
 
 
 def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8) -> float:
     """Largest eigenvalue of H_G by Lanczos on `sector_hamiltonian(g)`, which
-    is H_G on an invariant subspace; ConvergenceError if Lanczos fails or the
-    residual ||H v - lam v|| exceeds max(tol, 1e-12) * lam.
+    is H_G on an invariant subspace. Lanczos stops as soon as the residual
+    ||H v - lam v|| of its top Ritz pair is at most max(tol, 1e-12) * lam;
+    ConvergenceError if that still fails after `_RESTARTS` restarts, or if
+    the projected eigenproblem does.
 
     Lanczos and the residual run on H / 2^k, k the graph's `weight_exponent`,
     and lam is scaled back: the scaling is exact, no square in the residual
     overflows, and as lam >= 2 max w (the top of one edge's term), lam >= 1
     in those units, so the relative bound needs no floor and holds at any
-    weight scale. `scipy.sparse.linalg` is imported here, so that only runs
-    of the oracle load it."""
-    from scipy.sparse.linalg import ArpackError, eigsh
-
+    weight scale. Only numpy and `scipy.sparse` run: no solve loads
+    `scipy.sparse.linalg`."""
     _check_cap(g.n, QUBIT_CAP)
     if g.total_weight == 0:
         return 0.0  # H_G = 0, on which Lanczos has no start vector
     h = sector_hamiltonian(g)  # real symmetric
     k = g.weight_exponent
     np.ldexp(h.data, -k, out=h.data)
-    rng = np.random.default_rng(7)  # fixed start for reproducible failures
-    bound = max(tol, 1e-12)  # Lanczos stops at a hundredth of it, not at machine precision
-    try:
-        lams, vecs = eigsh(h, k=1, which="LA", tol=bound / 100,
-                           v0=rng.standard_normal(h.shape[0]), maxiter=20000)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise ConvergenceError(f"Lanczos failed: {exc}") from exc
-    lam, vec = float(lams[0]), vecs[:, 0]
-    residual = np.linalg.norm(h @ vec - lam * vec)
+    bound = max(tol, 1e-12)
+    lam, residual = _lanczos(h, bound)
     if residual > bound * lam:
-        raise ConvergenceError(f"residual {np.ldexp(residual, k)} exceeds tolerance {tol}")
+        raise ConvergenceError(f"Lanczos residual {np.ldexp(residual, k)} exceeds tolerance {tol}")
     return float(np.ldexp(lam, k))
 
 

@@ -116,3 +116,14 @@ def test_pad_path_pinned(kind, edges, state):
     g = random_connected_graph(5, 0.01, rng, kind)
     assert (g.n, g.edges) == (5, edges)
     assert rng.bit_generator.state["state"]["state"] == state
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_no_vertices_rejected(n):
+    """A vertex count below one is a GraphError for both G(n, p) generators,
+    before any draw."""
+    for generator in (gnp_graph, random_connected_graph):
+        rng = np.random.default_rng(0)
+        with pytest.raises(GraphError, match="at least one vertex"):
+            generator(n, 0.5, rng)
+        assert rng.random() == np.random.default_rng(0).random()

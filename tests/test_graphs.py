@@ -104,6 +104,12 @@ class TestGraphInvariants:
         with pytest.raises(GraphError, match="non-finite"):
             WeightedGraph(3, [0, 1], [1, 2], [1.0, weight])
 
+    @pytest.mark.parametrize("weights", [["x"], [1.0, "2,5"], [object()], [1.0, [2.0]]])
+    def test_weights_that_are_not_numbers_rejected(self, weights):
+        u, v = list(range(len(weights))), list(range(1, len(weights) + 1))
+        with pytest.raises(GraphError, match="weights must be numbers"):
+            WeightedGraph(len(weights) + 1, u, v, weights)
+
     @pytest.mark.parametrize("weights", [(1e308, 1e308), (1e308, 7e307), (1.7e308,)])
     def test_total_weight_whose_double_overflows_rejected(self, weights):
         text = "".join(f"{i} {i + 1} {w!r}\n" for i, w in enumerate(weights))

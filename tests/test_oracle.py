@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from quantum_maxcut import (
     ConvergenceError,
@@ -19,6 +19,7 @@ from quantum_maxcut import (
     simulate_variational_state,
 )
 from quantum_maxcut.generate import cycle_graph, gnp_graph, star_graph
+from quantum_maxcut.oracle import _matvec
 from quantum_maxcut.states import cut_value
 
 EDGE = parse_graph("0 1 1.0")
@@ -40,6 +41,23 @@ def lanczos_full_space(g):
                        v0=np.random.default_rng(0).standard_normal(dim))
     assert np.linalg.norm(apply_hamiltonian(g, vecs[:, 0]) - lams[0] * vecs[:, 0]) < 1e-9
     return float(lams[0])
+
+
+def lanczos_sector(g):
+    """Largest eigenvalue of `sector_hamiltonian(g)` by ARPACK, with its own
+    residual check: the sector reference for n above 10."""
+    h = oracle.sector_hamiltonian(g)
+    lams, vecs = eigsh(h, k=1, which="LA", tol=0,
+                       v0=np.random.default_rng(0).standard_normal(h.shape[0]))
+    assert np.linalg.norm(h @ vecs[:, 0] - lams[0] * vecs[:, 0]) < 1e-9 * max(lams[0], 1)
+    return float(lams[0])
+
+
+def log_spread_star(n):
+    """A star whose weights run from e^-14 to 1: its top eigenvalues lie about
+    5e-8 apart (relative), so Lanczos needs many restarts to certify one."""
+    star = star_graph(n)
+    return WeightedGraph(n, star.u, star.v, np.exp(np.linspace(-14, 0, n - 1)))
 
 
 def sector_test_graphs(n, rng):
@@ -144,23 +162,63 @@ class TestMaxEigenvalue:
         assert max_eigenvalue(TRIANGLE) == pytest.approx(3.0, abs=1e-8)
         assert calls == []
 
-    def test_lanczos_failure_is_convergence_error(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+    @pytest.mark.parametrize("n", [*range(1, 11), *range(13, 17)])
+    def test_matches_sector_reference(self, n):
+        """Against the top eigenvalue of the same sector matrix: dense eigvalsh
+        up to n = 10, ARPACK over the rest of the `--oracle auto` range."""
+        for g in sector_test_graphs(n, np.random.default_rng(300 + n)):
+            ref = (np.linalg.eigvalsh(oracle.sector_hamiltonian(g).toarray())[-1]
+                   if n <= 10 else lanczos_sector(g))
+            assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        with pytest.raises(ConvergenceError, match="Lanczos"):
+    def test_lanczos_failure_is_convergence_error(self, monkeypatch):
+        def failing(t):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceError, match="Lanczos failed"):
             max_eigenvalue(TRIANGLE)
 
     def test_residual_certificate(self, monkeypatch):
-        """A Ritz pair off by 1e-3 fails the residual check in the sector."""
-        def shifted(h, **kwargs):
-            lams, vecs = eigsh(h, **kwargs)
-            return lams + 1e-3, vecs
+        """Ritz values off by 1e-3 fail the residual check in the sector, at
+        every restart and at the invariant Krylov space of the triangle."""
+        eigh = np.linalg.eigh
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted)
-        with pytest.raises(ConvergenceError, match="residual"):
-            max_eigenvalue(TRIANGLE)
+        def shifted(t):
+            lams, ys = eigh(t)
+            return lams + 1e-3, ys
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        monkeypatch.setattr(oracle, "_RESTARTS", 3)
+        for g in (TRIANGLE, gnp_graph(10, 0.5, np.random.default_rng(4))):
+            with pytest.raises(ConvergenceError, match="residual"):
+                max_eigenvalue(g)
+
+    def test_restarts_run_out(self, monkeypatch):
+        """The log-spread star needs restarts: with none allowed it is refused,
+        with the default ones it meets the dense reference."""
+        g = log_spread_star(10)
+        ref = np.linalg.eigvalsh(oracle.sector_hamiltonian(g).toarray())[-1]
+        assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10)
+        monkeypatch.setattr(oracle, "_RESTARTS", 0)
+        with pytest.raises(ConvergenceError, match="exceeds tolerance 1e-08"):
+            max_eigenvalue(g)
+
+    def test_matvec_adds_the_product(self):
+        """The Lanczos step calls scipy's private CSR routine, which adds h x
+        into its output: from zero it must equal the public product bit for
+        bit, and otherwise add to what is there."""
+        rng = np.random.default_rng(8)
+        for dim, density in ((1, 1.0), (7, 0.0), (50, 0.2), (300, 0.05)):
+            h = csr_array(np.where(rng.random((dim, dim)) < density,
+                                   rng.standard_normal((dim, dim)), 0.0))
+            x, start = rng.standard_normal(dim), rng.standard_normal(dim)
+            out = np.zeros(dim)
+            _matvec(h, x, out)
+            assert np.array_equal(out, h @ x)
+            out = start.copy()
+            _matvec(h, x, out)
+            assert np.allclose(out, start + h @ x, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("j", [-600, 600, 1000])
     def test_power_of_two_scaling(self, j):

@@ -1,5 +1,6 @@
 """Source checks: library invariants must survive `python -O`, only the CLI
-composes stages, and every source line fits in 100 columns."""
+composes stages, every source line fits in 100 columns, and no module
+imports a scipy subpackage that loads scipy.linalg."""
 import ast
 from pathlib import Path
 
@@ -40,12 +41,33 @@ def test_stages_take_their_inputs(path):
 
 
 def test_only_the_kernel_calls_private_scipy():
-    """`sdp._csr_product`, which the mixing kernel and the roundings' scorer
-    `sdp.stack_objective` both use, is the one caller of scipy's private CSR
-    product, pinned by `test_sdp.test_csr_product_matches_matmul`; no other
-    module may call it."""
+    """Two kernels call scipy's private CSR products, each pinned by a test:
+    `sdp._csr_product`, which the mixing kernel and the roundings' scorer
+    `sdp.stack_objective` both use (`test_sdp.test_csr_product_matches_matmul`),
+    and the oracle's Lanczos step `oracle._matvec`
+    (`test_oracle.TestMaxEigenvalue.test_matvec_adds_the_product`); no other
+    module may call them."""
     names = [p.name for p in SRC if "_sparsetools" in p.read_text()]
-    assert names == ["sdp.py"]
+    assert names == ["oracle.py", "sdp.py"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_scipy_linalg_imports(path):
+    """No module imports scipy.linalg, scipy.sparse.linalg or scipy.sparse.csgraph
+    (each of which loads scipy.linalg), at the top or inside a function:
+    `test_cli.test_solve_imports_no_scipy_linalg` checks what a solve loads."""
+    def heavy(name):
+        return any(name == h or name.startswith(h + ".")
+                   for h in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"))
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if heavy(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if heavy(f"{node.module}.{a.name}")]
+    assert not found, f"{path.name} imports {found}"
 
 
 def test_only_the_graph_takes_the_weight_exponent():
