@@ -53,13 +53,12 @@ def random_connected_graph(n: int, p: float, rng, weights: str = "unit") -> Weig
         if len(u) >= n - 1 and pair_depth_parity(n, u, v)[0] == 1:
             return WeightedGraph(n, u, v, ws)
     # pad: random permutation tree plus the gnp edges
-    perm = list(rng.permutation(n))
-    tree = [(perm[i], perm[i + 1]) for i in range(n - 1)]
-    keys = {(min(u, v), max(u, v)) for u, v in tree}
+    perm = rng.permutation(n).tolist()
+    keys = {(min(a, b), max(a, b)) for a, b in zip(perm, perm[1:])}
     u, v = _gnp_pairs(n, p, rng)
-    edges = list(keys) + [e for e in zip(u.tolist(), v.tolist()) if e not in keys]
-    ws = sample_weights(weights, len(edges), rng)
-    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, ws)])
+    pairs = list(keys) + [e for e in zip(u.tolist(), v.tolist()) if e not in keys]
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return WeightedGraph(n, u, v, sample_weights(weights, len(pairs), rng))
 
 
 def regular_graph(n: int, d: int, rng, weights: str = "unit") -> WeightedGraph:
@@ -94,7 +93,7 @@ def cycle_graph(n: int, weights: str = "unit", rng=None) -> WeightedGraph:
     check_size(n)
     rng = rng if rng is not None else np.random.default_rng(0)
     ws = sample_weights(weights, n, rng)
-    return WeightedGraph.from_edges(n, [(v, (v + 1) % n, ws[v]) for v in range(n)])
+    return WeightedGraph(n, np.arange(n), (np.arange(n) + 1) % n, ws)
 
 
 def to_edge_list(g: WeightedGraph) -> str:

@@ -1,14 +1,13 @@
 """Weighted graph container and the combinatorial subroutines used everywhere else.
 
 Vertices are integers 0..n-1. Edges are stored canonically as (u, v, w) with
-u < v and finite w >= 0. Graphs are immutable after construction; all
-operations here are pure functions.
+u < v, sorted by (u, v), and finite w >= 0. Graphs are immutable after
+construction; all operations here are pure functions.
 
 Every numeric evaluator reads one read-only core: a graph is built from its
-edge arrays `u`, `v`, `w` (edge order), copied and validated once in one
-vectorized pass, and `edges` is derived from them. `parse_graph` tokenizes a
-document in one Python pass, checks every value as array expressions (its
-errors still name the first bad line) and hands its canonical arrays over.
+edge arrays `u`, `v`, `w`, in any order and orientation; the constructor alone
+validates them, in one vectorized pass, then orients and sorts them and derives
+`edges`. `parse_graph` only tokenizes a document and hands the arrays over.
 Computed on first use: the sparse weight matrix `csr` (the only neighborhood
 structure; the BFS of `depth_parity` walks its `indptr` and `indices`), the
 `weight_exponent` k of the exact w / 2^k scaling that scale-free stages run
@@ -29,7 +28,11 @@ MAX_VERTEX_ID = int(np.iinfo(np.intp).max) - 1  # so that n = max id + 1 is a nu
 
 
 class GraphError(ValueError):
-    """Structurally invalid graph, or an operation's precondition failed."""
+    """Invalid graph, or a failed precondition; `row` indexes the input edge at fault, if any."""
+
+    def __init__(self, reason: str, row: int | None = None):
+        super().__init__(reason)
+        self.reason, self.row = reason, row
 
 
 class ParseError(ValueError):
@@ -38,9 +41,12 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple undirected graph with finite nonnegative edge weights: edge i
-    joins u[i] < v[i] with weight w[i], kept as read-only intp and float copies
-    (never the caller's arrays). `==` and `hash` compare `n` and `edges`."""
+    """Simple undirected graph with finite nonnegative edge weights, built from
+    rows (u[i], v[i], w[i]) in any order and orientation: edge i joins u[i] <
+    v[i], sorted by (u, v), kept as read-only intp and float copies (never the
+    caller's arrays). The first bad row raises GraphError with its index as
+    `row`, in the check order `parse_graph` lists. `==` and `hash` compare `n`
+    and `edges`, so one edge set makes one graph."""
 
     n: int
     u: np.ndarray = field(repr=False, compare=False)
@@ -50,7 +56,10 @@ class WeightedGraph:
     total_weight: float = field(init=False, repr=False, compare=False)  # Python's sum()
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n > MAX_VERTEX_ID + 1:
+            raise GraphError(f"vertex count must be an integer up to {MAX_VERTEX_ID + 1}: {n!r}")
+        if n < 1:
             raise GraphError("graph needs at least one vertex")
         u = self.u if isinstance(self.u, np.ndarray) else np.array(self.u, dtype=object)
         v = self.v if isinstance(self.v, np.ndarray) else np.array(self.v, dtype=object)
@@ -61,33 +70,31 @@ class WeightedGraph:
         if not u.ndim == v.ndim == w.ndim == 1 or not len(u) == len(v) == len(w):
             raise GraphError(f"u, v, w must be 1-D of one length: {u.shape}, {v.shape}, {w.shape}")
         u, v = _vertex_ids(u), _vertex_ids(v)
-        _raise_first(GraphError, [
-            ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.n),
-             "vertex id out of range in edge ({u}, {v})"),
-            (u == v, "self-loop at vertex {u}"),
-            (u > v, "edge ({u}, {v}) not in canonical u < v order"),
-            (_repeats(u, v)[0], "duplicate edge ({u}, {v})"),
-            (~np.isfinite(w), "non-finite weight {w} on edge ({u}, {v})"),
-            (w < 0, "negative weight {w} on edge ({u}, {v})"),
-        ], u=u, v=v, w=w)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        repeated, order = _repeats(lo, hi)
+        _raise_first([
+            (u == v, "self-loop at vertex {lo}"),
+            (~np.isfinite(w), "weight must be finite, got {w}"),
+            (w < 0, "negative weight {w}"),
+            (lo < 0, "negative vertex id"),
+            (hi >= n, f"vertex id too large, above {n - 1}"),
+            (repeated, "duplicate edge ({lo}, {hi})"),
+        ], w=w, lo=lo, hi=hi)
+        u, v, w = lo[order].astype(np.intp), hi[order].astype(np.intp), w[order]
         ws = w.tolist()
         total = float(sum(ws))
         if not math.isfinite(2 * total):
             raise GraphError(f"total weight {total} too large: twice it must be finite")
-        u, v = _read_only(u.astype(np.intp, copy=False)), _read_only(v.astype(np.intp, copy=False))
-        vars(self).update(u=u, v=v, w=_read_only(w), total_weight=total,  # frozen: not setattr
-                          edges=tuple(zip(u.tolist(), v.tolist(), ws)))
+        vars(self).update(n=int(n), u=_read_only(u), v=_read_only(v), w=_read_only(w),  # frozen
+                          total_weight=total, edges=tuple(zip(u.tolist(), v.tolist(), ws)))
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build a graph from (u, v) or (u, v, w) items, canonicalizing order."""
-        rows = [e if len(e) != 2 else (*e, 1.0) for e in edges]
-        us, vs, ws = zip(*rows) if rows else ((), (), ())
-        u, v = _ids(list(map(int, us))), _ids(list(map(int, vs)))
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        w = np.array(list(map(float, ws)), dtype=float)
-        order = np.lexsort((hi, lo))
-        return cls(n, lo[order], hi[order], w[order])
+        """Build a graph from (u, v) or (u, v, w) items, in any order and orientation."""
+        rows = [(*e, 1.0) if len(e) == 2 else e for e in edges]
+        if any(len(e) != 3 for e in rows):
+            raise GraphError("an edge must be a (u, v) or (u, v, w) item")
+        return cls(n, *(zip(*rows) if rows else ((), (), ())))
 
     @cached_property
     def degree(self) -> tuple[int, ...]:
@@ -185,13 +192,13 @@ def parse_graph(text: str) -> WeightedGraph:
 
     Weights default to 1.0. Vertex count is max id + 1. An error names the
     first bad line and, on it, the first failing check in this order: token
-    count, integer ids, real weight, self-loop, finite weight, nonnegative
-    weight, nonnegative ids, ids at most MAX_VERTEX_ID, a pair no earlier
-    line has. One Python pass tokenizes and converts up to the first token
-    that does not convert; the other checks run on the arrays of the lines
-    before it.
+    count, integer ids, real weight, then the constructor's table: self-loop,
+    finite weight, nonnegative weight, nonnegative ids, ids at most
+    MAX_VERTEX_ID, a pair no earlier line has. One Python pass tokenizes up
+    to the first token that does not convert; the constructor checks the
+    lines before it, and the row it rejects is named by its line.
     """
-    lines, us, vs, ws = [], [], [], []
+    rows = []  # (line number, u, v, w) of each edge line
     fault = None  # the first line whose tokens do not convert
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.partition("#")[0].split()
@@ -210,26 +217,20 @@ def parse_graph(text: str) -> WeightedGraph:
         except ValueError:
             fault = f"line {lineno}: weight must be a real number"
             break
-        lines.append(lineno)
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    u, v, w = _ids(us), _ids(vs), np.array(ws, dtype=float)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    repeated, order = _repeats(lo, hi)
-    _raise_first(ParseError, [
-        (u == v, "line {line}: self-loop at vertex {u}"),
-        (~np.isfinite(w), "line {line}: weight must be finite, got {w}"),
-        (w < 0, "line {line}: negative weight {w}"),
-        (lo < 0, "line {line}: negative vertex id"),
-        (hi > MAX_VERTEX_ID, f"line {{line}}: vertex id too large, above {MAX_VERTEX_ID}"),
-        (repeated, "line {line}: duplicate edge ({lo}, {hi})"),
-    ], line=lines, u=us, w=ws, lo=lo, hi=hi)
+        rows.append((lineno, u, v, w))
+    if not rows:
+        raise ParseError(fault or "no edges in document")
+    lines, us, vs, ws = zip(*rows)
+    try:
+        g = WeightedGraph(min(max(max(us), max(vs), 0), MAX_VERTEX_ID) + 1, _ids(us), _ids(vs), ws)
+    except GraphError as exc:
+        if exc.row is not None:
+            raise ParseError(f"line {lines[exc.row]}: {exc.reason}") from None
+        if fault is None:
+            raise
     if fault is not None:
         raise ParseError(fault)
-    if not us:
-        raise ParseError("no edges in document")
-    return WeightedGraph(int(hi.max()) + 1, lo[order], hi[order], w[order])
+    return g
 
 
 def _ids(values) -> np.ndarray:
@@ -263,15 +264,15 @@ def _repeats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return repeated, order
 
 
-def _raise_first(error: type, checks: list, **columns) -> None:
-    """Raise `error` at the first row flagged by any mask of `checks`, a list
-    of (mask, message template) in check order, with the template of the
+def _raise_first(checks: list, **columns) -> None:
+    """Raise GraphError at the first row flagged by any mask of `checks`, a
+    list of (mask, message template) in check order, with the template of the
     first mask that flags it, formatted with that row of each column."""
     flagged = np.array([mask for mask, _ in checks])
     if np.count_nonzero(flagged):
         row = int(flagged.any(axis=0).argmax())
         template = checks[int(flagged[:, row].argmax())][1]
-        raise error(template.format(**{name: col[row] for name, col in columns.items()}))
+        raise GraphError(template.format(**{k: col[row] for k, col in columns.items()}), row)
 
 
 def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
@@ -359,8 +360,8 @@ def match_forest_decompose(g: WeightedGraph) -> MatchForestDecomposition:
     np.maximum.at(top, g.u, rank)
     np.maximum.at(top, g.v, rank)
     picks = np.bincount(top[top >= 0], minlength=m)[rank]  # per edge: 0, 1 or 2
-    forest = tuple(sorted(g.edges[i] for i in np.flatnonzero(picks > 0)))
-    matching = tuple(sorted(g.edges[i] for i in np.flatnonzero(picks == 2)))
+    forest = tuple(g.edges[i] for i in np.flatnonzero(picks > 0))
+    matching = tuple(g.edges[i] for i in np.flatnonzero(picks == 2))
     covered = {x for u, v, _ in matching for x in (u, v)}
     return MatchForestDecomposition(
         matching=matching,

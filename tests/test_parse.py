@@ -158,24 +158,65 @@ class TestConstructor:
     @pytest.mark.parametrize("edges, message", [
         # unsorted, with the duplicates of (0, 1) not adjacent
         (((2, 3, 1.0), (0, 1, 1.0), (1, 4, 1.0), (0, 1, 2.0)), "duplicate edge (0, 1)"),
-        (((2, 3, 1.0), (0, 1, 1.0), (0, 1, -1.0), (4, 4, 1.0)), "duplicate edge (0, 1)"),
+        # a duplicate row whose weight is bad: the weight check comes first
+        (((2, 3, 1.0), (0, 1, 1.0), (0, 1, -1.0), (4, 4, 1.0)), "negative weight -1.0"),
         (((3, 4, 1.0), (0, 1, float("nan")), (2, 3, 1.0), (1, 0, 1.0)),
-         "non-finite weight nan on edge (0, 1)"),
-        (((2, 3, 1.0), (0, 1, 1.0), (3, 2, 1.0), (2, 3, 1.0)),
-         "edge (3, 2) not in canonical u < v order"),
-        (((0, 9, 1.0), (3, 3, 1.0)), "vertex id out of range in edge (0, 9)"),
-        (((1, 2, 1.0), (0, 10**30, 1.0)), f"vertex id out of range in edge (0, {10**30})"),
-        (((1, 2, -1.0), (2, 1, 1.0)), "negative weight -1.0 on edge (1, 2)"),
+         "weight must be finite, got nan"),
+        # a pair given in the other orientation is the same pair
+        (((2, 3, 1.0), (0, 1, 1.0), (3, 2, 1.0), (2, 3, 1.0)), "duplicate edge (2, 3)"),
+        (((0, 9, 1.0), (3, 3, 1.0)), "vertex id too large, above 4"),
+        (((1, 2, 1.0), (0, 10**30, 1.0)), "vertex id too large, above 4"),
+        (((1, 2, -1.0), (2, 1, 1.0)), "negative weight -1.0"),
+        (((1, 2, 1.0), (2, -1, 1.0)), "negative vertex id"),
+        (((0, 1, 1.0), (3, 3, -1.0)), "self-loop at vertex 3"),
     ])
     def test_first_bad_edge_in_tuple_order(self, edges, message):
         with pytest.raises(GraphError) as info:
             WeightedGraph(5, *zip(*edges))
         assert str(info.value) == message
 
-    def test_unsorted_tuple_kept_in_order(self):
-        g = WeightedGraph(5, [2, 0, 0], [3, 4, 1], [1.5, 0.5, 2.0])
-        assert g.u.tolist() == [2, 0, 0] and g.v.tolist() == [3, 4, 1]
-        assert g.w.tolist() == [1.5, 0.5, 2.0]
+    def test_error_carries_row_and_reason(self):
+        with pytest.raises(GraphError) as info:
+            WeightedGraph(5, [2, 0, 3, 1], [3, 1, 2, 1], [1.0, 1.0, 1.0, -1.0])
+        assert (info.value.row, info.value.reason) == (2, "duplicate edge (2, 3)")
+        with pytest.raises(GraphError) as info:
+            WeightedGraph(2, [0], [1], [1e308 * 1.5])
+        assert info.value.row is None and info.value.reason.startswith("total weight")
+
+    def test_any_order_in_sorted_out(self):
+        g = WeightedGraph(5, [3, 0, 1], [2, 4, 0], [1.5, 0.5, 2.0])
+        assert g.u.tolist() == [0, 0, 2] and g.v.tolist() == [1, 4, 3]
+        assert g.w.tolist() == [2.0, 0.5, 1.5]
+
+    def test_one_edge_set_one_graph(self):
+        """The same edges in any order and orientation give equal graphs with
+        the same arrays and a bit-equal total weight: summed in input order,
+        the 2^-53 weights are kept after the 1 is added, and lost before."""
+        weights = [1.0] + [2.0**-53] * 16
+        rows = [(0, v, w) for v, w in enumerate(weights, 1)]
+        rng = np.random.default_rng(2)
+        variants = [rows, rows[::-1], [(v, u, w) for u, v, w in rows]]
+        variants += [[rows[i][1::-1] + rows[i][2:] if rng.random() < 0.5 else rows[i]
+                      for i in rng.permutation(len(rows))] for _ in range(5)]
+        graphs = [WeightedGraph(18, *zip(*edges)) for edges in variants]
+        g = graphs[0]
+        assert g.total_weight == 1.0
+        for h in graphs[1:]:
+            assert h == g and hash(h) == hash(g) and h.edges == g.edges
+            assert all(a.tobytes() == b.tobytes() for a, b in zip((h.u, h.v, h.w), (g.u, g.v, g.w)))
+            assert h.total_weight.hex() == g.total_weight.hex()
+
+    @pytest.mark.parametrize("n, v", [
+        (10**30, 10**29), (MAX_VERTEX_ID + 2, 1), (3.5, 1), (True, 0), ("3", 1),
+        (np.float64(3.0), 1), (0, 1), (-2, 1)])
+    def test_vertex_count_checked(self, n, v):
+        """n must be an integer (not a bool) in 1..MAX_VERTEX_ID + 1."""
+        with pytest.raises(GraphError, match="vertex count must be an integer|at least one"):
+            WeightedGraph(n, [0], [v], [1.0])
+
+    def test_vertex_count_of_any_integer_type(self):
+        g = WeightedGraph(np.uint8(3), [0], [2], [1.0])
+        assert type(g.n) is int and g == WeightedGraph(3, [0], [2], [1.0])
 
     def test_total_weight_is_the_sequential_sum(self):
         """Each 2^-53 rounds away when added to 1 in turn; a pairwise sum
@@ -211,7 +252,7 @@ class TestConstructor:
     def test_integer_dtypes_converted_and_checked(self):
         g = WeightedGraph(3, np.array([0], dtype=np.int8), np.array([2], dtype=np.uint64), [1])
         assert g.u.dtype == g.v.dtype == np.intp and g.edges == ((0, 2, 1.0),)
-        with pytest.raises(GraphError, match=rf"out of range in edge \(0, {2**63}\)"):
+        with pytest.raises(GraphError, match="vertex id too large, above 2"):
             WeightedGraph(3, np.zeros(1, dtype=np.uint64), np.full(1, 2**63, dtype=np.uint64), [1])
 
     def test_caller_arrays_copied_not_frozen(self):
@@ -238,3 +279,13 @@ class TestConstructor:
         assert g.edges == ((0, 1, 2.0), (0, 2, 0.5), (1, 3, 1.0))
         assert all(type(x) is int for e in g.edges for x in e[:2])
         assert all(type(e[2]) is float for e in g.edges)
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 1.0), (1, 2, 1.0, 9)], [(0,)], [(0, 1), ()]])
+    def test_from_edges_items_of_two_or_three(self, edges):
+        with pytest.raises(GraphError, match=r"\(u, v\) or \(u, v, w\) item"):
+            WeightedGraph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "2", np.float64(2.0)])
+    def test_from_edges_ids_not_truncated(self, bad):
+        with pytest.raises(GraphError, match="is not an integer"):
+            WeightedGraph.from_edges(3, [(0, 1), (1, bad)])

@@ -85,3 +85,22 @@ def test_only_main_writes_to_stderr():
                for node in ast.walk(top) if isinstance(node, ast.Attribute)
                and node.attr in ("stderr", "__stderr__")}
     assert writers == {"main"}, f"cli.py writes to stderr in {sorted(writers - {'main'})}"
+
+
+def test_one_check_table_for_the_edge_list():
+    """`WeightedGraph.__post_init__` is the one place that validates an edge
+    list: the only caller of the check table `_raise_first`. `parse_graph`
+    only tokenizes, so it neither checks weights nor looks for repeated pairs."""
+    def called(node):
+        return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                for c in ast.walk(node) if isinstance(c, ast.Call)
+                and isinstance(c.func, (ast.Name, ast.Attribute))}
+
+    callers, parse = [], None
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                callers += [f"{path.name}:{node.name}"] * ("_raise_first" in called(node))
+                parse = node if node.name == "parse_graph" else parse
+    assert callers == ["graphs.py:__post_init__"]
+    assert not called(parse) & {"isfinite", "_repeats", "_raise_first"}
