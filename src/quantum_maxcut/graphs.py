@@ -8,21 +8,33 @@ Every numeric evaluator reads one read-only core: a graph is built from its
 edge arrays `u`, `v`, `w`, in any order and orientation; the constructor alone
 validates them, in one vectorized pass, then orients and sorts them and derives
 `edges`. `parse_graph` only tokenizes a document and hands the arrays over.
-Computed on first use: the sparse weight matrix `csr` (the only neighborhood
-structure; the BFS of `depth_parity` walks its `indptr` and `indices`), the
-`weight_exponent` k of the exact w / 2^k scaling that scale-free stages run
-on, per-edge `triangles` and a proper vertex coloring `color_classes`.
+Computed on first use: the weight matrix `csr`, a `Csr` of numpy arrays (the
+only neighborhood structure; the BFS of `depth_parity` walks its `indptr` and
+`indices`), the `weight_exponent` k of the exact w / 2^k scaling that
+scale-free stages run on, per-edge `triangles` and a proper vertex coloring
+`color_classes`.
+
+Every sparse product in the package is scipy's compiled CSR routine, bound
+to its operands by `csr_product`. This module alone loads it, from the
+extension module's file in scipy's install directory: `import scipy.sparse`
+would first run the package init, which imports about 290 more modules
+(numpy.f2py, numpy.testing and numpy.ma among them) and doubles the
+start-up of a solve.
 """
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 MAX_VERTEX_ID = int(np.iinfo(np.intp).max) - 1  # so that n = max id + 1 is a numpy index
 
@@ -37,6 +49,77 @@ class GraphError(ValueError):
 
 class ParseError(ValueError):
     """An edge-list document could not be parsed."""
+
+
+def _load_sparsetools():
+    """The extension module `scipy.sparse._sparsetools`, scipy's compiled
+    sparse routines, without `scipy.sparse`'s package init. `find_spec`
+    finds scipy's directory without importing scipy, and the file is the
+    first that exists with one of this interpreter's extension suffixes. A
+    module already imported is reused; one loaded here is taken out of
+    `sys.modules` (an extension registers itself there as it is created), so
+    that a later `import scipy.sparse` sets up its own as usual. ImportError,
+    naming the paths searched, if there is none."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    roots = (spec.submodule_search_locations or []) if spec else []
+    paths = [Path(root, "sparse", "_sparsetools" + suffix)
+             for root in roots for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"cannot load {name}: searched {[str(p) for p in paths]}", name=name)
+    ext = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(ext)
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    ext.loader.exec_module(module)
+    return module
+
+
+_SPARSETOOLS = _load_sparsetools()
+
+
+class Csr(NamedTuple):
+    """A sparse matrix in compressed sparse row form, as the three arrays of
+    scipy's `csr_array`: row i holds data[indptr[i]:indptr[i + 1]] at the
+    columns indices[indptr[i]:indptr[i + 1]]. It has len(indptr) - 1 rows."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def build_csr(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> Csr:
+    """The n x n Csr with entry data[i] at (rows[i], cols[i]), for positions
+    given once each, with read-only arrays: the canonical arrays scipy's
+    `csr_array` builds from these triples (each row's columns sorted, intp
+    indices), from one lexsort and a bincount row pointer."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Csr(_read_only(indptr), _read_only(cols[order].astype(np.intp, copy=False)),
+               _read_only(data[order]))
+
+
+def csr_product(a: Csr, x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+    """The product out += A x as a function of no arguments, which reads x and
+    out at each call (`csr_product(a, x, out)()` runs it once). A is a Csr
+    whose indptr and indices share one integer dtype, x a C-contiguous float
+    array of shape (columns,) or (columns, c), and out a C-contiguous float
+    array of rows (times c) entries. The function is scipy's compiled
+    `csr_matvec` or `csr_matvecs`, which `csr_array @ x` runs after its
+    dispatch, with its arguments bound by `functools.partial`: a call runs no
+    Python code and checks no shapes or dtypes, so a kernel binds its
+    products to its buffers once. Each row's sum starts from out and adds
+    the row's entries in stored order."""
+    indptr, indices, data = a
+    if x.ndim == 1:
+        return partial(_SPARSETOOLS.csr_matvec, len(indptr) - 1, len(x),
+                       indptr, indices, data, x, out)
+    return partial(_SPARSETOOLS.csr_matvecs, len(indptr) - 1, *x.shape,
+                   indptr, indices, data, x, out)
 
 
 @dataclass(frozen=True)
@@ -105,14 +188,12 @@ class WeightedGraph:
         return max(self.degree) if self.n else 0
 
     @cached_property
-    def csr(self) -> sp.csr_array:
-        """Symmetric n x n matrix of edge weights in compressed sparse row form,
-        built from u, v, w. A zero-weight edge is a stored zero: still an edge."""
-        a = sp.csr_array((np.r_[self.w, self.w], (np.r_[self.u, self.v], np.r_[self.v, self.u])),
-                         shape=(self.n, self.n))
-        for part in (a.data, a.indices, a.indptr):
-            _read_only(part)
-        return a
+    def csr(self) -> Csr:
+        """Symmetric n x n matrix of edge weights as a `Csr` of read-only numpy
+        arrays, built from u, v, w; each row's columns are sorted. A
+        zero-weight edge is a stored zero: still an edge."""
+        return build_csr(self.n, np.r_[self.u, self.v], np.r_[self.v, self.u],
+                          np.r_[self.w, self.w])
 
     @cached_property
     def weight_exponent(self) -> int:
@@ -122,21 +203,29 @@ class WeightedGraph:
 
     @cached_property
     def triangles(self) -> np.ndarray:
-        """Per-edge number of common neighbors of the endpoints: the binary
-        pattern of `csr` is sampled at (other endpoint, x) for each neighbor x
-        of the lower-degree endpoint, in O(sum over edges of the smaller degree)."""
-        a = self.csr
-        pattern = sp.csr_array((np.ones_like(a.data), a.indices, a.indptr), shape=a.shape)
-        deg = np.diff(a.indptr)
+        """Per-edge number of common neighbors of the endpoints: each neighbor
+        x of the lower-degree endpoint is looked up among the sorted
+        neighbors of the other, in O(sum over edges of the smaller degree)
+        lookups. A lookup is one `searchsorted` in the stored entries of
+        `csr`, whose (row, column) order the key rank(row) * s + rank(column)
+        keeps, with rank(x) x's index among the s vertices that have a
+        neighbor: the key stays below (2m)^2, where row * n + column could
+        overflow."""
+        indptr, indices = self.csr.indptr, self.csr.indices
+        deg = np.diff(indptr)
         swap = deg[self.u] > deg[self.v]
         low, high = np.where(swap, self.v, self.u), np.where(swap, self.u, self.v)
         count = deg[low]
         edge = np.repeat(np.arange(len(low)), count)
-        # where in `a.indices` the neighbors of each edge's low endpoint sit
-        pos = np.arange(len(edge)) + np.repeat(a.indptr[low] - np.cumsum(count) + count, count)
-        # scipy answers empty index arrays with a sparse array, not an ndarray
-        hits = pattern[high[edge], a.indices[pos]] if len(edge) else np.zeros(0)
-        return _read_only(np.bincount(edge, hits, minlength=len(low)).astype(np.intp))
+        # where in `indices` the neighbors of each edge's low endpoint sit
+        pos = np.arange(len(edge)) + np.repeat(indptr[low] - np.cumsum(count) + count, count)
+        rank = np.cumsum(deg > 0) - 1
+        s = rank[-1] + 1
+        keys = rank[np.repeat(np.arange(self.n), deg)] * s + rank[indices]
+        wanted = rank[high[edge]] * s + rank[indices[pos]]
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hits = keys[at] == wanted
+        return _read_only(np.bincount(edge[hits], minlength=len(low)))
 
     @cached_property
     def color_classes(self) -> tuple[np.ndarray, ...]:
@@ -293,11 +382,10 @@ def pair_depth_parity(n: int, u: np.ndarray, v: np.ndarray) -> tuple[int, tuple[
     """`depth_parity` of the graph on vertices 0..n-1 whose edges are the
     pairs (u[i], v[i]), each given once in either orientation."""
     # each edge stored both ways, as the BFS follows stored entries only
-    return depth_parity(sp.csr_array((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])),
-                                     shape=(n, n)))
+    return depth_parity(build_csr(n, np.r_[u, v], np.r_[v, u], np.ones(2 * len(u))))
 
 
-def depth_parity(a: sp.csr_array) -> tuple[int, tuple[int, ...]]:
+def depth_parity(a: Csr) -> tuple[int, tuple[int, ...]]:
     """Number of components of the undirected graph whose edges are the
     stored entries of the symmetric CSR matrix a (explicit zeros included),
     and each vertex's parity of its unweighted BFS depth from the smallest
@@ -305,9 +393,9 @@ def depth_parity(a: sp.csr_array) -> tuple[int, tuple[int, ...]]:
     forest of a: all n minus (number of components) of its edges are cut.
     """
     indptr, indices = a.indptr.tolist(), a.indices.tolist()
-    parity = [-1] * a.shape[0]
+    parity = [-1] * (len(indptr) - 1)
     count = 0
-    for root in range(a.shape[0]):  # in vertex order: each new root is its component's smallest
+    for root in range(len(parity)):  # in vertex order: each new root is its component's smallest
         if parity[root] >= 0:
             continue
         count += 1

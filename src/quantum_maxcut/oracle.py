@@ -9,6 +9,9 @@ A swap keeps the number of 1 bits, and every spin multiplet has a member
 of Hamming weight floor(n/2) (S_z = 0 or 1/2), so the maximum eigenvalue
 is found on that block alone, a sparse matrix of C(n, floor(n/2)) rows, by
 a thick-restart Lanczos in numpy that stops on its own residual certificate.
+The sector matrix is a `Csr` of numpy arrays, and each Lanczos step's
+product is `graphs.csr_product`, scipy's compiled CSR routine: the oracle
+imports nothing from scipy.
 
 Bit convention: qubit q is axis q of amplitudes.reshape([2]*n), i.e. bit q of
 index i is (i >> (n-1-q)) & 1, so a bit string reads like the binary index.
@@ -18,9 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_array
 
-from .graphs import WeightedGraph
+from .graphs import Csr, WeightedGraph, csr_product
 
 QUBIT_CAP = 20  # states, energies and the eigenvalue: at most this many qubits
 BRUTE_FORCE_CAP = 24
@@ -74,9 +76,10 @@ def energy(g: WeightedGraph, psi: np.ndarray) -> float:
     return float(val.real)
 
 
-def sector_hamiltonian(g: WeightedGraph) -> csr_array:
+def sector_hamiltonian(g: WeightedGraph) -> Csr:
     """H_G on the sorted basis states of Hamming weight floor(n/2), as a
-    sparse CSR matrix; row and column i stand for the i-th smallest index.
+    `Csr` of new int32 and float arrays the caller owns; row and column i
+    stand for the i-th smallest index.
 
     On a state whose bits at u and v differ, the edge term w (I - SWAP_uv)
     adds w on the diagonal and -w at the partner with both bits swapped; on
@@ -112,23 +115,18 @@ def sector_hamiltonian(g: WeightedGraph) -> csr_array:
         indptr[r0 + 1:r0 + 1 + len(s)] = lo + np.cumsum(keep.sum(axis=1))
         np.take(cols, at, out=indices[lo:lo + len(at)])
         np.take(vals, at, out=data[lo:lo + len(at)])
-    return csr_array((data, indices, indptr), shape=(dim, dim))
+    return Csr(indptr, indices, data)
 
 
-def _matvec(h: csr_array, x: np.ndarray, out: np.ndarray) -> None:
-    """out += h x for a CSR matrix h and float vectors x and out: the routine
-    `h @ x` runs after its dispatch, adding into `out` instead of a new array."""
-    _sparsetools.csr_matvec(h.shape[0], h.shape[1], h.indptr, h.indices, h.data, x, out)
-
-
-def _lanczos(h: csr_array, bound: float) -> tuple[float, float]:
+def _lanczos(h: Csr, bound: float) -> tuple[float, float]:
     """Top Ritz value lam of the symmetric h by thick-restart Lanczos with its
     residual ||h v - lam v||, unit v; returns once that is at most bound * lam,
     when the Krylov space is invariant, or after `_RESTARTS` restarts.
 
-    From a fixed random start each step takes one product with h and
-    orthogonalizes it twice, first against its predecessors in the recurrence,
-    then against the whole basis, which one pass leaves drifting. At the steps
+    From a fixed random start each step adds one product with h into a
+    zeroed basis row (`csr_product`) and orthogonalizes it twice, first
+    against its predecessors in the recurrence, then against the whole
+    basis, which one pass leaves drifting. At the steps
     `_CHECKS` and when the basis holds `_BASIS` vectors, the projected matrix
     V h V^T gives the top Ritz pair, and if the residual the recurrence
     predicts is within the bound, the residual itself is taken. A full basis
@@ -136,7 +134,7 @@ def _lanczos(h: csr_array, bound: float) -> tuple[float, float]:
     alone stalled on weighted stars, whose top eigenvalues lie about 1e-4
     apart.
     """
-    dim = h.shape[0]
+    dim = len(h.indptr) - 1
     size = min(_BASIS, dim)
     basis = np.empty((size + 1, dim))  # orthonormal rows
     t = np.zeros((size, size))  # V h V^T, lower triangle
@@ -147,7 +145,7 @@ def _lanczos(h: csr_array, bound: float) -> tuple[float, float]:
         for j in range(kept, size):
             w = basis[j + 1]
             w.fill(0.0)
-            _matvec(h, basis[j], w)
+            csr_product(h, basis[j], w)()
             for lo in (0 if j == kept else j - 1, 0):  # after a restart, all kept are predecessors
                 c = basis[lo:j + 1] @ w
                 w -= c @ basis[lo:j + 1]
@@ -164,7 +162,7 @@ def _lanczos(h: csr_array, bound: float) -> tuple[float, float]:
             if residual <= bound * lam:
                 v = ys[:, -1] @ basis[:j + 1]
                 hv = -lam * v
-                _matvec(h, v, hv)
+                csr_product(h, v, hv)()
                 residual = np.linalg.norm(hv)
                 if residual <= bound * lam:
                     return lam, residual
@@ -195,8 +193,8 @@ def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8) -> float:
     and lam is scaled back: the scaling is exact, no square in the residual
     overflows, and as lam >= 2 max w (the top of one edge's term), lam >= 1
     in those units, so the relative bound needs no floor and holds at any
-    weight scale. Only numpy and `scipy.sparse` run: no solve loads
-    `scipy.sparse.linalg`."""
+    weight scale. Only numpy and scipy's compiled CSR product run: the
+    oracle loads neither `scipy.sparse` nor `scipy.sparse.linalg`."""
     _check_cap(g.n, QUBIT_CAP)
     if g.total_weight == 0:
         return 0.0  # H_G = 0, on which Lanczos has no start vector

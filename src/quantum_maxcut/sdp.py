@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_array
 
-from .graphs import WeightedGraph, check_size, cut_value
+from .graphs import Csr, WeightedGraph, check_size, csr_product, cut_value
 
 GW_RATIO = 0.8785
 # 0.956 (rank-3 rounding vs best product state) times the 0.5 worst case of
@@ -78,8 +77,8 @@ def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
     elementwise product and column sums; unchecked. On spins x_i = +-1 (d = 1)
     it is the cut value, exact on integer weights and equal for complements."""
     flat = np.ascontiguousarray(vecs.reshape(g.n, -1))
-    pull = np.empty(flat.shape)
-    _csr_product(g.csr.indptr, g.csr.indices, g.csr.data, flat, pull)
+    pull = np.zeros(flat.shape)
+    csr_product(g.csr, flat, pull)()
     pull *= flat
     return g.total_weight / 2 - pull.sum(axis=0).reshape(vecs.shape[1:]).sum(axis=1) / 4
 
@@ -99,28 +98,18 @@ def _start_sums(vecs: np.ndarray, pull: np.ndarray, dots: np.ndarray) -> np.ndar
     return dots.sum(axis=0)
 
 
-def _renumbered(a: csr_array, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, data) of the CSR matrix a[order][:, order] for a
-    permutation `order`: row i is row order[i] of a, its entries in their
-    stored order, each column renamed to its position in `order`. These are
-    the arrays scipy's fancy indexing builds, without its index checks."""
+def _renumbered(a: Csr, order: np.ndarray) -> Csr:
+    """The matrix a[order][:, order] for a permutation `order`: row i is row
+    order[i] of a, its entries in their stored order, each column renamed to
+    its position in `order`. These are the arrays scipy's fancy indexing
+    builds, without its index checks."""
     rank = np.empty(len(order), dtype=a.indices.dtype)
     rank[order] = np.arange(len(order))
     counts = np.diff(a.indptr)[order]
     indptr = np.zeros(len(order) + 1, dtype=a.indptr.dtype)
     np.cumsum(counts, out=indptr[1:])
     pos = np.repeat(a.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
-    return indptr, rank[a.indices[pos]], a.data[pos]
-
-
-def _csr_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                 x: np.ndarray, out: np.ndarray) -> None:
-    """out = A x for the CSR rows (indptr, indices, data) and a C-contiguous
-    float x of shape (n, c); out is a C-contiguous float array of rows * c
-    entries. This is the routine `csr_array @ x` runs after its dispatch."""
-    out.fill(0.0)  # csr_matvecs adds into out
-    _sparsetools.csr_matvecs(len(indptr) - 1, x.shape[0], x.shape[1], indptr, indices,
-                             data, x, out)
+    return Csr(indptr, rank[a.indices[pos]], a.data[pos])
 
 
 # A neighbor sum at most this long (in units of the largest weight) is taken
@@ -150,10 +139,10 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     sum is zero, or so small in the units of a (at most 2^-511) that its
     square would lose bits to underflow, keeps its vector. The class-order
     matrix is a numpy permutation of A's CSR arrays, every buffer is
-    allocated once per call, each product calls scipy's CSR routine
-    directly into its buffer, with no dispatch, and the squared lengths and
-    per-start sums are `np.vecdot` gufunc reductions, with no subscript
-    parsing.
+    allocated once per call, each product is scipy's compiled CSR routine
+    bound once to its slab and buffers (`csr_product`), so a product
+    runs no Python code, and the squared lengths and per-start sums are
+    `np.vecdot` gufunc reductions, with no subscript parsing.
 
     Returns (objective of each start, converged, sweeps). No objective
     decreases; a decrease beyond rounding (1e-12 of the objective in the
@@ -164,32 +153,36 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     order = np.concatenate(g.color_classes)
     k = g.weight_exponent
     indptr, indices, data = _renumbered(g.csr, order)
-    data = -np.ldexp(data, -k)
+    a = Csr(indptr, indices, -np.ldexp(data, -k))
     half_weight = math.ldexp(g.total_weight, -k) / 2
     work = np.ascontiguousarray(vecs[order])  # flat must view it; written back at the end
     flat = work.reshape(n, starts * r)
     pull = np.empty((n, starts, r))  # a V, whose first slab is the first class's sums
     dots = np.empty((n, starts))
-    slabs = []  # (row pointers, or None for the first class; sums, norms, squares, mask, rows)
+    pull_product = csr_product(a, flat, pull)
+    slabs = []  # (product, or None for the first class; sums, norms, squares, mask, rows)
     lo = 0
     for hi in np.cumsum([len(b) for b in g.color_classes]).tolist():
         sums = pull[:hi] if lo == 0 else np.empty((hi - lo, starts, r))
         norms = np.empty((hi - lo, starts, 1))
-        slabs.append((indptr[lo:hi + 1] if lo else None, sums, norms, norms[..., 0],
-                      np.empty(norms.shape, dtype=bool), work[lo:hi]))
+        rows = Csr(indptr[lo:hi + 1], indices, a.data)
+        slabs.append((csr_product(rows, flat, sums) if lo else None, sums, norms,
+                      norms[..., 0], np.empty(norms.shape, dtype=bool), work[lo:hi]))
         lo = hi
 
     def score() -> list[float]:
-        _csr_product(indptr, indices, data, flat, pull)
+        pull.fill(0.0)  # the product adds into its output
+        pull_product()
         return [half_weight + x / 4 for x in _start_sums(work, pull, dots).tolist()]
 
     obj = score()
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for rows, s, norms, squares, mask, out in slabs:
-            if rows is not None:
-                _csr_product(rows, indices, data, flat, s)
+        for product, s, norms, squares, mask, out in slabs:
+            if product is not None:
+                s.fill(0.0)
+                product()
             np.vecdot(s, s, out=squares)
             np.sqrt(norms, out=norms)
             np.greater(norms, _TINY_SUM, out=mask)
@@ -227,7 +220,8 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
     _, converged, sweeps = mixing_ascent(g, vecs[:, None], tol, max_sweeps)
     obj = sdp_objective(g, vecs)
-    grad = g.csr @ vecs  # d(objective)/dv_i = -grad_i / 2
+    grad = np.zeros(vecs.shape)  # A V: d(objective)/dv_i = -grad_i / 2
+    csr_product(g.csr, vecs, grad)()
     radial = np.vecdot(grad, vecs)
     # the tangential gradient in the units of A / 2^k, as in the kernel: no square overflows
     k = g.weight_exponent
@@ -248,7 +242,8 @@ def _dual_bound(g: WeightedGraph, objective: float, radial: np.ndarray) -> float
     a dense eigensolver (numpy's, so that a solve needs no `scipy.linalg`): a
     Lanczos (Ritz) value is not a certified lower bound.
     """
-    m = g.csr.toarray()
+    m = np.zeros((g.n, g.n))
+    m[g.u, g.v] = m[g.v, g.u] = g.w
     m.flat[::g.n + 1] = -radial
     lam = np.linalg.eigvalsh(m)[0] / 4
     return float(objective - g.n * min(0.0, lam))

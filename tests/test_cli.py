@@ -224,6 +224,41 @@ def test_reports_scale_with_power_of_two_weights(tmp_path, capsys, graph):
                 assert entry.get(key) == ref.get(key), (j, ref["label"], key)
 
 
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda rng: generate.regular_graph(12, 3, rng), id="regular3-n12"),
+    pytest.param(lambda rng: generate.gnp_graph(10, 0.5, rng, weights="exp"), id="exp-gnp-n10"),
+])
+@pytest.mark.parametrize("scale", [1e-6, 1e150])
+def test_reports_scale_with_other_weights(tmp_path, capsys, graph, scale):
+    """At weights times c, c not a power of two, each weight w is the double
+    nearest c w, so the graph is scaled only to within rounding. Still the
+    exit code, verdicts, bits, pairs, winner, failure flags, layers and
+    sweeps are those at c = 1; every value, bound and the exact optimum
+    scale by c, and the ratios by 1, to 1e-12 relative (seen: within 2.1e-15);
+    and the angle matches to 1e-6 relative (seen: 1.5e-8), as an argmax of a
+    smooth energy moves by about the square root of the energy's rounding."""
+    g = graph(np.random.default_rng(5))
+    runs = []
+    for c in (1.0, scale):
+        path = tmp_path / f"g{c}.txt"
+        path.write_text("".join(f"{u} {v} {w * c!r}\n" for u, v, w in g.edges))
+        code, out = run(capsys, "solve", str(path), "--tol", "-1", "--oracle", "on")
+        runs.append((code, json.loads(out)))
+    (base_code, base), (code, report) = runs
+    assert (code, report["verdicts"]) == (base_code, base["verdicts"])
+    assert report["opt"] == pytest.approx(base["opt"] * scale, rel=1e-12, abs=0)
+    for key, value in base["bounds"].items():
+        assert report["bounds"][key] == pytest.approx(value * scale, rel=1e-12, abs=0), key
+    for entry, ref in zip(report["algorithms"], base["algorithms"], strict=True):
+        assert entry["value"] == pytest.approx(ref["value"] * scale, rel=1e-12, abs=0)
+        for key in ("ratio_vs_upper_bound", "ratio_vs_opt"):
+            assert entry[key] == pytest.approx(ref[key], rel=1e-12, abs=0), (ref["label"], key)
+        for key in ("bits", "pairs", "winner", "failed", "layers", "sweeps"):
+            assert entry.get(key) == ref.get(key), (ref["label"], key)
+        if "theta" in ref:
+            assert entry["theta"] == pytest.approx(ref["theta"], rel=1e-6, abs=0)
+
+
 def test_consecutive_calls_share_no_parsed_state(tmp_path, capsys):
     """The parser is built once per process; each call parses its own flags."""
     path = tmp_path / "g.txt"
@@ -425,6 +460,16 @@ def test_fuzz_corpus_exits_cleanly(tmp_path, capsys):
     assert not failures, "\n".join(failures)
 
 
+def run_python(code):
+    """Run `code` in a fresh interpreter on this checkout; its stdout, as JSON."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 def test_huge_requests_exit_1_under_memory_cap(tmp_path):
     """Requests numpy cannot allocate (1e9 rounding attempts on one edge, 14.9
     GiB; a vertex id of 99999999999) exit 1 with one `error:` line, and so do
@@ -455,12 +500,7 @@ def test_huge_requests_exit_1_under_memory_cap(tmp_path):
         "        results.append([main(argv), err.getvalue()])\n"
         "print(json.dumps(results))\n"
     )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    for argv, (exit_code, err) in zip(cases, json.loads(result.stdout)):
+    for argv, (exit_code, err) in zip(cases, run_python(code)):
         assert exit_code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
@@ -482,43 +522,65 @@ def test_textless_memory_error_is_named_under_memory_cap():
         "        results.append([main(argv), err.getvalue()])\n"
         "print(json.dumps(results))\n"
     )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    for argv, (exit_code, err) in zip(cases, json.loads(result.stdout)):
+    for argv, (exit_code, err) in zip(cases, run_python(code)):
         assert exit_code == 1 and err == "error: MemoryError\n", (argv, err)
 
 
-def test_solve_imports_no_scipy_linalg(tmp_path):
-    """`solve` needs numpy and scipy.sparse alone, with the oracle on or off:
-    no scipy subpackage that pulls in scipy.linalg is imported, and the
-    oracle answers without ARPACK."""
+def test_solve_imports_no_scipy_sparse(tmp_path):
+    """`import quantum_maxcut` and a solve, with the oracle on or off, run on
+    numpy and scipy's compiled CSR routines alone: no scipy package init runs,
+    so neither `scipy.sparse` nor `scipy.linalg` is imported, nor the numpy
+    modules `scipy.sparse`'s init pulls in (`numpy.f2py`, `numpy.testing`)."""
     path = tmp_path / "tri.txt"
     path.write_text("0 1\n1 2\n2 0\n")
     code = (
         "import contextlib, io, json, sys\n"
+        "import quantum_maxcut\n"
         "from quantum_maxcut.cli import main\n"
-        "runs = []\n"
+        "heavy = ('scipy', 'scipy.sparse', 'scipy.linalg', 'numpy.f2py', 'numpy.testing')\n"
+        "runs = [[None, None, [m for m in heavy if m in sys.modules]]]\n"
         "for oracle in ('off', 'on'):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
         f"        code = main(['solve', {str(path)!r}, '--oracle', oracle])\n"
-        "    heavy = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')\n"
         "    runs.append([code, json.loads(out.getvalue())['opt'],\n"
         "                 [m for m in heavy if m in sys.modules]])\n"
         "print(json.dumps(runs))\n"
     )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    (off_code, off_opt, off_loaded), (on_code, on_opt, on_loaded) = json.loads(result.stdout)
-    assert (off_code, off_opt, off_loaded) == (0, None, [])
+    imported, off, (on_code, on_opt, on_loaded) = run_python(code)
+    assert imported == [None, None, []]
+    assert off == [0, None, []]
     assert on_code == 0 and on_opt == pytest.approx(3.0, abs=1e-8)
     assert on_loaded == []
+
+
+def test_report_same_after_scipy_sparse(tmp_path):
+    """A process that imports `scipy.sparse` before the package runs the CSR
+    products on that module's routines, and writes the same report, byte for
+    byte once the stage times are taken out, as a process that does not."""
+    path = tmp_path / "g.txt"
+    g = generate.gnp_graph(9, 0.5, np.random.default_rng(4), weights="exp")
+    path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
+    reports = []
+    for first in ("", "import scipy.sparse\n"):
+        code = (
+            f"{first}import contextlib, io, json, sys\n"
+            "from quantum_maxcut import graphs\n"
+            "from quantum_maxcut.cli import main\n"
+            "def untimed(x):\n"
+            "    if isinstance(x, dict):\n"
+            "        return {k: untimed(v) for k, v in x.items() if k != 'seconds'}\n"
+            "    return [untimed(v) for v in x] if isinstance(x, list) else x\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = main(['solve', {str(path)!r}, '--oracle', 'on'])\n"
+            "shared = graphs._SPARSETOOLS is sys.modules.get('scipy.sparse._sparsetools')\n"
+            "print(json.dumps([code, shared, json.dumps(untimed(json.loads(out.getvalue())))]))\n"
+        )
+        reports.append(run_python(code))
+    (code, shared, report), (code_after, shared_after, report_after) = reports
+    assert (code, shared, code_after, shared_after) == (0, False, 0, True)
+    assert report_after == report
 
 
 class TestRandom:

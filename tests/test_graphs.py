@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,10 @@ from quantum_maxcut import (
     tree_coloring_state,
     two_color_forest,
 )
+from quantum_maxcut import graphs
 from quantum_maxcut.generate import gnp_graph, regular_graph
-from quantum_maxcut.graphs import depth_parity
+from quantum_maxcut.graphs import build_csr, depth_parity
+from scipy_reference import scipy_csr
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -127,7 +130,7 @@ class TestEdgeArrays:
         assert g.v.tolist() == [1, 2, 2]
         assert g.w.tolist() == [0.5, 3.0, 1.0]
         assert g.triangles.tolist() == [1, 1, 1]
-        assert np.array_equal(g.csr.toarray(), [[0, 0.5, 3], [0.5, 0, 1], [3, 1, 0]])
+        assert np.array_equal(scipy_csr(g.csr).toarray(), [[0, 0.5, 3], [0.5, 0, 1], [3, 1, 0]])
 
     def test_cached_and_read_only(self):
         g = k4()
@@ -189,8 +192,9 @@ class TestCsr:
             dense = np.zeros((g.n, g.n))
             for u, v, w in g.edges:
                 dense[u, v] = dense[v, u] = w
-            assert np.array_equal(g.csr.toarray(), dense)
-            assert g.csr.nnz == 2 * len(g.edges)
+            a = scipy_csr(g.csr)
+            assert np.array_equal(a.toarray(), dense)
+            assert a.nnz == 2 * len(g.edges)
 
     def test_cached_and_read_only(self):
         g = k4()
@@ -199,6 +203,59 @@ class TestCsr:
         for part in (a.data, a.indices, a.indptr):
             with pytest.raises(ValueError):
                 part[0] = 0
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(parse_graph("0 1 2.5"), id="single-edge"),
+        pytest.param(WeightedGraph.from_edges(6, [(4, 2, 1.5), (0, 4, 0.0), (2, 0, 3.0),
+                                                  (5, 2, 0.0)]), id="isolated-and-zeros"),
+        pytest.param(gnp_graph(30, 0.1, np.random.default_rng(3), weights="exp"), id="sparse"),
+        pytest.param(gnp_graph(50, 0.4, np.random.default_rng(4), weights="exp"), id="dense"),
+        pytest.param(regular_graph(100, 3, np.random.default_rng(5)), id="regular3"),
+    ])
+    def test_arrays_are_scipys(self, g):
+        """`csr` holds bit for bit the canonical arrays scipy's `csr_array`
+        builds from the same triples, dtypes included, so every product sums
+        in scipy's order. An isolated vertex has an empty row; a zero-weight
+        edge is a stored zero."""
+        ref = sp.csr_array((np.r_[g.w, g.w], (np.r_[g.u, g.v], np.r_[g.v, g.u])),
+                           shape=(g.n, g.n))
+        for got, want in zip(g.csr, (ref.indptr, ref.indices, ref.data), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_builder_takes_any_order(self):
+        """`build_csr` sorts triples given in any order, as scipy does."""
+        rng = np.random.default_rng(6)
+        g = gnp_graph(20, 0.3, rng, weights="exp")
+        rows, cols, data = np.r_[g.u, g.v], np.r_[g.v, g.u], np.r_[g.w, g.w]
+        shuffle = rng.permutation(len(rows))
+        got = build_csr(g.n, rows[shuffle], cols[shuffle], data[shuffle])
+        for x, y in zip(got, g.csr, strict=True):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestSparsetoolsLoader:
+    """`graphs._load_sparsetools` loads scipy's compiled CSR routines without
+    `scipy.sparse`'s package init."""
+
+    NAME = "scipy.sparse._sparsetools"
+
+    def test_loads_without_registering(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, self.NAME, raising=False)
+        module = graphs._load_sparsetools()
+        assert self.NAME not in sys.modules
+        assert callable(module.csr_matvec) and callable(module.csr_matvecs)
+
+    def test_reuses_an_imported_module(self, monkeypatch):
+        imported = types.ModuleType(self.NAME)
+        monkeypatch.setitem(sys.modules, self.NAME, imported)
+        assert graphs._load_sparsetools() is imported
+
+    def test_missing_extension_names_the_paths(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, self.NAME, raising=False)
+        monkeypatch.setattr(graphs, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError, match=r"searched \[.*/_sparsetools\.missing\.so") as info:
+            graphs._load_sparsetools()
+        assert info.value.name == self.NAME
 
 
 def random_pair_product_state(g, rng):
@@ -370,7 +427,7 @@ class TestZeroWeightEdges:
     G = parse_graph("0 1 0\n1 2 1\n0 2 0")
 
     def test_stored_as_edges(self):
-        assert self.G.csr.nnz == 6
+        assert scipy_csr(self.G.csr).nnz == 6
 
     def test_triangles(self):
         assert self.G.triangles.tolist() == [1, 1, 1]
@@ -427,7 +484,7 @@ class TestDepthParityMatchesCsgraph:
             n = int(rng.integers(1, 60))
             # sparse G(n, p): components with and without cycles, isolated vertices
             g = gnp_graph(n, float(rng.uniform(0.0, 4.0 / n)), rng)
-            assert depth_parity(g.csr) == csgraph_depth_parity(g.csr)
+            assert depth_parity(g.csr) == csgraph_depth_parity(scipy_csr(g.csr))
 
     def test_forests_stored_one_way(self):
         """`two_color_forest` gets each edge once, in either orientation; its

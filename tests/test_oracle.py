@@ -19,8 +19,9 @@ from quantum_maxcut import (
     simulate_variational_state,
 )
 from quantum_maxcut.generate import cycle_graph, gnp_graph, star_graph
-from quantum_maxcut.oracle import _matvec
+from quantum_maxcut.graphs import Csr, csr_product
 from quantum_maxcut.states import cut_value
+from scipy_reference import scipy_csr
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
@@ -46,7 +47,7 @@ def lanczos_full_space(g):
 def lanczos_sector(g):
     """Largest eigenvalue of `sector_hamiltonian(g)` by ARPACK, with its own
     residual check: the sector reference for n above 10."""
-    h = oracle.sector_hamiltonian(g)
+    h = scipy_csr(oracle.sector_hamiltonian(g))
     lams, vecs = eigsh(h, k=1, which="LA", tol=0,
                        v0=np.random.default_rng(0).standard_normal(h.shape[0]))
     assert np.linalg.norm(h @ vecs[:, 0] - lams[0] * vecs[:, 0]) < 1e-9 * max(lams[0], 1)
@@ -167,7 +168,7 @@ class TestMaxEigenvalue:
         """Against the top eigenvalue of the same sector matrix: dense eigvalsh
         up to n = 10, ARPACK over the rest of the `--oracle auto` range."""
         for g in sector_test_graphs(n, np.random.default_rng(300 + n)):
-            ref = (np.linalg.eigvalsh(oracle.sector_hamiltonian(g).toarray())[-1]
+            ref = (np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g)).toarray())[-1]
                    if n <= 10 else lanczos_sector(g))
             assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
@@ -198,26 +199,27 @@ class TestMaxEigenvalue:
         """The log-spread star needs restarts: with none allowed it is refused,
         with the default ones it meets the dense reference."""
         g = log_spread_star(10)
-        ref = np.linalg.eigvalsh(oracle.sector_hamiltonian(g).toarray())[-1]
+        ref = np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g)).toarray())[-1]
         assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10)
         monkeypatch.setattr(oracle, "_RESTARTS", 0)
         with pytest.raises(ConvergenceError, match="exceeds tolerance 1e-08"):
             max_eigenvalue(g)
 
     def test_matvec_adds_the_product(self):
-        """The Lanczos step calls scipy's private CSR routine, which adds h x
-        into its output: from zero it must equal the public product bit for
-        bit, and otherwise add to what is there."""
+        """The Lanczos step calls `csr_product` on a vector, scipy's compiled
+        CSR routine, which adds h x into its output: from zero it must equal
+        the public product bit for bit, and otherwise add to what is there."""
         rng = np.random.default_rng(8)
         for dim, density in ((1, 1.0), (7, 0.0), (50, 0.2), (300, 0.05)):
             h = csr_array(np.where(rng.random((dim, dim)) < density,
                                    rng.standard_normal((dim, dim)), 0.0))
+            a = Csr(h.indptr, h.indices, h.data)
             x, start = rng.standard_normal(dim), rng.standard_normal(dim)
             out = np.zeros(dim)
-            _matvec(h, x, out)
+            csr_product(a, x, out)()
             assert np.array_equal(out, h @ x)
             out = start.copy()
-            _matvec(h, x, out)
+            csr_product(a, x, out)()
             assert np.allclose(out, start + h @ x, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("j", [-600, 600, 1000])
@@ -239,7 +241,7 @@ class TestMaxEigenvalue:
         # top Hamiltonian eigenvalue of a star equals the Laplacian norm
         rng = np.random.default_rng(9)
         g = star_graph(5, weights="exp", rng=rng)
-        a = g.csr.toarray()
+        a = scipy_csr(g.csr).toarray()
         lam = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)[-1]
         assert max_eigenvalue(g) == pytest.approx(lam, abs=1e-8)
 
@@ -253,7 +255,7 @@ class TestSectorHamiltonian:
         block = np.flatnonzero(weight == n // 2)
         for g in sector_test_graphs(n, np.random.default_rng(200 + n)):
             h = dense_hamiltonian(g)
-            sector = oracle.sector_hamiltonian(g)
+            sector = scipy_csr(oracle.sector_hamiltonian(g))
             assert sector.shape == (len(block), len(block))
             assert np.allclose(sector.toarray(), h[np.ix_(block, block)], rtol=0, atol=1e-12)
             assert not h[np.ix_(weight != n // 2, block)].any()

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from quantum_maxcut import (
     GramSolution,
@@ -18,8 +17,10 @@ from quantum_maxcut import (
 )
 from quantum_maxcut import sdp
 from quantum_maxcut.generate import gnp_graph, regular_graph
-from quantum_maxcut.sdp import _csr_product, _renumbered, mixing_ascent, stack_objective
+from quantum_maxcut.graphs import Csr, csr_product
+from quantum_maxcut.sdp import _renumbered, mixing_ascent, stack_objective
 from quantum_maxcut.states import cut_value
+from scipy_reference import scipy_csr
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
@@ -67,7 +68,7 @@ def unit_rows(rng, n, r):
 
 def cyclic_reference(g, vecs, sweeps, order):
     """One-vertex coordinate ascent steps, visiting vertices in the given order."""
-    adj = g.csr.toarray()
+    adj = scipy_csr(g.csr).toarray()
     for _ in range(sweeps):
         for i in order:
             s = -(adj[i] @ vecs)
@@ -199,35 +200,44 @@ class TestWeightScale:
 
 def slab_cases():
     """(matrix, first row, end row, V as (n, S * r)) for the kernel's product: a
-    slab with an empty row, a stack of S = 4 starts, and int64 indices."""
+    slab with an empty row, a stack of S = 4 starts, and int64 and int32
+    indices (a graph's `csr` has intp, the oracle's sector matrix int32)."""
     rng = np.random.default_rng(12)
     isolated = WeightedGraph.from_edges(6, [(0, 1, 2.0), (1, 2, 0.5), (3, 4, 1.5)]).csr
     yield pytest.param(isolated, 2, 6, rng.standard_normal((6, 3)), id="empty-row")  # vertex 5
     stacked = gnp_graph(20, 0.4, rng, weights="exp").csr
     yield pytest.param(stacked, 7, 15, rng.standard_normal((20, 4 * 3)), id="stack")
-    wide = gnp_graph(15, 0.5, rng, weights="exp").csr
-    wide = sp.csr_array((wide.data, wide.indices.astype(np.int64),
-                         wide.indptr.astype(np.int64)), shape=wide.shape)
-    assert wide.indptr.dtype == wide.indices.dtype == np.int64
-    yield pytest.param(wide, 0, 9, rng.standard_normal((15, 2 * 5)), id="int64")
+    for dtype in (np.int64, np.int32):
+        wide = gnp_graph(15, 0.5, rng, weights="exp").csr
+        wide = Csr(wide.indptr.astype(dtype), wide.indices.astype(dtype), wide.data)
+        yield pytest.param(wide, 0, 9, rng.standard_normal((15, 2 * 5)),
+                           id=np.dtype(dtype).name)
 
 
 @pytest.mark.parametrize("a, lo, hi, flat", list(slab_cases()))
 def test_csr_product_matches_matmul(a, lo, hi, flat):
-    """The kernel calls scipy's private CSR routine on a slab of rows, with the
-    matrix's own indptr view; it must equal the public product bit for bit."""
-    out = np.full((hi - lo, flat.shape[1]), np.nan)  # the product must overwrite it
-    _csr_product(a.indptr[lo:hi + 1], a.indices, a.data, flat, out)
-    assert np.array_equal(out, a[lo:hi] @ flat)
+    """The kernel calls `csr_product`, scipy's compiled CSR routine, on a slab
+    of rows with the matrix's own indptr view, which adds the product into its
+    output: from zero it must equal scipy's public product bit for bit, and
+    otherwise add to what is there."""
+    slab = Csr(a.indptr[lo:hi + 1], a.indices, a.data)
+    expected = scipy_csr(a)[lo:hi] @ flat
+    out = np.zeros(expected.shape)
+    csr_product(slab, flat, out)()
+    assert np.array_equal(out, expected)
+    start = np.random.default_rng(hi).standard_normal(expected.shape)
+    out = start.copy()
+    csr_product(slab, flat, out)()
+    assert np.allclose(out, start + expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("a, lo, hi, flat", list(slab_cases()))
 def test_renumbering_matches_fancy_indexing(a, lo, hi, flat):
     """The kernel permutes the CSR arrays with numpy; they must be scipy's
     a[order][:, order], entry order within each row included."""
-    for order in (np.random.default_rng(lo).permutation(a.shape[0]),
-                  np.arange(a.shape[0])[::-1]):
-        expected = a[order][:, order]
+    n = len(a.indptr) - 1
+    for order in (np.random.default_rng(lo).permutation(n), np.arange(n)[::-1]):
+        expected = scipy_csr(a)[order][:, order]
         got = _renumbered(a, order)
         for x, y in zip(got, (expected.indptr, expected.indices, expected.data)):
             assert np.array_equal(x, y)

@@ -1,6 +1,6 @@
 """Source checks: library invariants must survive `python -O`, only the CLI
 composes stages, every source line fits in 100 columns, and no module
-imports a scipy subpackage that loads scipy.linalg."""
+imports scipy: only `graphs` loads scipy's compiled CSR routines."""
 import ast
 from pathlib import Path
 
@@ -41,32 +41,26 @@ def test_stages_take_their_inputs(path):
 
 
 def test_only_the_kernel_calls_private_scipy():
-    """Two kernels call scipy's private CSR products, each pinned by a test:
-    `sdp._csr_product`, which the mixing kernel and the roundings' scorer
-    `sdp.stack_objective` both use (`test_sdp.test_csr_product_matches_matmul`),
-    and the oracle's Lanczos step `oracle._matvec`
-    (`test_oracle.TestMaxEigenvalue.test_matvec_adds_the_product`); no other
-    module may call them."""
+    """One module names scipy's private extension `_sparsetools`: `graphs`,
+    whose `_load_sparsetools` loads it and whose `csr_product` is the one
+    caller of its routines (pinned by `test_sdp.test_csr_product_matches_matmul`
+    and `test_oracle.TestMaxEigenvalue.test_matvec_adds_the_product`)."""
     names = [p.name for p in SRC if "_sparsetools" in p.read_text()]
-    assert names == ["oracle.py", "sdp.py"]
+    assert names == ["graphs.py"]
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_scipy_linalg_imports(path):
-    """No module imports scipy.linalg, scipy.sparse.linalg or scipy.sparse.csgraph
-    (each of which loads scipy.linalg), at the top or inside a function:
-    `test_cli.test_solve_imports_no_scipy_linalg` checks what a solve loads."""
-    def heavy(name):
-        return any(name == h or name.startswith(h + ".")
-                   for h in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"))
-
+    """No module has an import statement for scipy or any of its subpackages,
+    at the top or inside a function, so none imports scipy.linalg, nor runs
+    `scipy.sparse`'s package init: `test_cli.test_solve_imports_no_scipy_sparse`
+    checks what a solve loads."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if heavy(a.name)]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            found += [f"{node.module}.{a.name}" for a in node.names
-                      if heavy(f"{node.module}.{a.name}")]
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.append(node.module)
     assert not found, f"{path.name} imports {found}"
 
 
