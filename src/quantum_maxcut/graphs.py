@@ -95,10 +95,14 @@ def build_csr(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> C
     """The n x n Csr with entry data[i] at (rows[i], cols[i]), for positions
     given once each, with read-only arrays: the canonical arrays scipy's
     `csr_array` builds from these triples (each row's columns sorted, intp
-    indices), from one lexsort and a bincount row pointer."""
-    order = np.lexsort((cols, rows))
+    indices), from a bincount row pointer and one argsort. The sort key
+    indptr[row] * s + rank(column), with rank(x) x's index among the s
+    distinct columns, keeps the (row, column) order and, below N^2 for N
+    entries, cannot overflow where row * n + column could."""
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    rank = np.cumsum(np.bincount(cols, minlength=n) > 0) - 1
+    order = np.argsort(indptr[rows] * (rank[-1] + 1) + rank[cols])
     return Csr(_read_only(indptr), _read_only(cols[order].astype(np.intp, copy=False)),
                _read_only(data[order]))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,15 +90,6 @@ def _check_unit(vectors: np.ndarray) -> None:
         raise ValueError("all vectors must be unit length")
 
 
-def _start_sums(vecs: np.ndarray, pull: np.ndarray, dots: np.ndarray) -> np.ndarray:
-    """sum_i v_i . pull_i for each start, from V and pull of shape (n, S, r) in
-    the same vertex order; `dots`, of shape (n, S), takes each v_i . pull_i.
-    The dots run along the contiguous last axis: strided dots down the columns
-    of (n, S * r) took 2.3 times as long at n = 3000, and 7 times at 30000."""
-    np.vecdot(vecs, pull, out=dots)
-    return dots.sum(axis=0)
-
-
 def _renumbered(a: Csr, order: np.ndarray) -> Csr:
     """The matrix a[order][:, order] for a permutation `order`: row i is row
     order[i] of a, its entries in their stored order, each column renamed to
@@ -135,14 +127,22 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     so the update is normalize(a V). Negation and power-of-two scaling are
     exact: the iterates are those of A, bit for bit, and scaling every
     weight by a power of two changes none of them, while no squared length
-    of a neighbor sum can overflow. A vertex whose neighbor
-    sum is zero, or so small in the units of a (at most 2^-511) that its
-    square would lose bits to underflow, keeps its vector. The class-order
-    matrix is a numpy permutation of A's CSR arrays, every buffer is
-    allocated once per call, each product is scipy's compiled CSR routine
-    bound once to its slab and buffers (`csr_product`), so a product
-    runs no Python code, and the squared lengths and per-start sums are
-    `np.vecdot` gufunc reductions, with no subscript parsing.
+    of a neighbor sum can overflow. The class-order matrix is a numpy
+    permutation of A's CSR arrays, and each product is scipy's compiled CSR
+    routine bound once to its slab and buffers (`csr_product`), so a
+    product runs no Python code. One (n, S, r) buffer holds a V, and each
+    class's product adds into that class's own rows. Two fills a sweep
+    zero it: one before the product that scores the sweep, and one, once
+    the objective is read, for the rows past the first class. A class step
+    is a squared length, a square root and a plain division, and every
+    class's norms sit in one buffer that one `min` checks after the sweep.
+    A vertex whose neighbor sum is zero, or so small in the units of a (at
+    most 2^-511) that its square would lose bits to underflow, keeps its
+    vector: if the check finds such a norm, or a NaN, the call starts again
+    from its input (vecs is written only at the end) on a step that masks
+    those rows, and gives the bits the fast step gives wherever it divides.
+    The objective of all S starts is one reduction, a single dot of the
+    flat V with the flat a V at S = 1.
 
     Returns (objective of each start, converged, sweeps). No objective
     decreases; a decrease beyond rounding (1e-12 of the objective in the
@@ -157,46 +157,64 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     half_weight = math.ldexp(g.total_weight, -k) / 2
     work = np.ascontiguousarray(vecs[order])  # flat must view it; written back at the end
     flat = work.reshape(n, starts * r)
-    pull = np.empty((n, starts, r))  # a V, whose first slab is the first class's sums
-    dots = np.empty((n, starts))
+    pull = np.empty((n, starts, r))  # a V, class by class; each class's sums are its rows
+    norms = np.empty((n, starts, 1))
+    mask = np.empty(norms.shape, dtype=bool)
+    bounds = np.cumsum([0, *map(len, g.color_classes)]).tolist()
+    slabs = [(csr_product(Csr(indptr[lo:hi + 1], indices, a.data), flat, pull[lo:hi])
+              if lo else None,  # the first class's sums are the scoring product's
+              pull[lo:hi], norms[lo:hi], norms[lo:hi, :, 0], mask[lo:hi], work[lo:hi])
+             for lo, hi in zip(bounds, bounds[1:])]
     pull_product = csr_product(a, flat, pull)
-    slabs = []  # (product, or None for the first class; sums, norms, squares, mask, rows)
-    lo = 0
-    for hi in np.cumsum([len(b) for b in g.color_classes]).tolist():
-        sums = pull[:hi] if lo == 0 else np.empty((hi - lo, starts, r))
-        norms = np.empty((hi - lo, starts, 1))
-        rows = Csr(indptr[lo:hi + 1], indices, a.data)
-        slabs.append((csr_product(rows, flat, sums) if lo else None, sums, norms,
-                      norms[..., 0], np.empty(norms.shape, dtype=bool), work[lo:hi]))
-        lo = hi
+    later = pull[bounds[1]:]  # the rows the class products add into
+    # sum_i v_i . (a V)_i of each start by one call; at S = 1 one dot of the flat arrays
+    start_sums = (partial(np.dot, work.reshape(1, -1), pull.reshape(-1)) if starts == 1
+                  else partial(np.einsum, "isk,isk->s", work, pull))
 
     def score() -> list[float]:
-        pull.fill(0.0)  # the product adds into its output
+        pull.fill(0.0)  # a product adds into its output
         pull_product()
-        return [half_weight + x / 4 for x in _start_sums(work, pull, dots).tolist()]
+        sums = start_sums().tolist()
+        later.fill(0.0)
+        return [half_weight + x / 4 for x in sums]
 
-    obj = score()
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        for product, s, norms, squares, mask, out in slabs:
-            if product is not None:
-                s.fill(0.0)
-                product()
-            np.vecdot(s, s, out=squares)
-            np.sqrt(norms, out=norms)
-            np.greater(norms, _TINY_SUM, out=mask)
-            np.divide(s, norms, out=out, where=mask)
-        new = score()
-        rise = [x - y for x, y in zip(new, obj)]  # Python floats: cheaper than numpy at S = 1
-        if min(rise) < -1e-12 * max(1.0, max(new)):
-            raise AssertionError("objective decreased during coordinate ascent")
-        # the stop rule is not scale-free (its max(1, .) floor), so it reads in the units of A
-        converged = (math.ldexp(max(map(abs, rise)), k)
-                     <= tol * max(1.0, math.ldexp(min(new), k)))
-        obj = new
-        if converged:
-            break
+    def ascend(masked: bool) -> tuple[list[float], bool, int] | None:
+        """The sweeps from `work`: None as soon as an unmasked sweep has met a
+        norm of at most _TINY_SUM or NaN."""
+        obj = score()
+        converged = False
+        sweeps = 0
+        for sweeps in range(1, max_sweeps + 1):
+            for product, s, norm, square, keep, out in slabs:
+                if product is not None:
+                    product()
+                np.vecdot(s, s, out=square)
+                np.sqrt(norm, out=norm)
+                if masked:
+                    np.greater(norm, _TINY_SUM, out=keep)
+                    np.divide(s, norm, out=out, where=keep)
+                else:
+                    np.divide(s, norm, out=out)
+            if not masked and not norms.min() > _TINY_SUM:
+                return None
+            new = score()
+            rise = [x - y for x, y in zip(new, obj)]  # Python floats: cheaper than numpy at S = 1
+            if min(rise) < -1e-12 * max(1.0, max(new)):
+                raise AssertionError("objective decreased during coordinate ascent")
+            # the stop rule is not scale-free (its max(1, .) floor), so it reads in the units of A
+            converged = (math.ldexp(max(map(abs, rise)), k)
+                         <= tol * max(1.0, math.ldexp(min(new), k)))
+            obj = new
+            if converged:
+                break
+        return obj, converged, sweeps
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # the unmasked step's 0/0
+        result = ascend(masked=False)
+        if result is None:
+            work[...] = vecs[order]
+            result = ascend(masked=True)
+    obj, converged, sweeps = result
     vecs[order] = work
     return np.ldexp(obj, k), converged, sweeps
 

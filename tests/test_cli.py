@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,18 @@ class TestSolve:
         assert code == 0
         labels = {e["label"] for e in json.loads(out)["algorithms"]}
         assert labels == {"sdp-relaxation", "tree-coloring", "match-singlet"}
+
+    def test_no_warnings_on_zero_sums(self, tmp_path, capsys):
+        """A zero-weight edge (0, 1) and an isolated vertex 2 give zero neighbor
+        sums, which the SDP kernel divides by before it falls back to its
+        masked step: no warning escapes, even as an error."""
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 0\n1 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", str(path)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "edge.txt"

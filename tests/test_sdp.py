@@ -110,6 +110,47 @@ class TestBlockKernel:
             assert np.array_equal(vecs[2], isolated)
             assert np.einsum("sk,sk->s", vecs[0], vecs[1]) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_masked_restart_matches_fast_path(self):
+        """An isolated vertex ends the unmasked first sweep with a zero norm,
+        so the call starts again on the masked step; every other row comes
+        out bit for bit as on the graph without it, which never leaves the
+        fast path."""
+        rng = np.random.default_rng(12)
+        for starts in (1, 3):
+            g = gnp_graph(15, 0.4, rng, weights="exp")
+            assert min(g.degree) > 0  # so that g alone never leaves the fast path
+            padded = WeightedGraph(g.n + 1, g.u, g.v, g.w)  # vertex g.n is isolated
+            vecs = unit_rows(rng, (g.n + 1) * starts, 4).reshape(g.n + 1, starts, 4)
+            alone = vecs[:g.n].copy()
+            isolated = vecs[g.n].copy()
+            mixing_ascent(padded, vecs, tol=-1, max_sweeps=30)
+            mixing_ascent(g, alone, tol=-1, max_sweeps=30)
+            assert np.array_equal(vecs[:g.n], alone)
+            assert np.array_equal(vecs[g.n], isolated)
+
+    def test_cancellation_mid_run_keeps_the_vector(self):
+        """On the path 0-1-2 started with v0 = -v2 the middle vertex, the first
+        one visited, has a neighbor sum of exactly zero and keeps its vector;
+        so does a vertex whose one edge has weight zero."""
+        path = parse_graph("0 1\n1 2")
+        assert [c.tolist() for c in path.color_classes] == [[1], [0, 2]]
+        start = unit_rows(np.random.default_rng(13), 3, 3)
+        start[2] = -start[0]
+        once = start.copy()
+        mixing_ascent(path, once[:, None], tol=-1, max_sweeps=1)
+        assert np.array_equal(once[1], start[1])
+        block = start.copy()
+        mixing_ascent(path, block[:, None], tol=-1, max_sweeps=5)
+        reference = cyclic_reference(path, start.copy(), 5, np.concatenate(path.color_classes))
+        assert np.allclose(block, reference, rtol=0, atol=1e-12)
+
+        zero = parse_graph("0 1 0\n1 2")
+        block = start.copy()
+        mixing_ascent(zero, block[:, None], tol=-1, max_sweeps=5)
+        assert np.array_equal(block[0], start[0])
+        reference = cyclic_reference(zero, start.copy(), 5, np.concatenate(zero.color_classes))
+        assert np.allclose(block, reference, rtol=0, atol=1e-12)
+
     def test_stack_matches_each_start_alone(self):
         rng = np.random.default_rng(11)
         for _ in range(6):
