@@ -12,8 +12,8 @@ from quantum_maxcut import (
     gw_round,
     max_eigenvalue,
     opt_upper_bound,
-    product_energy,
     rank3_round,
+    sdp_objective,
     solve_maxcut_sdp,
 )
 from quantum_maxcut.generate import random_connected_graph
@@ -45,7 +45,7 @@ assert abs(cut_value(g, cut.bits) - cut.value) < 1e-9
 prod = rank3_round(g, sol, upper, seed=1, attempts=200)
 print(f"rank-3 rounding:     energy {prod.value:.6f} "
       f"({prod.value / opt:.4f} of OPT, failed={prod.failed})")
-assert abs(product_energy(g, prod.bloch) - prod.value) < 1e-9
+assert abs(sdp_objective(g, prod.bloch) - prod.value) < 1e-9
 
 print("\nboth roundings are certified against a direct re-evaluation of the")
 print("returned assignment, so the reported values are trustworthy even when")

@@ -61,7 +61,6 @@ from .states import (
     match_singlet_state,
     pair_product_energy,
     pair_product_statevector,
-    product_energy,
     product_statevector,
     tree_coloring_state,
 )

@@ -65,11 +65,13 @@ class RoundingOutcome:
 
 
 def sdp_objective(g: WeightedGraph, vectors: np.ndarray) -> float:
-    """sum over edges of (w/2)(1 - v_u . v_v) for unit vectors."""
+    """sum over edges of (w/2)(1 - v_u . v_v) for n unit vectors (rows): the
+    `stack_objective` of one start, checked."""
     vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2 or len(vectors) != g.n:
+        raise ValueError(f"expected {g.n} vectors as rows")
     _check_unit(vectors)
-    dots = np.vecdot(vectors.take(g.u, axis=0), vectors.take(g.v, axis=0))
-    return float(0.5 * (g.w @ (1.0 - dots)))
+    return float(stack_objective(g, vectors[:, None])[0])
 
 
 def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
@@ -110,7 +112,7 @@ _TINY_SUM = 2.0 ** -511
 
 
 def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
-                  max_sweeps: int) -> tuple[np.ndarray, bool, int]:
+                  max_sweeps: int) -> tuple[np.ndarray, bool, int, np.ndarray]:
     """Cyclic coordinate ascent v_i <- -normalize(sum_j w_ij v_j) on a stack of
     S independent starts of unit rows, vecs of shape (n, S, r), in place, until
     no start's objective changes in a sweep by more than tol times
@@ -132,10 +134,11 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     routine bound once to its slab and buffers (`csr_product`), so a
     product runs no Python code. One (n, S, r) buffer holds a V, and each
     class's product adds into that class's own rows. Two fills a sweep
-    zero it: one before the product that scores the sweep, and one, once
-    the objective is read, for the rows past the first class. A class step
-    is a squared length, a square root and a plain division, and every
-    class's norms sit in one buffer that one `min` checks after the sweep.
+    zero it: one, as the sweep starts, for the rows past the first class,
+    and one before the product that scores the sweep, so that the call ends
+    with the whole a V of its last iterate. A class step is a squared
+    length, a square root and a plain division, and every class's norms sit
+    in one buffer that one `min` checks after the sweep.
     A vertex whose neighbor sum is zero, or so small in the units of a (at
     most 2^-511) that its square would lose bits to underflow, keeps its
     vector: if the check finds such a norm, or a NaN, the call starts again
@@ -144,9 +147,10 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     The objective of all S starts is one reduction, a single dot of the
     flat V with the flat a V at S = 1.
 
-    Returns (objective of each start, converged, sweeps). No objective
-    decreases; a decrease beyond rounding (1e-12 of the objective in the
-    units of a) is an error.
+    Returns (objective of each start, converged, sweeps, a V in input vertex
+    order, shape (n, S, r)), all in the kernel's units of w / 2^k: a caller
+    scales what it reports back by 2^k once. No objective decreases; a
+    decrease beyond rounding (1e-12 of the objective) is an error.
     """
     n, starts, r = vecs.shape
     _check_unit(vecs)
@@ -174,9 +178,7 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     def score() -> list[float]:
         pull.fill(0.0)  # a product adds into its output
         pull_product()
-        sums = start_sums().tolist()
-        later.fill(0.0)
-        return [half_weight + x / 4 for x in sums]
+        return [half_weight + x / 4 for x in start_sums().tolist()]
 
     def ascend(masked: bool) -> tuple[list[float], bool, int] | None:
         """The sweeps from `work`: None as soon as an unmasked sweep has met a
@@ -185,6 +187,7 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
         converged = False
         sweeps = 0
         for sweeps in range(1, max_sweeps + 1):
+            later.fill(0.0)  # the scoring product's rows past the first class
             for product, s, norm, square, keep, out in slabs:
                 if product is not None:
                     product()
@@ -216,7 +219,7 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
             result = ascend(masked=True)
     obj, converged, sweeps = result
     vecs[order] = work
-    return np.ldexp(obj, k), converged, sweeps
+    return np.array(obj), converged, sweeps, pull[np.argsort(order)]
 
 
 def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
@@ -236,33 +239,36 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
-    _, converged, sweeps = mixing_ascent(g, vecs[:, None], tol, max_sweeps)
-    obj = sdp_objective(g, vecs)
-    grad = np.zeros(vecs.shape)  # A V: d(objective)/dv_i = -grad_i / 2
-    csr_product(g.csr, vecs, grad)()
-    radial = np.vecdot(grad, vecs)
-    # the tangential gradient in the units of A / 2^k, as in the kernel: no square overflows
+    # in the units of a = -A / 2^k, as the kernel returns them: no square overflows
+    obj, converged, sweeps, pull = mixing_ascent(g, vecs[:, None], tol, max_sweeps)
+    pull = pull[:, 0]  # a V: d(objective)/dv_i = (a V)_i / 2
+    dots = np.vecdot(vecs, pull)
+    tangential = pull - dots[:, None] * vecs
+    residual = math.sqrt(np.vecdot(tangential, tangential).max(initial=0.0)) / 2
     k = g.weight_exponent
-    tangential = np.ldexp(grad - radial[:, None] * vecs, -k)
-    residual = math.ldexp(math.sqrt(np.vecdot(tangential, tangential).max(initial=0.0)), k) / 2
-    return GramSolution(vectors=vecs, objective=float(obj), residual=residual,
-                        converged=converged, sweeps=sweeps,
-                        dual_bound=_dual_bound(g, obj, radial))
+    dual = _dual_bound(g, obj[0], dots)
+    bound = math.ldexp(dual, k)
+    if math.ldexp(bound, -k) < dual:  # rounded down to a subnormal: an upper bound rounds up
+        bound = math.nextafter(bound, math.inf)
+    return GramSolution(vectors=vecs, objective=math.ldexp(obj[0], k),
+                        residual=math.ldexp(residual, k), converged=converged,
+                        sweeps=sweeps, dual_bound=bound)
 
 
-def _dual_bound(g: WeightedGraph, objective: float, radial: np.ndarray) -> float:
-    """Certified upper bound on the relaxation optimum from any feasible point.
+def _dual_bound(g: WeightedGraph, objective: float, dots: np.ndarray) -> float:
+    """Certified upper bound on the relaxation optimum from any feasible point,
+    in the units of a = -A / 2^k: the objective and dots_i = v_i . (a V)_i.
 
     With y_i = (L/4 V V^T)_ii, whose sum is the objective, y shifted down by
     min(0, lambda_min(Diag(y) - L/4)) is feasible for the dual
-    min { sum y : Diag(y) - L/4 PSD }. As radial_i = v_i . (A V)_i, that
-    matrix is Diag(y) - L/4 = (A - Diag(radial)) / 4. lambda_min comes from
-    a dense eigensolver (numpy's, so that a solve needs no `scipy.linalg`): a
-    Lanczos (Ritz) value is not a certified lower bound.
+    min { sum y : Diag(y) - L/4 PSD }. In these units that matrix is
+    Diag(y) - L/4 = (A / 2^k + Diag(dots)) / 4. lambda_min comes from a dense
+    eigensolver (numpy's, so that a solve needs no `scipy.linalg`): a Lanczos
+    (Ritz) value is not a certified lower bound.
     """
     m = np.zeros((g.n, g.n))
-    m[g.u, g.v] = m[g.v, g.u] = g.w
-    m.flat[::g.n + 1] = -radial
+    m[g.u, g.v] = m[g.v, g.u] = np.ldexp(g.w, -g.weight_exponent)
+    m.flat[::g.n + 1] = dots
     lam = np.linalg.eigvalsh(m)[0] / 4
     return float(objective - g.n * min(0.0, lam))
 

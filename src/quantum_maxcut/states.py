@@ -16,16 +16,7 @@ from .graphs import (
     depth_parity,
     two_color_forest,
 )
-from .sdp import RoundingOutcome, mixing_ascent, sdp_objective
-
-
-def product_energy(g: WeightedGraph, bloch) -> float:
-    """Energy of the product state with one unit Bloch vector per vertex:
-    sum over edges of (w/2)(1 - v_u . v_v)."""
-    bloch = np.asarray(bloch, dtype=float)
-    if bloch.shape != (g.n, 3):
-        raise ValueError(f"expected {g.n} Bloch vectors in R^3")
-    return sdp_objective(g, bloch)
+from .sdp import RoundingOutcome, mixing_ascent
 
 
 def tree_coloring_state(g: WeightedGraph) -> tuple[tuple[int, ...], float]:
@@ -158,14 +149,15 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50,
     at rank 3, v_i <- -normalize(sum_j w_ij v_j), for up to 2000 sweeps until
     every start's sweep improvement is at most 1e-12 relative; its fixed points
     are exactly the first-order stationary points of the product energy on the
-    sphere. Serves as the desk-scale ground truth for the best product-state value.
+    sphere. Serves as the desk-scale ground truth for the best product-state value:
+    the first start within 1e-12 relative of the best energy, the kernel's.
     """
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((starts, g.n, 3))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    values, _, _ = mixing_ascent(g, vecs.transpose(1, 0, 2), 1e-12, 2000)
-    best = vecs[np.argmax(values)]  # the first of equal best
-    return best, sdp_objective(g, best)
+    values, _, _, _ = mixing_ascent(g, vecs.transpose(1, 0, 2), 1e-12, 2000)
+    best = np.argmax(values >= values.max() * (1 - 1e-12))  # the first True
+    return vecs[best], float(np.ldexp(values[best], g.weight_exponent))
 
 
 @dataclass
@@ -183,7 +175,8 @@ def best_few_qubit_candidate(g: WeightedGraph, decomp: MatchForestDecomposition,
                              rounding: RoundingOutcome) -> CandidateReport:
     """Maximum-energy candidate among the forest 2-coloring basis state of
     `decomp`, the matching/singlet state `singlet` (from `match_singlet_state`)
-    and the rank-3 rounded product state `rounding` (from `rank3_round`).
+    and the rank-3 rounded product state `rounding` (from `rank3_round`): the
+    first, in that order, within 1e-12 relative of the best: rounding noise breaks no tie.
 
     If the rank-3 rounding flags failure that candidate is skipped.
     """
@@ -191,5 +184,6 @@ def best_few_qubit_candidate(g: WeightedGraph, decomp: MatchForestDecomposition,
                   "match-singlet": float(singlet[1])}
     if not rounding.failed:
         candidates["rank3-product"] = float(rounding.value)
-    label = max(candidates, key=candidates.get)  # the first of equal best
+    top = max(candidates.values())
+    label = next(k for k, x in candidates.items() if x >= top * (1 - 1e-12))
     return CandidateReport(label=label, energy=candidates[label], candidates=candidates)

@@ -10,7 +10,6 @@ from quantum_maxcut import (
     gw_round,
     opt_upper_bound,
     parse_graph,
-    product_energy,
     rank3_round,
     sdp_objective,
     solve_maxcut_sdp,
@@ -95,7 +94,7 @@ class TestBlockKernel:
                           weights="exp")
             start = unit_rows(rng, g.n, 5)
             block = start.copy()
-            _, _, sweeps = mixing_ascent(g, block[:, None], tol=-1, max_sweeps=15)
+            _, _, sweeps, _ = mixing_ascent(g, block[:, None], tol=-1, max_sweeps=15)
             assert sweeps == 15
             reference = cyclic_reference(g, start.copy(), 15,
                                          np.concatenate(g.color_classes))
@@ -128,6 +127,23 @@ class TestBlockKernel:
             assert np.array_equal(vecs[:g.n], alone)
             assert np.array_equal(vecs[g.n], isolated)
 
+    @pytest.mark.parametrize("starts", [1, 3])
+    def test_returns_the_closing_product(self, starts):
+        """The kernel returns a V of its last iterate, a = -A / 2^k, in input
+        order: bit for bit the graph's own CSR product scaled by -2^-k, on
+        the fast path and on the masked restart (an isolated vertex)."""
+        g = gnp_graph(15, 0.4, np.random.default_rng(12), weights="exp")
+        assert min(g.degree) > 0  # so that g alone never leaves the fast path
+        padded = WeightedGraph(g.n + 1, g.u, g.v, g.w)  # vertex g.n is isolated
+        for graph in (g, padded):
+            vecs = unit_rows(np.random.default_rng(starts), graph.n * starts, 4)
+            vecs = vecs.reshape(graph.n, starts, 4)
+            *_, product = mixing_ascent(graph, vecs, tol=-1, max_sweeps=30)
+            expected = np.zeros((graph.n, starts * 4))
+            csr_product(graph.csr, vecs.reshape(graph.n, -1), expected)()
+            expected = -np.ldexp(expected, -graph.weight_exponent).reshape(vecs.shape)
+            assert np.array_equal(product, expected)
+
     def test_cancellation_mid_run_keeps_the_vector(self):
         """On the path 0-1-2 started with v0 = -v2 the middle vertex, the first
         one visited, has a neighbor sum of exactly zero and keeps its vector;
@@ -159,14 +175,15 @@ class TestBlockKernel:
             starts = int(rng.integers(2, 9))
             stack = unit_rows(rng, g.n * starts, 3).reshape(starts, g.n, 3)
             alone = stack.copy()
-            values, _, sweeps = mixing_ascent(g, stack.transpose(1, 0, 2), tol=-1,
-                                              max_sweeps=12)
+            values, _, sweeps, _ = mixing_ascent(g, stack.transpose(1, 0, 2), tol=-1,
+                                                 max_sweeps=12)
             assert sweeps == 12
             for k in range(starts):
-                value, _, _ = mixing_ascent(g, alone[k][:, None], tol=-1, max_sweeps=12)
+                value, _, _, _ = mixing_ascent(g, alone[k][:, None], tol=-1, max_sweeps=12)
                 assert np.allclose(stack[k], alone[k], rtol=0, atol=1e-12)
                 assert values[k] == pytest.approx(value[0], rel=1e-12, abs=1e-12)
-                assert values[k] == pytest.approx(sdp_objective(g, stack[k]), rel=1e-12)
+                assert math.ldexp(values[k], g.weight_exponent) == pytest.approx(
+                    sdp_objective(g, stack[k]), rel=1e-12)
 
     def test_any_memory_layout(self):
         g = gnp_graph(12, 0.4, np.random.default_rng(3), weights="exp")
@@ -207,8 +224,22 @@ class TestWeightScale:
         assert np.array_equal(sol.vectors, base.vectors)
         assert sol.objective == math.ldexp(base.objective, j)
         assert sol.residual == math.ldexp(base.residual, j) and math.isfinite(sol.residual)
+        assert sol.dual_bound == math.ldexp(base.dual_bound, j)
+        assert sol.gap == math.ldexp(base.gap, j)
         assert sol.sweeps == base.sweeps == 2000
 
+    @pytest.mark.parametrize("j", [-1060, -1050])
+    def test_subnormal_weights_keep_the_bound_above(self, j):
+        """At subnormal weights the iterates are still those at 2^0, but the
+        bound scaled back rounds to a subnormal: it must round up, never
+        below the objective of the same vectors at full precision."""
+        g = regular_graph(40, 3, np.random.default_rng(1))
+        scaled = WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, j)) for u, v, w in g.edges])
+        base = solve_maxcut_sdp(g, tol=-1, max_sweeps=2000, seed=3)
+        sol = solve_maxcut_sdp(scaled, tol=-1, max_sweeps=2000, seed=3)
+        assert np.array_equal(sol.vectors, base.vectors)
+        assert math.ldexp(sol.dual_bound, -j) >= base.objective
+        assert sol.gap >= 0
 
     @pytest.mark.parametrize("j", [-600, -40, 0, 600])
     def test_roundings_scale_exactly(self, j):
@@ -370,6 +401,11 @@ class TestObjective:
         with pytest.raises(ValueError, match="unit"):
             sdp_objective(EDGE, np.array([[2.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (2,), (2, 1, 2)])
+    def test_one_row_per_vertex(self, shape):
+        with pytest.raises(ValueError, match="2 vectors"):
+            sdp_objective(EDGE, np.ones(shape) / np.sqrt(shape[-1]))
+
 
 class TestGwRound:
     def test_single_edge_never_fails(self):
@@ -440,7 +476,8 @@ class TestGwRound:
 
 @pytest.mark.parametrize("rounding", ["gw", "rank3"])
 def test_each_rounding_scores_its_attempts_once(monkeypatch, rounding):
-    """Each rounding ranks all of its attempts in one `stack_objective` call."""
+    """Each rounding ranks all of its attempts in one `stack_objective` call;
+    the rank-3 winner's re-score by `sdp_objective` is a one-start call."""
     shapes = []
 
     def spy(g, vecs):
@@ -453,7 +490,7 @@ def test_each_rounding_scores_its_attempts_once(monkeypatch, rounding):
         gw_round(K4, sol, attempts=7)
     else:
         rank3_round(K4, sol, upper(K4, sol), attempts=7)
-    assert shapes == [(4, 7, 1 if rounding == "gw" else 3)]
+    assert shapes == ([(4, 7, 1)] if rounding == "gw" else [(4, 7, 3), (4, 1, 3)])
 
 
 class TestRank3Round:
@@ -478,7 +515,7 @@ class TestRank3Round:
     def test_value_is_product_energy_of_bloch(self):
         sol = solve_maxcut_sdp(K4)
         out = rank3_round(K4, sol, upper(K4, sol), seed=3, attempts=20)
-        assert out.value == pytest.approx(product_energy(K4, out.bloch), abs=1e-12)
+        assert out.value == pytest.approx(sdp_objective(K4, out.bloch), abs=1e-12)
 
     def test_threshold_uses_certified_sdp_bound(self):
         # the cut (0, 1, 0) of the triangle as a rank-1 Gram factor: every

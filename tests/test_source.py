@@ -81,15 +81,17 @@ def test_only_main_writes_to_stderr():
     assert writers == {"main"}, f"cli.py writes to stderr in {sorted(writers - {'main'})}"
 
 
+def called(node):
+    """The names of the functions called anywhere under an AST node."""
+    return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+            for c in ast.walk(node) if isinstance(c, ast.Call)
+            and isinstance(c.func, (ast.Name, ast.Attribute))}
+
+
 def test_one_check_table_for_the_edge_list():
     """`WeightedGraph.__post_init__` is the one place that validates an edge
     list: the only caller of the check table `_raise_first`. `parse_graph`
     only tokenizes, so it neither checks weights nor looks for repeated pairs."""
-    def called(node):
-        return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
-                for c in ast.walk(node) if isinstance(c, ast.Call)
-                and isinstance(c.func, (ast.Name, ast.Attribute))}
-
     callers, parse = [], None
     for path in SRC:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -98,3 +100,13 @@ def test_one_check_table_for_the_edge_list():
                 parse = node if node.name == "parse_graph" else parse
     assert callers == ["graphs.py:__post_init__"]
     assert not called(parse) & {"isfinite", "_repeats", "_raise_first"}
+
+
+def test_the_solve_computes_nothing_twice():
+    """`solve_maxcut_sdp` reads its objective and A V from the kernel's closing
+    product: it makes no CSR product and no objective of its own."""
+    tree = ast.parse(next(p for p in SRC if p.name == "sdp.py").read_text())
+    solve = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve_maxcut_sdp")
+    assert "mixing_ascent" in called(solve)
+    assert not called(solve) & {"csr_product", "sdp_objective", "stack_objective"}

@@ -15,15 +15,15 @@ from quantum_maxcut import (
     pair_product_energy,
     pair_product_statevector,
     parse_graph,
-    product_energy,
     product_statevector,
     rank3_round,
+    sdp_objective,
     solve_maxcut_sdp,
     tree_coloring_state,
 )
 from quantum_maxcut import states
-from quantum_maxcut.generate import gnp_graph, random_connected_graph, star_graph
-from quantum_maxcut.sdp import mixing_ascent
+from quantum_maxcut.generate import gnp_graph, random_connected_graph, regular_graph, star_graph
+from quantum_maxcut.sdp import RoundingOutcome, mixing_ascent
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
@@ -47,14 +47,16 @@ def bloch_120():
 
 
 class TestProductEnergy:
+    """The energy of a product state is `sdp_objective` of its Bloch vectors."""
+
     def test_antipodal_edge(self):
-        assert product_energy(EDGE, [[0, 0, 1], [0, 0, -1]]) == 1.0
+        assert sdp_objective(EDGE, [[0, 0, 1], [0, 0, -1]]) == 1.0
 
     def test_all_equal(self):
-        assert product_energy(TRIANGLE, np.tile([1.0, 0, 0], (3, 1))) == 0.0
+        assert sdp_objective(TRIANGLE, np.tile([1.0, 0, 0], (3, 1))) == 0.0
 
     def test_triangle_120(self):
-        assert product_energy(TRIANGLE, bloch_120()) == pytest.approx(2.25, abs=1e-12)
+        assert sdp_objective(TRIANGLE, bloch_120()) == pytest.approx(2.25, abs=1e-12)
 
     def test_matches_oracle_statevector(self):
         rng = np.random.default_rng(0)
@@ -64,12 +66,12 @@ class TestProductEnergy:
                 continue
             bloch = rng.standard_normal((g.n, 3))
             bloch /= np.linalg.norm(bloch, axis=1, keepdims=True)
-            assert product_energy(g, bloch) == pytest.approx(
+            assert sdp_objective(g, bloch) == pytest.approx(
                 energy(g, product_statevector(bloch)), abs=1e-9)
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
-            product_energy(EDGE, [[0, 0, 2], [0, 0, -1]])
+            sdp_objective(EDGE, [[0, 0, 2], [0, 0, -1]])
 
 
 class TestCutValue:
@@ -83,7 +85,7 @@ class TestCutValue:
         g = gnp_graph(7, 0.5, rng, weights="exp")
         bits = tuple(int(b) for b in rng.integers(0, 2, g.n))
         bloch = np.array([[0, 0, 1.0] if b == 0 else [0, 0, -1.0] for b in bits])
-        assert cut_value(g, bits) == pytest.approx(product_energy(g, bloch), abs=1e-12)
+        assert cut_value(g, bits) == pytest.approx(sdp_objective(g, bloch), abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -203,8 +205,37 @@ class TestLocalSearchProductState:
         local_search_product_state(TRIANGLE, starts=7, seed=0)
         assert calls == [(3, 7, 3)]
 
+    def test_first_of_starts_equal_to_rounding(self):
+        """Starts 0-9 of this stack reach the best energy to 7.2e-13 relative
+        and start 37 is the largest by rounding noise: the search returns
+        start 0, with the kernel's energy for it."""
+        g = regular_graph(20, 3, np.random.default_rng(0))
+        bloch, val = local_search_product_state(g, starts=50, seed=0)
+        stack = np.random.default_rng(0).standard_normal((50, g.n, 3))
+        stack /= np.linalg.norm(stack, axis=2, keepdims=True)
+        values, _, _, _ = mixing_ascent(g, stack.transpose(1, 0, 2), 1e-12, 2000)
+        assert np.argmax(values) != 0
+        assert np.array_equal(bloch, stack[0])
+        assert val == np.ldexp(values[0], g.weight_exponent)
+        assert val == pytest.approx(sdp_objective(g, bloch), rel=1e-14)
+
 
 class TestBestFewQubitCandidate:
+    def test_rounding_noise_breaks_no_tie(self):
+        """On a star the rank-3 state with every leaf opposite the center has
+        the energy of the tree coloring's cut, W; a value ulps above it still
+        leaves the first candidate, the tree coloring, the winner."""
+        g = star_graph(9, weights="exp")
+        decomp = match_forest_decompose(g)
+        tree = cut_value(g, states.two_color_forest(g, decomp.forest))
+        for above in (tree, np.nextafter(tree, np.inf), tree * (1 + 9e-13)):
+            noisy = RoundingOutcome(bits=None, bloch=None, value=float(above), failed=False)
+            rep = best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp), noisy)
+            assert rep.label == "tree-coloring" and rep.energy == tree
+        clear = RoundingOutcome(bits=None, bloch=None, value=tree * (1 + 2e-12), failed=False)
+        rep = best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp), clear)
+        assert rep.label == "rank3-product"
+
     def test_single_edge_singlet_wins(self):
         sol = solve_maxcut_sdp(EDGE)
         rep = best_candidate(EDGE, sol, seed=0)
