@@ -79,7 +79,12 @@ def _solve(g, args) -> dict:
     stage takes the outcomes of the earlier ones it depends on."""
     algorithms = args.algorithms
     use_oracle = args.oracle == "on" or (args.oracle == "auto" and g.n <= ORACLE_AUTO_LIMIT)
-    opt = oracle.max_eigenvalue(g) if use_oracle else None
+    opt, oracle_run = None, None
+    if use_oracle:
+        start = time.perf_counter()
+        sector = oracle.top_sector(g)  # what max_eigenvalue solves, and its certificate
+        opt = oracle.max_eigenvalue(g)
+        oracle_run = {**dataclasses.asdict(sector), "seconds": time.perf_counter() - start}
     sol, seconds = _timed(sdp.solve_maxcut_sdp, g, rank=args.rank, tol=args.tol, seed=args.seed)
     report_bounds = bounds_mod.opt_upper_bound(g, sdp_value=sol.dual_bound)
     denom = report_bounds.best
@@ -142,6 +147,7 @@ def _solve(g, args) -> dict:
                   "regular_degree": d if d is not None else "irregular"},
         "bounds": dataclasses.asdict(report_bounds),
         "opt": opt,
+        "oracle": oracle_run,
         "algorithms": entries,
         "verdicts": verdicts,
     }

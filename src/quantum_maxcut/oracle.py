@@ -5,13 +5,33 @@ amplitudes. Per edge {i,j} the term w * (1/2)(I - XX - YY - ZZ) equals
 w * (I - SWAP_ij), and SWAP_ij swaps axes i and j of the amplitude tensor,
 so H_G = W * I - sum_e w_e SWAP_e is applied to a state by axis swaps.
 Energies and the circuit, whose state does not conserve S_z, use that.
-A swap keeps the number of 1 bits, and every spin multiplet has a member
-of Hamming weight floor(n/2) (S_z = 0 or 1/2), so the maximum eigenvalue
-is found on that block alone, a sparse matrix of C(n, floor(n/2)) rows, by
-a thick-restart Lanczos in numpy that stops on its own residual certificate.
-The sector matrix is a `Csr` of numpy arrays, and each Lanczos step's
-product is `graphs.csr_product`, scipy's compiled CSR routine: the oracle
-imports nothing from scipy.
+
+The maximum eigenvalue is found on one block of H_G. A swap keeps the
+number of 1 bits, so the states of each Hamming weight span an invariant
+subspace, and a spin-S multiplet has a member in every weight from n/2 - S
+to n/2 + S. `top_sector` picks the smallest weight that provably holds
+lambda_max:
+- If the positive-weight edges form one connected bipartite graph with
+  sides A and B, min(|A|, |B|). H_G = W/2 - 2 sum_e w_e S_u.S_v, so its top
+  multiplet is the ground multiplet of that antiferromagnet, of total spin
+  ||A| - |B||/2 (Lieb and Mattis, J. Math. Phys. 3, 749 (1962)). A star
+  gives the n states of weight 1: its weighted Laplacian.
+- Otherwise floor(n/2) (S_z = 0 or 1/2), which holds every multiplet.
+- With no positive weight H_G = 0, and weight 0, one state, holds it.
+
+The block is a `Csr` of numpy arrays (`sector_hamiltonian`). Up to
+`DENSE_DIM` rows it is densified and solved by `np.linalg.eigvalsh`, whose
+top value is lambda_max to within backward error: it certifies the
+*largest* eigenvalue. Larger blocks go to a thick-restart Lanczos in numpy
+that stops on its own residual certificate, which bounds the distance to
+*an* eigenvalue; each step's product is `graphs.csr_product`, scipy's
+compiled CSR routine. The oracle imports nothing from scipy. Measured
+crossover, exp-weighted G(n, 0.4) sectors, ms per solve of the block built
+(1 BLAS thread, 2-vCPU x86-64 VM):
+
+    dim        20    35    70    126   165   252
+    Lanczos    0.48  0.79  1.09  1.93  1.26  1.99
+    eigvalsh   0.05  0.09  0.31  0.87  1.59  3.63
 
 Bit convention: qubit q is axis q of amplitudes.reshape([2]*n), i.e. bit q of
 index i is (i >> (n-1-q)) & 1, so a bit string reads like the binary index.
@@ -19,13 +39,15 @@ index i is (i >> (n-1-q)) & 1, so a bit string reads like the binary index.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Csr, WeightedGraph, csr_product
+from .graphs import Csr, WeightedGraph, csr_product, depth_parity, pair_depth_parity
 
 QUBIT_CAP = 20  # states, energies and the eigenvalue: at most this many qubits
 BRUTE_FORCE_CAP = 24
+DENSE_DIM = 128  # largest block solved by eigvalsh: the crossover in the module docstring
 _BLOCK = 2 ** 18  # entries per block of the sector build and of a Lanczos restart
 _BASIS = 30  # Lanczos vectors: 44 MiB at the qubit cap
 _CHECKS = (6, 9, 13, 19)  # steps that solve the projected matrix, besides a full basis
@@ -76,27 +98,61 @@ def energy(g: WeightedGraph, psi: np.ndarray) -> float:
     return float(val.real)
 
 
-def sector_hamiltonian(g: WeightedGraph) -> Csr:
-    """H_G on the sorted basis states of Hamming weight floor(n/2), as a
-    `Csr` of new int32 and float arrays the caller owns; row and column i
-    stand for the i-th smallest index.
+@dataclass(frozen=True)
+class Sector:
+    """The block of H_G that `max_eigenvalue` solves: the states of Hamming
+    weight `ones`, `dim` of them, and how its top eigenvalue is certified:
+    "dense" (eigvalsh) or "lanczos-residual"."""
+
+    certificate: str
+    ones: int
+    dim: int
+
+
+def top_sector(g: WeightedGraph) -> Sector:
+    """The smallest Hamming-weight block of H_G that provably holds its
+    largest eigenvalue, by the rule in the module docstring, and the solver
+    for it: eigvalsh up to `DENSE_DIM` states, Lanczos above. The sides come
+    from one BFS over the positive-weight edges: the graph's own `csr` when
+    no weight is zero, as that is built once per graph."""
+    _check_cap(g.n, QUBIT_CAP)
+    n, positive = g.n, g.w > 0
+    if not positive.any():
+        ones = 0  # H_G = 0
+    else:
+        u, v = g.u[positive], g.v[positive]
+        count, parity = (depth_parity(g.csr) if len(u) == len(g.u)
+                         else pair_depth_parity(n, u, v))
+        side = np.array(parity)
+        a = int(side.sum())
+        ones = min(a, n - a) if count == 1 and (side[u] != side[v]).all() else n // 2
+    dim = math.comb(n, ones)
+    return Sector("dense" if dim <= DENSE_DIM else "lanczos-residual", ones, dim)
+
+
+def sector_hamiltonian(g: WeightedGraph, ones: int) -> Csr:
+    """H_G on the sorted basis states of Hamming weight `ones`, as a `Csr` of
+    new int32 and float arrays the caller owns; row and column i stand for
+    the i-th smallest index.
 
     On a state whose bits at u and v differ, the edge term w (I - SWAP_uv)
     adds w on the diagonal and -w at the partner with both bits swapped; on
     any other state it is zero. Each row holds its diagonal, then one entry
-    per such edge in edge order. Every edge has 2 C(n-2, floor(n/2)-1) such
+    per such edge in edge order. Every edge has 2 C(n-2, ones-1) such
     states, so the arrays are allocated at their final size and filled in
     blocks of rows, at most `_BLOCK` (row, edge) pairs each. A table over all
     2^n indices gives the row of each partner, and -1 for a partner outside
     the sector: the bits at u and v agreed.
     """
     n, m = g.n, len(g.u)
-    states = np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) == n // 2)
+    if not 0 <= ones <= n:
+        raise ValueError(f"Hamming weight {ones} outside 0..{n}")
+    states = np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) == ones)
     dim = len(states)
     rank = np.full(2 ** n, -1, dtype=np.int32)
     rank[states] = np.arange(dim)
     flips = (1 << (n - 1 - g.u)) | (1 << (n - 1 - g.v))
-    nnz = dim + (2 * m * math.comb(n - 2, n // 2 - 1) if m else 0)
+    nnz = dim + (2 * m * math.comb(n - 2, ones - 1) if m and 0 < ones < n else 0)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     indices = np.empty(nnz, dtype=np.int32)  # int32: 3M entries on a 3-regular n=20 graph
     data = np.empty(nnz)
@@ -132,7 +188,8 @@ def _lanczos(h: Csr, bound: float) -> tuple[float, float]:
     predicts is within the bound, the residual itself is taken. A full basis
     restarts from its top half of Ritz vectors: restarts from the top one
     alone stalled on weighted stars, whose top eigenvalues lie about 1e-4
-    apart.
+    apart (a star now takes the dense path; one with an odd cycle added
+    still comes here).
     """
     dim = len(h.indptr) - 1
     size = min(_BASIS, dim)
@@ -183,28 +240,37 @@ def _lanczos(h: Csr, bound: float) -> tuple[float, float]:
 
 
 def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8) -> float:
-    """Largest eigenvalue of H_G by Lanczos on `sector_hamiltonian(g)`, which
-    is H_G on an invariant subspace. Lanczos stops as soon as the residual
-    ||H v - lam v|| of its top Ritz pair is at most max(tol, 1e-12) * lam;
-    ConvergenceError if that still fails after `_RESTARTS` restarts, or if
-    the projected eigenproblem does.
+    """Largest eigenvalue of H_G, from the block `top_sector(g)` names,
+    which is H_G on an invariant subspace that holds it.
 
-    Lanczos and the residual run on H / 2^k, k the graph's `weight_exponent`,
-    and lam is scaled back: the scaling is exact, no square in the residual
-    overflows, and as lam >= 2 max w (the top of one edge's term), lam >= 1
-    in those units, so the relative bound needs no floor and holds at any
-    weight scale. Only numpy and scipy's compiled CSR product run: the
-    oracle loads neither `scipy.sparse` nor `scipy.sparse.linalg`."""
-    _check_cap(g.n, QUBIT_CAP)
-    if g.total_weight == 0:
-        return 0.0  # H_G = 0, on which Lanczos has no start vector
-    h = sector_hamiltonian(g)  # real symmetric
+    A block of at most `DENSE_DIM` states is densified and solved by
+    eigvalsh, exact to within backward error whatever tol is. A larger one
+    goes to Lanczos, which stops as soon as the residual ||H v - lam v|| of
+    its top Ritz pair is at most max(tol, 1e-12) * lam. ConvergenceError if
+    either eigensolve fails, or if the residual is still too large after
+    `_RESTARTS` restarts.
+
+    Both run on H / 2^k, k the graph's `weight_exponent`, and lam is scaled
+    back: the scaling is exact, no square in the residual overflows, and as
+    lam >= 2 max w (the top of one edge's term), lam >= 1 in those units, so
+    the relative bound needs no floor and holds at any weight scale."""
+    sector = top_sector(g)
+    h = sector_hamiltonian(g, sector.ones)  # real symmetric
     k = g.weight_exponent
     np.ldexp(h.data, -k, out=h.data)
-    bound = max(tol, 1e-12)
-    lam, residual = _lanczos(h, bound)
-    if residual > bound * lam:
-        raise ConvergenceError(f"Lanczos residual {np.ldexp(residual, k)} exceeds tolerance {tol}")
+    if sector.certificate == "dense":
+        dense = np.zeros((sector.dim, sector.dim))
+        dense[np.repeat(np.arange(sector.dim), np.diff(h.indptr)), h.indices] = h.data
+        try:
+            lam = np.linalg.eigvalsh(dense)[-1]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
+    else:
+        bound = max(tol, 1e-12)
+        lam, residual = _lanczos(h, bound)
+        if residual > bound * lam:
+            raise ConvergenceError(
+                f"Lanczos residual {np.ldexp(residual, k)} exceeds tolerance {tol}")
     return float(np.ldexp(lam, k))
 
 

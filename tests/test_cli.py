@@ -60,7 +60,7 @@ class TestSolve:
         _, out1 = run(capsys, "solve", str(path), "--seed", "7")
         _, out2 = run(capsys, "solve", str(path), "--seed", "7")
         r1, r2 = json.loads(out1), json.loads(out2)
-        for e1, e2 in zip(r1["algorithms"], r2["algorithms"]):
+        for e1, e2 in zip(r1["algorithms"] + [r1["oracle"]], r2["algorithms"] + [r2["oracle"]]):
             e1.pop("seconds", None)
             e2.pop("seconds", None)
         assert r1 == r2
@@ -100,8 +100,15 @@ class TestSolve:
         code, out = run(capsys, "solve", str(path))
         assert code == 0
         report = json.loads(out)
-        assert set(report) == {"schema", "graph", "bounds", "opt", "algorithms",
+        assert set(report) == {"schema", "graph", "bounds", "opt", "oracle", "algorithms",
                                "verdicts"}
+        # a path is bipartite with sides of two: the 6 states of weight 2, dense
+        assert set(report["oracle"]) == {"certificate", "ones", "dim", "seconds"}
+        assert report["oracle"]["certificate"] == "dense"
+        assert (report["oracle"]["ones"], report["oracle"]["dim"]) == (2, 6)
+        assert report["oracle"]["seconds"] > 0
+        _, off = run(capsys, "solve", str(path), "--oracle", "off")
+        assert json.loads(off)["oracle"] is None
         common = {"label", "value", "ratio_vs_upper_bound", "ratio_vs_opt", "seed",
                   "seconds"}
         extra = {
@@ -315,21 +322,28 @@ class TestSolveErrors:
         path.write_text("0 1\n1 2\n")
         assert_one_line_error(main(["solve", str(path), "--rank", rank]), capsys)
 
-    @pytest.mark.parametrize("fault", ["eigh-fails", "restarts-run-out"])
+    @pytest.mark.parametrize("fault", ["eigh-fails", "restarts-run-out", "eigvalsh-fails"])
     def test_oracle_not_converging(self, tmp_path, capsys, monkeypatch, fault):
-        """Either way the oracle's eigensolve fails ends in one error line: the
-        projected eigenproblem raises, or a star whose top eigenvalues lie 5e-8
-        apart (relative) is not certified without restarts."""
-        def failing_eigh(t):
+        """Each way the oracle's eigensolve fails ends in one error line: the
+        projected Lanczos eigenproblem raises, or a star whose top eigenvalues
+        lie 5e-8 apart (relative), with an edge between its two lightest
+        leaves that keeps it on Lanczos, is not certified without restarts;
+        or, without that edge, the star's dense eigensolve raises."""
+        def failing(t):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         if fault == "eigh-fails":
-            monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+            monkeypatch.setattr(np.linalg, "eigh", failing)
+        elif fault == "eigvalsh-fails":
+            monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         else:
             monkeypatch.setattr(oracle, "_RESTARTS", 0)
         path = tmp_path / "star.txt"
         weights = np.exp(np.linspace(-14, 0, 9))
-        path.write_text("".join(f"0 {v} {float(w)!r}\n" for v, w in enumerate(weights, 1)))
+        lines = [f"0 {v} {float(w)!r}\n" for v, w in enumerate(weights, 1)]
+        if fault != "eigvalsh-fails":
+            lines.append(f"1 2 {float(weights[0])!r}\n")
+        path.write_text("".join(lines))
         assert_one_line_error(main(["solve", str(path), "--oracle", "on"]), capsys)
 
     def test_negative_seed(self, tmp_path, capsys):

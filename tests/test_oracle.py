@@ -25,6 +25,9 @@ from scipy_reference import scipy_csr
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
+# unit K_10: not bipartite, so its sector is the 252 states of weight 5, above
+# the dense cutoff; its spectrum there is one value per total spin 0..5
+K10 = WeightedGraph.from_edges(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
 
 
 def dense_hamiltonian(g):
@@ -47,7 +50,7 @@ def lanczos_full_space(g):
 def lanczos_sector(g):
     """Largest eigenvalue of `sector_hamiltonian(g)` by ARPACK, with its own
     residual check: the sector reference for n above 10."""
-    h = scipy_csr(oracle.sector_hamiltonian(g))
+    h = scipy_csr(oracle.sector_hamiltonian(g, g.n // 2))
     lams, vecs = eigsh(h, k=1, which="LA", tol=0,
                        v0=np.random.default_rng(0).standard_normal(h.shape[0]))
     assert np.linalg.norm(h @ vecs[:, 0] - lams[0] * vecs[:, 0]) < 1e-9 * max(lams[0], 1)
@@ -55,10 +58,35 @@ def lanczos_sector(g):
 
 
 def log_spread_star(n):
-    """A star whose weights run from e^-14 to 1: its top eigenvalues lie about
-    5e-8 apart (relative), so Lanczos needs many restarts to certify one."""
+    """A star whose weights run from e^-14 to 1, plus an edge of weight e^-14
+    between its two lightest leaves: the triangle keeps the graph out of the
+    Lieb-Mattis reduction, so at n = 10 it takes the Lanczos path, and its
+    top eigenvalues lie about 5e-8 apart (relative), so Lanczos needs many
+    restarts to certify one."""
     star = star_graph(n)
-    return WeightedGraph(n, star.u, star.v, np.exp(np.linspace(-14, 0, n - 1)))
+    w = np.exp(np.linspace(-14, 0, n - 1))
+    return WeightedGraph(n, np.r_[star.u, 1], np.r_[star.v, 2], np.r_[w, w[0]])
+
+
+def smaller_side(g):
+    """min(|A|, |B|) over the sides A, B of the positive-weight edges, by a
+    BFS of its own; they must form one connected bipartite graph."""
+    neighbors = [[] for _ in range(g.n)]
+    for x, y, w in g.edges:
+        if w > 0:
+            neighbors[x].append(y)
+            neighbors[y].append(x)
+    side = {0: 0}
+    queue = [0]
+    for x in queue:
+        for y in neighbors[x]:
+            if y not in side:
+                side[y] = 1 - side[x]
+                queue.append(y)
+            assert side[y] != side[x], "not bipartite"
+    assert len(side) == g.n, "not connected"
+    ones = sum(side.values())
+    return min(ones, g.n - ones)
 
 
 def sector_test_graphs(n, rng):
@@ -168,7 +196,7 @@ class TestMaxEigenvalue:
         """Against the top eigenvalue of the same sector matrix: dense eigvalsh
         up to n = 10, ARPACK over the rest of the `--oracle auto` range."""
         for g in sector_test_graphs(n, np.random.default_rng(300 + n)):
-            ref = (np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g)).toarray())[-1]
+            ref = (np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g, g.n // 2)).toarray())[-1]
                    if n <= 10 else lanczos_sector(g))
             assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
@@ -177,12 +205,23 @@ class TestMaxEigenvalue:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert oracle.top_sector(K10).certificate == "lanczos-residual"
         with pytest.raises(ConvergenceError, match="Lanczos failed"):
+            max_eigenvalue(K10)
+
+    def test_dense_failure_is_convergence_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        assert oracle.top_sector(TRIANGLE).certificate == "dense"
+        with pytest.raises(ConvergenceError, match="dense eigensolve failed"):
             max_eigenvalue(TRIANGLE)
 
     def test_residual_certificate(self, monkeypatch):
         """Ritz values off by 1e-3 fail the residual check in the sector, at
-        every restart and at the invariant Krylov space of the triangle."""
+        every restart and at the invariant Krylov space of unit K_10, which
+        six products span."""
         eigh = np.linalg.eigh
 
         def shifted(t):
@@ -191,15 +230,18 @@ class TestMaxEigenvalue:
 
         monkeypatch.setattr(np.linalg, "eigh", shifted)
         monkeypatch.setattr(oracle, "_RESTARTS", 3)
-        for g in (TRIANGLE, gnp_graph(10, 0.5, np.random.default_rng(4))):
+        for g in (K10, gnp_graph(10, 0.5, np.random.default_rng(4))):
+            assert oracle.top_sector(g).certificate == "lanczos-residual"
             with pytest.raises(ConvergenceError, match="residual"):
                 max_eigenvalue(g)
 
     def test_restarts_run_out(self, monkeypatch):
-        """The log-spread star needs restarts: with none allowed it is refused,
-        with the default ones it meets the dense reference."""
+        """The log-spread star with a triangle needs restarts: with none
+        allowed it is refused, with the default ones it meets the dense
+        reference."""
         g = log_spread_star(10)
-        ref = np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g)).toarray())[-1]
+        assert oracle.top_sector(g).certificate == "lanczos-residual"
+        ref = np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g, g.n // 2)).toarray())[-1]
         assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10)
         monkeypatch.setattr(oracle, "_RESTARTS", 0)
         with pytest.raises(ConvergenceError, match="exceeds tolerance 1e-08"):
@@ -246,19 +288,110 @@ class TestMaxEigenvalue:
         assert max_eigenvalue(g) == pytest.approx(lam, abs=1e-8)
 
 
+def random_tree(n, rng):
+    """Exp-weighted tree: vertex x joins a uniform vertex below it."""
+    parents = [int(rng.integers(x)) for x in range(1, n)]
+    return WeightedGraph.from_edges(n, list(zip(parents, range(1, n), rng.exponential(size=n - 1))))
+
+
+def path_graph(n, rng):
+    """Exp-weighted path 0-1-...-(n-1)."""
+    return WeightedGraph.from_edges(n, [(x, x + 1, w) for x, w in
+                                        enumerate(rng.exponential(size=n - 1))])
+
+
+def bipartite_test_graphs(n, rng):
+    """Connected bipartite graphs with positive weights on n vertices: an
+    exp-weighted star, path and random tree, and K_{2,5} at n = 7."""
+    graphs = [star_graph(n, weights="exp", rng=rng), path_graph(n, rng), random_tree(n, rng)]
+    if n == 7:
+        pairs = [(a, b) for a in (0, 1) for b in range(2, 7)]
+        ws = rng.exponential(size=len(pairs))
+        graphs.append(WeightedGraph.from_edges(7, [(a, b, w) for (a, b), w in zip(pairs, ws)]))
+    return graphs
+
+
+class TestTopSector:
+    """The block `max_eigenvalue` solves: weight min(|A|, |B|) when the
+    positive-weight edges form one connected bipartite graph (Lieb-Mattis),
+    floor(n/2) otherwise; eigvalsh up to DENSE_DIM states."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_lieb_mattis_sector(self, n):
+        """The smaller side's weight, and the top eigenvalue of the dense
+        full H_G up to n = 10, of the floor(n/2) sector (ARPACK) above."""
+        for g in bipartite_test_graphs(n, np.random.default_rng(400 + n)):
+            sector = oracle.top_sector(g)
+            assert sector.ones == smaller_side(g)
+            assert sector.dim == math.comb(n, sector.ones)
+            ref = (np.linalg.eigvalsh(dense_hamiltonian(g))[-1] if n <= 10
+                   else lanczos_sector(g))
+            assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("edges, ones", [
+        ([(0, x, 1.0 + x) for x in range(1, 6)], 3),  # vertex 6 is isolated
+        ([(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (3, 4, 0.0), (4, 5, 1.0), (4, 6, 2.0)], 3),
+        ([(x, (x + 1) % 7, 1.0 + x) for x in range(7)], 3),  # odd cycle
+        ([(0, x, 1.0 + x) for x in range(1, 7)] + [(1, 2, 0.0)], 1),  # a weightless triangle
+        ([(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)], 0),  # H_G = 0
+    ], ids=["isolated-vertex", "zero-weight-bridge", "odd-cycle", "zero-weight-odd-cycle",
+            "all-zero"])
+    def test_fallbacks(self, edges, ones):
+        """On 7 vertices: an isolated vertex, a zero-weight edge that
+        disconnects the positive graph and an odd cycle fall back to
+        floor(n/2); a zero-weight edge that closes an odd cycle does not
+        block the reduction, and H_G = 0 takes the one state of weight 0."""
+        g = WeightedGraph.from_edges(7, edges)
+        assert oracle.top_sector(g).ones == ones
+        assert max_eigenvalue(g) == pytest.approx(np.linalg.eigvalsh(dense_hamiltonian(g))[-1],
+                                                  rel=1e-12, abs=1e-12)
+
+    def test_dense_cutoff(self):
+        """Trees with a side of two vertices, 0 and 1: C(16, 2) = 120 states go
+        dense, C(17, 2) = 136 to Lanczos, as DENSE_DIM = 128 sits between."""
+        for n, certificate in ((16, "dense"), (17, "lanczos-residual")):
+            g = WeightedGraph.from_edges(n, [(1, 2)] + [(0, x) for x in range(2, n)])
+            assert oracle.top_sector(g) == oracle.Sector(certificate, 2, math.comb(n, 2))
+        assert oracle.top_sector(K10) == oracle.Sector("lanczos-residual", 5, 252)
+        assert oracle.top_sector(gnp_graph(9, 1.0, np.random.default_rng(0))) == (
+            oracle.Sector("dense", 4, 126))
+
+    def test_clustered_star_is_certified(self):
+        """A 9-vertex star with weights e^u, u uniform on (-14, 0), whose top
+        eigenvalues lie about 1e-8 apart: Lanczos on the weight-4 sector
+        certified a value 7.3e-8 below lambda_max (relative). Its weight-1
+        sector, the weighted Laplacian, is solved dense."""
+        star = star_graph(9)
+        w = np.exp(np.random.default_rng(81).uniform(-14, 0, 8))
+        g = WeightedGraph(9, star.u, star.v, w)
+        ref = np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g, 4)).toarray())[-1]
+        assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-12)
+
+
 class TestSectorHamiltonian:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_dense_block(self, n):
-        """Entry for entry the weight-floor(n/2) rows and columns of the dense
-        H_G, and no entry of those columns leaves the block."""
+        """At every Hamming weight 0..n, entry for entry the rows and columns
+        of the dense H_G on that weight, with the stored entries of the
+        diagonal and 2 m C(n-2, ones-1) more; no entry of those columns
+        leaves the block."""
         weight = np.array([bin(i).count("1") for i in range(2 ** n)])
-        block = np.flatnonzero(weight == n // 2)
         for g in sector_test_graphs(n, np.random.default_rng(200 + n)):
             h = dense_hamiltonian(g)
-            sector = scipy_csr(oracle.sector_hamiltonian(g))
-            assert sector.shape == (len(block), len(block))
-            assert np.allclose(sector.toarray(), h[np.ix_(block, block)], rtol=0, atol=1e-12)
-            assert not h[np.ix_(weight != n // 2, block)].any()
+            for ones in range(n + 1):
+                block = np.flatnonzero(weight == ones)
+                a = oracle.sector_hamiltonian(g, ones)
+                sector = scipy_csr(a)
+                assert sector.shape == (len(block), len(block))
+                assert np.allclose(sector.toarray(), h[np.ix_(block, block)], rtol=0, atol=1e-12)
+                assert not h[np.ix_(weight != ones, block)].any()
+                off = 2 * len(g.u) * math.comb(n - 2, ones - 1) if 0 < ones < n else 0
+                assert len(a.indices) == len(a.data) == len(block) + off
+
+    def test_weight_out_of_range(self):
+        for ones in (-1, 4):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                oracle.sector_hamiltonian(TRIANGLE, ones)
 
 
 class TestSimulateVariationalState:
