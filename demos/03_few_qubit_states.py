@@ -29,21 +29,21 @@ dec = match_forest_decompose(g)
 print(f"matching M = {dec.matching}")
 print(f"forest  F  = {dec.forest}")
 print(f"identity: sum of per-vertex maxima = m + f = "
-      f"{g.total_weight + sum(w for _, _, w in dec.forest):.3f}")
+      f"{dec.matching_weight + dec.forest_weight:.3f}")
 
 state, state_energy = match_singlet_state(g, dec)
 print(f"\nmatch-singlet pairs {state.pairs}, energy {state_energy:.4f} "
-      f"(floor 1.5m + 0.5W = {1.5 * sum(w for _, _, w in dec.matching) + 0.5 * g.total_weight:.4f})")
+      f"(floor 1.5m + 0.5W = {1.5 * dec.matching_weight + 0.5 * g.total_weight:.4f})")
 
-bits, cut = tree_coloring_state(g)
-print(f"tree-coloring bits {bits} cut all spanning-forest edges: value {cut:.4f}")
+bits, cut = tree_coloring_state(g, dec)
+print(f"tree-coloring bits {bits} cuts every edge of F: value {cut:.4f}")
 
 rng = np.random.default_rng(5)
 g2 = random_connected_graph(9, p=0.45, weights="exp", rng=rng)
 sol = solve_maxcut_sdp(g2, seed=0)
 dec2 = match_forest_decompose(g2)
 upper = opt_upper_bound(g2, sdp_value=sol.dual_bound).best
-cand = best_few_qubit_candidate(g2, dec2, match_singlet_state(g2, dec2),
+cand = best_few_qubit_candidate(tree_coloring_state(g2, dec2), match_singlet_state(g2, dec2),
                                 rank3_round(g2, sol, upper, seed=3))
 opt = max_eigenvalue(g2)
 print(f"\nrandom 9-vertex graph: best candidate is '{cand.label}' with energy "

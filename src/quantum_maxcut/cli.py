@@ -101,11 +101,14 @@ def _solve(g, args) -> dict:
     record("sdp-relaxation", sol.objective, seconds, rank=sol.rank, converged=sol.converged,
            sweeps=sol.sweeps, residual=sol.residual, gap=sol.gap)
 
-    if "tree" in algorithms:
-        (bits, val), seconds = _timed(states.tree_coloring_state, g)
-        record("tree-coloring", val, seconds, bits="".join(map(str, bits)))
+    if {"tree", "singlet", "best"} & set(algorithms):
+        decomp, decomp_seconds = _timed(match_forest_decompose, g)  # in both states' seconds
+    if "tree" in algorithms or "best" in algorithms:
+        tree, seconds = _timed(states.tree_coloring_state, g, decomp)
+        if "tree" in algorithms:
+            record("tree-coloring", tree[1], decomp_seconds + seconds,
+                   bits="".join(map(str, tree[0])))
     if "singlet" in algorithms or "best" in algorithms:
-        decomp, decomp_seconds = _timed(match_forest_decompose, g)
         singlet, seconds = _timed(states.match_singlet_state, g, decomp)
         if "singlet" in algorithms:
             record("match-singlet", singlet[1], decomp_seconds + seconds,
@@ -121,7 +124,7 @@ def _solve(g, args) -> dict:
         if "rank3" in algorithms:
             record("rank3-product", rank3.value, seconds, failed=rank3.failed)
     if "best" in algorithms:
-        rep, seconds = _timed(states.best_few_qubit_candidate, g, decomp, singlet, rank3)
+        rep, seconds = _timed(states.best_few_qubit_candidate, tree, singlet, rank3)
         record("best-candidate", rep.energy, seconds, winner=rep.label)
         if opt:
             verdicts["candidate_ratio"] = (

@@ -66,12 +66,12 @@ class RoundingOutcome:
 
 def sdp_objective(g: WeightedGraph, vectors: np.ndarray) -> float:
     """sum over edges of (w/2)(1 - v_u . v_v) for n unit vectors (rows): the
-    `stack_objective` of one start, checked."""
+    `stack_objective` of one start, checked, and clipped to [0, W] against rounding."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or len(vectors) != g.n:
         raise ValueError(f"expected {g.n} vectors as rows")
     _check_unit(vectors)
-    return float(stack_objective(g, vectors[:, None])[0])
+    return min(max(float(stack_objective(g, vectors[:, None])[0]), 0.0), g.total_weight)
 
 
 def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
@@ -227,10 +227,10 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
                      seed: int = 0) -> GramSolution:
     """Solve the relaxation by cyclic coordinate updates on unit vectors.
 
-    Stops when the relative objective change per sweep drops below tol. The
-    objective is non-decreasing across sweeps; if max_sweeps is exhausted the
-    best iterate is returned with converged=False. Either way the solution
-    carries a certified dual_bound on the optimum.
+    Stops after the first sweep that changes the objective by at most
+    tol * max(1, objective), in the units of A. The objective never decreases;
+    if max_sweeps is exhausted the best iterate is returned with
+    converged=False. Either way the solution carries a certified dual_bound on the optimum.
     """
     r = rank if rank is not None else auto_rank(g.n)
     if r < 1:

@@ -9,21 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    MatchForestDecomposition,
-    WeightedGraph,
-    cut_value,
-    depth_parity,
-    two_color_forest,
-)
+from .graphs import MatchForestDecomposition, WeightedGraph, cut_value, two_color_forest
 from .sdp import RoundingOutcome, mixing_ascent
 
 
-def tree_coloring_state(g: WeightedGraph) -> tuple[tuple[int, ...], float]:
-    """2-coloring of a BFS spanning forest: each vertex's bit is the parity of
-    its unweighted distance from the smallest vertex of its component, so all
-    n - (number of components) forest edges are cut."""
-    _, bits = depth_parity(g.csr)
+def tree_coloring_state(g: WeightedGraph, decomp: MatchForestDecomposition
+                        ) -> tuple[tuple[int, ...], float]:
+    """The basis state that 2-colors the forest F of per-vertex heaviest edges
+    of `decomp` (`two_color_forest`), and its cut: it cuts every edge of F,
+    the property the 0.53 argument needs. A vertex on no edge gets bit 0."""
+    bits = two_color_forest(g, decomp.forest)
     return bits, cut_value(g, bits)
 
 
@@ -162,26 +157,25 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50,
 
 @dataclass
 class CandidateReport:
-    """Best few-qubit candidate found for a graph, and the energy of each one
-    considered."""
+    """Best few-qubit candidate of a graph, and the energy of each one
+    considered, under the labels of the report's entries for the same states."""
 
     label: str    # "tree-coloring" | "match-singlet" | "rank3-product"
     energy: float
     candidates: dict[str, float]
 
 
-def best_few_qubit_candidate(g: WeightedGraph, decomp: MatchForestDecomposition,
+def best_few_qubit_candidate(tree: tuple[tuple[int, ...], float],
                              singlet: tuple[PairProductState, float],
                              rounding: RoundingOutcome) -> CandidateReport:
-    """Maximum-energy candidate among the forest 2-coloring basis state of
-    `decomp`, the matching/singlet state `singlet` (from `match_singlet_state`)
-    and the rank-3 rounded product state `rounding` (from `rank3_round`): the
-    first, in that order, within 1e-12 relative of the best: rounding noise breaks no tie.
+    """Maximum-energy candidate among the states earlier stages built, each
+    with its own energy: `tree` (from `tree_coloring_state`), `singlet` (from
+    `match_singlet_state`) and `rounding` (from `rank3_round`); the first, in
+    that order, within 1e-12 relative of the best: rounding noise breaks no tie.
 
     If the rank-3 rounding flags failure that candidate is skipped.
     """
-    candidates = {"tree-coloring": float(cut_value(g, two_color_forest(g, decomp.forest))),
-                  "match-singlet": float(singlet[1])}
+    candidates = {"tree-coloring": float(tree[1]), "match-singlet": float(singlet[1])}
     if not rounding.failed:
         candidates["rank3-product"] = float(rounding.value)
     top = max(candidates.values())

@@ -27,6 +27,7 @@ from quantum_maxcut import (
     shallow_circuit_pipeline,
     simulate_variational_state,
     solve_maxcut_sdp,
+    tree_coloring_state,
     two_color_forest,
 )
 from quantum_maxcut.cli import _grid_minimum
@@ -103,7 +104,8 @@ def test_04_weighted_candidate_ratios():
         decomp = match_forest_decompose(g)
         rank3 = rank3_round(g, sol, opt_upper_bound(g, sol.dual_bound).best,
                             seed=k, attempts=100)
-        rep = best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp), rank3)
+        rep = best_few_qubit_candidate(tree_coloring_state(g, decomp),
+                                       match_singlet_state(g, decomp), rank3)
         assert rep.energy / opt >= 0.53
         _, prod_val = local_search_product_state(g, starts=50, seed=k)
         assert max(rep.energy, prod_val) / opt >= 0.55

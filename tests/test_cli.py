@@ -11,6 +11,7 @@ import pytest
 
 from quantum_maxcut import bounds, generate, graphs, oracle, sdp, states
 from quantum_maxcut.cli import main
+from test_graphs import exp_weighted_gnm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -135,7 +136,8 @@ class TestSolve:
             "energy guarantee only holds for 3- and 4-regular graphs"]
 
     def test_tree_on_disconnected_graph(self, tmp_path, capsys):
-        """The forest coloring cuts n - (number of components) edges."""
+        """Each edge is the heaviest at both its ends, so F is the whole
+        graph, two trees, and its coloring cuts both edges."""
         path = tmp_path / "two.txt"
         path.write_text("0 1\n2 3\n")
         code, out = run(capsys, "solve", str(path), "--algorithms", "tree")
@@ -145,9 +147,9 @@ class TestSolve:
         assert by_label["tree-coloring"]["value"] == 2.0
 
     def test_each_stage_runs_once(self, tmp_path, capsys, monkeypatch):
-        """Stages that feed later ones (roundings, singlet state, decomposition)
-        run once per solve; later stages take their outcome."""
-        traced = [(sdp, "gw_round"), (sdp, "rank3_round"),
+        """Stages that feed later ones (roundings, candidate states,
+        decomposition) run once per solve; later stages take their outcome."""
+        traced = [(sdp, "gw_round"), (sdp, "rank3_round"), (states, "tree_coloring_state"),
                   (states, "match_singlet_state"), (graphs, "match_forest_decompose")]
         calls = count_calls(monkeypatch, traced)
         path = tmp_path / "g.txt"
@@ -164,6 +166,31 @@ class TestSolve:
         code, _ = run(capsys, "solve", str(path))
         assert code == 0
         assert calls == {"opt_upper_bound": 1}
+
+
+def test_winner_is_its_entry(tmp_path, capsys):
+    """`best-candidate` reports the energy of the entry its winner names, and
+    the `tree-coloring` entry is the state that cuts every edge of F, the
+    forest of per-vertex heaviest edges. On 15 of these 20 graphs a BFS
+    spanning-forest coloring of G cuts a different weight; with one rounding
+    attempt the tree coloring wins on the second."""
+    rng = np.random.default_rng(1)
+    cases = [generate.regular_graph(12, 3, rng) for _ in range(10)]
+    cases += [exp_weighted_gnm(12, 14, rng) for _ in range(10)]
+    winners = []
+    for g in cases:
+        path = tmp_path / "g.txt"
+        path.write_text(generate.to_edge_list(g))
+        code, out = run(capsys, "solve", str(path), "--algorithms", "tree,singlet,rank3,best",
+                        "--oracle", "off", "--attempts", "1")
+        assert code == 0
+        by_label = {e["label"]: e for e in json.loads(out)["algorithms"]}
+        best = by_label["best-candidate"]
+        assert best["value"] == by_label[best["winner"]]["value"]
+        winners.append(best["winner"])
+        bits = by_label["tree-coloring"]["bits"]
+        assert all(bits[a] != bits[b] for a, b, _ in graphs.match_forest_decompose(g).forest)
+    assert "tree-coloring" in winners
 
 
 def count_calls(monkeypatch, traced):

@@ -433,7 +433,11 @@ class TestZeroWeightEdges:
         assert self.G.triangles.tolist() == [1, 1, 1]
 
     def test_tree_coloring(self):
-        assert tree_coloring_state(self.G) == ((0, 1, 1), 0.0)
+        """Vertex 0's heaviest edges weigh 0, and the later one, (0, 2), joins
+        F: F spans all three vertices, and its coloring cuts the weight-1 edge."""
+        decomp = match_forest_decompose(self.G)
+        assert decomp.forest == ((0, 2, 0.0), (1, 2, 1.0))
+        assert tree_coloring_state(self.G, decomp) == ((0, 0, 1), 1.0)
 
     def test_one_component(self):
         assert depth_parity(self.G.csr)[0] == 1
@@ -462,6 +466,13 @@ def csgraph_depth_parity(a):
     _, roots = np.unique(labels, return_index=True)
     depth = csgraph.dijkstra(a, directed=False, indices=roots, unweighted=True, min_only=True)
     return count, tuple((depth % 2).astype(int).tolist())
+
+
+def csgraph_forest_parity(n, forest):
+    """`csgraph_depth_parity` of the forest edges (a, b, ...), each stored one way."""
+    ends = np.array([e[:2] for e in forest], dtype=np.intp).reshape(-1, 2)
+    return csgraph_depth_parity(
+        sp.csr_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n)))
 
 
 def random_forest(n, rng):
@@ -494,50 +505,44 @@ class TestDepthParityMatchesCsgraph:
             n = int(rng.integers(1, 50))
             forest = random_forest(n, rng)
             g = WeightedGraph.from_edges(n, forest)
-            ends = np.array(forest, dtype=np.intp).reshape(-1, 2)
-            one_way = sp.csr_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
-            count, bits = csgraph_depth_parity(one_way)
+            count, bits = csgraph_forest_parity(n, forest)
             assert two_color_forest(g, forest) == bits
             assert len(forest) == n - count
 
 
-def bfs_depths(g):
-    """Unweighted BFS depth of each vertex from the smallest vertex of its component."""
-    nbrs = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    depth = [None] * g.n
-    for root in range(g.n):
-        if depth[root] is None:
-            depth[root], queue = 0, [root]
-            for x in queue:
-                for y in nbrs[x]:
-                    if depth[y] is None:
-                        depth[y] = depth[x] + 1
-                        queue.append(y)
-    return depth
+def forest_coloring(g):
+    return tree_coloring_state(g, match_forest_decompose(g))
 
 
 class TestSpanningForestColoring:
+    """`tree_coloring_state` 2-colors F, the forest of per-vertex heaviest
+    edges, which spans every vertex that has an edge."""
+
     def test_path_alternates(self):
-        assert tree_coloring_state(parse_graph("0 1\n1 2")) == ((0, 1, 0), 2.0)
+        assert forest_coloring(parse_graph("0 1\n1 2")) == ((0, 1, 0), 2.0)
 
     def test_triangle_cuts_two_edges(self):
-        assert tree_coloring_state(triangle()) == ((0, 1, 1), 2.0)
+        # F is (0, 2) and (1, 2), the later of equal edges at each vertex
+        assert forest_coloring(triangle()) == ((0, 0, 1), 2.0)
 
     def test_disconnected_colors_each_component(self):
         g = WeightedGraph.from_edges(5, [(0, 1), (2, 3)])
-        assert tree_coloring_state(g) == ((0, 1, 0, 1, 0), 2.0)
+        assert forest_coloring(g) == ((0, 1, 0, 1, 0), 2.0)
 
     def test_cuts_n_minus_components_forest_edges(self):
+        """F has n minus its number of components edges, and the coloring,
+        csgraph's depth parity of F, cuts every one of them."""
         rng = np.random.default_rng(1)
         for _ in range(30):
-            g = gnp_graph(int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.7)), rng)
-            bits, _ = tree_coloring_state(g)
-            assert bits == tuple(d % 2 for d in bfs_depths(g))
-            cut = sum(bits[u] != bits[v] for u, v, _ in g.edges)
-            assert cut >= g.n - depth_parity(g.csr)[0]
+            g = gnp_graph(int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.7)), rng,
+                          weights="exp")
+            decomp = match_forest_decompose(g)
+            bits, cut = tree_coloring_state(g, decomp)
+            count, reference = csgraph_forest_parity(g.n, decomp.forest)
+            assert bits == reference and len(decomp.forest) == g.n - count
+            assert all(bits[a] != bits[b] for a, b, _ in decomp.forest)
+            assert cut == pytest.approx(
+                sum(w for a, b, w in g.edges if bits[a] != bits[b]), rel=1e-14)
 
 
 class TestTwoColorForest:

@@ -15,7 +15,7 @@ from quantum_maxcut import (
     solve_maxcut_sdp,
 )
 from quantum_maxcut import sdp
-from quantum_maxcut.generate import gnp_graph, regular_graph
+from quantum_maxcut.generate import gnp_graph, regular_graph, star_graph
 from quantum_maxcut.graphs import Csr, csr_product
 from quantum_maxcut.sdp import _renumbered, mixing_ascent, stack_objective
 from quantum_maxcut.states import cut_value
@@ -552,6 +552,18 @@ class TestRank3Round:
             assert out.value == pytest.approx(best_val, rel=1e-12)
             assert np.allclose(out.bloch, best_bloch, rtol=0, atol=1e-12)
             assert out.value == sdp_objective(g, out.bloch)
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(parse_graph("0 5"), id="edge-and-isolated-vertices"),
+        pytest.param(star_graph(9, weights="exp", rng=np.random.default_rng(3)), id="exp-star"),
+    ])
+    def test_energy_at_most_total_weight(self, g):
+        """Each edge gives a product state at most its weight. The best
+        projection of these graphs cuts every edge, and unclipped its score
+        read W plus 1-2 ulps: 1.0000000000000002 with W = 1, and
+        5.237829866495991 with W = 5.237829866495989 on the star."""
+        sol = solve_maxcut_sdp(g)
+        assert rank3_round(g, sol, upper(g, sol)).value == g.total_weight
 
 
 class TestRelaxationChain:

@@ -110,3 +110,19 @@ def test_the_solve_computes_nothing_twice():
                  if isinstance(node, ast.FunctionDef) and node.name == "solve_maxcut_sdp")
     assert "mixing_ascent" in called(solve)
     assert not called(solve) & {"csr_product", "sdp_objective", "stack_objective"}
+
+
+def test_the_candidate_builds_no_state():
+    """`best_few_qubit_candidate` picks among the states the earlier stages
+    built, the ones the report's entries show: it takes the tree-coloring
+    pair as it takes the singlet pair, and colors, cuts and scores nothing.
+    In `states`, `tree_coloring_state` is the one function that colors a forest."""
+    tree = ast.parse(next(p for p in SRC if p.name == "states.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    best = functions["best_few_qubit_candidate"]
+    assert [a.arg for a in best.args.args] == ["tree", "singlet", "rounding"]
+    assert not called(best) & {"two_color_forest", "cut_value", "tree_coloring_state",
+                               "match_singlet_state", "sdp_objective"}
+    colorings = {"two_color_forest", "depth_parity", "pair_depth_parity"}
+    assert [name for name, node in functions.items() if called(node) & colorings] == [
+        "tree_coloring_state"]

@@ -33,10 +33,15 @@ def singlet_state(g):
     return match_singlet_state(g, match_forest_decompose(g))
 
 
+def tree_state(g):
+    return tree_coloring_state(g, match_forest_decompose(g))
+
+
 def best_candidate(g, sol, seed, attempts=200):
     """The best candidate over the stages `qmaxcut solve` runs before it."""
     decomp = match_forest_decompose(g)
-    return best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp),
+    return best_few_qubit_candidate(tree_coloring_state(g, decomp),
+                                    match_singlet_state(g, decomp),
                                     rank3_round(g, sol, opt_upper_bound(g, sol.dual_bound).best,
                                                 seed=seed, attempts=attempts))
 
@@ -99,16 +104,16 @@ class TestCutValue:
 class TestTreeColoringState:
     def test_path(self):
         g = parse_graph("0 1\n1 2")
-        _, val = tree_coloring_state(g)
+        _, val = tree_state(g)
         assert val == 2.0
 
     def test_triangle(self):
-        _, val = tree_coloring_state(TRIANGLE)
+        _, val = tree_state(TRIANGLE)
         assert val >= 2.0
 
     def test_star(self):
         g = star_graph(5)
-        _, val = tree_coloring_state(g)
+        _, val = tree_state(g)
         assert val == 4.0
 
 
@@ -227,13 +232,15 @@ class TestBestFewQubitCandidate:
         leaves the first candidate, the tree coloring, the winner."""
         g = star_graph(9, weights="exp")
         decomp = match_forest_decompose(g)
-        tree = cut_value(g, states.two_color_forest(g, decomp.forest))
+        bits, tree = tree_coloring_state(g, decomp)
+        assert tree == cut_value(g, bits)
+        singlet = match_singlet_state(g, decomp)
         for above in (tree, np.nextafter(tree, np.inf), tree * (1 + 9e-13)):
             noisy = RoundingOutcome(bits=None, bloch=None, value=float(above), failed=False)
-            rep = best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp), noisy)
+            rep = best_few_qubit_candidate((bits, tree), singlet, noisy)
             assert rep.label == "tree-coloring" and rep.energy == tree
         clear = RoundingOutcome(bits=None, bloch=None, value=tree * (1 + 2e-12), failed=False)
-        rep = best_few_qubit_candidate(g, decomp, match_singlet_state(g, decomp), clear)
+        rep = best_few_qubit_candidate((bits, tree), singlet, clear)
         assert rep.label == "rank3-product"
 
     def test_single_edge_singlet_wins(self):
