@@ -23,7 +23,7 @@ instances = {
     "star K(1,4)": star_graph(5),
 }
 for name, g in instances.items():
-    opt = max_eigenvalue(g)
+    opt = max_eigenvalue(g).value
     sol = solve_maxcut_sdp(g)
     rep = opt_upper_bound(g, sdp_value=sol.dual_bound)
     print(f"{name:12s}  OPT={opt:7.4f}  trivial={rep.trivial:6.2f}  "
@@ -35,8 +35,8 @@ rng = np.random.default_rng(0)
 for k in (2, 4, 6):
     g = star_graph(k + 1, weights="exp", rng=rng)
     ws = [w for _, _, w in g.edges]
-    print(f"star with {k} leaves: OPT={max_eigenvalue(g):7.4f}  "
+    print(f"star with {k} leaves: OPT={max_eigenvalue(g).value:7.4f}  "
           f"bound={star_bound(ws):7.4f}")
 g = star_graph(7)
-print(f"uniform 6-leaf star: OPT={max_eigenvalue(g):.6f} equals "
+print(f"uniform 6-leaf star: OPT={max_eigenvalue(g).value:.6f} equals "
       f"bound={star_bound([1.0] * 6):.6f}")

@@ -45,7 +45,7 @@ dec2 = match_forest_decompose(g2)
 upper = opt_upper_bound(g2, sdp_value=sol.dual_bound).best
 cand = best_few_qubit_candidate(tree_coloring_state(g2, dec2), match_singlet_state(g2, dec2),
                                 rank3_round(g2, sol, upper, seed=3))
-opt = max_eigenvalue(g2)
+opt = max_eigenvalue(g2).value
 print(f"\nrandom 9-vertex graph: best candidate is '{cand.label}' with energy "
       f"{cand.energy:.4f}")
 print(f"ratio vs exact OPT = {cand.energy / opt:.4f}")

@@ -30,7 +30,7 @@ rng = np.random.default_rng(2)
 g = regular_graph(10, 3, rng=rng)
 sol = solve_maxcut_sdp(g, seed=0)
 res = shallow_circuit_pipeline(g, sol, gw_round(g, sol, seed=0))
-opt = max_eigenvalue(g)
+opt = max_eigenvalue(g).value
 print(f"\n3-regular pipeline on n=10: circuit energy {res.energy:.4f}, "
       f"OPT {opt:.4f}, ratio {res.energy / opt:.4f} "
       f"(guaranteed={res.guaranteed})")

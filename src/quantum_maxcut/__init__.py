@@ -37,6 +37,7 @@ from .graphs import (
 )
 from .oracle import (
     ConvergenceError,
+    Eigenvalue,
     ResourceLimitError,
     apply_hamiltonian,
     basis_state,

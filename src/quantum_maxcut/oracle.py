@@ -24,10 +24,11 @@ The block is a `Csr` of numpy arrays (`sector_hamiltonian`). Up to
 top value is lambda_max to within backward error: it certifies the
 *largest* eigenvalue. Larger blocks go to a thick-restart Lanczos in numpy
 that stops on its own residual certificate, which bounds the distance to
-*an* eigenvalue; each step's product is `graphs.csr_product`, scipy's
-compiled CSR routine. The oracle imports nothing from scipy. Measured
-crossover, exp-weighted G(n, 0.4) sectors, ms per solve of the block built
-(1 BLAS thread, 2-vCPU x86-64 VM):
+*an* eigenvalue; each step is one `graphs.csr_product`, scipy's compiled
+CSR routine, and the oracle imports nothing from scipy. `max_eigenvalue`
+returns the value with its block and certificate. Measured crossover,
+exp-weighted G(n, 0.4) sectors, ms per solve of the block built (1 BLAS
+thread, 2-vCPU x86-64 VM):
 
     dim        20    35    70    126   165   252
     Lanczos    0.48  0.79  1.09  1.93  1.26  1.99
@@ -48,6 +49,7 @@ from .graphs import Csr, WeightedGraph, csr_product, depth_parity, pair_depth_pa
 QUBIT_CAP = 20  # states, energies and the eigenvalue: at most this many qubits
 BRUTE_FORCE_CAP = 24
 DENSE_DIM = 128  # largest block solved by eigvalsh: the crossover in the module docstring
+RESIDUAL_TOL = 1e-8  # Lanczos stops at ||H v - lam v|| <= RESIDUAL_TOL * lam
 _BLOCK = 2 ** 18  # entries per block of the sector build and of a Lanczos restart
 _BASIS = 30  # Lanczos vectors: 44 MiB at the qubit cap
 _CHECKS = (6, 9, 13, 19)  # steps that solve the projected matrix, besides a full basis
@@ -99,35 +101,31 @@ def energy(g: WeightedGraph, psi: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class Sector:
-    """The block of H_G that `max_eigenvalue` solves: the states of Hamming
-    weight `ones`, `dim` of them, and how its top eigenvalue is certified:
-    "dense" (eigvalsh) or "lanczos-residual"."""
+class Eigenvalue:
+    """What `max_eigenvalue` found: lambda_max `value`, certified "dense" (eigvalsh)
+    or "lanczos-residual", on its block of the `dim` states of Hamming weight `ones`."""
 
+    value: float
     certificate: str
     ones: int
     dim: int
 
 
-def top_sector(g: WeightedGraph) -> Sector:
-    """The smallest Hamming-weight block of H_G that provably holds its
-    largest eigenvalue, by the rule in the module docstring, and the solver
-    for it: eigvalsh up to `DENSE_DIM` states, Lanczos above. The sides come
+def top_sector(g: WeightedGraph) -> int:
+    """The smallest Hamming weight whose block of H_G provably holds its
+    largest eigenvalue, by the rule in the module docstring. The sides come
     from one BFS over the positive-weight edges: the graph's own `csr` when
     no weight is zero, as that is built once per graph."""
     _check_cap(g.n, QUBIT_CAP)
     n, positive = g.n, g.w > 0
     if not positive.any():
-        ones = 0  # H_G = 0
-    else:
-        u, v = g.u[positive], g.v[positive]
-        count, parity = (depth_parity(g.csr) if len(u) == len(g.u)
-                         else pair_depth_parity(n, u, v))
-        side = np.array(parity)
-        a = int(side.sum())
-        ones = min(a, n - a) if count == 1 and (side[u] != side[v]).all() else n // 2
-    dim = math.comb(n, ones)
-    return Sector("dense" if dim <= DENSE_DIM else "lanczos-residual", ones, dim)
+        return 0  # H_G = 0
+    u, v = g.u[positive], g.v[positive]
+    count, parity = (depth_parity(g.csr) if len(u) == len(g.u)
+                     else pair_depth_parity(n, u, v))
+    side = np.array(parity)
+    a = int(side.sum())
+    return min(a, n - a) if count == 1 and (side[u] != side[v]).all() else n // 2
 
 
 def sector_hamiltonian(g: WeightedGraph, ones: int) -> Csr:
@@ -239,39 +237,39 @@ def _lanczos(h: Csr, bound: float) -> tuple[float, float]:
     return lam, residual
 
 
-def max_eigenvalue(g: WeightedGraph, tol: float = 1e-8) -> float:
-    """Largest eigenvalue of H_G, from the block `top_sector(g)` names,
-    which is H_G on an invariant subspace that holds it.
+def max_eigenvalue(g: WeightedGraph) -> Eigenvalue:
+    """Largest eigenvalue of H_G, its certificate and the block it came from:
+    that of the weight `top_sector(g)` names, an invariant subspace that holds it.
 
     A block of at most `DENSE_DIM` states is densified and solved by
-    eigvalsh, exact to within backward error whatever tol is. A larger one
-    goes to Lanczos, which stops as soon as the residual ||H v - lam v|| of
-    its top Ritz pair is at most max(tol, 1e-12) * lam. ConvergenceError if
-    either eigensolve fails, or if the residual is still too large after
-    `_RESTARTS` restarts.
+    eigvalsh, exact to within backward error. A larger one goes to Lanczos,
+    which stops as soon as the residual ||H v - lam v|| of its top Ritz pair
+    is at most `RESIDUAL_TOL` * lam. ConvergenceError if either eigensolve
+    fails, or if the residual is still too large after `_RESTARTS` restarts.
 
     Both run on H / 2^k, k the graph's `weight_exponent`, and lam is scaled
     back: the scaling is exact, no square in the residual overflows, and as
     lam >= 2 max w (the top of one edge's term), lam >= 1 in those units, so
     the relative bound needs no floor and holds at any weight scale."""
-    sector = top_sector(g)
-    h = sector_hamiltonian(g, sector.ones)  # real symmetric
+    ones = top_sector(g)
+    h = sector_hamiltonian(g, ones)  # real symmetric
+    dim = len(h.indptr) - 1
     k = g.weight_exponent
     np.ldexp(h.data, -k, out=h.data)
-    if sector.certificate == "dense":
-        dense = np.zeros((sector.dim, sector.dim))
-        dense[np.repeat(np.arange(sector.dim), np.diff(h.indptr)), h.indices] = h.data
+    certificate = "dense" if dim <= DENSE_DIM else "lanczos-residual"
+    if certificate == "dense":
+        dense = np.zeros((dim, dim))
+        dense[np.repeat(np.arange(dim), np.diff(h.indptr)), h.indices] = h.data
         try:
             lam = np.linalg.eigvalsh(dense)[-1]
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
     else:
-        bound = max(tol, 1e-12)
-        lam, residual = _lanczos(h, bound)
-        if residual > bound * lam:
-            raise ConvergenceError(
-                f"Lanczos residual {np.ldexp(residual, k)} exceeds tolerance {tol}")
-    return float(np.ldexp(lam, k))
+        lam, residual = _lanczos(h, RESIDUAL_TOL)
+        if residual > RESIDUAL_TOL * lam:
+            raise ConvergenceError(f"Lanczos residual {np.ldexp(residual, k)} "
+                                   f"exceeds tolerance {RESIDUAL_TOL}")
+    return Eigenvalue(float(np.ldexp(lam, k)), certificate, ones, dim)
 
 
 def simulate_variational_state(g: WeightedGraph, bits, theta: float) -> np.ndarray:

@@ -26,6 +26,7 @@ GW_RATIO = 0.8785
 # 0.956 (rank-3 rounding vs best product state) times the 0.5 worst case of
 # product states vs the true optimum: a computable proxy for the failure flag.
 RANK3_PROXY_RATIO = 0.478
+MAX_SWEEPS = 2000  # sweep cap of the relaxation's solve and of the product-state search
 
 
 def auto_rank(n: int) -> int:
@@ -223,14 +224,14 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
 
 
 def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
-                     tol: float = 1e-13, max_sweeps: int = 2000,
-                     seed: int = 0) -> GramSolution:
+                     tol: float = 1e-13, seed: int = 0) -> GramSolution:
     """Solve the relaxation by cyclic coordinate updates on unit vectors.
 
     Stops after the first sweep that changes the objective by at most
     tol * max(1, objective), in the units of A. The objective never decreases;
-    if max_sweeps is exhausted the best iterate is returned with
-    converged=False. Either way the solution carries a certified dual_bound on the optimum.
+    after `MAX_SWEEPS` sweeps the best iterate is returned with converged=False.
+    Either way the objective is clipped to [0, W], where every unit-vector
+    configuration scores, and a certified dual_bound on the optimum comes with it.
     """
     r = rank if rank is not None else auto_rank(g.n)
     if r < 1:
@@ -240,7 +241,7 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
     # in the units of a = -A / 2^k, as the kernel returns them: no square overflows
-    obj, converged, sweeps, pull = mixing_ascent(g, vecs[:, None], tol, max_sweeps)
+    obj, converged, sweeps, pull = mixing_ascent(g, vecs[:, None], tol, MAX_SWEEPS)
     pull = pull[:, 0]  # a V: d(objective)/dv_i = (a V)_i / 2
     dots = np.vecdot(vecs, pull)
     tangential = pull - dots[:, None] * vecs
@@ -250,7 +251,8 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     bound = math.ldexp(dual, k)
     if math.ldexp(bound, -k) < dual:  # rounded down to a subnormal: an upper bound rounds up
         bound = math.nextafter(bound, math.inf)
-    return GramSolution(vectors=vecs, objective=math.ldexp(obj[0], k),
+    objective = min(max(math.ldexp(obj[0], k), 0.0), g.total_weight)
+    return GramSolution(vectors=vecs, objective=objective,
                         residual=math.ldexp(residual, k), converged=converged,
                         sweeps=sweeps, dual_bound=bound)
 

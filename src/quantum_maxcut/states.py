@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import MatchForestDecomposition, WeightedGraph, cut_value, two_color_forest
-from .sdp import RoundingOutcome, mixing_ascent
+from .sdp import MAX_SWEEPS, RoundingOutcome, mixing_ascent
 
 
 def tree_coloring_state(g: WeightedGraph, decomp: MatchForestDecomposition
@@ -141,8 +141,8 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50,
     """Multi-start local search for the best product state.
 
     All starts run as one stack through the relaxation's coordinate ascent
-    at rank 3, v_i <- -normalize(sum_j w_ij v_j), for up to 2000 sweeps until
-    every start's sweep improvement is at most 1e-12 relative; its fixed points
+    at rank 3, v_i <- -normalize(sum_j w_ij v_j), for up to `MAX_SWEEPS` sweeps
+    until every start's sweep improvement is at most 1e-12 relative; its fixed points
     are exactly the first-order stationary points of the product energy on the
     sphere. Serves as the desk-scale ground truth for the best product-state value:
     the first start within 1e-12 relative of the best energy, the kernel's.
@@ -150,7 +150,7 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50,
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((starts, g.n, 3))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    values, _, _, _ = mixing_ascent(g, vecs.transpose(1, 0, 2), 1e-12, 2000)
+    values, _, _, _ = mixing_ascent(g, vecs.transpose(1, 0, 2), 1e-12, MAX_SWEEPS)
     best = np.argmax(values >= values.max() * (1 - 1e-12))  # the first True
     return vecs[best], float(np.ldexp(values[best], g.weight_exponent))
 

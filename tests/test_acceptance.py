@@ -99,7 +99,7 @@ def test_04_weighted_candidate_ratios():
         n = int(rng.integers(3, 13))
         g = random_connected_graph(n, float(rng.uniform(0.25, 0.6)), rng,
                                    weights="exp")
-        opt = max_eigenvalue(g)
+        opt = max_eigenvalue(g).value
         sol = solve_maxcut_sdp(g)
         decomp = match_forest_decompose(g)
         rank3 = rank3_round(g, sol, opt_upper_bound(g, sol.dual_bound).best,
@@ -119,7 +119,7 @@ def test_05_basis_state_ratio_bound():
     for _ in range(200):
         n = int(rng.integers(3, 13))
         g = random_connected_graph(n, float(rng.uniform(0.25, 0.7)), rng)
-        opt = max_eigenvalue(g)
+        opt = max_eigenvalue(g).value
         mc, _ = brute_force_maxcut(g)
         m, v = len(g.edges), g.n
         assert mc / opt >= 1 / 3 + (2 / 3) * (m / (2 * m + v)) - 1e-9
@@ -134,10 +134,10 @@ def test_06_star_bound_and_uniform_equality():
         k = int(rng.integers(1, 9))
         g = star_graph(k + 1, weights="exp", rng=rng)
         ws = [w for _, _, w in g.edges]
-        assert max_eigenvalue(g) <= max(ws) + sum(ws) + 1e-9
+        assert max_eigenvalue(g).value <= max(ws) + sum(ws) + 1e-9
     for k in range(1, 9):
         g = star_graph(k + 1)
-        assert abs(max_eigenvalue(g, tol=1e-9) - (1 + k)) <= 1e-6
+        assert abs(max_eigenvalue(g).value - (1 + k)) <= 1e-6
     report("6 star monogamy bound, uniform-weight equality")
 
 

@@ -21,12 +21,12 @@ class TestStarBound:
     def test_uniform_two_leaves_tight(self):
         assert star_bound([1, 1]) == 3.0
         g = parse_graph("0 1\n0 2")
-        assert max_eigenvalue(g) == pytest.approx(3.0, abs=1e-8)
+        assert max_eigenvalue(g).value == pytest.approx(3.0, abs=1e-8)
 
     def test_nonuniform_dominates_oracle(self):
         assert star_bound([1, 2, 3]) == 9.0
         g = parse_graph("0 1 1\n0 2 2\n0 3 3")
-        assert max_eigenvalue(g) <= 9.0 + 1e-9
+        assert max_eigenvalue(g).value <= 9.0 + 1e-9
 
     def test_single_weight(self):
         assert star_bound([2.5]) == 5.0
@@ -60,7 +60,7 @@ class TestOptUpperBound:
             g = gnp_graph(int(rng.integers(2, 10)), 0.5, rng, weights="exp")
             if not g.edges:
                 continue
-            opt = max_eigenvalue(g)
+            opt = max_eigenvalue(g).value
             sol = solve_maxcut_sdp(g)
             rep = opt_upper_bound(g, sdp_value=sol.dual_bound)
             assert rep.trivial >= opt - 1e-8
@@ -76,7 +76,7 @@ class TestSdpCombinedBound:
 
     def test_triangle(self):
         assert sdp_combined_bound(TRIANGLE, 2.25) == pytest.approx(3.75)
-        assert 3.75 >= max_eigenvalue(TRIANGLE)
+        assert 3.75 >= max_eigenvalue(TRIANGLE).value
 
     def test_k4(self):
         from quantum_maxcut import WeightedGraph
@@ -84,7 +84,7 @@ class TestSdpCombinedBound:
         k4 = WeightedGraph.from_edges(4, [(u, v) for u in range(4)
                                           for v in range(u + 1, 4)])
         assert sdp_combined_bound(k4, 4.0) == 6.0
-        assert max_eigenvalue(k4) == pytest.approx(6.0, abs=1e-8)
+        assert max_eigenvalue(k4).value == pytest.approx(6.0, abs=1e-8)
 
     def test_infeasible_value_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -109,7 +109,7 @@ class TestBasisStateRatio:
         rng = np.random.default_rng(2)
         for _ in range(30):
             g = random_connected_graph(int(rng.integers(3, 10)), 0.4, rng)
-            opt = max_eigenvalue(g)
+            opt = max_eigenvalue(g).value
             mc, _ = brute_force_maxcut(g)
             m, v = len(g.edges), g.n
             assert mc / opt >= 1 / 3 + (2 / 3) * (m / (2 * m + v)) - 1e-9

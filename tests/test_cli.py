@@ -135,6 +135,34 @@ class TestSolve:
         assert by_label["shallow-circuit"]["warnings"] == [
             "energy guarantee only holds for 3- and 4-regular graphs"]
 
+    @pytest.mark.parametrize("g, block", [
+        pytest.param(generate.star_graph(9, weights="exp", rng=np.random.default_rng(3)),
+                     ("dense", 1, 9), id="exp-star"),
+        pytest.param(graphs.WeightedGraph.from_edges(
+            10, [(u, v) for u in range(10) for v in range(u + 1, 10)]),
+                     ("lanczos-residual", 5, 252), id="unit-K10"),
+        pytest.param(graphs.WeightedGraph.from_edges(
+            7, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (3, 4, 0.0), (4, 5, 1.0), (4, 6, 2.0)]),
+                     ("dense", 3, 35), id="zero-weight-bridge"),
+    ])
+    def test_oracle_key_is_what_the_oracle_solved(self, tmp_path, capsys, g, block):
+        """`opt` and the `oracle` key, but its `seconds`, are the fields of the
+        one `max_eigenvalue` result, on each path: a Lieb-Mattis block solved
+        dense, a floor(n/2) block by Lanczos, and the floor(n/2) fallback of a
+        positive graph that a zero-weight edge disconnects."""
+        path = tmp_path / "g.txt"
+        path.write_text(generate.to_edge_list(g))
+        code, out = run(capsys, "solve", str(path), "--algorithms", "tree")
+        assert code == 0
+        report = json.loads(out)
+        top = oracle.max_eigenvalue(graphs.parse_graph(path.read_text()))
+        assert (top.certificate, top.ones, top.dim) == block
+        assert list(report["oracle"]) == ["certificate", "ones", "dim", "seconds"]
+        del report["oracle"]["seconds"]
+        assert report["oracle"] == {"certificate": top.certificate, "ones": top.ones,
+                                    "dim": top.dim}
+        assert report["opt"] == top.value
+
     def test_tree_on_disconnected_graph(self, tmp_path, capsys):
         """Each edge is the heaviest at both its ends, so F is the whole
         graph, two trees, and its coloring cuts both edges."""
@@ -148,9 +176,11 @@ class TestSolve:
 
     def test_each_stage_runs_once(self, tmp_path, capsys, monkeypatch):
         """Stages that feed later ones (roundings, candidate states,
-        decomposition) run once per solve; later stages take their outcome."""
+        decomposition) run once per solve; later stages take their outcome.
+        The oracle runs once, and with it its sector rule."""
         traced = [(sdp, "gw_round"), (sdp, "rank3_round"), (states, "tree_coloring_state"),
-                  (states, "match_singlet_state"), (graphs, "match_forest_decompose")]
+                  (states, "match_singlet_state"), (graphs, "match_forest_decompose"),
+                  (oracle, "top_sector"), (oracle, "max_eigenvalue")]
         calls = count_calls(monkeypatch, traced)
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")

@@ -142,14 +142,14 @@ class TestApplyHamiltonian:
 
 class TestMaxEigenvalue:
     def test_single_edge(self):
-        assert max_eigenvalue(EDGE) == pytest.approx(2.0, abs=1e-10)
+        assert max_eigenvalue(EDGE).value == pytest.approx(2.0, abs=1e-10)
 
     def test_uniform_two_leaf_star(self):
         g = parse_graph("0 1\n0 2")
-        assert max_eigenvalue(g) == pytest.approx(3.0, abs=1e-8)
+        assert max_eigenvalue(g).value == pytest.approx(3.0, abs=1e-8)
 
     def test_triangle(self):
-        assert max_eigenvalue(TRIANGLE) == pytest.approx(3.0, abs=1e-8)
+        assert max_eigenvalue(TRIANGLE).value == pytest.approx(3.0, abs=1e-8)
 
     def test_dominates_candidate_states(self):
         rng = np.random.default_rng(0)
@@ -157,18 +157,19 @@ class TestMaxEigenvalue:
             g = gnp_graph(int(rng.integers(2, 9)), 0.5, rng, weights="uniform")
             if not g.edges:
                 continue
-            opt = max_eigenvalue(g)
+            opt = max_eigenvalue(g).value
             bits = tuple(int(b) for b in rng.integers(0, 2, g.n))
             assert opt >= energy(g, basis_state(g.n, bits)) - 1e-8
 
-    def test_iterative_path_matches_dense(self):
+    def test_iterative_path_matches_dense(self, monkeypatch):
         rng = np.random.default_rng(1)
         graphs = [gnp_graph(n, 0.4, rng, weights="uniform") for n in range(2, 11)]
         graphs.append(parse_graph("0 1 0\n1 2 0"))  # H_G = 0
         for g in graphs:
             top = np.linalg.eigvalsh(dense_hamiltonian(g))[-1]
-            for tol in (1e-6, 1e-8, 1e-10, 1e-12):  # 1e-8 is the default
-                assert max_eigenvalue(g, tol=tol) == pytest.approx(top, abs=min(tol, 1e-8))
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12):  # 1e-8 is RESIDUAL_TOL
+                monkeypatch.setattr(oracle, "RESIDUAL_TOL", tol)
+                assert max_eigenvalue(g).value == pytest.approx(top, abs=min(tol, 1e-8))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_sector_matches_full_space(self, n):
@@ -177,7 +178,7 @@ class TestMaxEigenvalue:
         for g in sector_test_graphs(n, np.random.default_rng(100 + n)):
             ref = (np.linalg.eigvalsh(dense_hamiltonian(g))[-1] if n <= 10
                    else lanczos_full_space(g))
-            assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+            assert max_eigenvalue(g).value == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
     def test_no_full_space_matvec(self, monkeypatch):
         calls, original = [], oracle.apply_hamiltonian
@@ -187,8 +188,8 @@ class TestMaxEigenvalue:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "apply_hamiltonian", counted)
-        assert max_eigenvalue(gnp_graph(9, 0.5, np.random.default_rng(3))) > 0
-        assert max_eigenvalue(TRIANGLE) == pytest.approx(3.0, abs=1e-8)
+        assert max_eigenvalue(gnp_graph(9, 0.5, np.random.default_rng(3))).value > 0
+        assert max_eigenvalue(TRIANGLE).value == pytest.approx(3.0, abs=1e-8)
         assert calls == []
 
     @pytest.mark.parametrize("n", [*range(1, 11), *range(13, 17)])
@@ -198,14 +199,14 @@ class TestMaxEigenvalue:
         for g in sector_test_graphs(n, np.random.default_rng(300 + n)):
             ref = (np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g, g.n // 2)).toarray())[-1]
                    if n <= 10 else lanczos_sector(g))
-            assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+            assert max_eigenvalue(g).value == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
     def test_lanczos_failure_is_convergence_error(self, monkeypatch):
         def failing(t):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        assert max_eigenvalue(K10).certificate == "lanczos-residual"
         monkeypatch.setattr(np.linalg, "eigh", failing)
-        assert oracle.top_sector(K10).certificate == "lanczos-residual"
         with pytest.raises(ConvergenceError, match="Lanczos failed"):
             max_eigenvalue(K10)
 
@@ -213,8 +214,8 @@ class TestMaxEigenvalue:
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        assert max_eigenvalue(TRIANGLE).certificate == "dense"
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-        assert oracle.top_sector(TRIANGLE).certificate == "dense"
         with pytest.raises(ConvergenceError, match="dense eigensolve failed"):
             max_eigenvalue(TRIANGLE)
 
@@ -228,10 +229,11 @@ class TestMaxEigenvalue:
             lams, ys = eigh(t)
             return lams + 1e-3, ys
 
+        graphs = (K10, gnp_graph(10, 0.5, np.random.default_rng(4)))
+        assert [max_eigenvalue(g).certificate for g in graphs] == ["lanczos-residual"] * 2
         monkeypatch.setattr(np.linalg, "eigh", shifted)
         monkeypatch.setattr(oracle, "_RESTARTS", 3)
-        for g in (K10, gnp_graph(10, 0.5, np.random.default_rng(4))):
-            assert oracle.top_sector(g).certificate == "lanczos-residual"
+        for g in graphs:
             with pytest.raises(ConvergenceError, match="residual"):
                 max_eigenvalue(g)
 
@@ -240,9 +242,10 @@ class TestMaxEigenvalue:
         allowed it is refused, with the default ones it meets the dense
         reference."""
         g = log_spread_star(10)
-        assert oracle.top_sector(g).certificate == "lanczos-residual"
+        top = max_eigenvalue(g)
+        assert top.certificate == "lanczos-residual"
         ref = np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g, g.n // 2)).toarray())[-1]
-        assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10)
+        assert top.value == pytest.approx(ref, rel=1e-10)
         monkeypatch.setattr(oracle, "_RESTARTS", 0)
         with pytest.raises(ConvergenceError, match="exceeds tolerance 1e-08"):
             max_eigenvalue(g)
@@ -269,15 +272,15 @@ class TestMaxEigenvalue:
         """Scaling every weight of K5 by 2^j scales the eigenvalue; the residual
         is taken in units of w / 2^k, whose squares overflowed at j = 1000."""
         edges = [(u, v, float(1 + (u + v) % 4)) for u in range(5) for v in range(u + 1, 5)]
-        base = max_eigenvalue(WeightedGraph.from_edges(5, edges))
+        base = max_eigenvalue(WeightedGraph.from_edges(5, edges)).value
         scaled = WeightedGraph.from_edges(5, [(u, v, math.ldexp(w, j)) for u, v, w in edges])
-        assert max_eigenvalue(scaled) == pytest.approx(math.ldexp(base, j), rel=1e-10)
+        assert max_eigenvalue(scaled).value == pytest.approx(math.ldexp(base, j), rel=1e-10)
 
     def test_subnormal_weights(self):
         """K5 with every weight 1e-320 (subnormal): lambda_max = 8 w exactly.
         A residual bound floored at 1 in the units of w certified 3.2e-319."""
         g = WeightedGraph.from_edges(5, [(u, v, 1e-320) for u in range(5) for v in range(u + 1, 5)])
-        assert max_eigenvalue(g) == 8 * g.w[0]
+        assert max_eigenvalue(g).value == 8 * g.w[0]
 
     def test_weighted_star_matches_laplacian_norm(self):
         # top Hamiltonian eigenvalue of a star equals the Laplacian norm
@@ -285,7 +288,7 @@ class TestMaxEigenvalue:
         g = star_graph(5, weights="exp", rng=rng)
         a = scipy_csr(g.csr).toarray()
         lam = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)[-1]
-        assert max_eigenvalue(g) == pytest.approx(lam, abs=1e-8)
+        assert max_eigenvalue(g).value == pytest.approx(lam, abs=1e-8)
 
 
 def random_tree(n, rng):
@@ -311,6 +314,11 @@ def bipartite_test_graphs(n, rng):
     return graphs
 
 
+def block(top):
+    """The block a `max_eigenvalue` result names: (certificate, ones, dim)."""
+    return top.certificate, top.ones, top.dim
+
+
 class TestTopSector:
     """The block `max_eigenvalue` solves: weight min(|A|, |B|) when the
     positive-weight edges form one connected bipartite graph (Lieb-Mattis),
@@ -321,12 +329,12 @@ class TestTopSector:
         """The smaller side's weight, and the top eigenvalue of the dense
         full H_G up to n = 10, of the floor(n/2) sector (ARPACK) above."""
         for g in bipartite_test_graphs(n, np.random.default_rng(400 + n)):
-            sector = oracle.top_sector(g)
-            assert sector.ones == smaller_side(g)
-            assert sector.dim == math.comb(n, sector.ones)
+            top = max_eigenvalue(g)
+            assert oracle.top_sector(g) == top.ones == smaller_side(g)
+            assert top.dim == math.comb(n, top.ones)
             ref = (np.linalg.eigvalsh(dense_hamiltonian(g))[-1] if n <= 10
                    else lanczos_sector(g))
-            assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+            assert top.value == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("edges, ones", [
         ([(0, x, 1.0 + x) for x in range(1, 6)], 3),  # vertex 6 is isolated
@@ -342,19 +350,19 @@ class TestTopSector:
         floor(n/2); a zero-weight edge that closes an odd cycle does not
         block the reduction, and H_G = 0 takes the one state of weight 0."""
         g = WeightedGraph.from_edges(7, edges)
-        assert oracle.top_sector(g).ones == ones
-        assert max_eigenvalue(g) == pytest.approx(np.linalg.eigvalsh(dense_hamiltonian(g))[-1],
-                                                  rel=1e-12, abs=1e-12)
+        assert oracle.top_sector(g) == ones
+        assert max_eigenvalue(g).value == pytest.approx(
+            np.linalg.eigvalsh(dense_hamiltonian(g))[-1], rel=1e-12, abs=1e-12)
 
     def test_dense_cutoff(self):
         """Trees with a side of two vertices, 0 and 1: C(16, 2) = 120 states go
         dense, C(17, 2) = 136 to Lanczos, as DENSE_DIM = 128 sits between."""
         for n, certificate in ((16, "dense"), (17, "lanczos-residual")):
             g = WeightedGraph.from_edges(n, [(1, 2)] + [(0, x) for x in range(2, n)])
-            assert oracle.top_sector(g) == oracle.Sector(certificate, 2, math.comb(n, 2))
-        assert oracle.top_sector(K10) == oracle.Sector("lanczos-residual", 5, 252)
-        assert oracle.top_sector(gnp_graph(9, 1.0, np.random.default_rng(0))) == (
-            oracle.Sector("dense", 4, 126))
+            assert block(max_eigenvalue(g)) == (certificate, 2, math.comb(n, 2))
+        assert block(max_eigenvalue(K10)) == ("lanczos-residual", 5, 252)
+        assert block(max_eigenvalue(gnp_graph(9, 1.0, np.random.default_rng(0)))) == (
+            "dense", 4, 126)
 
     def test_clustered_star_is_certified(self):
         """A 9-vertex star with weights e^u, u uniform on (-14, 0), whose top
@@ -365,7 +373,7 @@ class TestTopSector:
         w = np.exp(np.random.default_rng(81).uniform(-14, 0, 8))
         g = WeightedGraph(9, star.u, star.v, w)
         ref = np.linalg.eigvalsh(scipy_csr(oracle.sector_hamiltonian(g, 4)).toarray())[-1]
-        assert max_eigenvalue(g) == pytest.approx(ref, rel=1e-12)
+        assert max_eigenvalue(g).value == pytest.approx(ref, rel=1e-12)
 
 
 class TestSectorHamiltonian:

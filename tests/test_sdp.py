@@ -55,8 +55,9 @@ class TestSolver:
             assert np.allclose(np.linalg.norm(sol.vectors, axis=1), 1.0, atol=1e-9)
             assert -1e-9 <= sol.objective <= 2 * g.total_weight + 1e-9
 
-    def test_max_sweeps_flag(self):
-        sol = solve_maxcut_sdp(K4, max_sweeps=1)
+    def test_max_sweeps_flag(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 1)
+        sol = solve_maxcut_sdp(K4)
         assert not sol.converged
 
 
@@ -219,8 +220,8 @@ class TestWeightScale:
         the guard."""
         g = regular_graph(40, 3, np.random.default_rng(1))
         scaled = WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, j)) for u, v, w in g.edges])
-        base = solve_maxcut_sdp(g, tol=-1, max_sweeps=2000, seed=3)
-        sol = solve_maxcut_sdp(scaled, tol=-1, max_sweeps=2000, seed=3)
+        base = solve_maxcut_sdp(g, tol=-1, seed=3)
+        sol = solve_maxcut_sdp(scaled, tol=-1, seed=3)
         assert np.array_equal(sol.vectors, base.vectors)
         assert sol.objective == math.ldexp(base.objective, j)
         assert sol.residual == math.ldexp(base.residual, j) and math.isfinite(sol.residual)
@@ -235,24 +236,26 @@ class TestWeightScale:
         below the objective of the same vectors at full precision."""
         g = regular_graph(40, 3, np.random.default_rng(1))
         scaled = WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, j)) for u, v, w in g.edges])
-        base = solve_maxcut_sdp(g, tol=-1, max_sweeps=2000, seed=3)
-        sol = solve_maxcut_sdp(scaled, tol=-1, max_sweeps=2000, seed=3)
+        base = solve_maxcut_sdp(g, tol=-1, seed=3)
+        sol = solve_maxcut_sdp(scaled, tol=-1, seed=3)
         assert np.array_equal(sol.vectors, base.vectors)
         assert math.ldexp(sol.dual_bound, -j) >= base.objective
         assert sol.gap >= 0
 
     @pytest.mark.parametrize("j", [-600, -40, 0, 600])
-    def test_roundings_scale_exactly(self, j):
+    def test_roundings_scale_exactly(self, j, monkeypatch):
         """Under 2^j scaling both roundings pick the same winner, their values
         scale exactly and their failure flags hold: the rank-3 flag's slack is
         relative to the bound, so the hand-built triangle of
         `test_threshold_uses_certified_sdp_bound` fails at every scale."""
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 50)
+
         def scale(g, e):
             return WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, e)) for u, v, w in g.edges])
 
         def outcomes(e):
             g = scale(gnp_graph(30, 0.3, np.random.default_rng(2), weights="exp"), e)
-            sol = solve_maxcut_sdp(g, tol=-1, max_sweeps=50, seed=1)
+            sol = solve_maxcut_sdp(g, tol=-1, seed=1)
             found = [gw_round(g, sol, seed=4), rank3_round(g, sol, upper(g, sol), seed=4)]
             tri, vecs = scale(TRIANGLE, e), np.array([[1.0], [-1.0], [1.0]])
             for dual in (math.inf, 2.25):  # the degree-sum bound, then the certified one
@@ -317,11 +320,12 @@ def test_renumbering_matches_fancy_indexing(a, lo, hi, flat):
 
 
 class TestDualBound:
-    def test_matches_dense_formula(self):
+    def test_matches_dense_formula(self, monkeypatch):
         rng = np.random.default_rng(9)
         for _ in range(10):
             g = gnp_graph(int(rng.integers(2, 25)), 0.4, rng, weights="exp")
-            sol = solve_maxcut_sdp(g, max_sweeps=int(rng.integers(1, 20)), tol=-1)
+            monkeypatch.setattr(sdp, "MAX_SWEEPS", int(rng.integers(1, 20)))
+            sol = solve_maxcut_sdp(g, tol=-1)
             lap = np.zeros((g.n, g.n))
             for u, v, w in g.edges:
                 lap[[u, v], [u, v]] += w / 4
@@ -337,10 +341,12 @@ class TestDualBound:
             sol = solve_maxcut_sdp(g)
             assert optimum - 1e-9 <= sol.dual_bound <= optimum + 1e-6
 
-    def test_certified_where_objective_plus_residual_is_not(self):
+    def test_certified_where_objective_plus_residual_is_not(self, monkeypatch):
         g = regular_graph(200, 3, np.random.default_rng(0))
-        early = solve_maxcut_sdp(g, max_sweeps=30, tol=-1, seed=0)
-        optimum = solve_maxcut_sdp(g, max_sweeps=5000, tol=0, seed=0).objective
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 30)
+        early = solve_maxcut_sdp(g, tol=-1, seed=0)
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 5000)
+        optimum = solve_maxcut_sdp(g, tol=0, seed=0).objective
         assert early.objective + early.residual < optimum <= early.dual_bound
 
 
@@ -439,7 +445,7 @@ class TestGwRound:
 
 
     @pytest.mark.parametrize("weights", ["unit", "exp"])
-    def test_matches_per_attempt_loop(self, weights):
+    def test_matches_per_attempt_loop(self, weights, monkeypatch):
         """The winner is the first best of an edge loop over the attempts'
         cuts, on unit weights (many ties) and exp weights."""
         rng = np.random.default_rng(15)
@@ -447,8 +453,8 @@ class TestGwRound:
             g = gnp_graph(int(rng.integers(3, 25)), 0.4, rng, weights=weights)
             if not g.edges:
                 continue
-            sol = solve_maxcut_sdp(g, max_sweeps=int(rng.integers(1, 30)), tol=-1,
-                                   rank=int(rng.integers(1, 4)))
+            monkeypatch.setattr(sdp, "MAX_SWEEPS", int(rng.integers(1, 30)))
+            sol = solve_maxcut_sdp(g, tol=-1, rank=int(rng.integers(1, 4)))
             out = gw_round(g, sol, seed=k, attempts=60)
             planes = np.random.default_rng(k).standard_normal((60, sol.rank))
             best_bits, best_val = None, -1.0
@@ -533,13 +539,14 @@ class TestRank3Round:
         assert not out.failed
 
 
-    def test_matches_per_attempt_loop(self):
+    def test_matches_per_attempt_loop(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 5)
         rng = np.random.default_rng(10)
         for k in range(8):
             g = gnp_graph(int(rng.integers(3, 30)), 0.4, rng, weights="exp")
             if not g.edges:
                 continue
-            sol = solve_maxcut_sdp(g, max_sweeps=5, tol=-1)
+            sol = solve_maxcut_sdp(g, tol=-1)
             out = rank3_round(g, sol, upper(g, sol), seed=k, attempts=50)
             draws = np.random.default_rng(k)
             best_bloch, best_val = None, -1.0
@@ -564,6 +571,15 @@ class TestRank3Round:
         5.237829866495991 with W = 5.237829866495989 on the star."""
         sol = solve_maxcut_sdp(g)
         assert rank3_round(g, sol, upper(g, sol)).value == g.total_weight
+
+    def test_relaxation_at_most_total_weight(self):
+        """No unit vectors score above W either. Read from the kernel's
+        closing product, the exp-star's relaxation objective was
+        5.23782986649599 with W = 5.237829866495989; the bound stays above it."""
+        g = star_graph(9, weights="exp", rng=np.random.default_rng(3))
+        sol = solve_maxcut_sdp(g)
+        assert sol.objective == g.total_weight
+        assert sol.gap >= 0
 
 
 class TestRelaxationChain:

@@ -112,6 +112,17 @@ def test_the_solve_computes_nothing_twice():
     assert not called(solve) & {"csr_product", "sdp_objective", "stack_objective"}
 
 
+def test_the_cli_calls_the_oracle_once():
+    """`max_eigenvalue` is the one place that picks the block and solver and
+    names the certificate: the CLI takes them from its result, so it neither
+    runs the sector rule nor times the oracle by hand, only through `_timed`."""
+    text = next(p for p in SRC if p.name == "cli.py").read_text()
+    assert "top_sector" not in text
+    timers = {getattr(top, "name", "<module>") for top in ast.parse(text).body
+              if "perf_counter" in called(top)}
+    assert timers == {"_timed"}
+
+
 def test_the_candidate_builds_no_state():
     """`best_few_qubit_candidate` picks among the states the earlier stages
     built, the ones the report's entries show: it takes the tree-coloring

@@ -261,7 +261,7 @@ class TestBestFewQubitCandidate:
         rep = best_candidate(g, sol, seed=0)
         # singlet on one leaf edge plus two cross edges: 2 + 2 * 0.5 = 3
         assert rep.candidates["match-singlet"] == pytest.approx(3.0)
-        assert max_eigenvalue(g) == pytest.approx(4.0, abs=1e-8)
+        assert max_eigenvalue(g).value == pytest.approx(4.0, abs=1e-8)
         assert rep.energy >= 2.5
 
     def test_ratio_against_oracle(self):
@@ -271,6 +271,6 @@ class TestBestFewQubitCandidate:
                                        weights="exp")
             sol = solve_maxcut_sdp(g)
             rep = best_candidate(g, sol, seed=k, attempts=100)
-            opt = max_eigenvalue(g)
+            opt = max_eigenvalue(g).value
             assert rep.energy <= opt + 1e-8
             assert rep.energy / opt >= 0.53
