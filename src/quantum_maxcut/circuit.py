@@ -8,7 +8,10 @@ of triangles containing the edge. Summed over the edges, the energy is a
 polynomial in cos 2theta, sin 2theta and cos 4theta whose coefficients are
 edge sums that do not depend on the angle: energy_curve takes those sums
 once per (graph, cut), and every angle is evaluated from them. Both angle
-searches (optimize_angle, best_angle) are a few nested-grid evaluations.
+searches (optimize_angle, best_angle) are a few nested-grid evaluations: the
+first grid, COARSE, is one array whose powers of cos 2theta and cos 4theta
+are tabulated once per process, and each later grid is centred on the vertex
+of a parabola through the best point so far and its neighbours.
 """
 from __future__ import annotations
 
@@ -23,7 +26,10 @@ from .graphs import WeightedGraph, proper_edge_coloring
 from .sdp import GW_RATIO, GramSolution, RoundingOutcome
 
 THETA_GRID = 400   # intervals of the first grid on [0, pi/4]
-REFINE_GRID = 20   # intervals of each refining grid, which spans two of the last one's
+REFINE_GRID = 20   # intervals of each refining grid
+COARSE = np.arange(THETA_GRID + 1) * ((math.pi / 4) / THETA_GRID)  # every search's first grid
+COARSE.flags.writeable = False
+TABLE_POWERS = 128  # powers 0..127 of cos 2t and cos 4t on COARSE are tabulated
 
 
 def _check_edge_inputs(d_i, d_j, triangles):
@@ -83,7 +89,9 @@ def energy_curve(g: WeightedGraph, bits):
     d_u + d_v - 2 - 2T = k (T the edge's triangle count), and B_jk sums w/4
     over cut edges with T = j and that exponent. The sums are taken here,
     once; an evaluation raises c to the K distinct exponents k and q to the
-    J distinct triangle counts j, not a pass over the edges. Every evaluation
+    J distinct triangle counts j, not a pass over the edges, and on COARSE,
+    with every exponent below TABLE_POWERS, it takes those powers from the
+    tables `_coarse_powers` builds once per process. Every evaluation
     on a d-regular graph checks the energy against the triangle-free floor
     W_cut * envelope / 2, up to rounding of 1e-12 W. The sums are taken on
     w / 2^k, k the graph's `weight_exponent`: exact, so scaling every weight
@@ -107,12 +115,16 @@ def energy_curve(g: WeightedGraph, bits):
     tri_b = np.bincount(q_slot * k + c_slot, 0.25 * w_sat, minlength=j * k).reshape(j, k)
     half_total, w_cut, d = 0.5 * float(w.sum()), float(w_sat.sum()), g.is_regular()
     slack = 2e-12 * half_total
+    tabled = max(c_powers.max(initial=0), q_powers.max(initial=0)) < TABLE_POWERS
 
     def energy(theta):
         t = np.asarray(theta, dtype=float)
-        c_pow = np.cos(2 * t)[..., None] ** c_powers
-        q = np.cos(4 * t)[..., None]  # < 0 past pi/8: numpy's pow of a negative base is ~7x slower
-        q_pow = np.abs(q) ** q_powers * np.where(q_powers % 2, np.sign(q), 1.0)
+        if t is COARSE and tabled:
+            c_table, q_table = _coarse_powers()
+            # take: [:, columns] is Fortran-ordered, and the products below would round otherwise
+            c_pow, q_pow = c_table.take(c_powers, axis=1), q_table.take(q_powers, axis=1)
+        else:
+            c_pow, q_pow = _powers(t, c_powers, q_powers)
         total = (half_total + 0.5 * np.sin(2 * t) * (c_pow @ alpha) + c_pow @ b
                  + np.sum((q_pow @ tri_b) * c_pow, axis=-1))
         if d is not None and d >= 1:
@@ -123,6 +135,22 @@ def energy_curve(g: WeightedGraph, bits):
         return float(total) if total.ndim == 0 else total
 
     return energy
+
+
+def _powers(t: np.ndarray, c_exponents, q_exponents) -> tuple[np.ndarray, np.ndarray]:
+    """cos 2t and cos 4t raised to each of the exponents, with the exponents
+    on a new last axis."""
+    c_pow = np.cos(2 * t)[..., None] ** c_exponents
+    q = np.cos(4 * t)[..., None]  # < 0 past pi/8: numpy's pow of a negative base is ~7x slower
+    return c_pow, np.abs(q) ** q_exponents * np.where(q_exponents % 2, np.sign(q), 1.0)
+
+
+@functools.cache
+def _coarse_powers() -> tuple[np.ndarray, np.ndarray]:
+    """`_powers` of COARSE to the exponents 0..TABLE_POWERS - 1, once per process:
+    an evaluation on COARSE takes its columns, the values it would compute."""
+    exponents = np.arange(TABLE_POWERS)
+    return _powers(COARSE, exponents, exponents)
 
 
 def circuit_energy(g: WeightedGraph, bits, theta):
@@ -141,20 +169,35 @@ def regular_sat_envelope(theta, d: int):
 
 
 def _maximize(f) -> tuple[float, float]:
-    """First of equal maxima of the vectorized f on [0, pi/4], and its value:
-    the best point of a THETA_GRID-interval grid, then of REFINE_GRID-interval
-    grids on the two intervals around the best point so far, until those span
-    at most 1e-10. Each bracket is a tenth of the last: at most nine calls of f."""
-    step = (math.pi / 4) / THETA_GRID
-    grid = np.arange(THETA_GRID + 1) * step
+    """First of equal maxima of the vectorized f on [0, pi/4], and its value,
+    on nested grids: COARSE, then grids of REFINE_GRID intervals, until the
+    best point's neighbours (or a neighbour and an end of [0, pi/4]) lie at
+    most 1e-10 apart.
+
+    Where the best point is inside its grid and f bends down there, the next
+    grid is centred on the vertex of the parabola through the point and its
+    neighbours, with 1/REFINE_GRID^2 of the spacing: on a smooth peak the
+    fourth call of f is the last. Otherwise (the best point ends its grid, or
+    the three values are not concave) the next grid spans the bracket that
+    holds the maximum: the best point's neighbours, or, past an end of its
+    grid, the last bracket's end on that side."""
+    grid, step = COARSE, float(COARSE[1])
+    lo, hi = 0.0, math.pi / 4  # the bracket
     while True:
         vals = f(grid)
-        i = int(np.argmax(vals))  # the first of equal maxima
-        lo, hi = max(0.0, grid[i] - step), min(math.pi / 4, grid[i] + step)
-        if hi - lo <= 1e-10:
-            return float(grid[i]), float(vals[i])
-        step = (hi - lo) / REFINE_GRID
-        grid = lo + np.arange(REFINE_GRID + 1) * step
+        i, last = int(np.argmax(vals)), len(grid) - 1  # the first of equal maxima
+        x = float(grid[i])
+        if min(math.pi / 4, x + step) - max(0.0, x - step) <= 1e-10:
+            return x, float(vals[i])
+        lo = float(grid[i - 1]) if i > 0 else lo
+        hi = float(grid[i + 1]) if i < last else hi
+        if 0 < i < last and (bend := vals[i - 1] - 2 * vals[i] + vals[i + 1]) < 0:
+            centre = x + 0.5 * step * (vals[i - 1] - vals[i + 1]) / bend
+            step /= REFINE_GRID ** 2
+            grid = centre + (np.arange(REFINE_GRID + 1) - REFINE_GRID / 2) * step
+        else:
+            step = (hi - lo) / REFINE_GRID
+            grid = lo + np.arange(REFINE_GRID + 1) * step
 
 
 @functools.cache
@@ -218,7 +261,8 @@ def build_circuit(g: WeightedGraph, bits, theta: float) -> VariationalCircuit:
 def optimize_angle(g: WeightedGraph, bits) -> tuple[float, float]:
     """Best angle on [0, pi/4] for the closed-form total energy of an
     arbitrary graph, and that energy: the edge sums are taken once
-    (energy_curve), then evaluated on the few grids of _maximize."""
+    (energy_curve), then evaluated on the grids of _maximize, four on a
+    smooth peak, the first from the tabulated powers on COARSE."""
     return _maximize(energy_curve(g, bits))
 
 

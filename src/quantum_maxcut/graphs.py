@@ -15,7 +15,8 @@ scale-free stages run on, per-edge `triangles` and a proper vertex coloring
 `color_classes`.
 
 Every sparse product in the package is scipy's compiled CSR routine, bound
-to its operands by `csr_product`. This module alone loads it, from the
+to its operands by `csr_product`, and `triangles` samples `csr` with its
+compiled `csr_sample_values`. This module alone loads them, from the
 extension module's file in scipy's install directory: `import scipy.sparse`
 would first run the package init, which imports about 290 more modules
 (numpy.f2py, numpy.testing and numpy.ma among them) and doubles the
@@ -210,26 +211,23 @@ class WeightedGraph:
         """Per-edge number of common neighbors of the endpoints: each neighbor
         x of the lower-degree endpoint is looked up among the sorted
         neighbors of the other, in O(sum over edges of the smaller degree)
-        lookups. A lookup is one `searchsorted` in the stored entries of
-        `csr`, whose (row, column) order the key rank(row) * s + rank(column)
-        keeps, with rank(x) x's index among the s vertices that have a
-        neighbor: the key stays below (2m)^2, where row * n + column could
-        overflow."""
+        lookups, all in one call of scipy's compiled `csr_sample_values`,
+        which bisects the row of each lookup. It samples a pattern of ones
+        with `csr`'s indptr and indices, so a zero-weight edge counts."""
         indptr, indices = self.csr.indptr, self.csr.indices
         deg = np.diff(indptr)
         swap = deg[self.u] > deg[self.v]
         low, high = np.where(swap, self.v, self.u), np.where(swap, self.u, self.v)
-        count = deg[low]
-        edge = np.repeat(np.arange(len(low)), count)
+        count = deg[low]  # at least 1: every edge's own
+        start = np.cumsum(count) - count  # where each edge's lookups begin
+        total = int(count.sum())
         # where in `indices` the neighbors of each edge's low endpoint sit
-        pos = np.arange(len(edge)) + np.repeat(indptr[low] - np.cumsum(count) + count, count)
-        rank = np.cumsum(deg > 0) - 1
-        s = rank[-1] + 1
-        keys = rank[np.repeat(np.arange(self.n), deg)] * s + rank[indices]
-        wanted = rank[high[edge]] * s + rank[indices[pos]]
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        hits = keys[at] == wanted
-        return _read_only(np.bincount(edge[hits], minlength=len(low)))
+        pos = np.arange(total) + np.repeat(indptr[low] - start, count)
+        hits = np.zeros(total, dtype=np.int8)
+        _SPARSETOOLS.csr_sample_values(self.n, self.n, indptr, indices,
+                                       np.ones(len(indices), dtype=np.int8), total,
+                                       np.repeat(high, count), indices[pos], hits)
+        return _read_only(np.add.reduceat(hits, start, dtype=np.intp))
 
     @cached_property
     def color_classes(self) -> tuple[np.ndarray, ...]:
@@ -238,21 +236,26 @@ class WeightedGraph:
         degree, then lower index) its lowest free color. One sorted index array
         per color, at most max_degree + 1 of them, two on a bipartite graph. No
         edge joins two vertices of one class."""
+        n = self.n
         indptr, indices = self.csr.indptr.tolist(), self.csr.indices.tolist()
-        color = [-1] * self.n
-        taken = [0] * self.n  # bit c of taken[x] is set iff a neighbor of x has color c
-        # (-saturation, -degree, vertex); stale entries rank below a vertex's current one
-        heap = [(0, -d, x) for x, d in enumerate(self.degree)]
+        color = [-1] * n
+        taken = [0] * n  # bit c of taken[x] is set iff a neighbor of x has color c
+        # a heap of (-saturation, -degree, vertex) as the one int, ordered alike,
+        # (n - saturation) n^2 + (n - 1 - degree) n + vertex, each term below n but the first
+        tail = [(n - 1 - d) * n + x for x, d in enumerate(self.degree)]
+        heap = [n * n * n + key for key in tail]  # stale entries rank below a vertex's current one
         heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            *_, x = heapq.heappop(heap)
+            x = pop(heap) % n
             if color[x] >= 0:
                 continue
             c = color[x] = _lowest_free(taken[x])
+            bit = 1 << c
             for y in indices[indptr[x]:indptr[x + 1]]:
-                if color[y] < 0 and not taken[y] >> c & 1:
-                    taken[y] |= 1 << c
-                    heapq.heappush(heap, (-taken[y].bit_count(), -self.degree[y], y))
+                if color[y] < 0 and not taken[y] & bit:
+                    mask = taken[y] = taken[y] | bit
+                    push(heap, (n - mask.bit_count()) * n * n + tail[y])
         color = np.array(color)
         return tuple(_read_only(np.flatnonzero(color == c)) for c in range(color.max() + 1))
 
@@ -477,6 +480,7 @@ def proper_edge_coloring(g: WeightedGraph) -> dict[tuple[int, int], int]:
     if not g.edges:
         return {}
     ncolors = g.max_degree + 1
+    past = 1 << ncolors  # the bit of the first color past the bound
     color = {}  # (u, v) -> color
     at = [dict() for _ in range(g.n)]  # at[v][color] = neighbor
     used = [0] * g.n  # bit c of used[v] is set iff color c is at v
@@ -506,9 +510,14 @@ def proper_edge_coloring(g: WeightedGraph) -> dict[tuple[int, int], int]:
         return c
 
     for u0, v0, _ in g.edges:
-        c = _lowest_free(used[u0] | used[v0])
-        if c < ncolors:
-            set_color(u0, v0, c)
+        mask = used[u0] | used[v0]
+        bit = ~mask & (mask + 1)  # the lowest color free at both ends, as its bit
+        if bit < past:  # set_color(u0, v0, c) of an uncolored edge, inline
+            c = bit.bit_length() - 1
+            color[u0, v0] = c
+            at[u0][c], at[v0][c] = v0, u0
+            used[u0] |= bit
+            used[v0] |= bit
             continue
         # maximal fan of u0 starting at v0
         fan = [v0]

@@ -123,8 +123,10 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     joins two vertices of a class, so one sparse product updates a whole
     class, in every start, exactly as one-vertex steps in any order within
     it would. Renumbered once into class order, each class is a slab of rows
-    updated in place, and the product A V that scores a sweep holds the next
-    sweep's first neighbor sums: a sweep takes one sparse product per class.
+    updated in place. The product A V that scores a sweep holds the next
+    sweep's first neighbor sums, and the last class's sums, taken once every
+    other class has stepped, are that product's last rows: a sweep takes one
+    sparse product per class and one on the rows before the last class.
 
     The kernel runs on a = -A / 2^k, with k the graph's `weight_exponent`,
     so the update is normalize(a V). Negation and power-of-two scaling are
@@ -133,13 +135,14 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     of a neighbor sum can overflow. The class-order matrix is a numpy
     permutation of A's CSR arrays, and each product is scipy's compiled CSR
     routine bound once to its slab and buffers (`csr_product`), so a
-    product runs no Python code. One (n, S, r) buffer holds a V, and each
-    class's product adds into that class's own rows. Two fills a sweep
-    zero it: one, as the sweep starts, for the rows past the first class,
-    and one before the product that scores the sweep, so that the call ends
-    with the whole a V of its last iterate. A class step is a squared
-    length, a square root and a plain division, and every class's norms sit
-    in one buffer that one `min` checks after the sweep.
+    product runs no Python code. One buffer holds a V in its first n rows,
+    and below them the sums of the classes between the first and the last,
+    each class's product adding into its own rows; the last class's adds
+    into its rows of a V. One fill a sweep zeroes the whole buffer, once the
+    first class has stepped, and the call ends with the whole a V of its
+    last iterate. A class step is a squared length, a square root and a
+    plain division, and every class's norms sit in one buffer that one
+    `min` checks after the sweep.
     A vertex whose neighbor sum is zero, or so small in the units of a (at
     most 2^-511) that its square would lose bits to underflow, keeps its
     vector: if the check finds such a norm, or a NaN, the call starts again
@@ -162,33 +165,38 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     half_weight = math.ldexp(g.total_weight, -k) / 2
     work = np.ascontiguousarray(vecs[order])  # flat must view it; written back at the end
     flat = work.reshape(n, starts * r)
-    pull = np.empty((n, starts, r))  # a V, class by class; each class's sums are its rows
+    bounds = np.cumsum([0, *map(len, g.color_classes)]).tolist()
+    # the rows of a sweep's scoring product: all but the last class's, whose sums,
+    # taken once every other class has stepped, are those rows already
+    head = bounds[-2] if len(bounds) > 2 else n
+    # a V in the first n rows; below them the sums of the classes between the first and last
+    buf = np.zeros((n + head - bounds[1], starts, r))
+    pull, middle = buf[:n], buf[n - bounds[1]:]  # each indexed by the class-order row
     norms = np.empty((n, starts, 1))
     mask = np.empty(norms.shape, dtype=bool)
-    bounds = np.cumsum([0, *map(len, g.color_classes)]).tolist()
-    slabs = [(csr_product(Csr(indptr[lo:hi + 1], indices, a.data), flat, pull[lo:hi])
-              if lo else None,  # the first class's sums are the scoring product's
-              pull[lo:hi], norms[lo:hi], norms[lo:hi, :, 0], mask[lo:hi], work[lo:hi])
-             for lo, hi in zip(bounds, bounds[1:])]
-    pull_product = csr_product(a, flat, pull)
-    later = pull[bounds[1]:]  # the rows the class products add into
+    slabs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        sums = (middle if 0 < lo < head else pull)[lo:hi]
+        slabs.append((csr_product(Csr(indptr[lo:hi + 1], indices, a.data), flat, sums)
+                      if lo else None,  # the first class's sums are the scoring product's
+                      sums, norms[lo:hi], norms[lo:hi, :, 0], mask[lo:hi], work[lo:hi]))
+    full_product = csr_product(a, flat, pull)
+    head_product = csr_product(Csr(indptr[:head + 1], indices, a.data), flat, pull[:head])
     # sum_i v_i . (a V)_i of each start by one call; at S = 1 one dot of the flat arrays
     start_sums = (partial(np.dot, work.reshape(1, -1), pull.reshape(-1)) if starts == 1
                   else partial(np.einsum, "isk,isk->s", work, pull))
 
-    def score() -> list[float]:
-        pull.fill(0.0)  # a product adds into its output
-        pull_product()
+    def score(product) -> list[float]:
+        product()  # into zeros: a product adds into its output
         return [half_weight + x / 4 for x in start_sums().tolist()]
 
     def ascend(masked: bool) -> tuple[list[float], bool, int] | None:
-        """The sweeps from `work`: None as soon as an unmasked sweep has met a
-        norm of at most _TINY_SUM or NaN."""
-        obj = score()
+        """The sweeps from `work`, with `buf` zero: None as soon as an
+        unmasked sweep has met a norm of at most _TINY_SUM or NaN."""
+        obj = score(full_product)
         converged = False
         sweeps = 0
         for sweeps in range(1, max_sweeps + 1):
-            later.fill(0.0)  # the scoring product's rows past the first class
             for product, s, norm, square, keep, out in slabs:
                 if product is not None:
                     product()
@@ -199,9 +207,11 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
                     np.divide(s, norm, out=out, where=keep)
                 else:
                     np.divide(s, norm, out=out)
+                if product is None:  # the first class has read a V: zero the sums to come
+                    buf.fill(0.0)
             if not masked and not norms.min() > _TINY_SUM:
                 return None
-            new = score()
+            new = score(head_product)
             rise = [x - y for x, y in zip(new, obj)]  # Python floats: cheaper than numpy at S = 1
             if min(rise) < -1e-12 * max(1.0, max(new)):
                 raise AssertionError("objective decreased during coordinate ascent")
@@ -217,6 +227,7 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
         result = ascend(masked=False)
         if result is None:
             work[...] = vecs[order]
+            buf.fill(0.0)
             result = ascend(masked=True)
     obj, converged, sweeps = result
     vecs[order] = work

@@ -6,6 +6,7 @@ in tests to cross-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -79,21 +80,30 @@ def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition
     pairs = tuple((u, v) for u, v, _ in decomp.matching)
     free = np.zeros(g.n, dtype=bool)
     free[list(decomp.unmatched)] = True
-    inside = free[g.u] & free[g.v]  # the edges of the subgraph they induce
-    neighbors = {i: [] for i in decomp.unmatched}  # (neighbor, weight), in index order
-    for a, b, w in zip(g.u[inside].tolist(), g.v[inside].tolist(), g.w[inside].tolist()):
-        neighbors[a].append((b, w))
-        neighbors[b].append((a, w))
-    spin = dict.fromkeys(decomp.unmatched, 1.0)  # +1 for bit 0, -1 for bit 1
+    # the rows of csr at unmatched columns: each unmatched vertex's unmatched
+    # neighbors, ascending, and their weights
+    indptr, indices, data = g.csr
+    keep = np.flatnonzero(free[indices])
+    bounds = np.searchsorted(keep, indptr).tolist()
+    neighbors, weights = indices.take(keep).tolist(), data.take(keep).tolist()
+    rows = [(i, neighbors[bounds[i]:bounds[i + 1]], weights[bounds[i]:bounds[i + 1]])
+            for i in decomp.unmatched]
+    spin = [1.0] * g.n  # +1 for bit 0, -1 for bit 1; read at unmatched vertices only
+    # sum of w * spin over the neighbors, in neighbor order; summed again, from
+    # the start, only once a neighbor has flipped since (else it is the same sum)
+    field, stale = [0.0] * g.n, [True] * g.n
     improved = True
     while improved:
         improved = False
-        for i, row in neighbors.items():
-            # uncut minus cut neighbor weight: flipping gains it
-            if spin[i] * sum(w * spin[j] for j, w in row) > 0:
+        for i, row, w in rows:
+            if stale[i]:
+                field[i], stale[i] = sum(map(mul, w, map(spin.__getitem__, row))), False
+            if spin[i] * field[i] > 0:  # uncut minus cut neighbor weight: flipping gains it
                 spin[i] = -spin[i]
                 improved = True
-    bits = {i: int(s < 0) for i, s in spin.items()}
+                for j in row:
+                    stale[j] = True
+    bits = {i: int(spin[i] < 0) for i in decomp.unmatched}
     state = PairProductState(pairs=pairs, bits=bits)
     return state, pair_product_energy(g, state)
 

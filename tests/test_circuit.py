@@ -151,8 +151,8 @@ class TestEnergyCurve:
 
     def test_optimize_angle_builds_curve_once(self, monkeypatch):
         """One set of edge sums per search, evaluated on a few grids: the
-        first is the THETA_GRID + 1 point grid, each later one a refining
-        grid, never a single angle, and circuit_energy is not called."""
+        first is COARSE, each later one a refining grid, never a single
+        angle, at most five in all, and circuit_energy is not called."""
         built, shapes, energies = [], [], []
         original = circuit.energy_curve
 
@@ -172,8 +172,39 @@ class TestEnergyCurve:
         theta, val = optimize_angle(g, bits)
         assert built == [1] and energies == []
         assert shapes[0] == (circuit.THETA_GRID + 1,)
-        assert set(shapes[1:]) == {(circuit.REFINE_GRID + 1,)} and len(shapes) <= 12
+        assert set(shapes[1:]) == {(circuit.REFINE_GRID + 1,)} and len(shapes) <= 5
         assert val == pytest.approx(edge_loop_energy(g, bits, theta), abs=1e-12)
+
+    def test_four_evaluations_on_rounded_cuts(self):
+        """On the hyperplane cut of exp-weighted G(50, 0.4) graphs, as the
+        circuit stage searches them, the parabola-centred grids make the
+        fourth evaluation the last."""
+        rng = np.random.default_rng(29)
+        for seed in range(4):
+            g = gnp_graph(50, 0.4, rng, weights="exp")
+            _, gw = relaxation_and_cut(g, seed=seed)
+            energy, calls = circuit.energy_curve(g, gw.bits), []
+            circuit._maximize(lambda t: calls.append(1) or energy(t))
+            assert len(calls) == 4
+
+    def test_coarse_table_matches_computed_powers(self, monkeypatch):
+        """An evaluation on COARSE takes its powers from the table when every
+        exponent is below TABLE_POWERS, and equals, bit for bit, one on a
+        copy of that grid, whose powers are computed: on random graphs and
+        on stars whose largest exponent is the table's last column or one
+        past it."""
+        tables, reads = circuit._coarse_powers, []
+        monkeypatch.setattr(circuit, "_coarse_powers", lambda: reads.append(1) or tables())
+        rng = np.random.default_rng(3)
+        cases = [gnp_graph(int(rng.integers(4, 40)), float(rng.uniform(0.2, 0.9)), rng,
+                           weights="exp") for _ in range(10)]
+        stars = [WeightedGraph.from_edges(d + 1, [(0, x, float(x)) for x in range(1, d + 1)])
+                 for d in (circuit.TABLE_POWERS, circuit.TABLE_POWERS + 1)]
+        for g in cases + stars:
+            reads.clear()
+            energy = circuit.energy_curve(g, tuple(int(b) for b in rng.integers(0, 2, g.n)))
+            assert np.array_equal(energy(circuit.COARSE), energy(circuit.COARSE.copy()))
+            assert reads == ([] if g is stars[1] else [1])
 
     def test_regular_floor_checked_every_evaluation(self, monkeypatch):
         """On a cycle (2-regular) each evaluation of the search compares the
@@ -367,9 +398,23 @@ class TestOptimizeAngle:
         assert val >= circuit_energy(g, bits, 0.0) - 1e-12
         assert 0 <= theta <= math.pi / 4
 
-    @pytest.mark.parametrize("name", ["random", "hub", "no-edges", "all-uncut"])
+    @pytest.mark.parametrize("name", ["random", "hub", "no-edges", "all-uncut",
+                                      "max-at-zero", "max-at-quarter-pi", "flat-top"])
     def test_reaches_dense_grid_maximum(self, name):
-        """The nested-grid search reaches the maximum over 200001 angles."""
+        """The nested-grid search reaches the maximum over 200001 angles: of
+        energy curves, and of curves that run its fallbacks, a maximum at
+        either end of [0, pi/4] and a flat top, where it returns the first
+        angle of the plateau."""
+        grid = np.linspace(0, math.pi / 4, 200001)
+        curves = {"max-at-zero": (lambda t: np.cos(2 * t) ** 3, 0.0),
+                  "max-at-quarter-pi": (lambda t: np.sin(2 * t) ** 5, math.pi / 4),
+                  "flat-top": (lambda t: np.minimum(np.sin(2 * t), 0.8), math.asin(0.8) / 2)}
+        if name in curves:
+            f, first = curves[name]
+            theta, val = circuit._maximize(f)
+            assert val >= np.max(f(grid)) - 1e-12 and val == f(theta)
+            assert theta == pytest.approx(first, abs=1e-8)
+            return
         rng = np.random.default_rng(9)
         if name == "random":
             cases = []
@@ -387,7 +432,6 @@ class TestOptimizeAngle:
         else:
             g = gnp_graph(12, 0.6, rng, weights="exp")
             cases = [(g, (0,) * g.n)]
-        grid = np.linspace(0, math.pi / 4, 200001)
         for g, bits in cases:
             theta, val = optimize_angle(g, bits)
             top = float(np.max(circuit_energy(g, bits, grid)))

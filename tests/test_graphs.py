@@ -680,3 +680,138 @@ class TestMatchForestDecompose:
                 covered.update((u, v))
             two_color_forest(g, d.forest)  # raises if the forest had a cycle
             assert set(d.matching) <= set(d.forest)
+
+
+def dsatur_reference(g):
+    """DSATUR by plain selection: the uncolored vertex with the most distinct
+    neighbor colors, then the highest degree, then the lowest index, takes
+    the lowest color no neighbor has; the classes in color order."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    color = {}
+    while len(color) < g.n:
+        def rank(x):
+            return len({color[y] for y in nbrs[x] if y in color}), g.degree[x], -x
+        x = max((x for x in range(g.n) if x not in color), key=rank)
+        used = {color[y] for y in nbrs[x] if y in color}
+        color[x] = min(c for c in range(g.n) if c not in used)
+    return [[x for x in range(g.n) if color[x] == c] for c in range(max(color.values()) + 1)]
+
+
+def edge_coloring_reference(g):
+    """Greedy-first edge coloring, plainly: each edge in canonical order takes
+    the lowest color free at both ends, below max_degree + 1; else the
+    Misra-Gries step (fan of u0 in the order u0's colors were set, inversion
+    of the d/c path from u0, rotation of the first fan prefix whose last
+    vertex has d free) colors it."""
+    ncolors = g.max_degree + 1
+    color, at = {}, [dict() for _ in range(g.n)]  # at[x][c] = the neighbor of x by color c
+
+    def recolor(a, b, c):
+        key = (min(a, b), max(a, b))
+        old = color.pop(key, None)
+        if old is not None:
+            del at[a][old], at[b][old]
+        if c is not None:
+            color[key] = c
+            at[a][c], at[b][c] = b, a
+
+    def free(x):
+        return min(c for c in range(ncolors + 1) if c not in at[x])
+
+    for u0, v0, _ in g.edges:
+        common = min(c for c in range(ncolors + 1) if c not in at[u0] and c not in at[v0])
+        if common < ncolors:
+            recolor(u0, v0, common)
+            continue
+        fan = [v0]
+        while True:
+            ext = next((x for c, x in at[u0].items() if x not in fan and c not in at[fan[-1]]),
+                       None)
+            if ext is None:
+                break
+            fan.append(ext)
+        c, d = free(u0), free(fan[-1])
+        if c != d:
+            path, cur, col, prev = [], u0, d, None
+            while col in at[cur] and at[cur][col] != prev:
+                path.append((cur, at[cur][col], col))
+                prev, cur, col = cur, at[cur][col], c if col == d else d
+            for a, b, _ in path:
+                recolor(a, b, None)
+            for a, b, col in path:
+                recolor(a, b, c if col == d else d)
+        end = next(i for i, x in enumerate(fan) if d not in at[x] and all(
+            color.get((min(u0, fan[j + 1]), max(u0, fan[j + 1]))) not in (None, *at[fan[j]])
+            for j in range(i)))
+        shifted = [color[(min(u0, x), max(u0, x))] for x in fan[1:end + 1]]
+        for x in fan[1:end + 1]:
+            recolor(u0, x, None)
+        for x, col in zip(fan, shifted):
+            recolor(u0, x, col)
+        recolor(u0, fan[end], d)
+    return color
+
+
+def singlet_flips_reference(g, decomp):
+    """Flip-while-improving over the unmatched vertices in index order: a
+    vertex flips while its uncut less its cut neighbor weight, summed over
+    its neighbors in index order, is positive."""
+    neighbors = {i: [] for i in decomp.unmatched}
+    for u, v, w in g.edges:
+        if u in neighbors and v in neighbors:
+            neighbors[u].append((v, w))
+            neighbors[v].append((u, w))
+    spin = dict.fromkeys(decomp.unmatched, 1.0)
+    improved = True
+    while improved:
+        improved = False
+        for i, row in neighbors.items():
+            if spin[i] * sum(w * spin[j] for j, w in row) > 0:
+                spin[i] = -spin[i]
+                improved = True
+    return {i: int(s < 0) for i, s in spin.items()}
+
+
+def pinned_graphs(weights):
+    """Seeded G(n, p), 3- and 4-regular graphs, stars and cycles, the last two
+    on permuted labels, with `weights` "unit" or "exp"."""
+    rng = np.random.default_rng(31)
+
+    def relabel(n, pairs):
+        p = rng.permutation(n)
+        ws = np.ones(len(pairs)) if weights == "unit" else rng.exponential(size=len(pairs))
+        return WeightedGraph(n, p[[a for a, _ in pairs]], p[[b for _, b in pairs]], ws)
+
+    out = [gnp_graph(int(rng.integers(2, 40)), float(rng.uniform(0.1, 0.9)), rng, weights)
+           for _ in range(25)]
+    out += [gnp_graph(50, 0.4, rng, weights) for _ in range(2)]
+    out += [regular_graph(n, d, rng, weights) for n in (8, 20, 60) for d in (3, 4)]
+    out += [relabel(n, [(0, x) for x in range(1, n)]) for n in (2, 9, 30)]
+    out += [relabel(n, [(x, (x + 1) % n) for x in range(n)]) for n in (3, 10, 31)]
+    return out
+
+
+class TestPinnedOutputs:
+    """The compiled-free passes against plain references of the same rules:
+    exact equality, so a changed visiting order or tie-break fails here,
+    where properness and bounds alone would pass."""
+
+    @pytest.mark.parametrize("weights", ["unit", "exp"])
+    def test_dsatur(self, weights):
+        for g in pinned_graphs(weights):
+            assert [c.tolist() for c in g.color_classes] == dsatur_reference(g)
+
+    @pytest.mark.parametrize("weights", ["unit", "exp"])
+    def test_edge_coloring(self, weights):
+        for g in pinned_graphs(weights) + [complete_graph(5), complete_graph(6)]:
+            assert proper_edge_coloring(g) == edge_coloring_reference(g)
+
+    @pytest.mark.parametrize("weights", ["unit", "exp"])
+    def test_singlet_flips(self, weights):
+        for g in pinned_graphs(weights):
+            decomp = match_forest_decompose(g)
+            state, _ = match_singlet_state(g, decomp)
+            assert state.bits == singlet_flips_reference(g, decomp)

@@ -42,9 +42,11 @@ def test_stages_take_their_inputs(path):
 
 def test_only_the_kernel_calls_private_scipy():
     """One module names scipy's private extension `_sparsetools`: `graphs`,
-    whose `_load_sparsetools` loads it and whose `csr_product` is the one
-    caller of its routines (pinned by `test_sdp.test_csr_product_matches_matmul`
-    and `test_oracle.TestMaxEigenvalue.test_matvec_adds_the_product`)."""
+    whose `_load_sparsetools` loads it and whose `csr_product` and
+    `WeightedGraph.triangles` are the callers of its routines (pinned by
+    `test_sdp.test_csr_product_matches_matmul`,
+    `test_oracle.TestMaxEigenvalue.test_matvec_adds_the_product` and
+    `test_graphs.TestTriangles`)."""
     names = [p.name for p in SRC if "_sparsetools" in p.read_text()]
     assert names == ["graphs.py"]
 
