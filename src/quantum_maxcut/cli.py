@@ -290,7 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--attempts", type=_COUNT, default=200)
     p_solve.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
     p_solve.add_argument("--rank", type=_COUNT, default=None)
-    p_solve.add_argument("--tol", type=_TOL, default=1e-13)
+    p_solve.add_argument("--tol", type=_TOL, default=1e-13,
+                         help="stop after the first sweep that changes the SDP objective by at "
+                              "most tol relative; a negative value runs to the "
+                              f"{sdp.MAX_SWEEPS}-sweep cap")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=run_solve)
 

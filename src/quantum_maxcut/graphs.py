@@ -190,7 +190,7 @@ class WeightedGraph:
 
     @cached_property
     def max_degree(self) -> int:
-        return max(self.degree) if self.n else 0
+        return max(self.degree)
 
     @cached_property
     def csr(self) -> Csr:
@@ -477,8 +477,6 @@ def proper_edge_coloring(g: WeightedGraph) -> dict[tuple[int, int], int]:
     any proper partial coloring within max_degree + 1 colors, so the Vizing
     bound holds either way.
     """
-    if not g.edges:
-        return {}
     ncolors = g.max_degree + 1
     past = 1 << ncolors  # the bit of the first color past the bound
     color = {}  # (u, v) -> color

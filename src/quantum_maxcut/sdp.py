@@ -26,7 +26,7 @@ GW_RATIO = 0.8785
 # 0.956 (rank-3 rounding vs best product state) times the 0.5 worst case of
 # product states vs the true optimum: a computable proxy for the failure flag.
 RANK3_PROXY_RATIO = 0.478
-MAX_SWEEPS = 2000  # sweep cap of the relaxation's solve and of the product-state search
+MAX_SWEEPS = 2000  # the mixing kernel's sweep cap, read at each call
 
 
 def auto_rank(n: int) -> int:
@@ -112,12 +112,13 @@ def _renumbered(a: Csr, order: np.ndarray) -> Csr:
 _TINY_SUM = 2.0 ** -511
 
 
-def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
-                  max_sweeps: int) -> tuple[np.ndarray, bool, int, np.ndarray]:
+def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float
+                  ) -> tuple[np.ndarray, bool, int, np.ndarray]:
     """Cyclic coordinate ascent v_i <- -normalize(sum_j w_ij v_j) on a stack of
-    S independent starts of unit rows, vecs of shape (n, S, r), in place, until
-    no start's objective changes in a sweep by more than tol times
-    max(1, smallest objective).
+    S independent starts of unit rows, vecs of shape (n, S, r), in place, for
+    at most `MAX_SWEEPS` sweeps, until no start's objective changes in a sweep
+    by more than tol times the smallest objective, both in the kernel's units
+    (so the rule is scale-free). A negative tol never stops early.
 
     A sweep visits the vertices class by class of `g.color_classes`. No edge
     joins two vertices of a class, so one sparse product updates a whole
@@ -154,7 +155,7 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
     Returns (objective of each start, converged, sweeps, a V in input vertex
     order, shape (n, S, r)), all in the kernel's units of w / 2^k: a caller
     scales what it reports back by 2^k once. No objective decreases; a
-    decrease beyond rounding (1e-12 of the objective) is an error.
+    decrease beyond rounding (1e-12 of the largest objective) is an error.
     """
     n, starts, r = vecs.shape
     _check_unit(vecs)
@@ -196,7 +197,7 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
         obj = score(full_product)
         converged = False
         sweeps = 0
-        for sweeps in range(1, max_sweeps + 1):
+        for sweeps in range(1, MAX_SWEEPS + 1):
             for product, s, norm, square, keep, out in slabs:
                 if product is not None:
                     product()
@@ -213,11 +214,10 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float,
                 return None
             new = score(head_product)
             rise = [x - y for x, y in zip(new, obj)]  # Python floats: cheaper than numpy at S = 1
-            if min(rise) < -1e-12 * max(1.0, max(new)):
+            if min(rise) < -1e-12 * max(new):
                 raise AssertionError("objective decreased during coordinate ascent")
-            # the stop rule is not scale-free (its max(1, .) floor), so it reads in the units of A
-            converged = (math.ldexp(max(map(abs, rise)), k)
-                         <= tol * max(1.0, math.ldexp(min(new), k)))
+            # tol >= 0 first: on a graph whose objective is 0, 0 <= tol * 0 holds for any tol
+            converged = tol >= 0 and max(map(abs, rise)) <= tol * min(new)
             obj = new
             if converged:
                 break
@@ -239,8 +239,8 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     """Solve the relaxation by cyclic coordinate updates on unit vectors.
 
     Stops after the first sweep that changes the objective by at most
-    tol * max(1, objective), in the units of A. The objective never decreases;
-    after `MAX_SWEEPS` sweeps the best iterate is returned with converged=False.
+    tol * objective, at any weight scale, and never early if tol < 0. The objective
+    never decreases; after `MAX_SWEEPS` sweeps the best iterate is returned with converged=False.
     Either way the objective is clipped to [0, W], where every unit-vector
     configuration scores, and a certified dual_bound on the optimum comes with it.
     """
@@ -252,7 +252,7 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
     # in the units of a = -A / 2^k, as the kernel returns them: no square overflows
-    obj, converged, sweeps, pull = mixing_ascent(g, vecs[:, None], tol, MAX_SWEEPS)
+    obj, converged, sweeps, pull = mixing_ascent(g, vecs[:, None], tol)
     pull = pull[:, 0]  # a V: d(objective)/dv_i = (a V)_i / 2
     dots = np.vecdot(vecs, pull)
     tangential = pull - dots[:, None] * vecs

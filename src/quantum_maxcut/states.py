@@ -11,7 +11,7 @@ from operator import mul
 import numpy as np
 
 from .graphs import MatchForestDecomposition, WeightedGraph, cut_value, two_color_forest
-from .sdp import MAX_SWEEPS, RoundingOutcome, mixing_ascent
+from .sdp import RoundingOutcome, mixing_ascent
 
 
 def tree_coloring_state(g: WeightedGraph, decomp: MatchForestDecomposition
@@ -32,21 +32,14 @@ class PairProductState:
     bits: dict[int, int]  # unmatched vertex -> bit
 
     def __post_init__(self):
-        seen = set()
-        for a, b in self.pairs:
-            if a == b or a in seen or b in seen:
-                raise ValueError("pairs must be vertex-disjoint")
-            seen.update((a, b))
-        if seen & set(self.bits):
-            raise ValueError("a vertex cannot be both paired and assigned a bit")
-
-    def covered(self) -> set[int]:
-        return {x for p in self.pairs for x in p} | set(self.bits)
+        used = sorted([x for p in self.pairs for x in p] + list(self.bits))
+        if used != list(range(len(used))):
+            raise ValueError("pairs and bits must be disjoint and cover 0..k-1 exactly once")
 
 
 def _check_cover(g, state):
-    if state.covered() != set(range(g.n)):
-        raise ValueError("pairs and bits must cover every vertex exactly once")
+    if 2 * len(state.pairs) + len(state.bits) != g.n:
+        raise ValueError(f"pairs and bits must cover all {g.n} vertices")
 
 
 def pair_product_energy(g: WeightedGraph, state: PairProductState) -> float:
@@ -152,15 +145,16 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50,
 
     All starts run as one stack through the relaxation's coordinate ascent
     at rank 3, v_i <- -normalize(sum_j w_ij v_j), for up to `MAX_SWEEPS` sweeps
-    until every start's sweep improvement is at most 1e-12 relative; its fixed points
-    are exactly the first-order stationary points of the product energy on the
-    sphere. Serves as the desk-scale ground truth for the best product-state value:
-    the first start within 1e-12 relative of the best energy, the kernel's.
+    until no start's sweep improvement exceeds 1e-12 of the smallest energy, at
+    any weight scale; its fixed points are exactly the first-order stationary
+    points of the product energy on the sphere. Serves as the desk-scale ground
+    truth for the best product-state value: the first start within 1e-12
+    relative of the best energy, the kernel's.
     """
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((starts, g.n, 3))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    values, _, _, _ = mixing_ascent(g, vecs.transpose(1, 0, 2), 1e-12, MAX_SWEEPS)
+    values, _, _, _ = mixing_ascent(g, vecs.transpose(1, 0, 2), 1e-12)
     best = np.argmax(values >= values.max() * (1 - 1e-12))  # the first True
     return vecs[best], float(np.ldexp(values[best], g.weight_exponent))
 

@@ -60,6 +60,16 @@ class TestSolver:
         sol = solve_maxcut_sdp(K4)
         assert not sol.converged
 
+    def test_negative_tol_runs_the_cap_on_zero_weights(self):
+        """With no positive weight every objective is 0, and 0 <= tol * 0 holds
+        for any tol: a negative tol still runs all `MAX_SWEEPS` sweeps, and
+        tol 0 stops after the first."""
+        g = parse_graph("0 1 0\n1 2 0")
+        sol = solve_maxcut_sdp(g, tol=-1)
+        assert (sol.sweeps, sol.converged) == (sdp.MAX_SWEEPS, False)
+        sol = solve_maxcut_sdp(g, tol=0)
+        assert (sol.sweeps, sol.converged) == (1, True)
+
 
 def unit_rows(rng, n, r):
     vecs = rng.standard_normal((n, r))
@@ -79,42 +89,46 @@ def cyclic_reference(g, vecs, sweeps, order):
 
 
 class TestBlockKernel:
-    def test_complete_graph_matches_plain_cyclic_loop(self):
+    def test_complete_graph_matches_plain_cyclic_loop(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 25)
         k6 = WeightedGraph.from_edges(6, [(u, v, 1.0 + u + 2 * v)
                                           for u in range(6) for v in range(u + 1, 6)])
         start = unit_rows(np.random.default_rng(0), 6, 4)
         block = start.copy()
-        mixing_ascent(k6, block[:, None], tol=-1, max_sweeps=25)
+        mixing_ascent(k6, block[:, None], tol=-1)
         reference = cyclic_reference(k6, start.copy(), 25, range(6))
         assert np.allclose(block, reference, rtol=0, atol=1e-12)
 
-    def test_random_graphs_match_color_ordered_loop(self):
+    def test_random_graphs_match_color_ordered_loop(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 15)
         rng = np.random.default_rng(8)
         for _ in range(10):
             g = gnp_graph(int(rng.integers(5, 40)), float(rng.uniform(0.1, 0.6)), rng,
                           weights="exp")
             start = unit_rows(rng, g.n, 5)
             block = start.copy()
-            _, _, sweeps, _ = mixing_ascent(g, block[:, None], tol=-1, max_sweeps=15)
+            _, _, sweeps, _ = mixing_ascent(g, block[:, None], tol=-1)
             assert sweeps == 15
             reference = cyclic_reference(g, start.copy(), 15,
                                          np.concatenate(g.color_classes))
             assert np.allclose(block, reference, rtol=0, atol=1e-10)
 
-    def test_isolated_vertex_keeps_its_vector(self):
+    def test_isolated_vertex_keeps_its_vector(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 3)
         g = WeightedGraph.from_edges(3, [(0, 1)])
         for starts in (1, 4):  # one start, and a stack of them
             vecs = unit_rows(np.random.default_rng(1), 3 * starts, 3).reshape(3, starts, 3)
             isolated = vecs[2].copy()
-            mixing_ascent(g, vecs, tol=-1, max_sweeps=3)
+            mixing_ascent(g, vecs, tol=-1)
             assert np.array_equal(vecs[2], isolated)
             assert np.einsum("sk,sk->s", vecs[0], vecs[1]) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_masked_restart_matches_fast_path(self):
+    def test_masked_restart_matches_fast_path(self, monkeypatch):
         """An isolated vertex ends the unmasked first sweep with a zero norm,
         so the call starts again on the masked step; every other row comes
         out bit for bit as on the graph without it, which never leaves the
         fast path."""
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 30)
         rng = np.random.default_rng(12)
         for starts in (1, 3):
             g = gnp_graph(15, 0.4, rng, weights="exp")
@@ -123,29 +137,30 @@ class TestBlockKernel:
             vecs = unit_rows(rng, (g.n + 1) * starts, 4).reshape(g.n + 1, starts, 4)
             alone = vecs[:g.n].copy()
             isolated = vecs[g.n].copy()
-            mixing_ascent(padded, vecs, tol=-1, max_sweeps=30)
-            mixing_ascent(g, alone, tol=-1, max_sweeps=30)
+            mixing_ascent(padded, vecs, tol=-1)
+            mixing_ascent(g, alone, tol=-1)
             assert np.array_equal(vecs[:g.n], alone)
             assert np.array_equal(vecs[g.n], isolated)
 
     @pytest.mark.parametrize("starts", [1, 3])
-    def test_returns_the_closing_product(self, starts):
+    def test_returns_the_closing_product(self, starts, monkeypatch):
         """The kernel returns a V of its last iterate, a = -A / 2^k, in input
         order: bit for bit the graph's own CSR product scaled by -2^-k, on
         the fast path and on the masked restart (an isolated vertex)."""
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 30)
         g = gnp_graph(15, 0.4, np.random.default_rng(12), weights="exp")
         assert min(g.degree) > 0  # so that g alone never leaves the fast path
         padded = WeightedGraph(g.n + 1, g.u, g.v, g.w)  # vertex g.n is isolated
         for graph in (g, padded):
             vecs = unit_rows(np.random.default_rng(starts), graph.n * starts, 4)
             vecs = vecs.reshape(graph.n, starts, 4)
-            *_, product = mixing_ascent(graph, vecs, tol=-1, max_sweeps=30)
+            *_, product = mixing_ascent(graph, vecs, tol=-1)
             expected = np.zeros((graph.n, starts * 4))
             csr_product(graph.csr, vecs.reshape(graph.n, -1), expected)()
             expected = -np.ldexp(expected, -graph.weight_exponent).reshape(vecs.shape)
             assert np.array_equal(product, expected)
 
-    def test_cancellation_mid_run_keeps_the_vector(self):
+    def test_cancellation_mid_run_keeps_the_vector(self, monkeypatch):
         """On the path 0-1-2 started with v0 = -v2 the middle vertex, the first
         one visited, has a neighbor sum of exactly zero and keeps its vector;
         so does a vertex whose one edge has weight zero."""
@@ -154,21 +169,24 @@ class TestBlockKernel:
         start = unit_rows(np.random.default_rng(13), 3, 3)
         start[2] = -start[0]
         once = start.copy()
-        mixing_ascent(path, once[:, None], tol=-1, max_sweeps=1)
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 1)
+        mixing_ascent(path, once[:, None], tol=-1)
         assert np.array_equal(once[1], start[1])
         block = start.copy()
-        mixing_ascent(path, block[:, None], tol=-1, max_sweeps=5)
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 5)
+        mixing_ascent(path, block[:, None], tol=-1)
         reference = cyclic_reference(path, start.copy(), 5, np.concatenate(path.color_classes))
         assert np.allclose(block, reference, rtol=0, atol=1e-12)
 
         zero = parse_graph("0 1 0\n1 2")
         block = start.copy()
-        mixing_ascent(zero, block[:, None], tol=-1, max_sweeps=5)
+        mixing_ascent(zero, block[:, None], tol=-1)
         assert np.array_equal(block[0], start[0])
         reference = cyclic_reference(zero, start.copy(), 5, np.concatenate(zero.color_classes))
         assert np.allclose(block, reference, rtol=0, atol=1e-12)
 
-    def test_stack_matches_each_start_alone(self):
+    def test_stack_matches_each_start_alone(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 12)
         rng = np.random.default_rng(11)
         for _ in range(6):
             g = gnp_graph(int(rng.integers(2, 30)), float(rng.uniform(0.1, 0.6)), rng,
@@ -176,38 +194,39 @@ class TestBlockKernel:
             starts = int(rng.integers(2, 9))
             stack = unit_rows(rng, g.n * starts, 3).reshape(starts, g.n, 3)
             alone = stack.copy()
-            values, _, sweeps, _ = mixing_ascent(g, stack.transpose(1, 0, 2), tol=-1,
-                                                 max_sweeps=12)
+            values, _, sweeps, _ = mixing_ascent(g, stack.transpose(1, 0, 2), tol=-1)
             assert sweeps == 12
             for k in range(starts):
-                value, _, _, _ = mixing_ascent(g, alone[k][:, None], tol=-1, max_sweeps=12)
+                value, _, _, _ = mixing_ascent(g, alone[k][:, None], tol=-1)
                 assert np.allclose(stack[k], alone[k], rtol=0, atol=1e-12)
                 assert values[k] == pytest.approx(value[0], rel=1e-12, abs=1e-12)
                 assert math.ldexp(values[k], g.weight_exponent) == pytest.approx(
                     sdp_objective(g, stack[k]), rel=1e-12)
 
-    def test_any_memory_layout(self):
+    def test_any_memory_layout(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 5)
         g = gnp_graph(12, 0.4, np.random.default_rng(3), weights="exp")
         stack = unit_rows(np.random.default_rng(4), 12 * 3, 4).reshape(12, 3, 4)
         strided = np.asfortranarray(stack)
-        mixing_ascent(g, stack, tol=-1, max_sweeps=5)
-        mixing_ascent(g, strided, tol=-1, max_sweeps=5)
+        mixing_ascent(g, stack, tol=-1)
+        mixing_ascent(g, strided, tol=-1)
         assert np.array_equal(strided, stack)
 
-    def test_improper_class_trips_the_guard(self):
+    def test_improper_class_trips_the_guard(self, monkeypatch):
         """Updating a class that holds an edge is no coordinate ascent: on this
         triangle as one class the objective falls from 1.0 to 0.29."""
         g = parse_graph("0 1\n1 2\n2 0")
         g.__dict__["color_classes"] = (np.arange(3),)
         e1, e2 = np.eye(2)
         vecs = np.array([e1, e2, e1])[:, None]
+        monkeypatch.setattr(sdp, "MAX_SWEEPS", 1)
         with pytest.raises(AssertionError, match="objective decreased"):
-            mixing_ascent(g, vecs, tol=-1, max_sweeps=1)
+            mixing_ascent(g, vecs, tol=-1)
 
     def test_non_unit_rows_rejected(self):
         vecs = np.array([[[2.0, 0.0]], [[1.0, 0.0]]])
         with pytest.raises(ValueError, match="unit"):
-            mixing_ascent(EDGE, vecs, tol=-1, max_sweeps=1)
+            mixing_ascent(EDGE, vecs, tol=-1)
 
 
 class TestWeightScale:
@@ -228,6 +247,19 @@ class TestWeightScale:
         assert sol.dual_bound == math.ldexp(base.dual_bound, j)
         assert sol.gap == math.ldexp(base.gap, j)
         assert sol.sweeps == base.sweeps == 2000
+
+    @pytest.mark.parametrize("j", [-300, -20, 20, 300])
+    def test_default_tol_stops_at_every_scale(self, j):
+        """The stop rule reads the kernel's own numbers, relative to the
+        objective: scaled by 2^j, a solve at the default tol stops after the
+        same sweep, with the same vectors bit for bit, small weights too."""
+        g = regular_graph(40, 3, np.random.default_rng(1))
+        scaled = WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, j)) for u, v, w in g.edges])
+        base = solve_maxcut_sdp(g, seed=3)
+        sol = solve_maxcut_sdp(scaled, seed=3)
+        assert base.converged and base.sweeps < sdp.MAX_SWEEPS
+        assert (sol.sweeps, sol.converged) == (base.sweeps, base.converged)
+        assert np.array_equal(sol.vectors, base.vectors)
 
     @pytest.mark.parametrize("j", [-1060, -1050])
     def test_subnormal_weights_keep_the_bound_above(self, j):

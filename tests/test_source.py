@@ -114,6 +114,15 @@ def test_the_solve_computes_nothing_twice():
     assert not called(solve) & {"csr_product", "sdp_objective", "stack_objective"}
 
 
+def test_the_kernel_reads_its_sweep_cap():
+    """`mixing_ascent` reads `MAX_SWEEPS` at each call: it takes the graph, the
+    stack of starts and the tolerance, and no sweep count."""
+    tree = ast.parse(next(p for p in SRC if p.name == "sdp.py").read_text())
+    kernel = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "mixing_ascent")
+    assert [a.arg for a in kernel.args.args + kernel.args.kwonlyargs] == ["g", "vecs", "tol"]
+
+
 def test_the_cli_calls_the_oracle_once():
     """`max_eigenvalue` is the one place that picks the block and solver and
     names the certificate: the CLI takes them from its result, so it neither

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -199,12 +201,23 @@ class TestLocalSearchProductState:
         assert val == pytest.approx(1.0, abs=1e-9)
         assert bloch[0] @ bloch[1] == pytest.approx(-1.0, abs=1e-7)
 
+    def test_weight_scale_changes_no_state(self):
+        """The kernel's stop rule is relative to the energy in its own units:
+        scaled by 2^-40 (an energy below 1) the search returns the same Bloch
+        vectors, and the energy scaled exactly."""
+        g = gnp_graph(20, 0.3, np.random.default_rng(5), weights="exp")
+        scaled = WeightedGraph.from_edges(g.n, [(u, v, math.ldexp(w, -40)) for u, v, w in g.edges])
+        bloch, val = local_search_product_state(g)
+        small, small_val = local_search_product_state(scaled)
+        assert np.array_equal(small, bloch)
+        assert small_val == math.ldexp(val, -40)
+
     def test_one_kernel_call_for_all_starts(self, monkeypatch):
         calls = []
 
-        def spy(g, vecs, tol, max_sweeps):
+        def spy(g, vecs, tol):
             calls.append(vecs.shape)
-            return mixing_ascent(g, vecs, tol, max_sweeps)
+            return mixing_ascent(g, vecs, tol)
 
         monkeypatch.setattr(states, "mixing_ascent", spy)
         local_search_product_state(TRIANGLE, starts=7, seed=0)
@@ -218,7 +231,7 @@ class TestLocalSearchProductState:
         bloch, val = local_search_product_state(g, starts=50, seed=0)
         stack = np.random.default_rng(0).standard_normal((50, g.n, 3))
         stack /= np.linalg.norm(stack, axis=2, keepdims=True)
-        values, _, _, _ = mixing_ascent(g, stack.transpose(1, 0, 2), 1e-12, 2000)
+        values, _, _, _ = mixing_ascent(g, stack.transpose(1, 0, 2), 1e-12)
         assert np.argmax(values) != 0
         assert np.array_equal(bloch, stack[0])
         assert val == np.ldexp(values[0], g.weight_exponent)
