@@ -178,16 +178,16 @@ def _lanczos(h: Csr, bound: float) -> tuple[float, float]:
     when the Krylov space is invariant, or after `_RESTARTS` restarts.
 
     From a fixed random start each step adds one product with h into a
-    zeroed basis row (`csr_product`) and orthogonalizes it twice, first
-    against its predecessors in the recurrence, then against the whole
-    basis, which one pass leaves drifting. At the steps
-    `_CHECKS` and when the basis holds `_BASIS` vectors, the projected matrix
-    V h V^T gives the top Ritz pair, and if the residual the recurrence
-    predicts is within the bound, the residual itself is taken. A full basis
-    restarts from its top half of Ritz vectors: restarts from the top one
-    alone stalled on weighted stars, whose top eigenvalues lie about 1e-4
-    apart (a star now takes the dense path; one with an odd cycle added
-    still comes here).
+    zeroed basis row (`csr_product`, bound once per row for the whole call)
+    and orthogonalizes it twice, first against its predecessors in the
+    recurrence, then against the whole basis, which one pass leaves
+    drifting. At the steps `_CHECKS` and when the basis holds `_BASIS`
+    vectors, the projected matrix V h V^T gives the top Ritz pair, and if
+    the residual the recurrence predicts is within the bound, the residual
+    itself is taken. A full basis restarts from its top half of Ritz
+    vectors: restarts from the top one alone stalled on weighted stars,
+    whose top eigenvalues lie about 1e-4 apart (a star now takes the dense
+    path; one with an odd cycle added still comes here).
     """
     dim = len(h.indptr) - 1
     size = min(_BASIS, dim)
@@ -195,17 +195,19 @@ def _lanczos(h: Csr, bound: float) -> tuple[float, float]:
     t = np.zeros((size, size))  # V h V^T, lower triangle
     start = np.random.default_rng(7).standard_normal(dim)  # fixed: reproducible failures
     basis[0] = start / np.linalg.norm(start)
+    # row j + 1 starts as h times row j
+    products = [csr_product(h, basis[j], basis[j + 1]) for j in range(size)]
     kept = 0
     for _ in range(_RESTARTS + 1):
         for j in range(kept, size):
             w = basis[j + 1]
             w.fill(0.0)
-            csr_product(h, basis[j], w)()
+            products[j]()
             for lo in (0 if j == kept else j - 1, 0):  # after a restart, all kept are predecessors
                 c = basis[lo:j + 1] @ w
                 w -= c @ basis[lo:j + 1]
                 t[j, lo:j + 1] += c
-            beta = np.linalg.norm(w)
+            beta = math.sqrt(w @ w)  # np.linalg.norm's bits, without its dispatch
             if j + 1 < size and j + 1 not in _CHECKS and beta > bound:
                 w /= beta
                 continue

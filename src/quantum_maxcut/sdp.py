@@ -134,23 +134,26 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float
     exact: the iterates are those of A, bit for bit, and scaling every
     weight by a power of two changes none of them, while no squared length
     of a neighbor sum can overflow. The class-order matrix is a numpy
-    permutation of A's CSR arrays, and each product is scipy's compiled CSR
-    routine bound once to its slab and buffers (`csr_product`), so a
-    product runs no Python code. One buffer holds a V in its first n rows,
-    and below them the sums of the classes between the first and the last,
-    each class's product adding into its own rows; the last class's adds
-    into its rows of a V. One fill a sweep zeroes the whole buffer, once the
-    first class has stepped, and the call ends with the whole a V of its
-    last iterate. A class step is a squared length, a square root and a
-    plain division, and every class's norms sit in one buffer that one
-    `min` checks after the sweep.
+    permutation of A's CSR arrays. One buffer holds a V in its first n
+    rows, and below them the sums of the classes between the first and the
+    last, each class's product adding into its own rows; the last class's
+    adds into its rows of a V. The call ends with the whole a V of its last
+    iterate. A sweep is a list of calls bound once to their buffers
+    (`functools.partial`, every ufunc's out by position): per class a
+    product (scipy's compiled CSR routine, `csr_product`, which runs no
+    Python code), a squared length, a square root and a plain division,
+    and after the first class one fill that zeroes the whole buffer. Every
+    class's norms sit in one buffer that one `np.minimum.reduce` checks
+    after the sweep.
     A vertex whose neighbor sum is zero, or so small in the units of a (at
     most 2^-511) that its square would lose bits to underflow, keeps its
     vector: if the check finds such a norm, or a NaN, the call starts again
-    from its input (vecs is written only at the end) on a step that masks
-    those rows, and gives the bits the fast step gives wherever it divides.
-    The objective of all S starts is one reduction, a single dot of the
-    flat V with the flat a V at S = 1.
+    from its input (vecs is written only at the end) on a second list that
+    masks those rows, and gives the bits the fast list gives wherever it
+    divides. The objective of all S starts is one reduction, a single dot
+    of the flat V with the flat a V at S = 1. At S = 1, the shape of every
+    solve, the objective and its rise are Python floats: lists of one make
+    a sweep about 6 % slower.
 
     Returns (objective of each start, converged, sweeps, a V in input vertex
     order, shape (n, S, r)), all in the kernel's units of w / 2^k: a caller
@@ -175,63 +178,71 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float
     pull, middle = buf[:n], buf[n - bounds[1]:]  # each indexed by the class-order row
     norms = np.empty((n, starts, 1))
     mask = np.empty(norms.shape, dtype=bool)
-    slabs = []
+    # a sweep as two lists of bound calls, fast and masked, each ufunc's out by position
+    fast, masked = [], []
     for lo, hi in zip(bounds, bounds[1:]):
         sums = (middle if 0 < lo < head else pull)[lo:hi]
-        slabs.append((csr_product(Csr(indptr[lo:hi + 1], indices, a.data), flat, sums)
-                      if lo else None,  # the first class's sums are the scoring product's
-                      sums, norms[lo:hi], norms[lo:hi, :, 0], mask[lo:hi], work[lo:hi]))
+        norm, keep, out = norms[lo:hi], mask[lo:hi], work[lo:hi]
+        # the first class's sums are the scoring product's
+        step = [csr_product(Csr(indptr[lo:hi + 1], indices, a.data), flat, sums)] if lo else []
+        step += [partial(np.vecdot, sums, sums, norm[..., 0]), partial(np.sqrt, norm, norm)]
+        zero = [] if lo else [partial(buf.fill, 0.0)]  # the first class has read a V
+        fast += [*step, partial(np.divide, sums, norm, out), *zero]
+        masked += [*step, partial(np.greater, norm, _TINY_SUM, keep),
+                   partial(np.divide, sums, norm, out, where=keep), *zero]
+    least_norm = partial(np.minimum.reduce, norms, None)
     full_product = csr_product(a, flat, pull)
     head_product = csr_product(Csr(indptr[:head + 1], indices, a.data), flat, pull[:head])
     # sum_i v_i . (a V)_i of each start by one call; at S = 1 one dot of the flat arrays
-    start_sums = (partial(np.dot, work.reshape(1, -1), pull.reshape(-1)) if starts == 1
+    one = starts == 1
+    start_sums = (partial(np.dot, work.reshape(1, -1), pull.reshape(-1)) if one
                   else partial(np.einsum, "isk,isk->s", work, pull))
 
-    def score(product) -> list[float]:
+    def score(product) -> float | list[float]:
+        """The objective after `product` into zeros: a Python float at S = 1."""
         product()  # into zeros: a product adds into its output
+        if one:
+            return half_weight + start_sums().item() / 4
         return [half_weight + x / 4 for x in start_sums().tolist()]
 
-    def ascend(masked: bool) -> tuple[list[float], bool, int] | None:
-        """The sweeps from `work`, with `buf` zero: None as soon as an
-        unmasked sweep has met a norm of at most _TINY_SUM or NaN."""
+    def ascend(steps: list) -> tuple[float | list[float], bool, int] | None:
+        """The sweeps from `work`, with `buf` zero: None as soon as a fast
+        sweep has met a norm of at most _TINY_SUM or NaN."""
         obj = score(full_product)
         converged = False
         sweeps = 0
         for sweeps in range(1, MAX_SWEEPS + 1):
-            for product, s, norm, square, keep, out in slabs:
-                if product is not None:
-                    product()
-                np.vecdot(s, s, out=square)
-                np.sqrt(norm, out=norm)
-                if masked:
-                    np.greater(norm, _TINY_SUM, out=keep)
-                    np.divide(s, norm, out=out, where=keep)
-                else:
-                    np.divide(s, norm, out=out)
-                if product is None:  # the first class has read a V: zero the sums to come
-                    buf.fill(0.0)
-            if not masked and not norms.min() > _TINY_SUM:
+            for step in steps:
+                step()
+            if steps is fast and not least_norm() > _TINY_SUM:
                 return None
             new = score(head_product)
-            rise = [x - y for x, y in zip(new, obj)]  # Python floats: cheaper than numpy at S = 1
-            if min(rise) < -1e-12 * max(new):
-                raise AssertionError("objective decreased during coordinate ascent")
-            # tol >= 0 first: on a graph whose objective is 0, 0 <= tol * 0 holds for any tol
-            converged = tol >= 0 and max(map(abs, rise)) <= tol * min(new)
+            # the decrease guard against the largest objective, and tol >= 0 first:
+            # on a graph whose objective is 0, 0 <= tol * 0 holds for any tol
+            if one:
+                rise = new - obj
+                if rise < -1e-12 * new:
+                    raise AssertionError("objective decreased during coordinate ascent")
+                converged = tol >= 0 and abs(rise) <= tol * new
+            else:
+                rise = [x - y for x, y in zip(new, obj)]
+                if min(rise) < -1e-12 * max(new):
+                    raise AssertionError("objective decreased during coordinate ascent")
+                converged = tol >= 0 and max(map(abs, rise)) <= tol * min(new)
             obj = new
             if converged:
                 break
         return obj, converged, sweeps
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # the unmasked step's 0/0
-        result = ascend(masked=False)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the fast step's 0/0
+        result = ascend(fast)
         if result is None:
             work[...] = vecs[order]
             buf.fill(0.0)
-            result = ascend(masked=True)
+            result = ascend(masked)
     obj, converged, sweeps = result
     vecs[order] = work
-    return np.array(obj), converged, sweeps, pull[np.argsort(order)]
+    return np.array([obj] if one else obj), converged, sweeps, pull[np.argsort(order)]
 
 
 def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
