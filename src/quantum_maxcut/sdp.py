@@ -113,20 +113,20 @@ _TINY_SUM = 2.0 ** -511
 
 
 def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float
-                  ) -> tuple[np.ndarray, bool, int, np.ndarray]:
-    """Cyclic coordinate ascent v_i <- -normalize(sum_j w_ij v_j) on a stack of
-    S independent starts of unit rows, vecs of shape (n, S, r), in place, for
-    at most `MAX_SWEEPS` sweeps, until no start's objective changes in a sweep
-    by more than tol times the smallest objective, both in the kernel's units
-    (so the rule is scale-free). A negative tol never stops early.
+                  ) -> tuple[float, bool, int, np.ndarray]:
+    """Cyclic coordinate ascent v_i <- -normalize(sum_j w_ij v_j) on one start
+    of unit rows, vecs of shape (n, r), in place, for at most `MAX_SWEEPS`
+    sweeps, until the objective changes in a sweep by at most tol times
+    itself, in the kernel's units (so the rule is scale-free). A negative tol
+    never stops early.
 
     A sweep visits the vertices class by class of `g.color_classes`. No edge
     joins two vertices of a class, so one sparse product updates a whole
-    class, in every start, exactly as one-vertex steps in any order within
-    it would. Renumbered once into class order, each class is a slab of rows
-    updated in place. The product A V that scores a sweep holds the next
-    sweep's first neighbor sums, and the last class's sums, taken once every
-    other class has stepped, are that product's last rows: a sweep takes one
+    class exactly as one-vertex steps in any order within it would.
+    Renumbered once into class order, each class is a slab of rows updated
+    in place. The product A V that scores a sweep holds the next sweep's
+    first neighbor sums, and the last class's sums, taken once every other
+    class has stepped, are that product's last rows: a sweep takes one
     sparse product per class and one on the rows before the last class.
 
     The kernel runs on a = -A / 2^k, with k the graph's `weight_exponent`,
@@ -150,33 +150,30 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float
     vector: if the check finds such a norm, or a NaN, the call starts again
     from its input (vecs is written only at the end) on a second list that
     masks those rows, and gives the bits the fast list gives wherever it
-    divides. The objective of all S starts is one reduction, a single dot
-    of the flat V with the flat a V at S = 1. At S = 1, the shape of every
-    solve, the objective and its rise are Python floats: lists of one make
-    a sweep about 6 % slower.
+    divides. The objective is one dot of the flat V with the flat a V, and
+    it and its rise are Python floats.
 
-    Returns (objective of each start, converged, sweeps, a V in input vertex
-    order, shape (n, S, r)), all in the kernel's units of w / 2^k: a caller
-    scales what it reports back by 2^k once. No objective decreases; a
-    decrease beyond rounding (1e-12 of the largest objective) is an error.
+    Returns (objective, converged, sweeps, a V in input vertex order, shape
+    (n, r)), in the kernel's units of w / 2^k: a caller scales what it
+    reports back by 2^k once. The objective never decreases; a decrease
+    beyond rounding (1e-12 of the objective) is an error.
     """
-    n, starts, r = vecs.shape
+    n, r = vecs.shape
     _check_unit(vecs)
     order = np.concatenate(g.color_classes)
     k = g.weight_exponent
     indptr, indices, data = _renumbered(g.csr, order)
     a = Csr(indptr, indices, -np.ldexp(data, -k))
     half_weight = math.ldexp(g.total_weight, -k) / 2
-    work = np.ascontiguousarray(vecs[order])  # flat must view it; written back at the end
-    flat = work.reshape(n, starts * r)
+    work = np.ascontiguousarray(vecs[order])  # written back at the end
     bounds = np.cumsum([0, *map(len, g.color_classes)]).tolist()
     # the rows of a sweep's scoring product: all but the last class's, whose sums,
     # taken once every other class has stepped, are those rows already
     head = bounds[-2] if len(bounds) > 2 else n
     # a V in the first n rows; below them the sums of the classes between the first and last
-    buf = np.zeros((n + head - bounds[1], starts, r))
+    buf = np.zeros((n + head - bounds[1], r))
     pull, middle = buf[:n], buf[n - bounds[1]:]  # each indexed by the class-order row
-    norms = np.empty((n, starts, 1))
+    norms = np.empty((n, 1))
     mask = np.empty(norms.shape, dtype=bool)
     # a sweep as two lists of bound calls, fast and masked, each ufunc's out by position
     fast, masked = [], []
@@ -184,28 +181,23 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float
         sums = (middle if 0 < lo < head else pull)[lo:hi]
         norm, keep, out = norms[lo:hi], mask[lo:hi], work[lo:hi]
         # the first class's sums are the scoring product's
-        step = [csr_product(Csr(indptr[lo:hi + 1], indices, a.data), flat, sums)] if lo else []
-        step += [partial(np.vecdot, sums, sums, norm[..., 0]), partial(np.sqrt, norm, norm)]
+        step = [csr_product(Csr(indptr[lo:hi + 1], indices, a.data), work, sums)] if lo else []
+        step += [partial(np.vecdot, sums, sums, norm[:, 0]), partial(np.sqrt, norm, norm)]
         zero = [] if lo else [partial(buf.fill, 0.0)]  # the first class has read a V
         fast += [*step, partial(np.divide, sums, norm, out), *zero]
         masked += [*step, partial(np.greater, norm, _TINY_SUM, keep),
                    partial(np.divide, sums, norm, out, where=keep), *zero]
     least_norm = partial(np.minimum.reduce, norms, None)
-    full_product = csr_product(a, flat, pull)
-    head_product = csr_product(Csr(indptr[:head + 1], indices, a.data), flat, pull[:head])
-    # sum_i v_i . (a V)_i of each start by one call; at S = 1 one dot of the flat arrays
-    one = starts == 1
-    start_sums = (partial(np.dot, work.reshape(1, -1), pull.reshape(-1)) if one
-                  else partial(np.einsum, "isk,isk->s", work, pull))
+    full_product = csr_product(a, work, pull)
+    head_product = csr_product(Csr(indptr[:head + 1], indices, a.data), work, pull[:head])
+    flat_dot = partial(np.dot, work.reshape(1, -1), pull.reshape(-1))  # sum_i v_i . (a V)_i
 
-    def score(product) -> float | list[float]:
-        """The objective after `product` into zeros: a Python float at S = 1."""
+    def score(product) -> float:
+        """The objective after `product` into zeros."""
         product()  # into zeros: a product adds into its output
-        if one:
-            return half_weight + start_sums().item() / 4
-        return [half_weight + x / 4 for x in start_sums().tolist()]
+        return half_weight + flat_dot().item() / 4
 
-    def ascend(steps: list) -> tuple[float | list[float], bool, int] | None:
+    def ascend(steps: list) -> tuple[float, bool, int] | None:
         """The sweeps from `work`, with `buf` zero: None as soon as a fast
         sweep has met a norm of at most _TINY_SUM or NaN."""
         obj = score(full_product)
@@ -217,18 +209,11 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float
             if steps is fast and not least_norm() > _TINY_SUM:
                 return None
             new = score(head_product)
-            # the decrease guard against the largest objective, and tol >= 0 first:
-            # on a graph whose objective is 0, 0 <= tol * 0 holds for any tol
-            if one:
-                rise = new - obj
-                if rise < -1e-12 * new:
-                    raise AssertionError("objective decreased during coordinate ascent")
-                converged = tol >= 0 and abs(rise) <= tol * new
-            else:
-                rise = [x - y for x, y in zip(new, obj)]
-                if min(rise) < -1e-12 * max(new):
-                    raise AssertionError("objective decreased during coordinate ascent")
-                converged = tol >= 0 and max(map(abs, rise)) <= tol * min(new)
+            rise = new - obj
+            if rise < -1e-12 * new:
+                raise AssertionError("objective decreased during coordinate ascent")
+            # tol >= 0 first: on a graph whose objective is 0, 0 <= tol * 0 holds for any tol
+            converged = tol >= 0 and abs(rise) <= tol * new
             obj = new
             if converged:
                 break
@@ -242,12 +227,13 @@ def mixing_ascent(g: WeightedGraph, vecs: np.ndarray, tol: float
             result = ascend(masked)
     obj, converged, sweeps = result
     vecs[order] = work
-    return np.array([obj] if one else obj), converged, sweeps, pull[np.argsort(order)]
+    return obj, converged, sweeps, pull[np.argsort(order)]
 
 
 def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
                      tol: float = 1e-13, seed: int = 0) -> GramSolution:
-    """Solve the relaxation by cyclic coordinate updates on unit vectors.
+    """Solve the relaxation by cyclic coordinate updates on unit vectors: one
+    `mixing_ascent` call on one seeded random start of n unit rows of rank r.
 
     Stops after the first sweep that changes the objective by at most
     tol * objective, at any weight scale, and never early if tol < 0. The objective
@@ -263,17 +249,17 @@ def solve_maxcut_sdp(g: WeightedGraph, rank: int | None = None,
     vecs = rng.standard_normal((g.n, r))
     vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
     # in the units of a = -A / 2^k, as the kernel returns them: no square overflows
-    obj, converged, sweeps, pull = mixing_ascent(g, vecs[:, None], tol)
-    pull = pull[:, 0]  # a V: d(objective)/dv_i = (a V)_i / 2
+    # a V: d(objective)/dv_i = (a V)_i / 2
+    obj, converged, sweeps, pull = mixing_ascent(g, vecs, tol)
     dots = np.vecdot(vecs, pull)
     tangential = pull - dots[:, None] * vecs
     residual = math.sqrt(np.vecdot(tangential, tangential).max(initial=0.0)) / 2
     k = g.weight_exponent
-    dual = _dual_bound(g, obj[0], dots)
+    dual = _dual_bound(g, obj, dots)
     bound = math.ldexp(dual, k)
     if math.ldexp(bound, -k) < dual:  # rounded down to a subnormal: an upper bound rounds up
         bound = math.nextafter(bound, math.inf)
-    objective = min(max(math.ldexp(obj[0], k), 0.0), g.total_weight)
+    objective = min(max(math.ldexp(obj, k), 0.0), g.total_weight)
     return GramSolution(vectors=vecs, objective=objective,
                         residual=math.ldexp(residual, k), converged=converged,
                         sweeps=sweeps, dual_bound=bound)

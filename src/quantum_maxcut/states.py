@@ -11,7 +11,7 @@ from operator import mul
 import numpy as np
 
 from .graphs import MatchForestDecomposition, WeightedGraph, cut_value, two_color_forest
-from .sdp import RoundingOutcome, mixing_ascent
+from .sdp import RoundingOutcome, mixing_ascent, stack_objective
 
 
 def tree_coloring_state(g: WeightedGraph, decomp: MatchForestDecomposition
@@ -143,20 +143,29 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50,
                                seed: int = 0) -> tuple[np.ndarray, float]:
     """Multi-start local search for the best product state.
 
-    All starts run as one stack through the relaxation's coordinate ascent
-    at rank 3, v_i <- -normalize(sum_j w_ij v_j), for up to `MAX_SWEEPS` sweeps
-    until no start's sweep improvement exceeds 1e-12 of the smallest energy, at
-    any weight scale; its fixed points are exactly the first-order stationary
-    points of the product energy on the sphere. Serves as the desk-scale ground
-    truth for the best product-state value: the first start within 1e-12
-    relative of the best energy, the kernel's.
+    The starts run as disjoint copies of the graph, start s on vertices s n
+    to s n + n - 1, in one call of the relaxation's coordinate ascent at
+    rank 3, v_i <- -normalize(sum_j w_ij v_j): each copy takes the steps its
+    start would take alone. The call runs up to `MAX_SWEEPS` sweeps, until
+    the summed energy of all starts moves in a sweep by at most 1e-12 of
+    itself, at any weight scale; its fixed points are exactly the
+    first-order stationary points of the product energy on the sphere.
+    Serves as the desk-scale ground truth for the best product-state value:
+    the first start within 1e-12 relative of the best energy, each scored
+    by `stack_objective`.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((starts, g.n, 3))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    values, _, _, _ = mixing_ascent(g, vecs.transpose(1, 0, 2), 1e-12)
+    shift = np.repeat(np.arange(starts) * g.n, len(g.u))
+    copies = WeightedGraph(starts * g.n, np.tile(g.u, starts) + shift,
+                           np.tile(g.v, starts) + shift, np.tile(g.w, starts))
+    mixing_ascent(copies, vecs.reshape(-1, 3), 1e-12)
+    values = stack_objective(g, vecs.transpose(1, 0, 2))
     best = np.argmax(values >= values.max() * (1 - 1e-12))  # the first True
-    return vecs[best], float(np.ldexp(values[best], g.weight_exponent))
+    return vecs[best], float(values[best])
 
 
 @dataclass

@@ -96,7 +96,7 @@ class TestBlockKernel:
                                           for u in range(6) for v in range(u + 1, 6)])
         start = unit_rows(np.random.default_rng(0), 6, 4)
         block = start.copy()
-        mixing_ascent(k6, block[:, None], tol=-1)
+        mixing_ascent(k6, block, tol=-1)
         reference = cyclic_reference(k6, start.copy(), 25, range(6))
         assert np.allclose(block, reference, rtol=0, atol=1e-12)
 
@@ -108,7 +108,7 @@ class TestBlockKernel:
                           weights="exp")
             start = unit_rows(rng, g.n, 5)
             block = start.copy()
-            _, _, sweeps, _ = mixing_ascent(g, block[:, None], tol=-1)
+            _, _, sweeps, _ = mixing_ascent(g, block, tol=-1)
             assert sweeps == 15
             reference = cyclic_reference(g, start.copy(), 15,
                                          np.concatenate(g.color_classes))
@@ -117,12 +117,11 @@ class TestBlockKernel:
     def test_isolated_vertex_keeps_its_vector(self, monkeypatch):
         monkeypatch.setattr(sdp, "MAX_SWEEPS", 3)
         g = WeightedGraph.from_edges(3, [(0, 1)])
-        for starts in (1, 4):  # one start, and a stack of them
-            vecs = unit_rows(np.random.default_rng(1), 3 * starts, 3).reshape(3, starts, 3)
-            isolated = vecs[2].copy()
-            mixing_ascent(g, vecs, tol=-1)
-            assert np.array_equal(vecs[2], isolated)
-            assert np.einsum("sk,sk->s", vecs[0], vecs[1]) == pytest.approx(-1.0, abs=1e-12)
+        vecs = unit_rows(np.random.default_rng(1), 3, 3)
+        isolated = vecs[2].copy()
+        mixing_ascent(g, vecs, tol=-1)
+        assert np.array_equal(vecs[2], isolated)
+        assert vecs[0] @ vecs[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_masked_restart_matches_fast_path(self, monkeypatch):
         """An isolated vertex ends the unmasked first sweep with a zero norm,
@@ -131,20 +130,18 @@ class TestBlockKernel:
         fast path."""
         monkeypatch.setattr(sdp, "MAX_SWEEPS", 30)
         rng = np.random.default_rng(12)
-        for starts in (1, 3):
-            g = gnp_graph(15, 0.4, rng, weights="exp")
-            assert min(g.degree) > 0  # so that g alone never leaves the fast path
-            padded = WeightedGraph(g.n + 1, g.u, g.v, g.w)  # vertex g.n is isolated
-            vecs = unit_rows(rng, (g.n + 1) * starts, 4).reshape(g.n + 1, starts, 4)
-            alone = vecs[:g.n].copy()
-            isolated = vecs[g.n].copy()
-            mixing_ascent(padded, vecs, tol=-1)
-            mixing_ascent(g, alone, tol=-1)
-            assert np.array_equal(vecs[:g.n], alone)
-            assert np.array_equal(vecs[g.n], isolated)
+        g = gnp_graph(15, 0.4, rng, weights="exp")
+        assert min(g.degree) > 0  # so that g alone never leaves the fast path
+        padded = WeightedGraph(g.n + 1, g.u, g.v, g.w)  # vertex g.n is isolated
+        vecs = unit_rows(rng, g.n + 1, 4)
+        alone = vecs[:g.n].copy()
+        isolated = vecs[g.n].copy()
+        mixing_ascent(padded, vecs, tol=-1)
+        mixing_ascent(g, alone, tol=-1)
+        assert np.array_equal(vecs[:g.n], alone)
+        assert np.array_equal(vecs[g.n], isolated)
 
-    @pytest.mark.parametrize("starts", [1, 3])
-    def test_returns_the_closing_product(self, starts, monkeypatch):
+    def test_returns_the_closing_product(self, monkeypatch):
         """The kernel returns a V of its last iterate, a = -A / 2^k, in input
         order: bit for bit the graph's own CSR product scaled by -2^-k, on
         the fast path and on the masked restart (an isolated vertex)."""
@@ -153,12 +150,11 @@ class TestBlockKernel:
         assert min(g.degree) > 0  # so that g alone never leaves the fast path
         padded = WeightedGraph(g.n + 1, g.u, g.v, g.w)  # vertex g.n is isolated
         for graph in (g, padded):
-            vecs = unit_rows(np.random.default_rng(starts), graph.n * starts, 4)
-            vecs = vecs.reshape(graph.n, starts, 4)
+            vecs = unit_rows(np.random.default_rng(1), graph.n, 4)
             *_, product = mixing_ascent(graph, vecs, tol=-1)
-            expected = np.zeros((graph.n, starts * 4))
-            csr_product(graph.csr, vecs.reshape(graph.n, -1), expected)()
-            expected = -np.ldexp(expected, -graph.weight_exponent).reshape(vecs.shape)
+            expected = np.zeros((graph.n, 4))
+            csr_product(graph.csr, vecs, expected)()
+            expected = -np.ldexp(expected, -graph.weight_exponent)
             assert np.array_equal(product, expected)
 
     def test_cancellation_mid_run_keeps_the_vector(self, monkeypatch):
@@ -171,52 +167,20 @@ class TestBlockKernel:
         start[2] = -start[0]
         once = start.copy()
         monkeypatch.setattr(sdp, "MAX_SWEEPS", 1)
-        mixing_ascent(path, once[:, None], tol=-1)
+        mixing_ascent(path, once, tol=-1)
         assert np.array_equal(once[1], start[1])
         block = start.copy()
         monkeypatch.setattr(sdp, "MAX_SWEEPS", 5)
-        mixing_ascent(path, block[:, None], tol=-1)
+        mixing_ascent(path, block, tol=-1)
         reference = cyclic_reference(path, start.copy(), 5, np.concatenate(path.color_classes))
         assert np.allclose(block, reference, rtol=0, atol=1e-12)
 
         zero = parse_graph("0 1 0\n1 2")
         block = start.copy()
-        mixing_ascent(zero, block[:, None], tol=-1)
+        mixing_ascent(zero, block, tol=-1)
         assert np.array_equal(block[0], start[0])
         reference = cyclic_reference(zero, start.copy(), 5, np.concatenate(zero.color_classes))
         assert np.allclose(block, reference, rtol=0, atol=1e-12)
-
-    def test_stack_matches_each_start_alone(self, monkeypatch):
-        monkeypatch.setattr(sdp, "MAX_SWEEPS", 12)
-        rng = np.random.default_rng(11)
-        for _ in range(6):
-            g = gnp_graph(int(rng.integers(2, 30)), float(rng.uniform(0.1, 0.6)), rng,
-                          weights="exp")
-            starts = int(rng.integers(2, 9))
-            stack = unit_rows(rng, g.n * starts, 3).reshape(starts, g.n, 3)
-            alone = stack.copy()
-            values, _, sweeps, _ = mixing_ascent(g, stack.transpose(1, 0, 2), tol=-1)
-            assert sweeps == 12
-            for k in range(starts):
-                value, _, _, _ = mixing_ascent(g, alone[k][:, None], tol=-1)
-                assert np.allclose(stack[k], alone[k], rtol=0, atol=1e-12)
-                assert values[k] == pytest.approx(value[0], rel=1e-12, abs=1e-12)
-                assert math.ldexp(values[k], g.weight_exponent) == pytest.approx(
-                    sdp_objective(g, stack[k]), rel=1e-12)
-        # copies of one start stop where that start alone stops, bit for bit; not
-        # at tol 0, which asks for a rise of exactly 0, a test of the last bit that
-        # the stack's einsum and the lone start's dot round differently
-        monkeypatch.setattr(sdp, "MAX_SWEEPS", 200)
-        for tol in (1e-3, 1e-6, 1e-9):
-            g = gnp_graph(int(rng.integers(5, 30)), float(rng.uniform(0.1, 0.6)), rng,
-                          weights="exp")
-            alone = unit_rows(rng, g.n, 3)[:, None]
-            copies = np.repeat(alone, int(rng.integers(2, 9)), axis=1)
-            values, converged, sweeps, _ = mixing_ascent(g, copies, tol)
-            value, *stop, _ = mixing_ascent(g, alone, tol)
-            assert [converged, sweeps] == stop and converged
-            assert all(np.array_equal(copy, alone[:, 0]) for copy in copies.transpose(1, 0, 2))
-            assert values == pytest.approx(value[0], rel=1e-12)
 
     def test_memory_does_not_grow_with_sweeps(self, monkeypatch):
         """Buffers are allocated once per call, and nothing a sweep makes
@@ -225,11 +189,11 @@ class TestBlockKernel:
         g = regular_graph(100, 3, np.random.default_rng(0))
         start = unit_rows(np.random.default_rng(1), g.n, sdp.auto_rank(g.n))
         monkeypatch.setattr(sdp, "MAX_SWEEPS", 1)
-        mixing_ascent(g, start.copy()[:, None], tol=-1)  # untraced: builds what is cached
+        mixing_ascent(g, start.copy(), tol=-1)  # untraced: builds what is cached
         peaks = []
         for sweeps in (20, 400):
             monkeypatch.setattr(sdp, "MAX_SWEEPS", sweeps)
-            vecs = start.copy()[:, None]
+            vecs = start.copy()
             tracemalloc.start()
             try:
                 mixing_ascent(g, vecs, tol=-1)
@@ -241,11 +205,11 @@ class TestBlockKernel:
     def test_any_memory_layout(self, monkeypatch):
         monkeypatch.setattr(sdp, "MAX_SWEEPS", 5)
         g = gnp_graph(12, 0.4, np.random.default_rng(3), weights="exp")
-        stack = unit_rows(np.random.default_rng(4), 12 * 3, 4).reshape(12, 3, 4)
-        strided = np.asfortranarray(stack)
-        mixing_ascent(g, stack, tol=-1)
+        rows = unit_rows(np.random.default_rng(4), 12, 4)
+        strided = np.asfortranarray(rows)
+        mixing_ascent(g, rows, tol=-1)
         mixing_ascent(g, strided, tol=-1)
-        assert np.array_equal(strided, stack)
+        assert np.array_equal(strided, rows)
 
     def test_improper_class_trips_the_guard(self, monkeypatch):
         """Updating a class that holds an edge is no coordinate ascent: on this
@@ -253,13 +217,13 @@ class TestBlockKernel:
         g = parse_graph("0 1\n1 2\n2 0")
         g.__dict__["color_classes"] = (np.arange(3),)
         e1, e2 = np.eye(2)
-        vecs = np.array([e1, e2, e1])[:, None]
+        vecs = np.array([e1, e2, e1])
         monkeypatch.setattr(sdp, "MAX_SWEEPS", 1)
         with pytest.raises(AssertionError, match="objective decreased"):
             mixing_ascent(g, vecs, tol=-1)
 
     def test_non_unit_rows_rejected(self):
-        vecs = np.array([[[2.0, 0.0]], [[1.0, 0.0]]])
+        vecs = np.array([[2.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="unit"):
             mixing_ascent(EDGE, vecs, tol=-1)
 

@@ -115,8 +115,8 @@ def test_the_solve_computes_nothing_twice():
 
 
 def test_the_kernel_reads_its_sweep_cap():
-    """`mixing_ascent` reads `MAX_SWEEPS` at each call: it takes the graph, the
-    stack of starts and the tolerance, and no sweep count."""
+    """`mixing_ascent` reads `MAX_SWEEPS` at each call: it takes the graph, one
+    start and the tolerance, and no sweep count."""
     tree = ast.parse(next(p for p in SRC if p.name == "sdp.py").read_text())
     kernel = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "mixing_ascent")

@@ -23,9 +23,9 @@ from quantum_maxcut import (
     solve_maxcut_sdp,
     tree_coloring_state,
 )
-from quantum_maxcut import states
+from quantum_maxcut import sdp, states
 from quantum_maxcut.generate import gnp_graph, random_connected_graph, regular_graph, star_graph
-from quantum_maxcut.sdp import RoundingOutcome, mixing_ascent
+from quantum_maxcut.sdp import RoundingOutcome, mixing_ascent, stack_objective
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
@@ -213,29 +213,71 @@ class TestLocalSearchProductState:
         assert small_val == math.ldexp(val, -40)
 
     def test_one_kernel_call_for_all_starts(self, monkeypatch):
+        """The 7 starts run as 7 disjoint copies of the triangle, in one call."""
         calls = []
 
         def spy(g, vecs, tol):
-            calls.append(vecs.shape)
+            calls.append((g.n, g.edges, vecs.shape))
             return mixing_ascent(g, vecs, tol)
 
         monkeypatch.setattr(states, "mixing_ascent", spy)
         local_search_product_state(TRIANGLE, starts=7, seed=0)
-        assert calls == [(3, 7, 3)]
+        copies = tuple((u + 3 * s, v + 3 * s, w) for s in range(7) for u, v, w in TRIANGLE.edges)
+        assert calls == [(21, copies, (21, 3))]
 
-    def test_first_of_starts_equal_to_rounding(self):
-        """Starts 0-9 of this stack reach the best energy to 7.2e-13 relative
-        and start 37 is the largest by rounding noise: the search returns
-        start 0, with the kernel's energy for it."""
+    def test_copies_take_the_steps_of_lone_starts(self, monkeypatch):
+        """Each start, run as one copy of the graph among the others, comes out
+        bit for bit as the kernel leaves it run alone for the sweeps the copies
+        took (at most 15), and the search returns one of them."""
+        runs = []
+
+        def spy(g, vecs, tol):
+            result = mixing_ascent(g, vecs, tol)
+            runs.append((vecs, result[2]))
+            return result
+
+        monkeypatch.setattr(states, "mixing_ascent", spy)
+        rng = np.random.default_rng(21)
+        for k in range(40):
+            monkeypatch.setattr(sdp, "MAX_SWEEPS", 15)
+            n = int(rng.integers(3, 13))
+            g = (gnp_graph(n, float(rng.uniform(0.2, 0.6)), rng, weights="exp") if k % 2
+                 else regular_graph(2 * n, 3, rng))
+            starts, seed = int(rng.integers(2, 9)), int(rng.integers(1000))
+            bloch, _ = local_search_product_state(g, starts=starts, seed=seed)
+            copies, sweeps = runs.pop()
+            monkeypatch.setattr(sdp, "MAX_SWEEPS", sweeps)
+            lone = np.random.default_rng(seed).standard_normal((starts, g.n, 3))
+            lone /= np.linalg.norm(lone, axis=2, keepdims=True)
+            for start, copy in zip(lone, copies.reshape(starts, g.n, 3)):
+                mixing_ascent(g, start, -1)
+                assert np.array_equal(copy, start)
+            assert any(np.array_equal(bloch, start) for start in lone)
+
+    def test_first_of_starts_equal_to_rounding(self, monkeypatch):
+        """35 of these 50 starts reach the best energy to 8.5e-13 relative, start
+        0 among them, and start 37 is the largest by rounding noise: the search
+        returns start 0, with its `stack_objective` energy."""
+        runs = []
+
+        def spy(g, vecs, tol):
+            runs.append(vecs)
+            return mixing_ascent(g, vecs, tol)
+
+        monkeypatch.setattr(states, "mixing_ascent", spy)
         g = regular_graph(20, 3, np.random.default_rng(0))
         bloch, val = local_search_product_state(g, starts=50, seed=0)
-        stack = np.random.default_rng(0).standard_normal((50, g.n, 3))
-        stack /= np.linalg.norm(stack, axis=2, keepdims=True)
-        values, _, _, _ = mixing_ascent(g, stack.transpose(1, 0, 2), 1e-12)
-        assert np.argmax(values) != 0
+        stack = runs[0].reshape(50, g.n, 3)
+        values = stack_objective(g, stack.transpose(1, 0, 2))
+        assert np.argmax(values) == 37
         assert np.array_equal(bloch, stack[0])
-        assert val == np.ldexp(values[0], g.weight_exponent)
+        assert val == values[0] >= values[37] * (1 - 1e-12)
         assert val == pytest.approx(sdp_objective(g, bloch), rel=1e-14)
+
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_starts_below_one_rejected(self, starts):
+        with pytest.raises(ValueError, match="starts must be at least 1"):
+            local_search_product_state(TRIANGLE, starts=starts)
 
 
 class TestBestFewQubitCandidate:
