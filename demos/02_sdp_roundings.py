@@ -42,9 +42,9 @@ print(f"\nhyperplane rounding: cut value {cut.value:.6f} "
       f"({cut.value / sol.objective:.4f} of SDP objective, failed={cut.failed})")
 assert abs(cut_value(g, cut.bits) - cut.value) < 1e-9
 
-prod = rank3_round(g, sol, upper, seed=1, attempts=200)
+prod = rank3_round(g, sol, seed=1, attempts=200)
 print(f"rank-3 rounding:     energy {prod.value:.6f} "
-      f"({prod.value / opt:.4f} of OPT, failed={prod.failed})")
+      f"({prod.value / sol.objective:.4f} of SDP objective, failed={prod.failed})")
 assert abs(sdp_objective(g, prod.bloch) - prod.value) < 1e-9
 
 print("\nboth roundings are certified against a direct re-evaluation of the")

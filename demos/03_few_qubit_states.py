@@ -9,7 +9,6 @@ from quantum_maxcut import (
     match_forest_decompose,
     match_singlet_state,
     max_eigenvalue,
-    opt_upper_bound,
     parse_graph,
     rank3_round,
     solve_maxcut_sdp,
@@ -42,9 +41,8 @@ rng = np.random.default_rng(5)
 g2 = random_connected_graph(9, p=0.45, weights="exp", rng=rng)
 sol = solve_maxcut_sdp(g2, seed=0)
 dec2 = match_forest_decompose(g2)
-upper = opt_upper_bound(g2, sdp_value=sol.dual_bound).best
 cand = best_few_qubit_candidate(tree_coloring_state(g2, dec2), match_singlet_state(g2, dec2),
-                                rank3_round(g2, sol, upper, seed=3))
+                                rank3_round(g2, sol, seed=3))
 opt = max_eigenvalue(g2).value
 print(f"\nrandom 9-vertex graph: best candidate is '{cand.label}' with energy "
       f"{cand.energy:.4f}")

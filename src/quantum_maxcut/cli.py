@@ -118,8 +118,7 @@ def _solve(g, args) -> dict:
             record("gw-cut", gw.value, seconds, failed=gw.failed)
             verdicts["gw_guarantee"] = "fail" if gw.failed else "pass"
     if "rank3" in algorithms or "best" in algorithms:
-        rank3, seconds = _timed(sdp.rank3_round, g, sol, report_bounds.best, seed=args.seed,
-                                attempts=args.attempts)
+        rank3, seconds = _timed(sdp.rank3_round, g, sol, seed=args.seed, attempts=args.attempts)
         if "rank3" in algorithms:
             record("rank3-product", rank3.value, seconds, failed=rank3.failed)
     if "best" in algorithms:
@@ -283,37 +282,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run algorithms on an edge-list file")
-    p_solve.add_argument("path")
+    p_solve.add_argument("path", help="edge-list file: one 'u v [w]' per line, w defaults to 1")
     p_solve.add_argument("--algorithms", type=_algorithms, default="",
-                         help=f"comma-separated subset of {','.join(ALL_ALGORITHMS)}")
-    p_solve.add_argument("--seed", type=_SEED, default=0)
-    p_solve.add_argument("--attempts", type=_COUNT, default=200)
-    p_solve.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p_solve.add_argument("--rank", type=_COUNT, default=None)
+                         help=f"comma-separated subset of {','.join(ALL_ALGORITHMS)} "
+                              "(default: all)")
+    p_solve.add_argument("--seed", type=_SEED, default=0,
+                         help="seed of the SDP start and both roundings (default: 0)")
+    p_solve.add_argument("--attempts", type=_COUNT, default=200,
+                         help="draws of each rounding, hyperplane and rank-3 alike (default: 200)")
+    p_solve.add_argument("--oracle", choices=("auto", "on", "off"), default="auto",
+                         help=f"exact maximum eigenvalue; auto runs it for n <= {ORACLE_AUTO_LIMIT}"
+                              " (default: auto)")
+    p_solve.add_argument("--rank", type=_COUNT, default=None,
+                         help="SDP factor rank (default: ceil(sqrt(2n)) + 1, at most n)")
     p_solve.add_argument("--tol", type=_TOL, default=1e-13,
                          help="stop after the first sweep that changes the SDP objective by at "
                               "most tol relative; a negative value runs to the "
-                              f"{sdp.MAX_SWEEPS}-sweep cap")
-    p_solve.add_argument("--out", default=None)
+                              f"{sdp.MAX_SWEEPS}-sweep cap (default: 1e-13)")
+    p_solve.add_argument("--out", default=None, help="JSON report file (default: stdout)")
     p_solve.set_defaults(func=run_solve)
 
     p_rand = sub.add_parser("random", help="generate a random edge-list file")
-    p_rand.add_argument("--n", type=int, required=True)
+    p_rand.add_argument("--n", type=int, required=True, help="vertex count (required)")
     p_rand.add_argument("--model", type=_model, default="gnp",
-                        help="gnp | regular-D | star | cycle")
-    p_rand.add_argument("--p", type=_PROBABILITY, default=0.5, help="edge probability for gnp")
-    p_rand.add_argument("--weights", choices=("unit", "uniform", "exp"),
-                        default="unit")
-    p_rand.add_argument("--seed", type=_SEED, default=0)
-    p_rand.add_argument("--out", default=None)
+                        help="gnp | regular-D | star | cycle (default: gnp)")
+    p_rand.add_argument("--p", type=_PROBABILITY, default=0.5,
+                        help="edge probability for gnp (default: 0.5)")
+    p_rand.add_argument("--weights", choices=("unit", "uniform", "exp"), default="unit",
+                        help="all 1, uniform on (0, 1] or exponential of mean 1 (default: unit)")
+    p_rand.add_argument("--seed", type=_SEED, default=0, help="generator seed (default: 0)")
+    p_rand.add_argument("--out", default=None, help="edge-list file (default: stdout)")
     p_rand.set_defaults(func=run_random)
 
     p_rep = sub.add_parser("reproduce", help="re-run the pinned numeric checks")
     p_rep.add_argument("--which", choices=("G-values", "prod2-minmax", "theorem5"),
-                       required=True)
-    p_rep.add_argument("--seed", type=_SEED, default=0)
-    p_rep.add_argument("--instances", type=_COUNT, default=50)
-    p_rep.add_argument("--out", default=None)
+                       required=True, help="the check to run (required)")
+    p_rep.add_argument("--seed", type=_SEED, default=0,
+                       help="seed of the theorem5 graphs (default: 0)")
+    p_rep.add_argument("--instances", type=_COUNT, default=50,
+                       help="graph count of theorem5 (default: 50)")
+    p_rep.add_argument("--out", default=None, help="JSON report file (default: stdout)")
     p_rep.set_defaults(func=run_reproduce)
     return parser
 

@@ -186,8 +186,11 @@ def _lanczos(h: Csr, bound: float) -> tuple[float, float]:
     the residual the recurrence predicts is within the bound, the residual
     itself is taken. A full basis restarts from its top half of Ritz
     vectors: restarts from the top one alone stalled on weighted stars,
-    whose top eigenvalues lie about 1e-4 apart (a star now takes the dense
-    path; one with an odd cycle added still comes here).
+    whose top eigenvalues lie about 1e-4 apart. A star of positive weights is
+    connected and bipartite with one vertex on a side: its block is the n
+    states of weight 1, dense up to n = `DENSE_DIM`. With an odd cycle added
+    it is the C(n, floor(n/2)) states of weight floor(n/2), which from n = 10
+    are more than `DENSE_DIM` and come here.
     """
     dim = len(h.indptr) - 1
     size = min(_BASIS, dim)

@@ -23,9 +23,7 @@ import numpy as np
 from .graphs import Csr, WeightedGraph, check_size, csr_product, cut_value
 
 GW_RATIO = 0.8785
-# 0.956 (rank-3 rounding vs best product state) times the 0.5 worst case of
-# product states vs the true optimum: a computable proxy for the failure flag.
-RANK3_PROXY_RATIO = 0.478
+RANK3_RATIO = 0.956
 MAX_SWEEPS = 2000  # the mixing kernel's sweep cap, read at each call
 
 
@@ -305,8 +303,8 @@ def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
                            failed=best_val < GW_RATIO * sol.objective)
 
 
-def rank3_round(g: WeightedGraph, sol: GramSolution, upper_bound: float,
-                seed: int = 0, attempts: int = 200) -> RoundingOutcome:
+def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
+                attempts: int = 200) -> RoundingOutcome:
     """Best product state over Gaussian projections of the Gram vectors to R^3.
 
     Each attempt draws a 3 x r standard normal matrix, maps every vertex
@@ -314,10 +312,10 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, upper_bound: float,
     the relaxation objective formula in R^3. All attempts are drawn at once
     and projected by one GEMM, V times the draws side by side as (r, 3 *
     attempts): the (n, attempts, 3) stack `stack_objective` scores. The first
-    of equal best is re-scored alone. The guarantee constant 0.956 is relative
-    to the (uncomputable) best product state, so the failure flag compares
-    against 0.478 times `upper_bound`, an upper bound on the maximum energy
-    (the CLI passes its best bound), less 1e-12 of it.
+    of equal best is re-scored alone. failed is set when even the best is
+    below 0.956 times the relaxation objective: per edge, the projection
+    keeps in expectation at least 0.9563 of (1 - v_u . v_v) (Briet, de
+    Oliveira Filho and Vallentin, ICALP 2010).
     """
     check_size(attempts, max(sol.rank, g.n), 3)  # the projections and the Bloch vectors
     rng = np.random.default_rng(seed)
@@ -332,4 +330,4 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, upper_bound: float,
     best_bloch = bloch[:, best].copy()
     best_val = sdp_objective(g, best_bloch)
     return RoundingOutcome(bits=None, bloch=best_bloch, value=best_val,
-                           failed=best_val < RANK3_PROXY_RATIO * upper_bound * (1 - 1e-12))
+                           failed=best_val < RANK3_RATIO * sol.objective)

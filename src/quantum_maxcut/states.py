@@ -162,6 +162,10 @@ def local_search_product_state(g: WeightedGraph, starts: int = 50,
     shift = np.repeat(np.arange(starts) * g.n, len(g.u))
     copies = WeightedGraph(starts * g.n, np.tile(g.u, starts) + shift,
                            np.tile(g.v, starts) + shift, np.tile(g.w, starts))
+    # DSATUR colors a component at a time, each from its own highest-(degree, -index)
+    # vertex, so on the copies it gives the lone graph's classes, tiled: set, not rerun
+    offsets = np.arange(starts)[:, None] * g.n
+    vars(copies)["color_classes"] = tuple((c + offsets).ravel() for c in g.color_classes)
     mixing_ascent(copies, vecs.reshape(-1, 3), 1e-12)
     values = stack_objective(g, vecs.transpose(1, 0, 2))
     best = np.argmax(values >= values.max() * (1 - 1e-12))  # the first True

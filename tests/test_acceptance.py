@@ -19,7 +19,6 @@ from quantum_maxcut import (
     match_forest_decompose,
     match_singlet_state,
     max_eigenvalue,
-    opt_upper_bound,
     pair_product_energy,
     pair_product_statevector,
     parse_graph,
@@ -102,8 +101,7 @@ def test_04_weighted_candidate_ratios():
         opt = max_eigenvalue(g).value
         sol = solve_maxcut_sdp(g)
         decomp = match_forest_decompose(g)
-        rank3 = rank3_round(g, sol, opt_upper_bound(g, sol.dual_bound).best,
-                            seed=k, attempts=100)
+        rank3 = rank3_round(g, sol, seed=k, attempts=100)
         rep = best_few_qubit_candidate(tree_coloring_state(g, decomp),
                                        match_singlet_state(g, decomp), rank3)
         assert rep.energy / opt >= 0.53

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -189,7 +190,7 @@ class TestSolve:
         assert calls == {name: 1 for _, name in traced}
 
     def test_upper_bound_computed_once(self, tmp_path, capsys, monkeypatch):
-        """rank3_round takes the report's bound instead of computing its own."""
+        """The report's bounds are computed once, for its ratios."""
         calls = count_calls(monkeypatch, [(bounds, "opt_upper_bound")])
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
@@ -715,6 +716,19 @@ def test_out_of_range_random_and_reproduce_flags(capsys, argv):
     """No vacuous theorem5 pass, no edgeless or silently clamped G(n, p), no
     0-regular graph: each value is a bad flag."""
     assert_one_line_error(main(argv), capsys)
+
+
+def test_every_flag_has_help():
+    """Every argument of every subcommand but -h says what it is and its default."""
+    from quantum_maxcut.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"solve", "random", "reproduce"}
+    missing = [f"{name} {action.dest}" for name, parser in commands.items()
+               for action in parser._actions
+               if not isinstance(action, argparse._HelpAction) and not action.help]
+    assert not missing
 
 
 class TestReproduce:

@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, hyp2f1
 
 from quantum_maxcut import (
     GramSolution,
     WeightedGraph,
     brute_force_maxcut,
     gw_round,
-    opt_upper_bound,
     parse_graph,
     rank3_round,
     sdp_objective,
@@ -27,9 +27,16 @@ TRIANGLE = parse_graph("0 1\n1 2\n2 0")
 K4 = WeightedGraph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
 
-def upper(g, sol):
-    """The upper bound `qmaxcut solve` passes to `rank3_round`."""
-    return opt_upper_bound(g, sdp_value=sol.dual_bound).best
+def cut_factor(claimed):
+    """The cut (0, 1, 0) of a triangle as a rank-1 Gram factor, with its objective
+    given as `claimed`: every projection gives Bloch vectors (b, -b, b), whose
+    energy is the cut's, 2 on unit weights."""
+    return GramSolution(np.array([[1.0], [-1.0], [1.0]]), objective=claimed, residual=0.0,
+                        converged=True, sweeps=0)
+
+
+# objectives that put the triangle cut's 2 just below and just above 0.956 of them
+JUST_BELOW, JUST_ABOVE = 2 / 0.956 * (1 + 1e-12), 2 / 0.956 * (1 - 1e-12)
 
 
 class TestSolver:
@@ -276,9 +283,8 @@ class TestWeightScale:
     @pytest.mark.parametrize("j", [-600, -40, 0, 600])
     def test_roundings_scale_exactly(self, j, monkeypatch):
         """Under 2^j scaling both roundings pick the same winner, their values
-        scale exactly and their failure flags hold: the rank-3 flag's slack is
-        relative to the bound, so the hand-built triangle of
-        `test_threshold_uses_certified_sdp_bound` fails at every scale."""
+        scale exactly and their failure flags hold: the hand-built triangles of
+        `test_threshold_is_against_objective` fail and pass at every scale."""
         monkeypatch.setattr(sdp, "MAX_SWEEPS", 50)
 
         def scale(g, e):
@@ -287,12 +293,10 @@ class TestWeightScale:
         def outcomes(e):
             g = scale(gnp_graph(30, 0.3, np.random.default_rng(2), weights="exp"), e)
             sol = solve_maxcut_sdp(g, tol=-1, seed=1)
-            found = [gw_round(g, sol, seed=4), rank3_round(g, sol, upper(g, sol), seed=4)]
-            tri, vecs = scale(TRIANGLE, e), np.array([[1.0], [-1.0], [1.0]])
-            for dual in (math.inf, 2.25):  # the degree-sum bound, then the certified one
-                hand = GramSolution(vecs, objective=math.ldexp(2.0, e), residual=0.0,
-                                    converged=True, sweeps=0, dual_bound=math.ldexp(dual, e))
-                found.append(rank3_round(tri, hand, upper(tri, hand), attempts=5))
+            found = [gw_round(g, sol, seed=4), rank3_round(g, sol, seed=4)]
+            tri = scale(TRIANGLE, e)
+            for claimed in (JUST_BELOW, JUST_ABOVE):
+                found.append(rank3_round(tri, cut_factor(math.ldexp(claimed, e)), attempts=5))
             return found
 
         base, scaled = outcomes(0), outcomes(j)
@@ -526,48 +530,61 @@ def test_each_rounding_scores_its_attempts_once(monkeypatch, rounding):
     if rounding == "gw":
         gw_round(K4, sol, attempts=7)
     else:
-        rank3_round(K4, sol, upper(K4, sol), attempts=7)
+        rank3_round(K4, sol, attempts=7)
     assert shapes == ([(4, 7, 1)] if rounding == "gw" else [(4, 7, 3), (4, 1, 3)])
+
+
+def projection_ratio(k, rho):
+    """(1 - E[x . y]) / (1 - rho) for unit vectors at inner product rho projected
+    by one k x n standard normal matrix and normalized, where E[x . y] =
+    (2/k) (Gamma((k+1)/2) / Gamma(k/2))^2 rho 2F1(1/2, 1/2; k/2 + 1; rho^2)."""
+    scale = 2 / k * math.exp(2 * (gammaln((k + 1) / 2) - gammaln(k / 2)))
+    return (1 - scale * rho * hyp2f1(0.5, 0.5, k / 2 + 1, rho * rho)) / (1 - rho)
+
+
+def test_rounding_constants_from_one_formula():
+    """GW_RATIO and RANK3_RATIO are the worst per-edge ratios alpha_1 and
+    alpha_3 of the projection formula, rounded down to at most 1e-3: alpha_3 =
+    0.95634 at rho = -0.584. For k = 1 the formula is (2/pi) arcsin rho."""
+    rho = np.linspace(-1, 1, 200_001)[1:-1]
+    assert np.allclose(1 - projection_ratio(1, rho) * (1 - rho), 2 / np.pi * np.arcsin(rho),
+                       rtol=0, atol=1e-12)
+    alpha = {k: projection_ratio(k, rho).min() for k in (1, 3)}
+    assert sdp.GW_RATIO <= alpha[1] < sdp.GW_RATIO + 1e-3
+    assert sdp.RANK3_RATIO <= alpha[3] < sdp.RANK3_RATIO + 1e-3
+    assert rho[np.argmin(projection_ratio(3, rho))] == pytest.approx(-0.584, abs=1e-3)
 
 
 class TestRank3Round:
     def test_single_edge(self):
         sol = solve_maxcut_sdp(EDGE)
-        out = rank3_round(EDGE, sol, upper(EDGE, sol), seed=0, attempts=10)
+        out = rank3_round(EDGE, sol, seed=0, attempts=10)
         assert out.value == pytest.approx(1.0, abs=1e-9)
         assert not out.failed
 
     def test_triangle_best_of_50(self):
         sol = solve_maxcut_sdp(TRIANGLE)
-        out = rank3_round(TRIANGLE, sol, upper(TRIANGLE, sol), seed=0, attempts=50)
+        out = rank3_round(TRIANGLE, sol, seed=0, attempts=50)
         # best product state of the triangle has energy 2.25 (coplanar 120deg)
         assert out.value >= 2.1
 
     def test_zero_weights(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)])
         sol = solve_maxcut_sdp(g)
-        out = rank3_round(g, sol, upper(g, sol), seed=0, attempts=5)
+        out = rank3_round(g, sol, seed=0, attempts=5)
         assert out.value == 0.0
 
     def test_value_is_product_energy_of_bloch(self):
         sol = solve_maxcut_sdp(K4)
-        out = rank3_round(K4, sol, upper(K4, sol), seed=3, attempts=20)
+        out = rank3_round(K4, sol, seed=3, attempts=20)
         assert out.value == pytest.approx(sdp_objective(K4, out.bloch), abs=1e-12)
 
-    def test_threshold_uses_certified_sdp_bound(self):
-        # the cut (0, 1, 0) of the triangle as a rank-1 Gram factor: every
-        # projection gives Bloch vectors (b, -b, b), of energy 2; that lies between
-        # 0.478 * 3.75 (the SDP-combined bound 3 * 9/4 - 3) and 0.478 * 4.5
-        # (the degree-sum bound)
-        vecs = np.array([[1.0], [-1.0], [1.0]])
-        hand = GramSolution(vecs, objective=2.0, residual=0.0, converged=True, sweeps=0)
-        # dual_bound unset (inf): the bound is the degree sum, 4.5
-        assert rank3_round(TRIANGLE, hand, upper(TRIANGLE, hand), attempts=5).failed
-        certified = GramSolution(vecs, objective=2.0, residual=0.0, converged=True,
-                                 sweeps=0, dual_bound=2.25)
-        out = rank3_round(TRIANGLE, certified, upper(TRIANGLE, certified), attempts=5)
-        assert out.value == pytest.approx(2.0, abs=1e-12)
-        assert not out.failed
+    def test_threshold_is_against_objective(self):
+        """failed is value < 0.956 * sol.objective, with no slack either side."""
+        below = rank3_round(TRIANGLE, cut_factor(JUST_BELOW), attempts=5)
+        above = rank3_round(TRIANGLE, cut_factor(JUST_ABOVE), attempts=5)
+        assert below.value == above.value == 2.0
+        assert below.failed and not above.failed
 
 
     def test_matches_per_attempt_loop(self, monkeypatch):
@@ -578,7 +595,7 @@ class TestRank3Round:
             if not g.edges:
                 continue
             sol = solve_maxcut_sdp(g, tol=-1)
-            out = rank3_round(g, sol, upper(g, sol), seed=k, attempts=50)
+            out = rank3_round(g, sol, seed=k, attempts=50)
             draws = np.random.default_rng(k)
             best_bloch, best_val = None, -1.0
             for _ in range(50):
@@ -601,7 +618,7 @@ class TestRank3Round:
         read W plus 1-2 ulps: 1.0000000000000002 with W = 1, and
         5.237829866495991 with W = 5.237829866495989 on the star."""
         sol = solve_maxcut_sdp(g)
-        assert rank3_round(g, sol, upper(g, sol)).value == g.total_weight
+        assert rank3_round(g, sol).value == g.total_weight
 
     def test_relaxation_at_most_total_weight(self):
         """No unit vectors score above W either. Read from the kernel's
@@ -623,7 +640,7 @@ class TestRelaxationChain:
                 continue
             sol = solve_maxcut_sdp(g)
             mc, _ = brute_force_maxcut(g)
-            out = rank3_round(g, sol, upper(g, sol), seed=0, attempts=100)
+            out = rank3_round(g, sol, seed=0, attempts=100)
             assert mc <= out.value + 0.05 * mc + 1e-6  # within the rounding slack
             assert out.value <= sol.objective + 1e-6
             assert mc <= sol.objective + 1e-6  # solver-tolerance slack

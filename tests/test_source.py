@@ -148,3 +148,17 @@ def test_the_candidate_builds_no_state():
     colorings = {"two_color_forest", "depth_parity", "pair_depth_parity"}
     assert [name for name, node in functions.items() if called(node) & colorings] == [
         "tree_coloring_state"]
+
+
+def test_rank3_round_flags_against_its_own_objective():
+    """`rank3_round` takes the graph, the Gram factor, a seed and an attempt
+    count, no bound: it flags failure against `sol.objective`, as `gw_round`
+    does. Inside the package only the CLI calls `opt_upper_bound`, for the
+    report's ratios."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC}
+    rank3 = next(node for node in ast.walk(trees["sdp.py"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "rank3_round")
+    assert [a.arg for a in rank3.args.args + rank3.args.kwonlyargs] == [
+        "g", "sol", "seed", "attempts"]
+    assert [name for name, tree in trees.items() if "opt_upper_bound" in called(tree)] == [
+        "cli.py"]

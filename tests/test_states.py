@@ -13,7 +13,6 @@ from quantum_maxcut import (
     match_forest_decompose,
     match_singlet_state,
     max_eigenvalue,
-    opt_upper_bound,
     pair_product_energy,
     pair_product_statevector,
     parse_graph,
@@ -44,8 +43,7 @@ def best_candidate(g, sol, seed, attempts=200):
     decomp = match_forest_decompose(g)
     return best_few_qubit_candidate(tree_coloring_state(g, decomp),
                                     match_singlet_state(g, decomp),
-                                    rank3_round(g, sol, opt_upper_bound(g, sol.dual_bound).best,
-                                                seed=seed, attempts=attempts))
+                                    rank3_round(g, sol, seed=seed, attempts=attempts))
 
 
 def bloch_120():
@@ -253,6 +251,31 @@ class TestLocalSearchProductState:
                 mixing_ascent(g, start, -1)
                 assert np.array_equal(copy, start)
             assert any(np.array_equal(bloch, start) for start in lone)
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(WeightedGraph.from_edges(14, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3),
+                                                   (6, 7), (6, 8), (6, 9), (6, 10), (11, 12)]),
+                     id="path-triangle-star-edge-isolated"),
+        pytest.param(gnp_graph(30, 0.08, np.random.default_rng(4), weights="exp"), id="sparse-gnp"),
+    ])
+    def test_copies_take_the_tiled_classes(self, g, monkeypatch):
+        """The copies' color classes are the lone graph's, class c of copy s
+        shifted by s n, and DSATUR on the copies computes exactly those, on a
+        disconnected graph whose components differ in degree and tie in it."""
+        copies = []
+
+        def spy(g, vecs, tol):
+            copies.append(g)
+            return mixing_ascent(g, vecs, tol)
+
+        monkeypatch.setattr(states, "mixing_ascent", spy)
+        local_search_product_state(g, starts=4, seed=0)
+        tiled = copies[0].color_classes
+        fresh = WeightedGraph(copies[0].n, copies[0].u, copies[0].v, copies[0].w).color_classes
+        assert len(tiled) == len(fresh) == len(g.color_classes)
+        for c, lone in enumerate(g.color_classes):
+            assert np.array_equal(tiled[c], np.concatenate([lone + s * g.n for s in range(4)]))
+            assert np.array_equal(tiled[c], fresh[c])
 
     def test_first_of_starts_equal_to_rounding(self, monkeypatch):
         """35 of these 50 starts reach the best energy to 8.5e-13 relative, start
