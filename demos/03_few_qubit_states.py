@@ -1,6 +1,7 @@
 """Few-qubit ansatz families: tree colorings, singlet matchings, products.
 
-Builds the matching + forest decomposition of a graph, evaluates the three
+Picks each vertex's heaviest edge (the forest F and the matching M of edges
+both ends pick), evaluates the three
 cheap candidate states, and checks the winner's ratio against the exact
 maximum energy.
 """
@@ -24,24 +25,25 @@ g = parse_graph("""
 3 0 1.0
 0 2 0.5
 """)
-dec = match_forest_decompose(g)
-print(f"matching M = {dec.matching}")
-print(f"forest  F  = {dec.forest}")
-print(f"identity: sum of per-vertex maxima = m + f = "
-      f"{dec.matching_weight + dec.forest_weight:.3f}")
+picks = match_forest_decompose(g)  # per edge: how many of its ends pick it
+print(f"picks      = {picks}")
+print(f"matching M = {[e for e, k in zip(g.edges, picks) if k == 2]}")
+print(f"forest  F  = {[e for e, k in zip(g.edges, picks) if k > 0]}")
+matching_weight = g.w[picks == 2].sum()
+print(f"identity: sum of per-vertex maxima = m + f = w . picks = {g.w @ picks:.3f}")
 
-state, state_energy = match_singlet_state(g, dec)
+state, state_energy = match_singlet_state(g, picks)
 print(f"\nmatch-singlet pairs {state.pairs}, energy {state_energy:.4f} "
-      f"(floor 1.5m + 0.5W = {1.5 * dec.matching_weight + 0.5 * g.total_weight:.4f})")
+      f"(floor 1.5m + 0.5W = {1.5 * matching_weight + 0.5 * g.total_weight:.4f})")
 
-bits, cut = tree_coloring_state(g, dec)
+bits, cut = tree_coloring_state(g, picks)
 print(f"tree-coloring bits {bits} cuts every edge of F: value {cut:.4f}")
 
 rng = np.random.default_rng(5)
 g2 = random_connected_graph(9, p=0.45, weights="exp", rng=rng)
 sol = solve_maxcut_sdp(g2, seed=0)
-dec2 = match_forest_decompose(g2)
-cand = best_few_qubit_candidate(tree_coloring_state(g2, dec2), match_singlet_state(g2, dec2),
+picks2 = match_forest_decompose(g2)
+cand = best_few_qubit_candidate(tree_coloring_state(g2, picks2), match_singlet_state(g2, picks2),
                                 rank3_round(g2, sol, seed=3))
 opt = max_eigenvalue(g2).value
 print(f"\nrandom 9-vertex graph: best candidate is '{cand.label}' with energy "

@@ -26,7 +26,6 @@ from .circuit import (
 )
 from .graphs import (
     GraphError,
-    MatchForestDecomposition,
     ParseError,
     WeightedGraph,
     cut_value,

@@ -101,16 +101,16 @@ def _solve(g, args) -> dict:
            sweeps=sol.sweeps, residual=sol.residual, gap=sol.gap)
 
     if {"tree", "singlet", "best"} & set(algorithms):
-        decomp, decomp_seconds = _timed(match_forest_decompose, g)  # in both states' seconds
+        picks, picks_seconds = _timed(match_forest_decompose, g)  # in both states' seconds
     if "tree" in algorithms or "best" in algorithms:
-        tree, seconds = _timed(states.tree_coloring_state, g, decomp)
+        tree, seconds = _timed(states.tree_coloring_state, g, picks)
         if "tree" in algorithms:
-            record("tree-coloring", tree[1], decomp_seconds + seconds,
+            record("tree-coloring", tree[1], picks_seconds + seconds,
                    bits="".join(map(str, tree[0])))
     if "singlet" in algorithms or "best" in algorithms:
-        singlet, seconds = _timed(states.match_singlet_state, g, decomp)
+        singlet, seconds = _timed(states.match_singlet_state, g, picks)
         if "singlet" in algorithms:
-            record("match-singlet", singlet[1], decomp_seconds + seconds,
+            record("match-singlet", singlet[1], picks_seconds + seconds,
                    pairs=[list(p) for p in singlet[0].pairs])
     if "gw" in algorithms or "circuit" in algorithms:
         gw, seconds = _timed(sdp.gw_round, g, sol, seed=args.seed, attempts=args.attempts)
@@ -165,6 +165,8 @@ def run_random(args) -> int:
     else:  # regular-D, as _model checked
         degree = int(args.model.removeprefix("regular-"))
         g = generate.regular_graph(args.n, degree, rng, weights=args.weights)
+    if not g.edges:  # `parse_graph` rejects a document with no edge line
+        raise GraphError(f"the {args.model} draw with n={args.n} has no edge")
     _output(generate.to_edge_list(g), args.out)
     return 0
 

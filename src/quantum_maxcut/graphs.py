@@ -371,16 +371,21 @@ def _raise_first(checks: list, **columns) -> None:
         raise GraphError(template.format(**{k: col[row] for k, col in columns.items()}), row)
 
 
-def two_color_forest(g: WeightedGraph, forest) -> tuple[int, ...]:
-    """Proper 2-coloring of the given forest edges; vertices in no edge get bit 0.
+def two_color_forest(g: WeightedGraph, forest: np.ndarray) -> tuple[int, ...]:
+    """Proper 2-coloring of the forest of g's edges where the boolean mask
+    `forest`, one entry per row of g's edge arrays, is True; vertices in no
+    such edge get bit 0.
 
     A vertex's bit is the parity of its depth in its tree (`depth_parity`).
-    Errors if the edge set contains a cycle (more edges than n minus the
-    number of components).
+    ValueError if `forest` is not such a mask; GraphError if the edge set
+    contains a cycle (more edges than n minus the number of components).
     """
-    ends = np.array([e[:2] for e in forest], dtype=np.intp).reshape(-1, 2)
-    count, bits = pair_depth_parity(g.n, ends[:, 0], ends[:, 1])
-    if len(forest) != g.n - count:
+    forest = np.asarray(forest)
+    if forest.dtype != bool or forest.shape != g.w.shape:
+        raise ValueError(f"forest must be a boolean mask of shape {g.w.shape}, "
+                         f"got {forest.dtype} of shape {forest.shape}")
+    count, bits = pair_depth_parity(g.n, g.u[forest], g.v[forest])
+    if np.count_nonzero(forest) != g.n - count:
         raise GraphError("edge set contains a cycle")
     return bits
 
@@ -426,45 +431,22 @@ def cut_value(g: WeightedGraph, bits) -> float:
     return float((bits[g.u] != bits[g.v]) @ g.w)
 
 
-@dataclass(frozen=True)
-class MatchForestDecomposition:
-    """Per-vertex heaviest incident edges split into a matching and a forest.
+def match_forest_decompose(g: WeightedGraph) -> np.ndarray:
+    """Each vertex's heaviest incident edge, as a read-only count per row of
+    g's edge arrays of the endpoints that pick that edge: 0, 1 or 2.
 
-    The doubly-maximal edges (picked by both endpoints) form the matching;
-    the union of all picks is a forest. The identity
-    sum_v max_{e ~ v} w_e = matching_weight + forest_weight holds exactly.
+    Ties between equal weights go to the higher canonical edge index, so the
+    picks are deterministic. The picked edges, F = picks > 0, form a forest;
+    the edges both endpoints pick, M = picks == 2, a matching. A vertex on an
+    edge picks exactly one, so g.w @ picks is sum_v max_{e ~ v} w_e.
     """
-
-    matching: tuple[tuple[int, int, float], ...]
-    forest: tuple[tuple[int, int, float], ...]
-    matching_weight: float
-    forest_weight: float
-    unmatched: tuple[int, ...]
-
-
-def match_forest_decompose(g: WeightedGraph) -> MatchForestDecomposition:
-    """Decompose the per-vertex maximal incident edges.
-
-    Ties between equal weights are broken by canonical edge index (lower
-    index = smaller), so the output is deterministic.
-    """
-    m = len(g.edges)
+    m = len(g.w)
     rank = np.empty(m, dtype=np.intp)  # edges strictly ordered by (w, index)
     rank[np.lexsort((np.arange(m), g.w))] = np.arange(m)
     top = np.full(g.n, -1)  # rank of each vertex's maximal incident edge
     np.maximum.at(top, g.u, rank)
     np.maximum.at(top, g.v, rank)
-    picks = np.bincount(top[top >= 0], minlength=m)[rank]  # per edge: 0, 1 or 2
-    forest = tuple(g.edges[i] for i in np.flatnonzero(picks > 0))
-    matching = tuple(g.edges[i] for i in np.flatnonzero(picks == 2))
-    covered = {x for u, v, _ in matching for x in (u, v)}
-    return MatchForestDecomposition(
-        matching=matching,
-        forest=forest,
-        matching_weight=float(sum(w for _, _, w in matching)),
-        forest_weight=float(sum(w for _, _, w in forest)),
-        unmatched=tuple(v for v in range(g.n) if v not in covered),
-    )
+    return _read_only(np.bincount(top[top >= 0], minlength=m)[rank])
 
 
 def proper_edge_coloring(g: WeightedGraph) -> dict[tuple[int, int], int]:

@@ -291,6 +291,8 @@ def gw_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     re-scored by `cut_value`. failed is set when even the best cut is below
     0.8785 times the relaxation objective.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
     check_size(attempts, max(sol.rank, g.n))  # the planes and the (n, attempts) spins
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((attempts, sol.rank))
@@ -317,6 +319,8 @@ def rank3_round(g: WeightedGraph, sol: GramSolution, seed: int = 0,
     keeps in expectation at least 0.9563 of (1 - v_u . v_v) (Briet, de
     Oliveira Filho and Vallentin, ICALP 2010).
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
     check_size(attempts, max(sol.rank, g.n), 3)  # the projections and the Bloch vectors
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((attempts, sol.rank, 3))

@@ -6,20 +6,21 @@ in tests to cross-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import mul
 
 import numpy as np
 
-from .graphs import MatchForestDecomposition, WeightedGraph, cut_value, two_color_forest
+from .graphs import WeightedGraph, cut_value, two_color_forest
 from .sdp import RoundingOutcome, mixing_ascent, stack_objective
 
 
-def tree_coloring_state(g: WeightedGraph, decomp: MatchForestDecomposition
-                        ) -> tuple[tuple[int, ...], float]:
-    """The basis state that 2-colors the forest F of per-vertex heaviest edges
-    of `decomp` (`two_color_forest`), and its cut: it cuts every edge of F,
-    the property the 0.53 argument needs. A vertex on no edge gets bit 0."""
-    bits = two_color_forest(g, decomp.forest)
+def tree_coloring_state(g: WeightedGraph, picks: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """The basis state that 2-colors the forest F = picks > 0 of per-vertex
+    heaviest edges (`match_forest_decompose`, `two_color_forest`), and its
+    cut: it cuts every edge of F, the property the 0.53 argument needs. A
+    vertex on no edge gets bit 0."""
+    bits = two_color_forest(g, picks > 0)
     return bits, cut_value(g, bits)
 
 
@@ -62,17 +63,19 @@ def pair_product_energy(g: WeightedGraph, state: PairProductState) -> float:
     return float(g.w @ per_weight)
 
 
-def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition
-                        ) -> tuple[PairProductState, float]:
-    """Singlets on the doubly-maximal matching, bits elsewhere by local search.
+def match_singlet_state(g: WeightedGraph, picks: np.ndarray) -> tuple[PairProductState, float]:
+    """Singlets on the doubly-maximal matching M = picks == 2
+    (`match_forest_decompose`), in edge order, bits elsewhere by local search.
 
     The bits are chosen by flip-while-improving on the subgraph induced by
     the unmatched vertices, so they cut at least half of its weight and the
     returned value is at least (3/2) * matching weight + W/2, deterministically.
     """
-    pairs = tuple((u, v) for u, v, _ in decomp.matching)
-    free = np.zeros(g.n, dtype=bool)
-    free[list(decomp.unmatched)] = True
+    matched = picks == 2
+    pairs = tuple(zip(g.u[matched].tolist(), g.v[matched].tolist()))
+    free = np.ones(g.n, dtype=bool)
+    free[g.u[matched]] = free[g.v[matched]] = False
+    unmatched = np.flatnonzero(free).tolist()
     # the rows of csr at unmatched columns: each unmatched vertex's unmatched
     # neighbors, ascending, and their weights
     indptr, indices, data = g.csr
@@ -80,7 +83,7 @@ def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition
     bounds = np.searchsorted(keep, indptr).tolist()
     neighbors, weights = indices.take(keep).tolist(), data.take(keep).tolist()
     rows = [(i, neighbors[bounds[i]:bounds[i + 1]], weights[bounds[i]:bounds[i + 1]])
-            for i in decomp.unmatched]
+            for i in unmatched]
     spin = [1.0] * g.n  # +1 for bit 0, -1 for bit 1; read at unmatched vertices only
     # sum of w * spin over the neighbors, in neighbor order; summed again, from
     # the start, only once a neighbor has flipped since (else it is the same sum)
@@ -96,7 +99,7 @@ def match_singlet_state(g: WeightedGraph, decomp: MatchForestDecomposition
                 improved = True
                 for j in row:
                     stale[j] = True
-    bits = {i: int(spin[i] < 0) for i in decomp.unmatched}
+    bits = {i: int(spin[i] < 0) for i in unmatched}
     state = PairProductState(pairs=pairs, bits=bits)
     return state, pair_product_energy(g, state)
 
@@ -115,28 +118,15 @@ def product_statevector(bloch) -> np.ndarray:
 
 
 def pair_product_statevector(g: WeightedGraph, state: PairProductState) -> np.ndarray:
-    """State vector of a pair-product state (for oracle cross-checks)."""
+    """State vector of a pair-product state (for oracle cross-checks): the outer
+    product of a singlet (|01> - |10>)/sqrt 2 on the axes (lower, higher) of
+    each pair and a basis vector per unmatched bit, its axes put in vertex order."""
     _check_cover(g, state)
-    n = g.n
-    t = np.zeros([2] * n, dtype=complex)
-    pairs = state.pairs
-    k = len(pairs)
-    amp = (1.0 / np.sqrt(2.0)) ** k
-    base = [0] * n
-    for v, b in state.bits.items():
-        base[v] = int(b)
-    for m in range(2 ** k):
-        bits = list(base)
-        sign = 1.0
-        for i, (a, b) in enumerate(pairs):
-            lo, hi = min(a, b), max(a, b)
-            if (m >> i) & 1:
-                bits[lo], bits[hi] = 1, 0  # the -|10> branch of the singlet
-                sign = -sign
-            else:
-                bits[lo], bits[hi] = 0, 1
-        t[tuple(bits)] += sign * amp
-    return t.reshape(-1)
+    singlet = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2.0)
+    basis = np.eye(2, dtype=complex)
+    factors = [singlet] * len(state.pairs) + [basis[b] for b in state.bits.values()]
+    axes = [x for a, b in state.pairs for x in (min(a, b), max(a, b))] + list(state.bits)
+    return reduce(np.multiply.outer, factors).transpose(np.argsort(axes)).reshape(-1)
 
 
 def local_search_product_state(g: WeightedGraph, starts: int = 50,

@@ -100,10 +100,10 @@ def test_04_weighted_candidate_ratios():
                                    weights="exp")
         opt = max_eigenvalue(g).value
         sol = solve_maxcut_sdp(g)
-        decomp = match_forest_decompose(g)
+        picks = match_forest_decompose(g)
         rank3 = rank3_round(g, sol, seed=k, attempts=100)
-        rep = best_few_qubit_candidate(tree_coloring_state(g, decomp),
-                                       match_singlet_state(g, decomp), rank3)
+        rep = best_few_qubit_candidate(tree_coloring_state(g, picks),
+                                       match_singlet_state(g, picks), rank3)
         assert rep.energy / opt >= 0.53
         _, prod_val = local_search_product_state(g, starts=50, seed=k)
         assert max(rep.energy, prod_val) / opt >= 0.55
@@ -150,17 +150,18 @@ def test_07_match_forest_identity():
         if not g.edges:
             continue
         checked += 1
-        d = match_forest_decompose(g)
+        picks = match_forest_decompose(g)
+        matched = picks == 2
         covered = set()
-        for u, v, _ in d.matching:
+        for u, v in zip(g.u[matched].tolist(), g.v[matched].tolist()):
             assert u not in covered and v not in covered
             covered.update((u, v))
-        two_color_forest(g, d.forest)  # raises if the forest contains a cycle
+        two_color_forest(g, picks > 0)  # raises if the forest contains a cycle
         mx = [0.0] * g.n
         for u, v, w in g.edges:
             mx[u] = max(mx[u], w)
             mx[v] = max(mx[v], w)
-        assert abs(sum(mx) - (d.matching_weight + d.forest_weight)) <= 1e-12
+        assert abs(sum(mx) - g.w @ picks) <= 1e-12
     report("7 matching/forest decomposition identity")
 
 
@@ -225,9 +226,9 @@ def test_10_pair_product_closed_form():
         if not g.edges:
             continue
         checked += 1
-        d = match_forest_decompose(g)
-        _, val = match_singlet_state(g, d)
-        assert val >= 1.5 * d.matching_weight + 0.5 * g.total_weight - 1e-12
+        picks = match_forest_decompose(g)
+        _, val = match_singlet_state(g, picks)
+        assert val >= 1.5 * g.w[picks == 2].sum() + 0.5 * g.total_weight - 1e-12
     report("10 pair-product closed form and matching/singlet floor")
 
 

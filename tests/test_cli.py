@@ -220,7 +220,8 @@ def test_winner_is_its_entry(tmp_path, capsys):
         assert best["value"] == by_label[best["winner"]]["value"]
         winners.append(best["winner"])
         bits = by_label["tree-coloring"]["bits"]
-        assert all(bits[a] != bits[b] for a, b, _ in graphs.match_forest_decompose(g).forest)
+        forest = graphs.match_forest_decompose(g) > 0
+        assert all(bits[a] != bits[b] for a, b in zip(g.u[forest], g.v[forest]))
     assert "tree-coloring" in winners
 
 
@@ -695,6 +696,13 @@ class TestRandom:
         lines = out.strip().splitlines()
         assert len(lines) == 5
         assert all(line.split()[0] == "0" for line in lines)
+
+    @pytest.mark.parametrize("argv", [["--n", "1"], ["--n", "5", "--p", "0"]])
+    def test_edgeless_draw_rejected(self, tmp_path, capsys, argv):
+        """A draw with no edge is an error, not a file `solve` cannot read."""
+        dest = tmp_path / "g.txt"
+        assert_one_line_error(main(["random", *argv, "--out", str(dest)]), capsys)
+        assert not dest.exists()
 
     def test_output_parses_back(self, tmp_path, capsys):
         from quantum_maxcut import parse_graph

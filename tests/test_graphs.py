@@ -11,7 +11,6 @@ from scipy.sparse import csgraph
 
 from quantum_maxcut import (
     GraphError,
-    MatchForestDecomposition,
     PairProductState,
     ParseError,
     WeightedGraph,
@@ -281,28 +280,28 @@ def pair_product_energy_loop(g, state):
 
 
 def match_forest_decompose_loop(g):
-    key = {(u, v): (w, i) for i, (u, v, w) in enumerate(g.edges)}
-    pick = {}  # vertex -> its maximal incident edge
-    for u, v, _ in g.edges:
+    """Per edge, how many endpoints pick it as their maximal incident edge,
+    edges ordered by (w, index)."""
+    pick = {}  # vertex -> the index of its maximal incident edge
+    for i, (u, v, w) in enumerate(g.edges):
         for x in (u, v):
-            if x not in pick or key[(u, v)] > key[pick[x]]:
-                pick[x] = (u, v)
-    forest_set = set(pick.values())
-    matching_set = {e for e in forest_set if pick.get(e[0]) == e and pick.get(e[1]) == e}
-    weight = {(u, v): w for u, v, w in g.edges}
-    forest = tuple(sorted((u, v, weight[(u, v)]) for u, v in forest_set))
-    matching = tuple(sorted((u, v, weight[(u, v)]) for u, v in matching_set))
-    covered = {x for u, v, _ in matching for x in (u, v)}
-    return MatchForestDecomposition(
-        matching=matching, forest=forest,
-        matching_weight=float(sum(w for _, _, w in matching)),
-        forest_weight=float(sum(w for _, _, w in forest)),
-        unmatched=tuple(v for v in range(g.n) if v not in covered))
+            if x not in pick or (w, i) > (g.edges[pick[x]][2], pick[x]):
+                pick[x] = i
+    counts = [0] * len(g.edges)
+    for i in pick.values():
+        counts[i] += 1
+    return counts
 
 
-def singlet_bits_loop(g, decomp):
+def unmatched_loop(g, picks):
+    """The vertices in order that no edge picked by both endpoints covers."""
+    covered = {x for (u, v, _), k in zip(g.edges, picks) if k == 2 for x in (u, v)}
+    return [x for x in range(g.n) if x not in covered]
+
+
+def singlet_bits_loop(g, picks):
     """Flip-while-improving over the unmatched vertices in order."""
-    unmatched = decomp.unmatched
+    unmatched = unmatched_loop(g, picks)
     adj = {x: [] for x in unmatched}
     for u, v, w in g.edges:
         if u in adj and v in adj:
@@ -355,9 +354,9 @@ class TestEvaluatorsMatchEdgeLoops:
             state = random_pair_product_state(g, rng)
             assert pair_product_energy(g, state) == pytest.approx(
                 pair_product_energy_loop(g, state), abs=1e-12)
-            decomp = match_forest_decompose(g)
-            assert decomp == match_forest_decompose_loop(g)
-            assert match_singlet_state(g, decomp)[0].bits == singlet_bits_loop(g, decomp)
+            picks = match_forest_decompose(g)
+            assert picks.tolist() == match_forest_decompose_loop(g)
+            assert match_singlet_state(g, picks)[0].bits == singlet_bits_loop(g, picks)
 
 
 class TestTriangles:
@@ -435,9 +434,9 @@ class TestZeroWeightEdges:
     def test_tree_coloring(self):
         """Vertex 0's heaviest edges weigh 0, and the later one, (0, 2), joins
         F: F spans all three vertices, and its coloring cuts the weight-1 edge."""
-        decomp = match_forest_decompose(self.G)
-        assert decomp.forest == ((0, 2, 0.0), (1, 2, 1.0))
-        assert tree_coloring_state(self.G, decomp) == ((0, 0, 1), 1.0)
+        picks = match_forest_decompose(self.G)
+        assert picks.tolist() == [0, 1, 2]  # F: (0, 2) once, (1, 2) twice
+        assert tree_coloring_state(self.G, picks) == ((0, 0, 1), 1.0)
 
     def test_one_component(self):
         assert depth_parity(self.G.csr)[0] == 1
@@ -498,15 +497,16 @@ class TestDepthParityMatchesCsgraph:
             assert depth_parity(g.csr) == csgraph_depth_parity(scipy_csr(g.csr))
 
     def test_forests_stored_one_way(self):
-        """`two_color_forest` gets each edge once, in either orientation; its
-        bits are those of csgraph on the one-way matrix, symmetrized."""
+        """`two_color_forest` of a graph that is a forest, every edge in the
+        mask: its bits are those of csgraph on the forest's edges as drawn,
+        each once in either orientation, symmetrized."""
         rng = np.random.default_rng(18)
         for _ in range(40):
             n = int(rng.integers(1, 50))
             forest = random_forest(n, rng)
             g = WeightedGraph.from_edges(n, forest)
             count, bits = csgraph_forest_parity(n, forest)
-            assert two_color_forest(g, forest) == bits
+            assert two_color_forest(g, np.ones(len(forest), dtype=bool)) == bits
             assert len(forest) == n - count
 
 
@@ -536,11 +536,12 @@ class TestSpanningForestColoring:
         for _ in range(30):
             g = gnp_graph(int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.7)), rng,
                           weights="exp")
-            decomp = match_forest_decompose(g)
-            bits, cut = tree_coloring_state(g, decomp)
-            count, reference = csgraph_forest_parity(g.n, decomp.forest)
-            assert bits == reference and len(decomp.forest) == g.n - count
-            assert all(bits[a] != bits[b] for a, b, _ in decomp.forest)
+            picks = match_forest_decompose(g)
+            bits, cut = tree_coloring_state(g, picks)
+            forest = [e for e, k in zip(g.edges, picks) if k > 0]
+            count, reference = csgraph_forest_parity(g.n, forest)
+            assert bits == reference and len(forest) == g.n - count
+            assert all(bits[a] != bits[b] for a, b, _ in forest)
             assert cut == pytest.approx(
                 sum(w for a, b, w in g.edges if bits[a] != bits[b]), rel=1e-14)
 
@@ -548,22 +549,32 @@ class TestSpanningForestColoring:
 class TestTwoColorForest:
     def test_path(self):
         g = parse_graph("0 1\n1 2")
-        bits = two_color_forest(g, [(0, 1), (1, 2)])
+        bits = two_color_forest(g, np.array([True, True]))
         assert bits in ((0, 1, 0), (1, 0, 1))
 
     def test_star_center_differs(self):
         g = parse_graph("0 1\n0 2\n0 3")
-        bits = two_color_forest(g, g.edges)
+        bits = two_color_forest(g, np.ones(3, dtype=bool))
         assert all(bits[0] != bits[v] for v in (1, 2, 3))
 
     def test_cycle_rejected(self):
         with pytest.raises(GraphError, match="cycle"):
-            two_color_forest(triangle(), triangle().edges)
+            two_color_forest(triangle(), np.ones(3, dtype=bool))
 
     def test_isolated_get_bit_zero(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
-        bits = two_color_forest(g, [(0, 1)])
+        bits = two_color_forest(g, np.array([True, False]))
         assert bits[2] == 0 and bits[3] == 0
+
+    @pytest.mark.parametrize("forest", [
+        np.array([0, 1]),                  # edge indices, not a mask
+        np.array([True, True]),            # a mask of the wrong length
+        np.array([[True, True, True]]),    # of the wrong shape
+        [(0, 1), (1, 2)],                  # edge tuples
+    ])
+    def test_anything_but_an_edge_mask_rejected(self, forest):
+        with pytest.raises(ValueError, match="boolean mask of shape \\(3,\\)"):
+            two_color_forest(parse_graph("0 1\n1 2\n2 3"), forest)
 
 
 def exp_weighted_gnm(n, m, rng):
@@ -630,36 +641,57 @@ class TestEdgeColoring:
             assert_proper_within_vizing(g, proper_edge_coloring(g))
 
 
+def forest_and_matching(g, picks):
+    """F and M as (u, v, w) edges in edge order: picked once or twice, and twice."""
+    return ([e for e, k in zip(g.edges, picks) if k > 0],
+            [e for e, k in zip(g.edges, picks) if k == 2])
+
+
+def per_vertex_max(g):
+    """sum_v max_{e ~ v} w_e, by a loop over the edges; a vertex on no edge adds 0."""
+    mx = [0.0] * g.n
+    for u, v, w in g.edges:
+        mx[u] = max(mx[u], w)
+        mx[v] = max(mx[v], w)
+    return sum(mx)
+
+
 class TestMatchForestDecompose:
     def test_weighted_path(self):
         g = parse_graph("0 1 1\n1 2 2")
-        d = match_forest_decompose(g)
-        assert d.matching == ((1, 2, 2.0),)
-        assert d.forest == ((0, 1, 1.0), (1, 2, 2.0))
-        assert d.matching_weight == 2.0 and d.forest_weight == 3.0
+        picks = match_forest_decompose(g)
+        assert picks.tolist() == [1, 2]
+        forest, matching = forest_and_matching(g, picks)
+        assert matching == [(1, 2, 2.0)]
+        assert forest == [(0, 1, 1.0), (1, 2, 2.0)]
         # sum_v max = 1 + 2 + 2 = 5 = m + f
-        assert d.matching_weight + d.forest_weight == 5.0
-        assert d.unmatched == (0,)
+        assert g.w @ picks == 5.0
+        assert unmatched_loop(g, picks) == [0]
 
     def test_single_edge(self):
-        d = match_forest_decompose(parse_graph("0 1 3"))
-        assert d.matching == d.forest == ((0, 1, 3.0),)
-        assert d.matching_weight == d.forest_weight == 3.0
+        g = parse_graph("0 1 3")
+        picks = match_forest_decompose(g)
+        assert forest_and_matching(g, picks) == ([(0, 1, 3.0)], [(0, 1, 3.0)])
+        assert g.w @ picks == 6.0
 
     def test_uniform_star_tie_break(self):
         g = parse_graph("0 1\n0 2\n0 3")
-        d = match_forest_decompose(g)
+        picks = match_forest_decompose(g)
         # center picks the highest-index leaf edge; that edge is doubly maximal
-        assert d.matching == ((0, 3, 1.0),)
-        assert len(d.forest) == 3
-        mx = [max((w for u, v, w in g.edges if x in (u, v)), default=0.0)
-              for x in range(g.n)]
-        assert sum(mx) == d.matching_weight + d.forest_weight
+        assert picks.tolist() == [1, 1, 2]
+        assert forest_and_matching(g, picks)[1] == [(0, 3, 1.0)]
+        assert g.w @ picks == per_vertex_max(g)
 
     def test_isolated_vertices_contribute_nothing(self):
         g = WeightedGraph.from_edges(3, [(0, 1)])
-        d = match_forest_decompose(g)
-        assert 2 in d.unmatched
+        picks = match_forest_decompose(g)
+        assert picks.tolist() == [2]
+        assert unmatched_loop(g, picks) == [2]
+        assert 2 in match_singlet_state(g, picks)[0].bits
+
+    def test_no_edges(self):
+        picks = match_forest_decompose(WeightedGraph(3, [], [], []))
+        assert picks.shape == (0,) and picks.dtype.kind == "i"
 
     def test_identity_on_random_graphs(self):
         rng = np.random.default_rng(3)
@@ -668,18 +700,36 @@ class TestMatchForestDecompose:
                           rng, weights="exp")
             if not g.edges:
                 continue
-            d = match_forest_decompose(g)
-            mx = [0.0] * g.n
-            for u, v, w in g.edges:
-                mx[u] = max(mx[u], w)
-                mx[v] = max(mx[v], w)
-            assert abs(sum(mx) - (d.matching_weight + d.forest_weight)) < 1e-12
-            covered = set()
-            for u, v, _ in d.matching:
-                assert u not in covered and v not in covered
-                covered.update((u, v))
-            two_color_forest(g, d.forest)  # raises if the forest had a cycle
-            assert set(d.matching) <= set(d.forest)
+            check_picks(g)
+
+    def test_ties_zeros_and_isolated_vertices(self):
+        """Exp weights, half of them rounded to one decimal so that ties occur
+        (the loop gives a tie to the higher index), a fifth set to 0, and five
+        more vertices on no edge."""
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            n = int(rng.integers(2, 20))
+            drawn = gnp_graph(n, float(rng.uniform(0.1, 0.9)), rng, weights="exp")
+            w = np.where(rng.random(len(drawn.w)) < 0.5, drawn.w.round(1), drawn.w)
+            w[rng.random(len(w)) < 0.2] = 0.0
+            check_picks(WeightedGraph(n + 5, drawn.u, drawn.v, w))
+
+
+def check_picks(g):
+    """`match_forest_decompose` is a read-only integer array, one count in
+    {0, 1, 2} per edge, equal to the loop's, with F a forest, M a matching
+    and g.w @ picks the sum of per-vertex maxima to 1e-12."""
+    picks = match_forest_decompose(g)
+    assert picks.shape == (len(g.edges),) and picks.dtype.kind == "i"
+    assert not picks.flags.writeable
+    assert set(picks.tolist()) <= {0, 1, 2}
+    assert picks.tolist() == match_forest_decompose_loop(g)
+    assert abs(per_vertex_max(g) - g.w @ picks) < 1e-12
+    covered = set()
+    for u, v, _ in forest_and_matching(g, picks)[1]:
+        assert u not in covered and v not in covered
+        covered.update((u, v))
+    two_color_forest(g, picks > 0)  # raises if the forest had a cycle
 
 
 def dsatur_reference(g):
@@ -755,16 +805,17 @@ def edge_coloring_reference(g):
     return color
 
 
-def singlet_flips_reference(g, decomp):
+def singlet_flips_reference(g, picks):
     """Flip-while-improving over the unmatched vertices in index order: a
     vertex flips while its uncut less its cut neighbor weight, summed over
     its neighbors in index order, is positive."""
-    neighbors = {i: [] for i in decomp.unmatched}
+    unmatched = unmatched_loop(g, picks)
+    neighbors = {i: [] for i in unmatched}
     for u, v, w in g.edges:
         if u in neighbors and v in neighbors:
             neighbors[u].append((v, w))
             neighbors[v].append((u, w))
-    spin = dict.fromkeys(decomp.unmatched, 1.0)
+    spin = dict.fromkeys(unmatched, 1.0)
     improved = True
     while improved:
         improved = False
@@ -812,6 +863,6 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("weights", ["unit", "exp"])
     def test_singlet_flips(self, weights):
         for g in pinned_graphs(weights):
-            decomp = match_forest_decompose(g)
-            state, _ = match_singlet_state(g, decomp)
-            assert state.bits == singlet_flips_reference(g, decomp)
+            picks = match_forest_decompose(g)
+            state, _ = match_singlet_state(g, picks)
+            assert state.bits == singlet_flips_reference(g, picks)

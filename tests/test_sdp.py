@@ -534,6 +534,13 @@ def test_each_rounding_scores_its_attempts_once(monkeypatch, rounding):
     assert shapes == ([(4, 7, 1)] if rounding == "gw" else [(4, 7, 3), (4, 1, 3)])
 
 
+@pytest.mark.parametrize("attempts", [0, -1])
+@pytest.mark.parametrize("rounding", [gw_round, rank3_round])
+def test_attempts_below_one_rejected(rounding, attempts):
+    with pytest.raises(ValueError, match=f"attempts must be at least 1, got {attempts}"):
+        rounding(K4, solve_maxcut_sdp(K4), attempts=attempts)
+
+
 def projection_ratio(k, rho):
     """(1 - E[x . y]) / (1 - rho) for unit vectors at inner product rho projected
     by one k x n standard normal matrix and normalized, where E[x . y] =

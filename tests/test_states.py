@@ -40,9 +40,9 @@ def tree_state(g):
 
 def best_candidate(g, sol, seed, attempts=200):
     """The best candidate over the stages `qmaxcut solve` runs before it."""
-    decomp = match_forest_decompose(g)
-    return best_few_qubit_candidate(tree_coloring_state(g, decomp),
-                                    match_singlet_state(g, decomp),
+    picks = match_forest_decompose(g)
+    return best_few_qubit_candidate(tree_coloring_state(g, picks),
+                                    match_singlet_state(g, picks),
                                     rank3_round(g, sol, seed=seed, attempts=attempts))
 
 
@@ -184,9 +184,9 @@ class TestMatchSingletState:
             g = gnp_graph(int(rng.integers(2, 14)), 0.4, rng, weights="exp")
             if not g.edges:
                 continue
-            d = match_forest_decompose(g)
-            _, val = match_singlet_state(g, d)
-            assert val >= 1.5 * d.matching_weight + 0.5 * g.total_weight - 1e-12
+            picks = match_forest_decompose(g)
+            _, val = match_singlet_state(g, picks)
+            assert val >= 1.5 * g.w[picks == 2].sum() + 0.5 * g.total_weight - 1e-12
 
 
 class TestLocalSearchProductState:
@@ -309,10 +309,10 @@ class TestBestFewQubitCandidate:
         the energy of the tree coloring's cut, W; a value ulps above it still
         leaves the first candidate, the tree coloring, the winner."""
         g = star_graph(9, weights="exp")
-        decomp = match_forest_decompose(g)
-        bits, tree = tree_coloring_state(g, decomp)
+        picks = match_forest_decompose(g)
+        bits, tree = tree_coloring_state(g, picks)
         assert tree == cut_value(g, bits)
-        singlet = match_singlet_state(g, decomp)
+        singlet = match_singlet_state(g, picks)
         for above in (tree, np.nextafter(tree, np.inf), tree * (1 + 9e-13)):
             noisy = RoundingOutcome(bits=None, bloch=None, value=float(above), failed=False)
             rep = best_few_qubit_candidate((bits, tree), singlet, noisy)
