@@ -58,7 +58,7 @@ def _grid_minimum(weakened: bool) -> float:
 
 
 def run_solve(args) -> int:
-    with open(args.path) as fh:
+    with open(args.path, encoding="utf-8") as fh:
         g = parse_graph(fh.read())
     report = _solve(g, args)
     _emit(report, args)
@@ -228,7 +228,7 @@ def _output(text: str, path) -> None:
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

@@ -7,7 +7,9 @@ construction; all operations here are pure functions.
 Every numeric evaluator reads one read-only core: a graph is built from its
 edge arrays `u`, `v`, `w`, in any order and orientation; the constructor alone
 validates them, in one vectorized pass, then orients and sorts them and derives
-`edges`. `parse_graph` only tokenizes a document and hands the arrays over.
+`edges`. `parse_graph` reads a document with numpy's compiled text reader and
+hands the three columns over; only a document the reader or the constructor
+rejects goes through a per-line Python loop, which names the bad line.
 Computed on first use: the weight matrix `csr`, a `Csr` of numpy arrays (the
 only neighborhood structure; the BFS of `depth_parity` walks its `indptr` and
 `indices`), the `weight_exponent` k of the exact w / 2^k scaling that
@@ -28,6 +30,7 @@ import heapq
 import importlib.util
 import math
 import sys
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -290,10 +293,18 @@ def parse_graph(text: str) -> WeightedGraph:
     first bad line and, on it, the first failing check in this order: token
     count, integer ids, real weight, then the constructor's table: self-loop,
     finite weight, nonnegative weight, nonnegative ids, ids at most
-    MAX_VERTEX_ID, a pair no earlier line has. One Python pass tokenizes up
-    to the first token that does not convert; the constructor checks the
-    lines before it, and the row it rejects is named by its line.
+    MAX_VERTEX_ID, a pair no earlier line has.
+
+    Two paths build the same graph. `_read_columns` reads a document of
+    three-token lines with numpy's compiled reader in one call. Any other
+    document, and any that the reader or the constructor rejects, goes
+    through a Python loop over its lines, which tokenizes up to the first
+    token that does not convert; the constructor checks the lines before
+    it, and the row it rejects is named by its line.
     """
+    g = _read_columns(text)
+    if g is not None:
+        return g
     rows = []  # (line number, u, v, w) of each edge line
     fault = None  # the first line whose tokens do not convert
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -318,7 +329,7 @@ def parse_graph(text: str) -> WeightedGraph:
         raise ParseError(fault or "no edges in document")
     lines, us, vs, ws = zip(*rows)
     try:
-        g = WeightedGraph(min(max(max(us), max(vs), 0), MAX_VERTEX_ID) + 1, _ids(us), _ids(vs), ws)
+        g = WeightedGraph(_vertex_count(max(max(us), max(vs))), _ids(us), _ids(vs), ws)
     except GraphError as exc:
         if exc.row is not None:
             raise ParseError(f"line {lines[exc.row]}: {exc.reason}") from None
@@ -327,6 +338,32 @@ def parse_graph(text: str) -> WeightedGraph:
     if fault is not None:
         raise ParseError(fault)
     return g
+
+
+_COLUMNS = np.dtype([("u", np.intp), ("v", np.intp), ("w", np.float64)])
+
+
+def _read_columns(text: str) -> WeightedGraph | None:
+    """The graph of a document of "u v w" lines (blanks and '#' comments
+    aside) by one `np.loadtxt` call, or None if the reader raises or warns
+    (an empty document warns; some numpy versions read "1.0" as an integer
+    with a warning) or the constructor rejects the columns. The reader splits
+    on `str.split`'s whitespace and takes a subset of what `int` and `float`
+    take (no "1_0", no non-ASCII digits), to the same values: the loop's graph."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(text.splitlines(), dtype=_COLUMNS, comments="#", ndmin=1)
+        u, v = rows["u"], rows["v"]
+        return WeightedGraph(_vertex_count(max(u.max(), v.max())), u, v, rows["w"])
+    except (ValueError, Warning):  # GraphError is a ValueError
+        return None
+
+
+def _vertex_count(top: int) -> int:
+    """n for a largest vertex id `top`: top + 1, at least 1 and at most
+    MAX_VERTEX_ID + 1, so that the constructor names an id out of range."""
+    return min(max(int(top), 0), MAX_VERTEX_ID) + 1
 
 
 def _ids(values) -> np.ndarray:

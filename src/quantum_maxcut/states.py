@@ -27,7 +27,8 @@ def tree_coloring_state(g: WeightedGraph, picks: np.ndarray) -> tuple[tuple[int,
 @dataclass(frozen=True)
 class PairProductState:
     """Singlets on a partial matching plus a computational basis bit per
-    unmatched vertex."""
+    unmatched vertex. A bit is the integer 0 or 1: not a bool or a float,
+    which the state vector would misread as an index."""
 
     pairs: tuple[tuple[int, int], ...]
     bits: dict[int, int]  # unmatched vertex -> bit
@@ -36,6 +37,9 @@ class PairProductState:
         used = sorted([x for p in self.pairs for x in p] + list(self.bits))
         if used != list(range(len(used))):
             raise ValueError("pairs and bits must be disjoint and cover 0..k-1 exactly once")
+        for x, b in self.bits.items():
+            if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b not in (0, 1):
+                raise ValueError(f"bit of vertex {x} must be 0 or 1, got {b!r}")
 
 
 def _check_cover(g, state):

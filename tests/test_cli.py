@@ -556,6 +556,22 @@ def run_python(code):
     return json.loads(result.stdout)
 
 
+def test_files_opened_as_utf8(tmp_path):
+    """`random --out` and `solve` with `--out` name their encoding: under
+    `-X warn_default_encoding` an `open()` without one warns, and the warning
+    is an error here, so either command would exit 1."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+              "-m", "quantum_maxcut.cli"]
+    for argv in (["random", "--n", "10", "--model", "regular-3", "--seed", "1", "--out", "g.txt"],
+                 ["solve", "g.txt", "--out", "r.json"]):
+        result = subprocess.run(strict + argv, cwd=tmp_path, env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, (argv, result.stderr)
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["verdicts"]
+
+
 def test_huge_requests_exit_1_under_memory_cap(tmp_path):
     """Requests numpy cannot allocate (1e9 rounding attempts on one edge, 14.9
     GiB; a vertex id of 99999999999) exit 1 with one `error:` line, and so do

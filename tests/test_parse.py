@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from test_cli import fuzz_cases
 
-from quantum_maxcut import GraphError, ParseError, WeightedGraph, parse_graph
-from quantum_maxcut.graphs import MAX_VERTEX_ID
+from quantum_maxcut import GraphError, ParseError, WeightedGraph, graphs, parse_graph
+from quantum_maxcut.graphs import MAX_VERTEX_ID, _read_columns
 
 BIG = MAX_VERTEX_ID + 1
 
@@ -104,6 +104,52 @@ def random_documents(count=200, seed=19):
     return docs
 
 
+def repr_weight_document(lines=500, n=50, seed=23):
+    """`lines` distinct exp-weighted pairs on n vertices, weights by `repr`."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = rng.permutation(len(pairs))[:lines]
+    weights = rng.exponential(size=lines).tolist()
+    return "".join(f"{pairs[i][0]} {pairs[i][1]} {w!r}\n" for i, w in zip(picked, weights))
+
+
+# Documents where numpy's reader and Python's `int`/`float` could part ways,
+# and whether the reader builds the graph (True) or leaves it to the loop.
+READER_CASES = [
+    ("0 1 1_0\n", False),  # Python takes the underscore, numpy does not
+    ("0 1 \u0663\n", False),  # an Arabic-Indic 3
+    ("0 \u0663 1\n", False),
+    ("99999999999999999999 1 2\n", False),  # beyond intp
+    ("1.0 2 3\n", False),  # not an integer to `int`
+    ("1.5 2 3\n", False),
+    ("0\xa01 2\n", True),  # NBSP: whitespace to both
+    ("0\u20031 2\n1 2 3\n", True),  # EM SPACE
+    ("0\v1 2\n", False),  # \v and \f end a line for `splitlines`
+    ("0\f1 2\n", False),
+    ("0 1 2\r\n1 2 3\r\n", True),
+    ("\ufeff0 1 2\n", False),  # a byte-order mark is not whitespace
+    ("0 1 2\x00\n", False),
+    ("0 1\x00 2\n", False),
+    ("0 1 2\n1 2\n", False),  # mixed two- and three-token lines
+    ("0 1\n1 2 3\n", False),
+    ("0 1 2.5 # a comment\n1 2 3#another\n", True),
+    ("0 1 -0\n", True),
+    ("0 1 1e-320\n", True),
+    (repr_weight_document(), True),
+    ("# head\n\n  \t\n3 0 1.5\n", True),
+    ("0 1 2\n1 0 3\n", False),  # the constructor rejects: duplicate,
+    ("0 1 nan\n", False),  # non-finite weight,
+    ("2 2 1\n", False),  # self-loop,
+    ("0 -1 1\n", False),  # negative id
+    (f"0 {BIG} 1\n", False),  # id above MAX_VERTEX_ID, which is intp max - 1
+    (f"0 {BIG - 1} 1\n", True),
+    ("0 1 1 1\n", False),
+    ("0 1 x\n", False),
+    ("", False),  # the reader warns
+    ("# only\n\n", False),
+]
+
+
 @pytest.mark.parametrize("text, error, message", [
     # a fault on a later line whose check comes earlier in the order
     ("0 1 -1\n2 2\n", ParseError, "line 1: negative weight -1.0"),
@@ -143,6 +189,7 @@ def test_error_precedence(text, error, message):
 
 def test_matches_reference_on_fuzz_corpus():
     texts = [text for text, _ in fuzz_cases() if text is not None]
+    texts += [text for text, _ in READER_CASES]
     for text in texts:
         assert outcome(parse_graph, text) == outcome(reference_parse, text), text
 
@@ -152,6 +199,20 @@ def test_matches_reference_on_random_documents():
     assert results == [outcome(reference_parse, text) for text in random_documents()]
     kinds = [result[0] for result in results]
     assert 50 < kinds.count("graph") < 150  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("text, taken", READER_CASES,
+                         ids=lambda x: ascii(x)[1:-1][:30] if isinstance(x, str) else None)
+def test_reader_takes_only_three_token_documents(text, taken, monkeypatch):
+    """A document of "u v w" lines that the constructor accepts never enters
+    the per-line loop: `parse_graph` returns the reader's graph, the
+    reference's. The reader returns None for every other document."""
+    read = []
+    monkeypatch.setattr(graphs, "_read_columns", lambda t: read.append(_read_columns(t)) or read[-1])
+    g = parse_graph(text) if taken else None
+    assert (_read_columns(text) is not None) == taken
+    if taken:
+        assert g is read[0] and outcome(lambda _: g, text) == outcome(reference_parse, text)
 
 
 class TestConstructor:

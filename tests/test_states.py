@@ -140,6 +140,13 @@ class TestPairProductEnergy:
         with pytest.raises(ValueError, match="disjoint"):
             PairProductState(pairs=((0, 1), (1, 2)), bits={})
 
+    @pytest.mark.parametrize("bit", [-1, 2, 0.5, 1.0, True])
+    def test_bit_not_zero_or_one_rejected(self, bit):
+        """Such a bit made the two evaluators disagree: -1 read as cut by the
+        energy, as |1> by the state vector."""
+        with pytest.raises(ValueError, match=f"bit of vertex 1 must be 0 or 1, got {bit!r}"):
+            PairProductState(pairs=(), bits={0: 1, 1: bit})
+
     def test_incomplete_cover_rejected(self):
         with pytest.raises(ValueError, match="cover"):
             pair_product_energy(TRIANGLE, PairProductState(pairs=((0, 1),), bits={}))
