@@ -32,8 +32,10 @@ print(f"forest  F  = {[e for e, k in zip(g.edges, picks) if k > 0]}")
 matching_weight = g.w[picks == 2].sum()
 print(f"identity: sum of per-vertex maxima = m + f = w . picks = {g.w @ picks:.3f}")
 
-state, state_energy = match_singlet_state(g, picks)
-print(f"\nmatch-singlet pairs {state.pairs}, energy {state_energy:.4f} "
+spins, state_energy = match_singlet_state(g, picks)  # spin rows: 0 on M, +-1 elsewhere
+matched = picks == 2
+print(f"\nmatch-singlet pairs {np.column_stack((g.u[matched], g.v[matched])).tolist()}, "
+      f"spins {spins}, energy {state_energy:.4f} "
       f"(floor 1.5m + 0.5W = {1.5 * matching_weight + 0.5 * g.total_weight:.4f})")
 
 bits, cut = tree_coloring_state(g, picks)

@@ -55,11 +55,9 @@ from .sdp import (
 )
 from .states import (
     CandidateReport,
-    PairProductState,
     best_few_qubit_candidate,
     local_search_product_state,
     match_singlet_state,
-    pair_product_energy,
     pair_product_statevector,
     product_statevector,
     tree_coloring_state,

@@ -49,7 +49,7 @@ def _grid_minimum(weakened: bool) -> float:
         y = np.arange(x, 1.0 + GRID_STEP / 2, GRID_STEP)
         if weakened:
             top = np.maximum(np.maximum(2 * y, 3 * x + 0.98),
-                             (0.956 / 3) * (4 + x + y))
+                             (sdp.RANK3_RATIO / 3) * (4 + x + y))
         else:
             top = np.maximum(np.maximum(2 * y, 3 * x + 1.0),
                              (1.0 / 3) * (4 + x + y))
@@ -110,8 +110,9 @@ def _solve(g, args) -> dict:
     if "singlet" in algorithms or "best" in algorithms:
         singlet, seconds = _timed(states.match_singlet_state, g, picks)
         if "singlet" in algorithms:
+            matched = picks == 2
             record("match-singlet", singlet[1], picks_seconds + seconds,
-                   pairs=[list(p) for p in singlet[0].pairs])
+                   pairs=np.column_stack((g.u[matched], g.v[matched])).tolist())
     if "gw" in algorithms or "circuit" in algorithms:
         gw, seconds = _timed(sdp.gw_round, g, sol, seed=args.seed, attempts=args.attempts)
         if "gw" in algorithms:

@@ -460,11 +460,24 @@ def depth_parity(a: Csr) -> tuple[int, tuple[int, ...]]:
     return count, tuple(parity)
 
 
+def check_bits(bits, n: int) -> np.ndarray:
+    """A bit string of length n as an index array. ValueError on another
+    length, or naming the position of the first bit that is not the integer
+    0 or 1: numpy would wrap -1, truncate 0.5 and read True as 1."""
+    values = bits.tolist() if isinstance(bits, np.ndarray) else list(bits)
+    if len(values) != n:
+        raise ValueError(f"bit string length {len(values)} must equal {n}")
+    # one pass over the types and one over the values; the loop only finds the bad bit
+    if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:
+        for i, b in enumerate(values):
+            if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b not in (0, 1):
+                raise ValueError(f"bit {i} must be the integer 0 or 1, got {b!r}")
+    return np.array(values, dtype=np.intp)
+
+
 def cut_value(g: WeightedGraph, bits) -> float:
-    """Total weight of the edges cut by a bit string of length n."""
-    bits = np.asarray(bits)
-    if bits.shape != (g.n,):
-        raise GraphError("bit string length must equal the vertex count")
+    """Total weight of the edges cut by a bit string of length n (`check_bits`)."""
+    bits = check_bits(bits, g.n)
     return float((bits[g.u] != bits[g.v]) @ g.w)
 
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Csr, WeightedGraph, csr_product, depth_parity, pair_depth_parity
+from .graphs import (Csr, WeightedGraph, check_bits, csr_product, depth_parity,
+                     pair_depth_parity)
 
 QUBIT_CAP = 20  # states, energies and the eigenvalue: at most this many qubits
 BRUTE_FORCE_CAP = 24
@@ -70,11 +71,10 @@ def _check_cap(n, cap):
 
 
 def basis_state(n: int, bits) -> np.ndarray:
-    """Computational basis state |bits> as a 2^n amplitude vector."""
-    if len(bits) != n:
-        raise ValueError("bit string length must equal qubit count")
+    """Computational basis state |bits> as a 2^n amplitude vector (`check_bits`)."""
+    index = tuple(check_bits(bits, n))
     psi = np.zeros([2] * n, dtype=complex)
-    psi[tuple(int(b) for b in bits)] = 1.0
+    psi[index] = 1.0
     return psi.reshape(-1)
 
 

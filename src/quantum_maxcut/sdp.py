@@ -77,7 +77,8 @@ def stack_objective(g: WeightedGraph, vecs: np.ndarray) -> np.ndarray:
     """Objective W/2 - (1/4) sum_i x_i . (A x)_i of each attempt of a stack of
     unit rows, vecs of shape (n, attempts, d), by one CSR product, an
     elementwise product and column sums; unchecked. On spins x_i = +-1 (d = 1)
-    it is the cut value, exact on integer weights and equal for complements."""
+    it is the cut value, exact on integer weights and equal for complements;
+    a row 0 (a qubit in a singlet) gives each of its edges w/2."""
     flat = np.ascontiguousarray(vecs.reshape(g.n, -1))
     pull = np.zeros(flat.shape)
     csr_product(g.csr, flat, pull)()

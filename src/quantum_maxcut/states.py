@@ -1,7 +1,11 @@
 """Product and tensor-product-of-few-qubit candidate states and their energies.
 
-All evaluators are exact closed forms; the state-vector oracle is only used
-in tests to cross-check them.
+Every candidate is a tensor product of one- and two-qubit states, scored in
+closed form: a basis state by `cut_value`, and a product or pair-product
+state by `stack_objective` of its rows s_i (the Bloch vector of a product
+qubit; the spin +-1 of a basis bit; 0 for a qubit in a singlet), plus
+(3/2) w(M) for the singlets on a matching M. The state vectors here serve
+only the oracle cross-checks in tests.
 """
 from __future__ import annotations
 
@@ -24,59 +28,19 @@ def tree_coloring_state(g: WeightedGraph, picks: np.ndarray) -> tuple[tuple[int,
     return bits, cut_value(g, bits)
 
 
-@dataclass(frozen=True)
-class PairProductState:
-    """Singlets on a partial matching plus a computational basis bit per
-    unmatched vertex. A bit is the integer 0 or 1: not a bool or a float,
-    which the state vector would misread as an index."""
-
-    pairs: tuple[tuple[int, int], ...]
-    bits: dict[int, int]  # unmatched vertex -> bit
-
-    def __post_init__(self):
-        used = sorted([x for p in self.pairs for x in p] + list(self.bits))
-        if used != list(range(len(used))):
-            raise ValueError("pairs and bits must be disjoint and cover 0..k-1 exactly once")
-        for x, b in self.bits.items():
-            if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b not in (0, 1):
-                raise ValueError(f"bit of vertex {x} must be 0 or 1, got {b!r}")
-
-
-def _check_cover(g, state):
-    if 2 * len(state.pairs) + len(state.bits) != g.n:
-        raise ValueError(f"pairs and bits must cover all {g.n} vertices")
-
-
-def pair_product_energy(g: WeightedGraph, state: PairProductState) -> float:
-    """Exact energy of a pair-product state.
-
-    Per edge of weight w: a singlet pair contributes 2w; an edge touching a
-    paired vertex (but not itself a pair) contributes w/2, because the
-    singlet's maximally mixed marginal kills every Pauli cross-term; an edge
-    between unmatched vertices contributes w if the bits differ, else 0.
-    """
-    _check_cover(g, state)
-    pairs = np.array(state.pairs, dtype=np.intp).reshape(-1, 2)
-    partner = np.full(g.n, -1)
-    partner[pairs] = pairs[:, ::-1]
-    bit = np.zeros(g.n, dtype=np.intp)
-    bit[list(state.bits)] = list(state.bits.values())
-    per_weight = np.where(partner[g.u] == g.v, 2.0,
-                          np.where((partner[g.u] >= 0) | (partner[g.v] >= 0), 0.5,
-                                   bit[g.u] != bit[g.v]))
-    return float(g.w @ per_weight)
-
-
-def match_singlet_state(g: WeightedGraph, picks: np.ndarray) -> tuple[PairProductState, float]:
+def match_singlet_state(g: WeightedGraph, picks: np.ndarray) -> tuple[np.ndarray, float]:
     """Singlets on the doubly-maximal matching M = picks == 2
-    (`match_forest_decompose`), in edge order, bits elsewhere by local search.
+    (`match_forest_decompose`), bits elsewhere by local search: the spin
+    rows s (+1 for bit 0, -1 for bit 1, 0 on the vertices of M) and the energy.
 
     The bits are chosen by flip-while-improving on the subgraph induced by
     the unmatched vertices, so they cut at least half of its weight and the
     returned value is at least (3/2) * matching weight + W/2, deterministically.
+    A singlet's one-qubit marginal is maximally mixed, so the energy is
+    `stack_objective` of s plus (3/2) w(M): an edge touching M scores w/2 and
+    an edge of M, 2w.
     """
     matched = picks == 2
-    pairs = tuple(zip(g.u[matched].tolist(), g.v[matched].tolist()))
     free = np.ones(g.n, dtype=bool)
     free[g.u[matched]] = free[g.v[matched]] = False
     unmatched = np.flatnonzero(free).tolist()
@@ -103,9 +67,8 @@ def match_singlet_state(g: WeightedGraph, picks: np.ndarray) -> tuple[PairProduc
                 improved = True
                 for j in row:
                     stale[j] = True
-    bits = {i: int(spin[i] < 0) for i in unmatched}
-    state = PairProductState(pairs=pairs, bits=bits)
-    return state, pair_product_energy(g, state)
+    s = np.where(free, spin, 0.0)
+    return s, float(stack_objective(g, s[:, None, None])[0]) + 1.5 * float(g.w[matched].sum())
 
 
 def product_statevector(bloch) -> np.ndarray:
@@ -121,15 +84,30 @@ def product_statevector(bloch) -> np.ndarray:
     return psi
 
 
-def pair_product_statevector(g: WeightedGraph, state: PairProductState) -> np.ndarray:
+def pair_product_statevector(g: WeightedGraph, s, matched) -> np.ndarray:
     """State vector of a pair-product state (for oracle cross-checks): the outer
-    product of a singlet (|01> - |10>)/sqrt 2 on the axes (lower, higher) of
-    each pair and a basis vector per unmatched bit, its axes put in vertex order."""
-    _check_cover(g, state)
+    product of a singlet (|01> - |10>)/sqrt 2 on the axes (u, v) of each edge
+    of the boolean mask `matched` over g's edge arrays, and of |0> where the
+    spin row s is +1 and |1> where it is -1, its axes put in vertex order.
+    ValueError unless the shapes are (n,) and (m,), the masked edges are
+    vertex-disjoint and s is 0 on their vertices and +-1 elsewhere."""
+    s, matched = np.asarray(s), np.asarray(matched)
+    if s.shape != (g.n,) or matched.shape != g.w.shape or matched.dtype != bool:
+        raise ValueError(f"s must have shape ({g.n},) and matched be a boolean mask of shape "
+                         f"{g.w.shape}, got {s.shape} and {matched.dtype} of shape {matched.shape}")
+    pairs = np.column_stack((g.u[matched], g.v[matched]))
+    paired = np.bincount(pairs.ravel(), minlength=g.n)
+    if np.any(paired > 1):
+        raise ValueError(f"matched edges share vertex {int(np.argmax(paired > 1))}")
+    bad = np.flatnonzero(np.where(paired, s != 0, np.abs(s) != 1))
+    if len(bad):
+        raise ValueError(f"s must be 0 on matched vertices and +-1 elsewhere, "
+                         f"got s[{bad[0]}] = {s[bad[0]]}")
     singlet = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2.0)
     basis = np.eye(2, dtype=complex)
-    factors = [singlet] * len(state.pairs) + [basis[b] for b in state.bits.values()]
-    axes = [x for a, b in state.pairs for x in (min(a, b), max(a, b))] + list(state.bits)
+    free = np.flatnonzero(paired == 0)
+    factors = [singlet] * len(pairs) + [basis[int(x < 0)] for x in s[free]]
+    axes = np.concatenate((pairs.ravel(), free))
     return reduce(np.multiply.outer, factors).transpose(np.argsort(axes)).reshape(-1)
 
 
@@ -177,7 +155,7 @@ class CandidateReport:
 
 
 def best_few_qubit_candidate(tree: tuple[tuple[int, ...], float],
-                             singlet: tuple[PairProductState, float],
+                             singlet: tuple[np.ndarray, float],
                              rounding: RoundingOutcome) -> CandidateReport:
     """Maximum-energy candidate among the states earlier stages built, each
     with its own energy: `tree` (from `tree_coloring_state`), `singlet` (from

@@ -19,7 +19,6 @@ from quantum_maxcut import (
     match_forest_decompose,
     match_singlet_state,
     max_eigenvalue,
-    pair_product_energy,
     pair_product_statevector,
     parse_graph,
     rank3_round,
@@ -36,7 +35,7 @@ from quantum_maxcut.generate import (
     regular_graph,
     star_graph,
 )
-from quantum_maxcut.states import PairProductState
+from pair_products import pair_product_energy_loop, pair_product_formula, random_pair_product_state
 
 
 def report(name):
@@ -200,8 +199,9 @@ def test_09_hyperplane_rounding_success_rate():
 
 
 def test_10_pair_product_closed_form():
-    """100 random pair-product states on graphs n <= 12 match the oracle within
-    1e-9; the matching/singlet value meets (3/2)m + W/2 exactly."""
+    """100 random pair-product states (spin rows and a matching of g's edges)
+    on graphs n <= 12: the closed form matches the oracle within 1e-9 and the
+    per-edge loop within 1e-12; the matching/singlet value meets (3/2)m + W/2."""
     rng = np.random.default_rng(110)
     checked = 0
     while checked < 100:
@@ -210,15 +210,11 @@ def test_10_pair_product_closed_form():
         if not g.edges:
             continue
         checked += 1
-        perm = list(rng.permutation(n))
-        npairs = int(rng.integers(0, n // 2 + 1))
-        pairs = tuple((int(perm[2 * i]), int(perm[2 * i + 1]))
-                      for i in range(npairs))
-        bits = {int(v): int(rng.integers(0, 2)) for v in perm[2 * npairs:]}
-        st = PairProductState(pairs=pairs, bits=bits)
-        closed = pair_product_energy(g, st)
-        simulated = energy(g, pair_product_statevector(g, st))
+        s, matched = random_pair_product_state(g, rng)
+        closed = pair_product_formula(g, s, matched)
+        simulated = energy(g, pair_product_statevector(g, s, matched))
         assert abs(closed - simulated) <= 1e-9
+        assert abs(closed - pair_product_energy_loop(g, s, matched)) <= 1e-12
     checked = 0
     while checked < 200:
         n = int(rng.integers(2, 15))

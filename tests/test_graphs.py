@@ -11,12 +11,10 @@ from scipy.sparse import csgraph
 
 from quantum_maxcut import (
     GraphError,
-    PairProductState,
     ParseError,
     WeightedGraph,
     match_forest_decompose,
     match_singlet_state,
-    pair_product_energy,
     parse_graph,
     proper_edge_coloring,
     tree_coloring_state,
@@ -25,6 +23,8 @@ from quantum_maxcut import (
 from quantum_maxcut import graphs
 from quantum_maxcut.generate import gnp_graph, regular_graph
 from quantum_maxcut.graphs import build_csr, depth_parity
+from pair_products import (bits_of, pair_product_energy_loop, pair_product_formula,
+                           random_pair_product_state)
 from scipy_reference import scipy_csr
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -257,28 +257,6 @@ class TestSparsetoolsLoader:
         assert info.value.name == self.NAME
 
 
-def random_pair_product_state(g, rng):
-    """Singlets on random disjoint vertex pairs, random bits elsewhere."""
-    perm = rng.permutation(g.n).tolist()
-    k = int(rng.integers(0, g.n // 2 + 1))
-    return PairProductState(pairs=tuple(zip(perm[:k], perm[k:2 * k])),
-                            bits={x: int(rng.integers(0, 2)) for x in perm[2 * k:]})
-
-
-def pair_product_energy_loop(g, state):
-    pair_set = {(min(a, b), max(a, b)) for a, b in state.pairs}
-    matched = {x for p in state.pairs for x in p}
-    total = 0.0
-    for u, v, w in g.edges:
-        if (u, v) in pair_set:
-            total += 2.0 * w
-        elif u in matched or v in matched:
-            total += 0.5 * w
-        elif state.bits[u] != state.bits[v]:
-            total += w
-    return total
-
-
 def match_forest_decompose_loop(g):
     """Per edge, how many endpoints pick it as their maximal incident edge,
     edges ordered by (w, index)."""
@@ -351,12 +329,14 @@ class TestEvaluatorsMatchEdgeLoops:
                                         else edge_energy_unsat)(t, deg[u], deg[v], tri)
                              for (u, v, w), tri in zip(g.edges, g.triangles)) for t in thetas]
             assert circuit_energy(g, bits[0], thetas) == pytest.approx(per_angle, abs=1e-12)
-            state = random_pair_product_state(g, rng)
-            assert pair_product_energy(g, state) == pytest.approx(
-                pair_product_energy_loop(g, state), abs=1e-12)
+            s, matched = random_pair_product_state(g, rng)
+            assert pair_product_formula(g, s, matched) == pytest.approx(
+                pair_product_energy_loop(g, s, matched), abs=1e-12)
             picks = match_forest_decompose(g)
             assert picks.tolist() == match_forest_decompose_loop(g)
-            assert match_singlet_state(g, picks)[0].bits == singlet_bits_loop(g, picks)
+            s, value = match_singlet_state(g, picks)
+            assert bits_of(s) == singlet_bits_loop(g, picks)
+            assert value == pytest.approx(pair_product_energy_loop(g, s, picks == 2), abs=1e-12)
 
 
 class TestTriangles:
@@ -445,9 +425,10 @@ class TestZeroWeightEdges:
         assert [c.tolist() for c in self.G.color_classes] == [[0], [1], [2]]
 
     def test_singlet_state(self):
-        state, val = match_singlet_state(self.G, match_forest_decompose(self.G))
-        assert state.pairs == ((1, 2),) and state.bits == {0: 0}
-        assert val == pair_product_energy(self.G, state) == 2.0
+        picks = match_forest_decompose(self.G)
+        s, val = match_singlet_state(self.G, picks)
+        assert (picks == 2).tolist() == [False, False, True] and s.tolist() == [1.0, 0.0, 0.0]
+        assert val == pair_product_energy_loop(self.G, s, picks == 2) == 2.0
 
 
 class TestConnectedComponents:
@@ -687,7 +668,7 @@ class TestMatchForestDecompose:
         picks = match_forest_decompose(g)
         assert picks.tolist() == [2]
         assert unmatched_loop(g, picks) == [2]
-        assert 2 in match_singlet_state(g, picks)[0].bits
+        assert 2 in bits_of(match_singlet_state(g, picks)[0])
 
     def test_no_edges(self):
         picks = match_forest_decompose(WeightedGraph(3, [], [], []))
@@ -864,5 +845,5 @@ class TestPinnedOutputs:
     def test_singlet_flips(self, weights):
         for g in pinned_graphs(weights):
             picks = match_forest_decompose(g)
-            state, _ = match_singlet_state(g, picks)
-            assert state.bits == singlet_flips_reference(g, picks)
+            s, _ = match_singlet_state(g, picks)
+            assert bits_of(s) == singlet_flips_reference(g, picks)

@@ -162,3 +162,16 @@ def test_rank3_round_flags_against_its_own_objective():
         "g", "sol", "seed", "attempts"]
     assert [name for name, tree in trees.items() if "opt_upper_bound" in called(tree)] == [
         "cli.py"]
+
+
+def test_one_evaluator_per_candidate_form():
+    """A basis state is scored by `cut_value`, and a pair-product state by
+    `stack_objective` of its spin rows plus its matching term: the package
+    exports no third evaluator and no state class of its own for the latter."""
+    import quantum_maxcut
+
+    assert not {"PairProductState", "pair_product_energy"} & set(dir(quantum_maxcut))
+    tree = ast.parse(next(p for p in SRC if p.name == "states.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "cut_value" in called(functions["tree_coloring_state"])
+    assert "stack_objective" in called(functions["match_singlet_state"])

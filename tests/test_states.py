@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from quantum_maxcut import (
-    PairProductState,
     WeightedGraph,
+    basis_state,
     best_few_qubit_candidate,
     cut_value,
     energy,
@@ -13,7 +13,6 @@ from quantum_maxcut import (
     match_forest_decompose,
     match_singlet_state,
     max_eigenvalue,
-    pair_product_energy,
     pair_product_statevector,
     parse_graph,
     product_statevector,
@@ -25,6 +24,7 @@ from quantum_maxcut import (
 from quantum_maxcut import sdp, states
 from quantum_maxcut.generate import gnp_graph, random_connected_graph, regular_graph, star_graph
 from quantum_maxcut.sdp import RoundingOutcome, mixing_ascent, stack_objective
+from pair_products import pair_product_energy_loop, pair_product_formula, random_pair_product_state
 
 EDGE = parse_graph("0 1 1.0")
 TRIANGLE = parse_graph("0 1\n1 2\n2 0")
@@ -100,6 +100,26 @@ class TestCutValue:
         with pytest.raises(ValueError):
             cut_value(EDGE, [(0, 1), (1, 1)])
 
+    def test_integer_arrays_and_numpy_integers_taken(self):
+        assert cut_value(EDGE, np.array([0, 1])) == 1.0
+        assert cut_value(EDGE, (np.int64(1), np.uint8(1))) == 0.0
+        assert basis_state(2, np.array([1, 0])).tolist() == [0, 0, 1, 0]
+        with pytest.raises(ValueError, match="bit 0 must be the integer 0 or 1, got 1.0"):
+            cut_value(EDGE, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="bit 0 must be the integer 0 or 1, got False"):
+            basis_state(2, np.array([False, True]))
+
+    @pytest.mark.parametrize("bit", [-1, 2, 0.5, 1.0, True])
+    def test_bit_not_zero_or_one_rejected(self, bit):
+        """Both bit-string entries name such a bit: numpy read -1 as the last
+        index and truncated 0.5, so `cut_value` counted (0, 2) and (0, 0.5)
+        as cut and `basis_state` built |01> from (0, -1) and |00> from (0, 0.7)."""
+        message = f"bit 1 must be the integer 0 or 1, got {bit!r}"
+        with pytest.raises(ValueError, match=message):
+            cut_value(EDGE, (0, bit))
+        with pytest.raises(ValueError, match=message):
+            basis_state(2, (0, bit))
+
 
 class TestTreeColoringState:
     def test_path(self):
@@ -118,71 +138,86 @@ class TestTreeColoringState:
 
 
 class TestPairProductEnergy:
+    """A pair-product state's energy is `stack_objective` of its spin rows plus
+    (3/2) w(M): checked against the state vector under the oracle."""
+
     def test_singlet_edge(self):
         g = parse_graph("0 1 2.5")
-        st = PairProductState(pairs=((0, 1),), bits={})
-        assert pair_product_energy(g, st) == 5.0
+        s, matched = np.zeros(2), np.array([True])
+        assert pair_product_formula(g, s, matched) == 5.0
+        assert energy(g, pair_product_statevector(g, s, matched)) == pytest.approx(5.0, abs=1e-12)
 
     def test_path_pair_plus_bit(self):
         g = parse_graph("0 1 1.0\n1 2 2.0")
-        for b in (0, 1):
-            st = PairProductState(pairs=((0, 1),), bits={2: b})
-            assert pair_product_energy(g, st) == pytest.approx(1.0 * 2 + 2.0 * 0.5)
+        for spin in (1.0, -1.0):
+            s, matched = np.array([0.0, 0.0, spin]), np.array([True, False])
+            assert pair_product_formula(g, s, matched) == pytest.approx(1.0 * 2 + 2.0 * 0.5)
+            assert energy(g, pair_product_statevector(g, s, matched)) == pytest.approx(
+                1.0 * 2 + 2.0 * 0.5, abs=1e-12)
 
     def test_no_pairs_reduces_to_cut(self):
         rng = np.random.default_rng(2)
         g = gnp_graph(6, 0.5, rng, weights="uniform")
         bits = tuple(int(b) for b in rng.integers(0, 2, g.n))
-        st = PairProductState(pairs=(), bits=dict(enumerate(bits)))
-        assert pair_product_energy(g, st) == pytest.approx(cut_value(g, bits))
+        s, matched = 1.0 - 2.0 * np.array(bits), np.zeros(len(g.w), dtype=bool)
+        assert pair_product_formula(g, s, matched) == pytest.approx(cut_value(g, bits))
 
     def test_overlapping_pairs_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            PairProductState(pairs=((0, 1), (1, 2)), bits={})
-
-    @pytest.mark.parametrize("bit", [-1, 2, 0.5, 1.0, True])
-    def test_bit_not_zero_or_one_rejected(self, bit):
-        """Such a bit made the two evaluators disagree: -1 read as cut by the
-        energy, as |1> by the state vector."""
-        with pytest.raises(ValueError, match=f"bit of vertex 1 must be 0 or 1, got {bit!r}"):
-            PairProductState(pairs=(), bits={0: 1, 1: bit})
+        g = parse_graph("0 1\n1 2")
+        with pytest.raises(ValueError, match="matched edges share vertex 1"):
+            pair_product_statevector(g, np.zeros(3), np.array([True, True]))
 
     def test_incomplete_cover_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            pair_product_energy(TRIANGLE, PairProductState(pairs=((0, 1),), bits={}))
+        with pytest.raises(ValueError, match=r"s must have shape \(3,\)"):
+            pair_product_statevector(TRIANGLE, np.zeros(2), np.array([True, False, False]))
+
+    @pytest.mark.parametrize("s, matched, message", [
+        ([0.0, 0.0, 1.0], [True, False], "mask of shape"),
+        ([0.0, 0.0, 1.0], [1, 0, 0], "boolean mask"),
+        ([[0.0, 0.0, 1.0]], [True, False, False], "s must have shape"),
+        ([0.0, 1.0, 1.0], [True, False, False], r"got s\[1\] = 1.0"),
+        ([0.0, 0.0, 0.0], [True, False, False], r"got s\[2\] = 0.0"),
+        ([0.0, 0.0, 0.5], [True, False, False], r"got s\[2\] = 0.5"),
+        ([0.0, 0.0, np.nan], [True, False, False], r"got s\[2\] = nan"),
+    ], ids=["mask-length", "mask-not-bool", "s-not-1d", "spin-in-singlet", "zero-off-matching",
+            "half-spin", "nan-spin"])
+    def test_statevector_rejects(self, s, matched, message):
+        """Each check of the state vector's input raises ValueError: the
+        shapes and the mask's dtype, then disjointness (above), then s."""
+        with pytest.raises(ValueError, match=message):
+            pair_product_statevector(TRIANGLE, np.array(s), np.array(matched))
 
     def test_matches_oracle(self):
+        """Random spin rows and matchings: the oracle's energy of the state
+        vector and the per-edge loop both equal the formula."""
         rng = np.random.default_rng(3)
         for _ in range(30):
             n = int(rng.integers(2, 10))
             g = gnp_graph(n, 0.5, rng, weights="uniform")
             if not g.edges:
                 continue
-            perm = list(rng.permutation(n))
-            npairs = int(rng.integers(0, n // 2 + 1))
-            pairs = tuple((int(perm[2 * i]), int(perm[2 * i + 1]))
-                          for i in range(npairs))
-            bits = {int(v): int(rng.integers(0, 2)) for v in perm[2 * npairs:]}
-            st = PairProductState(pairs=pairs, bits=bits)
-            assert pair_product_energy(g, st) == pytest.approx(
-                energy(g, pair_product_statevector(g, st)), abs=1e-9)
+            s, matched = random_pair_product_state(g, rng)
+            value = pair_product_formula(g, s, matched)
+            assert energy(g, pair_product_statevector(g, s, matched)) == pytest.approx(
+                value, abs=1e-9)
+            assert pair_product_energy_loop(g, s, matched) == pytest.approx(value, abs=1e-12)
 
 
 class TestMatchSingletState:
     def test_single_edge(self):
         g = parse_graph("0 1 3.0")
-        st, val = singlet_state(g)
-        assert st.pairs == ((0, 1),) and val == 6.0
+        s, val = singlet_state(g)
+        assert s.tolist() == [0.0, 0.0] and val == 6.0
 
     def test_two_disjoint_edges(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
-        st, val = singlet_state(g)
-        assert len(st.pairs) == 2 and val == 4.0
+        s, val = singlet_state(g)
+        assert s.tolist() == [0.0] * 4 and val == 4.0
 
     def test_weighted_path(self):
         g = parse_graph("0 1 1\n1 2 2")
-        st, val = singlet_state(g)
-        assert st.pairs == ((1, 2),)
+        s, val = singlet_state(g)
+        assert s.tolist() == [1.0, 0.0, 0.0]  # M = {1 2}; vertex 0 keeps bit 0
         assert val == pytest.approx(2 * 2 + 0.5 * 1)  # = (3/2)m + W/2 here
 
     def test_lower_bound_on_random_graphs(self):
