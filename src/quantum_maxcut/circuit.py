@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, proper_edge_coloring
+from .graphs import WeightedGraph, check_bits, proper_edge_coloring
 from .sdp import GW_RATIO, GramSolution, RoundingOutcome
 
 THETA_GRID = 400   # intervals of the first grid on [0, pi/4]
@@ -74,9 +74,9 @@ def edge_energy_unsat(theta, d_i, d_j, triangles):
 
 
 def energy_curve(g: WeightedGraph, bits):
-    """Total energy of the variational state on the base cut `bits` as a
-    function of the angle; the returned function maps an angle to a float
-    and an array of angles to the array of energies.
+    """Total energy of the variational state on the base cut `bits`
+    (`check_bits`) as a function of the angle; the returned function maps an
+    angle to a float and an array of angles to the array of energies.
 
     Summing edge_energy_sat over the cut edges and edge_energy_unsat over the
     rest, with c = cos 2t, s = sin 2t and q = cos 4t, gives
@@ -98,9 +98,7 @@ def energy_curve(g: WeightedGraph, bits):
     by a power of two changes neither the energies nor whether the check
     trips, and subnormal weights keep full precision.
     """
-    bits = np.asarray(bits)
-    if bits.shape != (g.n,):
-        raise ValueError("bit string length must equal vertex count")
+    bits = check_bits(bits, g.n)
     deg = np.asarray(g.degree)
     du, dv, tri, w = deg[g.u], deg[g.v], g.triangles, np.ldexp(g.w, -g.weight_exponent)
     _check_edge_inputs(du, dv, tri)
@@ -243,10 +241,9 @@ class VariationalCircuit:
 
 
 def build_circuit(g: WeightedGraph, bits, theta: float) -> VariationalCircuit:
-    """Arrange the gate per edge into vertex-disjoint layers by edge color."""
-    if len(bits) != g.n:
-        raise ValueError("bit string length must equal vertex count")
-    bits = tuple(int(b) for b in bits)
+    """Arrange the gate per edge into vertex-disjoint layers by edge color;
+    `bits` is the base cut (`check_bits`)."""
+    bits = tuple(check_bits(bits, g.n).tolist())
     coloring = proper_edge_coloring(g)
     ncolors = max(coloring.values()) + 1 if coloring else 0
     layers = [[] for _ in range(ncolors)]

@@ -20,6 +20,8 @@ import os
 import sys
 import time
 import warnings
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -31,30 +33,33 @@ from .graphs import GraphError, ParseError, match_forest_decompose, parse_graph
 SCHEMA_VERSION = 1
 ORACLE_AUTO_LIMIT = 16
 ALL_ALGORITHMS = ("tree", "singlet", "rank3", "gw", "circuit", "best")
-GRID_STEP = 1e-3  # of the prod2-minmax grid
+EXACT_TARGET = Fraction("0.55")  # the bound of the exact prod2-minmax
+CANDIDATE_TARGET = Fraction("0.53")  # the paper's ratio: the verdict's and the weakened minimum's
 
 
-def _grid_minimum(weakened: bool) -> float:
-    """Minimum over 0 <= x <= y <= 1, on a grid of GRID_STEP, of the three-way
-    candidate ratio.
+def prod2_minimum(weakened: bool) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """Exact minimum over 0 <= x <= y <= 1 of max_i f_i / (2 + x + y), and the
+    (x, y) where it lies. x and y are w(M) / W and w(F) / W for the matching
+    and forest of `match_forest_decompose`; in units of W/2, 2 + x + y is the
+    degree-sum bound and the f_i bound the candidates: 2y the tree coloring,
+    3x + 1 the singlets on M, (4 + x + y) / 3 a product state. Weakened, the
+    last is scaled by RANK3_RATIO, what `rank3_round` certifies, and the
+    second is 3x + 0.98: its source is not known (the singlets attain 3x + 1).
 
-    x and y are the matching and forest weights as fractions of the total;
-    the denominator 2 + y + x is twice the degree-sum upper bound in the
-    same units. The weakened variant replaces the exact product-state terms
-    by their efficiently-achievable counterparts.
+    Each f_i / (2 + x + y) is linear-fractional, so where f_i is the largest
+    term its minimum lies at a vertex, a crossing of two of the lines x = 0,
+    y = 1, x = y and f_i = f_j: all of them are scored, in rationals.
     """
-    xs = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
-    best = np.inf
-    for x in xs:
-        y = np.arange(x, 1.0 + GRID_STEP / 2, GRID_STEP)
-        if weakened:
-            top = np.maximum(np.maximum(2 * y, 3 * x + 0.98),
-                             (sdp.RANK3_RATIO / 3) * (4 + x + y))
-        else:
-            top = np.maximum(np.maximum(2 * y, 3 * x + 1.0),
-                             (1.0 / 3) * (4 + x + y))
-        best = min(best, float(np.min(top / (2 + y + x))))
-    return best
+    ratio = Fraction(str(sdp.RANK3_RATIO)) if weakened else Fraction(1)
+    terms = [(0, 2, 0), (3, 0, Fraction("0.98") if weakened else 1),  # a x + b y + c
+             (ratio / 3, ratio / 3, 4 * ratio / 3)]
+    lines = [(1, 0, 0), (0, 1, 1), (1, -1, 0)]  # a x + b y = c
+    lines += [(a - p, b - q, r - c) for (a, b, c), (p, q, r) in combinations(terms, 2)]
+    points = [((c * q - b * r) / det, (a * r - c * p) / det)
+              for (a, b, c), (p, q, r) in combinations(lines, 2)
+              if (det := Fraction(a * q - b * p))]
+    return min((max(i * x + j * y + k for i, j, k in terms) / (2 + x + y), (x, y))
+               for x, y in points if 0 <= x <= y <= 1)
 
 
 def run_solve(args) -> int:
@@ -127,7 +132,7 @@ def _solve(g, args) -> dict:
         record("best-candidate", rep.energy, seconds, winner=rep.label)
         if opt:
             verdicts["candidate_ratio"] = (
-                "pass" if rep.energy / opt >= 0.53 - 1e-9 else "fail")
+                "pass" if rep.energy / opt >= CANDIDATE_TARGET - 1e-9 else "fail")
         else:
             verdicts["candidate_ratio"] = "not-applicable"
     if "circuit" in algorithms:
@@ -181,17 +186,15 @@ def run_reproduce(args) -> int:
             report[f"F_{d}"] = fval
             report[f"G_{d}"] = circuit_mod.approximation_guarantee(d)
     elif args.which == "prod2-minmax":
-        report = {
-            "schema": SCHEMA_VERSION,
-            "which": "prod2-minmax",
-            "grid_step": GRID_STEP,
-            "exact_minimum": _grid_minimum(weakened=False),
-            "weakened_minimum": _grid_minimum(weakened=True),
-            "exact_target": 0.55,
-            "weakened_target": 0.53,
-        }
-        report["passed"] = (report["exact_minimum"] >= 0.55
-                            and report["weakened_minimum"] >= 0.53)
+        report, passed = {"schema": SCHEMA_VERSION, "which": "prod2-minmax"}, True
+        for name, target in (("exact", EXACT_TARGET), ("weakened", CANDIDATE_TARGET)):
+            low, point = prod2_minimum(weakened=name == "weakened")
+            report[f"{name}_minimum"] = float(low)
+            report[f"{name}_minimum_rational"] = str(low)
+            report[f"{name}_minimizer"] = [str(c) for c in point]
+            report[f"{name}_target"] = float(target)
+            passed = passed and low >= target
+        report["passed"] = passed
     else:  # theorem5
         rng = np.random.default_rng(args.seed)
         results = []

@@ -278,7 +278,8 @@ def max_eigenvalue(g: WeightedGraph) -> Eigenvalue:
 
 
 def simulate_variational_state(g: WeightedGraph, bits, theta: float) -> np.ndarray:
-    """Apply the commuting gate product prod_{{j,k} in E} exp(i theta P(j)P(k)) to |bits>.
+    """Apply the commuting gate product prod_{{j,k} in E} exp(i theta P(j)P(k))
+    to |bits> (`check_bits`).
 
     P(j) = X if bit j is 1, else Y. Gates commute, so they are applied in edge
     order; edge weights do not enter the circuit. P(u)P(v) flips axes u and v;
@@ -287,9 +288,7 @@ def simulate_variational_state(g: WeightedGraph, bits, theta: float) -> np.ndarr
     """
     _check_cap(g.n, QUBIT_CAP)
     n = g.n
-    if len(bits) != n:
-        raise ValueError("bit string length must equal qubit count")
-    bits = tuple(int(b) for b in bits)
+    bits = check_bits(bits, n).tolist()
     t = basis_state(n, bits).reshape([2] * n)
     y_phase = [np.array([-1j, 1j]).reshape([2 if a == q else 1 for a in range(n)])
                for q in range(n)]

@@ -4,6 +4,7 @@ Each test prints a PASS line on success so the suite doubles as a checklist
 (`pytest -s tests/test_acceptance.py`).
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from quantum_maxcut import (
     tree_coloring_state,
     two_color_forest,
 )
-from quantum_maxcut.cli import _grid_minimum
+from quantum_maxcut import sdp
+from quantum_maxcut.cli import prod2_minimum
 from quantum_maxcut.generate import (
     gnp_graph,
     random_connected_graph,
@@ -228,11 +230,27 @@ def test_10_pair_product_closed_form():
     report("10 pair-product closed form and matching/singlet floor")
 
 
+def grid_minimum(weakened):
+    """The prod2 min-max on a 1e-3 grid over 0 <= x <= y <= 1, in floats: a
+    grid minimum is at or above the true one, so it only bounds it."""
+    x, y = np.linspace(0, 1, 1001)[:, None], np.linspace(0, 1, 1001)
+    ratio, singlet = (sdp.RANK3_RATIO, 0.98) if weakened else (1.0, 1.0)
+    top = np.maximum(np.maximum(2 * y, 3 * x + singlet), (ratio / 3) * (4 + x + y))
+    return float(np.min((top / (2 + x + y))[x <= y]))
+
+
 def test_11_minmax_grid_reproduction():
-    """Grid minima of the candidate-ratio expressions: >= 0.55 exact,
-    >= 0.53 weakened."""
-    exact = _grid_minimum(weakened=False)
-    weak = _grid_minimum(weakened=True)
-    assert exact >= 0.55
-    assert weak >= 0.53
-    report(f"11 min-max grid minima {exact:.4f} / {weak:.4f}")
+    """Exact minima of the candidate-ratio min-max: 11/20 >= 0.55 where the
+    three exact terms meet, 131689/248000 >= 0.53 weakened; no point of a
+    1e-3 grid reads below either."""
+    exact, (x, y) = prod2_minimum(weakened=False)
+    weak, point = prod2_minimum(weakened=True)
+    assert (exact, (x, y)) == (Fraction(11, 20), (Fraction(3, 13), Fraction(11, 13)))
+    assert (weak, point) == (Fraction(131689, 248000),
+                             (Fraction(33811, 165250), Fraction(131689, 165250)))
+    assert 2 * y == 3 * x + 1 == (4 + x + y) / 3 == Fraction(22, 13)
+    assert exact >= Fraction("0.55")  # the double 0.55 is above 11/20
+    assert weak >= Fraction("0.53")
+    assert grid_minimum(weakened=False) >= exact
+    assert grid_minimum(weakened=True) >= weak
+    report(f"11 min-max exact minima {exact} / {weak}")

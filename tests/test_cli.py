@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quantum_maxcut import bounds, generate, graphs, oracle, sdp, states
+from quantum_maxcut import bounds, cli, generate, graphs, oracle, sdp, states
 from quantum_maxcut.cli import main
 from test_graphs import exp_weighted_gnm
 
@@ -764,12 +765,32 @@ class TestReproduce:
         assert 1.000 <= report["G_4"] <= 1.002
 
     def test_minmax_grid(self, capsys):
+        """Each exact minimum as a float and a rational, and where it lies:
+        the three exact terms 2y, 3x + 1 and (4 + x + y) / 3 meet there."""
         code, out = run(capsys, "reproduce", "--which", "prod2-minmax")
         assert code == 0
         report = json.loads(out)
+        assert report["exact_minimum_rational"] == "11/20"
+        assert report["exact_minimizer"] == ["3/13", "11/13"]
+        assert report["weakened_minimum_rational"] == "131689/248000"
+        assert report["weakened_minimizer"] == ["33811/165250", "131689/165250"]
+        for name in ("exact", "weakened"):
+            low = Fraction(report[f"{name}_minimum_rational"])
+            assert report[f"{name}_minimum"] == float(low)
+        x, y = map(Fraction, report["exact_minimizer"])
+        assert 2 * y == 3 * x + 1 == (4 + x + y) / 3
         assert report["exact_minimum"] >= 0.55
         assert report["weakened_minimum"] >= 0.53
+        assert (report["exact_target"], report["weakened_target"]) == (0.55, 0.53)
+        assert "grid_step" not in report
         assert report["passed"]
+
+    @pytest.mark.parametrize("above, code", [(0, 0), (Fraction(1, 10**30), 2)])
+    def test_minmax_compares_rationals(self, monkeypatch, capsys, above, code):
+        """The exact minimum meets a target of 11/20 and fails one above it by
+        1e-30, which no float comparison can tell from 0.55."""
+        monkeypatch.setattr(cli, "EXACT_TARGET", Fraction(11, 20) + above)
+        assert run(capsys, "reproduce", "--which", "prod2-minmax")[0] == code
 
     def test_negative_seed(self, capsys):
         assert_one_line_error(main(["reproduce", "--which", "theorem5", "--seed", "-2",

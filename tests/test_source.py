@@ -2,6 +2,7 @@
 composes stages, every source line fits in 100 columns, and no module
 imports scipy: only `graphs` loads scipy's compiled CSR routines."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -175,3 +176,13 @@ def test_one_evaluator_per_candidate_form():
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "cut_value" in called(functions["tree_coloring_state"])
     assert "stack_objective" in called(functions["match_singlet_state"])
+
+
+def test_one_owner_per_target():
+    """The paper's 0.53 and the exact min-max's 0.55 are each written once in
+    `cli`, as the `Fraction` constants that the candidate verdict and
+    `reproduce` read."""
+    text = next(p for p in SRC if p.name == "cli.py").read_text()
+    owners = [line.split(" = ")[0] for line in text.splitlines()
+              if re.search(r"\b0\.5[35]\b", line)]
+    assert owners == ["EXACT_TARGET", "CANDIDATE_TARGET"]

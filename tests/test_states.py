@@ -7,17 +7,21 @@ from quantum_maxcut import (
     WeightedGraph,
     basis_state,
     best_few_qubit_candidate,
+    build_circuit,
+    circuit_energy,
     cut_value,
     energy,
     local_search_product_state,
     match_forest_decompose,
     match_singlet_state,
     max_eigenvalue,
+    optimize_angle,
     pair_product_statevector,
     parse_graph,
     product_statevector,
     rank3_round,
     sdp_objective,
+    simulate_variational_state,
     solve_maxcut_sdp,
     tree_coloring_state,
 )
@@ -111,14 +115,20 @@ class TestCutValue:
 
     @pytest.mark.parametrize("bit", [-1, 2, 0.5, 1.0, True])
     def test_bit_not_zero_or_one_rejected(self, bit):
-        """Both bit-string entries name such a bit: numpy read -1 as the last
+        """Every bit-string entry names such a bit: numpy read -1 as the last
         index and truncated 0.5, so `cut_value` counted (0, 2) and (0, 0.5)
-        as cut and `basis_state` built |01> from (0, -1) and |00> from (0, 0.7)."""
+        as cut and `basis_state` built |01> from (0, -1) and |00> from (0, 0.7);
+        an int() cast made `simulate_variational_state` start (0, 0.5) from
+        |00> and gave `build_circuit` Paulis ('Y', 'Y') on (0, 0.7), and
+        `circuit_energy` read (0, 2) as a cut edge."""
         message = f"bit 1 must be the integer 0 or 1, got {bit!r}"
-        with pytest.raises(ValueError, match=message):
-            cut_value(EDGE, (0, bit))
-        with pytest.raises(ValueError, match=message):
-            basis_state(2, (0, bit))
+        for entry in (lambda b: cut_value(EDGE, b), lambda b: basis_state(2, b),
+                      lambda b: circuit_energy(EDGE, b, [0.0]),
+                      lambda b: optimize_angle(EDGE, b),
+                      lambda b: build_circuit(EDGE, b, 0.1),
+                      lambda b: simulate_variational_state(EDGE, b, 0.0)):
+            with pytest.raises(ValueError, match=message):
+                entry((0, bit))
 
 
 class TestTreeColoringState:
