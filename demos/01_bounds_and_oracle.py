@@ -34,9 +34,8 @@ print("== monogamy on stars: the bound max(w) + sum(w) ==")
 rng = np.random.default_rng(0)
 for k in (2, 4, 6):
     g = star_graph(k + 1, weights="exp", rng=rng)
-    ws = [w for _, _, w in g.edges]
     print(f"star with {k} leaves: OPT={max_eigenvalue(g).value:7.4f}  "
-          f"bound={star_bound(ws):7.4f}")
+          f"bound={star_bound(g.w.tolist()):7.4f}")
 g = star_graph(7)
 print(f"uniform 6-leaf star: OPT={max_eigenvalue(g).value:.6f} equals "
       f"bound={star_bound([1.0] * 6):.6f}")

@@ -20,7 +20,7 @@ from quantum_maxcut.generate import random_connected_graph
 
 rng = np.random.default_rng(11)
 g = random_connected_graph(10, p=0.4, weights="uniform", rng=rng)
-print(f"random graph: n={g.n}, m={len(g.edges)}, W={g.total_weight:.3f}")
+print(f"random graph: n={g.n}, m={len(g.w)}, W={g.total_weight:.3f}")
 
 sol = solve_maxcut_sdp(g, seed=0)
 print(f"SDP objective  = {sol.objective:.6f}  (rank {sol.rank}, "

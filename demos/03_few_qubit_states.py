@@ -27,8 +27,9 @@ g = parse_graph("""
 """)
 picks = match_forest_decompose(g)  # per edge: how many of its ends pick it
 print(f"picks      = {picks}")
-print(f"matching M = {[e for e, k in zip(g.edges, picks) if k == 2]}")
-print(f"forest  F  = {[e for e, k in zip(g.edges, picks) if k > 0]}")
+edges = list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+print(f"matching M = {[e for e, k in zip(edges, picks) if k == 2]}")
+print(f"forest  F  = {[e for e, k in zip(edges, picks) if k > 0]}")
 matching_weight = g.w[picks == 2].sum()
 print(f"identity: sum of per-vertex maxima = m + f = w . picks = {g.w @ picks:.3f}")
 

@@ -1,6 +1,7 @@
 """Efficiently computable upper bounds on the maximum Hamiltonian energy."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,13 +14,13 @@ def star_bound(weights) -> float:
 
     Monogamy of entanglement keeps the center spin from being maximally
     entangled with every leaf, which is why this beats the trivial 2*sum(w).
-    Equality holds for uniform weights.
+    Equality holds for uniform weights. A negative, infinite or NaN weight is a ValueError.
     """
     weights = list(weights)
     if not weights:
         return 0.0
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
+    if not all(0 <= w < math.inf for w in weights):
+        raise ValueError("weights must be finite and nonnegative")
     return float(max(weights) + sum(weights))
 
 

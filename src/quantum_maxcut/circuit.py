@@ -99,8 +99,7 @@ def energy_curve(g: WeightedGraph, bits):
     trips, and subnormal weights keep full precision.
     """
     bits = check_bits(bits, g.n)
-    deg = np.asarray(g.degree)
-    du, dv, tri, w = deg[g.u], deg[g.v], g.triangles, np.ldexp(g.w, -g.weight_exponent)
+    du, dv, tri, w = g.degree[g.u], g.degree[g.v], g.triangles, np.ldexp(g.w, -g.weight_exponent)
     _check_edge_inputs(du, dv, tri)
     cut = bits[g.u] != bits[g.v]
     w_sat = np.where(cut, w, 0.0)

@@ -150,7 +150,7 @@ def _solve(g, args) -> dict:
     d = g.is_regular()
     return {
         "schema": SCHEMA_VERSION,
-        "graph": {"n": g.n, "edges": len(g.edges), "total_weight": g.total_weight,
+        "graph": {"n": g.n, "edges": len(g.w), "total_weight": g.total_weight,
                   "regular_degree": d if d is not None else "irregular"},
         "bounds": dataclasses.asdict(report_bounds),
         "opt": opt,
@@ -171,7 +171,7 @@ def run_random(args) -> int:
     else:  # regular-D, as _model checked
         degree = int(args.model.removeprefix("regular-"))
         g = generate.regular_graph(args.n, degree, rng, weights=args.weights)
-    if not g.edges:  # `parse_graph` rejects a document with no edge line
+    if len(g.w) == 0:  # `parse_graph` rejects a document with no edge line
         raise GraphError(f"the {args.model} draw with n={args.n} has no edge")
     _output(generate.to_edge_list(g), args.out)
     return 0
@@ -203,7 +203,7 @@ def run_reproduce(args) -> int:
             g = generate.random_connected_graph(n, 0.4, rng, weights="unit")
             opt = oracle.max_eigenvalue(g).value
             mc, _ = oracle.brute_force_maxcut(g)
-            m, v = len(g.edges), g.n
+            m, v = len(g.w), g.n
             target = 1.0 / 3 + (2.0 / 3) * (m / (2 * m + v))
             results.append({"n": v, "edges": m, "ratio": mc / opt,
                             "target": target, "ok": mc / opt >= target - 1e-9})

@@ -13,15 +13,15 @@ CONNECT_TRIES = 1000  # G(n, p) draws before random_connected_graph pads with a 
 PAIRING_TRIES = 2000  # pairings regular_graph draws before it gives up
 
 
-def sample_weights(kind: str, count: int, rng) -> list[float]:
-    """Edge weights: "unit" (all 1), "uniform" on (0, 1], or "exp" (mean 1,
-    heavy-tailed enough to stress the single-heavy-edge regime)."""
+def sample_weights(kind: str, count: int, rng) -> np.ndarray:
+    """Edge weights as a float array: "unit" (all 1), "uniform" on (0, 1], or
+    "exp" (mean 1, heavy-tailed enough to stress the single-heavy-edge regime)."""
     if kind == "unit":
-        return [1.0] * count
+        return np.ones(count)
     if kind == "uniform":
-        return list(1.0 - rng.random(count))
+        return 1.0 - rng.random(count)
     if kind == "exp":
-        return list(rng.exponential(1.0, count))
+        return rng.exponential(1.0, count)
     raise ValueError(f"unknown weight model {kind!r}")
 
 
@@ -97,5 +97,5 @@ def cycle_graph(n: int, weights: str = "unit", rng=None) -> WeightedGraph:
 
 
 def to_edge_list(g: WeightedGraph) -> str:
-    lines = [f"{u} {v} {w}" for u, v, w in g.edges]
+    lines = [f"{u} {v} {w}" for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())]
     return "\n".join(lines) + "\n"

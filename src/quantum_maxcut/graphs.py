@@ -1,20 +1,20 @@
 """Weighted graph container and the combinatorial subroutines used everywhere else.
 
-Vertices are integers 0..n-1. Edges are stored canonically as (u, v, w) with
-u < v, sorted by (u, v), and finite w >= 0. Graphs are immutable after
-construction; all operations here are pure functions.
+Vertices are integers 0..n-1. A graph is its edge arrays `u`, `v`, `w`: edge
+i joins u[i] < v[i] with finite weight w[i] >= 0, rows sorted by (u, v).
+Graphs are immutable; all operations here are pure functions.
 
 Every numeric evaluator reads one read-only core: a graph is built from its
-edge arrays `u`, `v`, `w`, in any order and orientation; the constructor alone
-validates them, in one vectorized pass, then orients and sorts them and derives
-`edges`. `parse_graph` reads a document with numpy's compiled text reader and
-hands the three columns over; only a document the reader or the constructor
-rejects goes through a per-line Python loop, which names the bad line.
+edge arrays, in any order and orientation; the constructor alone validates
+them, in one vectorized pass, then orients and sorts them. `parse_graph`
+reads a document with numpy's compiled text reader and hands the three
+columns over; only a document the reader or the constructor rejects goes
+through a per-line Python loop, which names the bad line.
 Computed on first use: the weight matrix `csr`, a `Csr` of numpy arrays (the
 only neighborhood structure; the BFS of `depth_parity` walks its `indptr` and
-`indices`), the `weight_exponent` k of the exact w / 2^k scaling that
-scale-free stages run on, per-edge `triangles` and a proper vertex coloring
-`color_classes`.
+`indices`), the `degree` array, the `weight_exponent` k of the exact w / 2^k
+scaling that scale-free stages run on, per-edge `triangles` and a proper
+vertex coloring `color_classes`.
 
 Every sparse product in the package is scipy's compiled CSR routine, bound
 to its operands by `csr_product`, and `triangles` samples `csr` with its
@@ -130,21 +130,20 @@ def csr_product(a: Csr, x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
                    indptr, indices, data, x, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Simple undirected graph with finite nonnegative edge weights, built from
     rows (u[i], v[i], w[i]) in any order and orientation: edge i joins u[i] <
     v[i], sorted by (u, v), kept as read-only intp and float copies (never the
     caller's arrays). The first bad row raises GraphError with its index as
-    `row`, in the check order `parse_graph` lists. `==` and `hash` compare `n`
-    and `edges`, so one edge set makes one graph."""
+    `row`, in the check order `parse_graph` lists. The arrays are the graph's
+    only data: `==` and `hash` are by identity, and `repr` shows `n`."""
 
     n: int
-    u: np.ndarray = field(repr=False, compare=False)
-    v: np.ndarray = field(repr=False, compare=False)
-    w: np.ndarray = field(repr=False, compare=False)
-    edges: tuple[tuple[int, int, float], ...] = field(init=False)
-    total_weight: float = field(init=False, repr=False, compare=False)  # Python's sum()
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    total_weight: float = field(init=False, repr=False)  # Python's sum()
 
     def __post_init__(self):
         n = self.n
@@ -172,12 +171,11 @@ class WeightedGraph:
             (repeated, "duplicate edge ({lo}, {hi})"),
         ], w=w, lo=lo, hi=hi)
         u, v, w = lo[order].astype(np.intp), hi[order].astype(np.intp), w[order]
-        ws = w.tolist()
-        total = float(sum(ws))
+        total = float(sum(w.tolist()))
         if not math.isfinite(2 * total):
             raise GraphError(f"total weight {total} too large: twice it must be finite")
         vars(self).update(n=int(n), u=_read_only(u), v=_read_only(v), w=_read_only(w),  # frozen
-                          total_weight=total, edges=tuple(zip(u.tolist(), v.tolist(), ws)))
+                          total_weight=total)
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -188,12 +186,13 @@ class WeightedGraph:
         return cls(n, *(zip(*rows) if rows else ((), (), ())))
 
     @cached_property
-    def degree(self) -> tuple[int, ...]:
-        return tuple(np.bincount(np.r_[self.u, self.v], minlength=self.n).tolist())
+    def degree(self) -> np.ndarray:
+        """Each vertex's number of edges, as a read-only intp array."""
+        return _read_only(np.bincount(np.r_[self.u, self.v], minlength=self.n))
 
     @cached_property
     def max_degree(self) -> int:
-        return max(self.degree)
+        return int(self.degree.max())
 
     @cached_property
     def csr(self) -> Csr:
@@ -217,8 +216,7 @@ class WeightedGraph:
         lookups, all in one call of scipy's compiled `csr_sample_values`,
         which bisects the row of each lookup. It samples a pattern of ones
         with `csr`'s indptr and indices, so a zero-weight edge counts."""
-        indptr, indices = self.csr.indptr, self.csr.indices
-        deg = np.diff(indptr)
+        indptr, indices, deg = self.csr.indptr, self.csr.indices, self.degree
         swap = deg[self.u] > deg[self.v]
         low, high = np.where(swap, self.v, self.u), np.where(swap, self.u, self.v)
         count = deg[low]  # at least 1: every edge's own
@@ -245,7 +243,7 @@ class WeightedGraph:
         taken = [0] * n  # bit c of taken[x] is set iff a neighbor of x has color c
         # a heap of (-saturation, -degree, vertex) as the one int, ordered alike,
         # (n - saturation) n^2 + (n - 1 - degree) n + vertex, each term below n but the first
-        tail = [(n - 1 - d) * n + x for x, d in enumerate(self.degree)]
+        tail = [(n - 1 - d) * n + x for x, d in enumerate(self.degree.tolist())]
         heap = [n * n * n + key for key in tail]  # stale entries rank below a vertex's current one
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
@@ -263,8 +261,8 @@ class WeightedGraph:
         return tuple(_read_only(np.flatnonzero(color == c)) for c in range(color.max() + 1))
 
     def is_regular(self):
-        """Return the common degree if the graph is regular, else None."""
-        return self.degree[0] if len(set(self.degree)) == 1 else None
+        """Return the common degree, a Python int, if the graph is regular, else None."""
+        return self.max_degree if self.degree.min() == self.max_degree else None
 
 
 def check_size(*shape: int) -> None:
@@ -539,7 +537,7 @@ def proper_edge_coloring(g: WeightedGraph) -> dict[tuple[int, int], int]:
             raise AssertionError("no free color; degree bound violated")
         return c
 
-    for u0, v0, _ in g.edges:
+    for u0, v0 in zip(g.u.tolist(), g.v.tolist()):
         mask = used[u0] | used[v0]
         bit = ~mask & (mask + 1)  # the lowest color free at both ends, as its bit
         if bit < past:  # set_color(u0, v0, c) of an uncolored edge, inline

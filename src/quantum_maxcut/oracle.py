@@ -83,7 +83,7 @@ def apply_hamiltonian(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
     _check_cap(g.n, QUBIT_CAP)
     t = np.asarray(psi).reshape([2] * g.n)
     out = g.total_weight * t
-    for u, v, w in g.edges:
+    for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
         out -= w * np.swapaxes(t, u, v)
     return out.reshape(-1)
 
@@ -293,7 +293,7 @@ def simulate_variational_state(g: WeightedGraph, bits, theta: float) -> np.ndarr
     y_phase = [np.array([-1j, 1j]).reshape([2 if a == q else 1 for a in range(n)])
                for q in range(n)]
     c, s = np.cos(theta), np.sin(theta)
-    for u, v, _ in g.edges:
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
         flipped = np.flip(t, (u, v))
         for q in (u, v):
             if not bits[q]:
@@ -308,7 +308,7 @@ def brute_force_maxcut(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
     n = g.n
     idx = np.arange(2 ** n, dtype=np.int64)
     total = np.zeros(2 ** n)
-    for u, v, w in g.edges:
+    for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
         total += w * (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1)
     k = int(np.argmax(total))
     bits = tuple(int((k >> (n - 1 - q)) & 1) for q in range(n))

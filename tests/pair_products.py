@@ -29,7 +29,7 @@ def pair_product_formula(g, s, matched):
 def pair_product_energy_loop(g, s, matched):
     """Per edge of weight w: 2w on M, w/2 touching M, w between unlike spins."""
     total = 0.0
-    for (u, v, w), pair in zip(g.edges, matched):
+    for u, v, w, pair in zip(g.u.tolist(), g.v.tolist(), g.w.tolist(), matched):
         if pair:
             total += 2.0 * w
         elif s[u] == 0 or s[v] == 0:

@@ -287,7 +287,8 @@ def test_reports_scale_with_power_of_two_weights(tmp_path, capsys, graph):
     runs = {}
     for j in (-500, -40, 0, 40, 500):
         path = tmp_path / f"g{j}.txt"
-        path.write_text("".join(f"{u} {v} {math.ldexp(w, j)!r}\n" for u, v, w in g.edges))
+        path.write_text("".join(f"{u} {v} {math.ldexp(w, j)!r}\n"
+                                for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())))
         code, out = run(capsys, "solve", str(path), "--tol", "-1", "--oracle", "on")
         runs[j] = code, json.loads(out)
     base_code, base = runs[0]
@@ -321,7 +322,8 @@ def test_reports_scale_with_other_weights(tmp_path, capsys, graph, scale):
     runs = []
     for c in (1.0, scale):
         path = tmp_path / f"g{c}.txt"
-        path.write_text("".join(f"{u} {v} {w * c!r}\n" for u, v, w in g.edges))
+        path.write_text("".join(f"{u} {v} {w * c!r}\n"
+                                for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())))
         code, out = run(capsys, "solve", str(path), "--tol", "-1", "--oracle", "on")
         runs.append((code, json.loads(out)))
     (base_code, base), (code, report) = runs
@@ -608,16 +610,22 @@ def test_huge_requests_exit_1_under_memory_cap(tmp_path):
 
 
 def test_textless_memory_error_is_named_under_memory_cap():
-    """`random --n 10^18` for a star or a cycle builds Python lists until the
-    address-space cap stops them with a MemoryError that carries no text;
-    the one `error:` line names the exception instead of ending blank."""
+    """A Python list that outgrows the address-space cap stops with a
+    MemoryError that carries no text; the one `error:` line names the
+    exception instead of ending blank. The generators draw their weights as
+    arrays, whose MemoryError has text, so stand-ins for the star and cycle
+    generators build the list, as `[1.0] * n` weights once did."""
     pytest.importorskip("resource")
     cases = [["random", "--n", "1000000000000000000", "--model", model]
              for model in ("star", "cycle")]
     code = (
         "import contextlib, io, json, resource\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+        "from quantum_maxcut import generate\n"
         "from quantum_maxcut.cli import main\n"
+        "def as_list(n, weights='unit', rng=None):\n"
+        "    return [1.0] * n\n"
+        "generate.star_graph = generate.cycle_graph = as_list\n"
         "results = []\n"
         f"for argv in {cases!r}:\n"
         "    err = io.StringIO()\n"
@@ -663,7 +671,8 @@ def test_report_same_after_scipy_sparse(tmp_path):
     byte once the stage times are taken out, as a process that does not."""
     path = tmp_path / "g.txt"
     g = generate.gnp_graph(9, 0.5, np.random.default_rng(4), weights="exp")
-    path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges))
+    path.write_text("".join(f"{u} {v} {w!r}\n"
+                            for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())))
     reports = []
     for first in ("", "import scipy.sparse\n"):
         code = (

@@ -46,14 +46,14 @@ class TestParse:
     def test_single_edge(self):
         g = parse_graph("0 1 1.0")
         assert g.n == 2
-        assert g.edges == ((0, 1, 1.0),)
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0], [1], [1.0])
         assert g.total_weight == 1.0
 
     def test_unweighted_default(self):
         g = triangle()
         assert g.n == 3
-        assert all(w == 1.0 for _, _, w in g.edges)
-        assert g.degree == (2, 2, 2)
+        assert g.w.tolist() == [1.0, 1.0, 1.0]
+        assert g.degree.tolist() == [2, 2, 2]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -82,7 +82,7 @@ class TestParse:
 
     def test_comments_and_blanks(self):
         g = parse_graph("# header\n\n0 1 2.5  # trailing\n")
-        assert g.edges == ((0, 1, 2.5),)
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0], [1], [2.5])
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -95,11 +95,14 @@ class TestGraphInvariants:
         for _ in range(50):
             g = gnp_graph(int(rng.integers(2, 15)), 0.5, rng)
             for v in range(g.n):
-                assert g.degree[v] == sum(1 for u, w, _ in g.edges if v in (u, w))
+                assert g.degree[v] == sum(1 for a, b in zip(g.u.tolist(), g.v.tolist())
+                                          if v in (a, b))
 
     def test_noncanonical_order_oriented(self):
         g = WeightedGraph(3, [2], [1], [1.0])
-        assert g.edges == ((1, 2, 1.0),) and g == parse_graph("1 2")
+        h = parse_graph("1 2")
+        assert (g.n, g.u.tolist(), g.v.tolist(), g.w.tolist()) == (3, [1], [2], [1.0])
+        assert (h.n, h.u.tolist(), h.v.tolist(), h.w.tolist()) == (3, [1], [2], [1.0])
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_weight_rejected(self, weight):
@@ -189,11 +192,11 @@ class TestCsr:
         for _ in range(10):
             g = gnp_graph(int(rng.integers(1, 15)), 0.5, rng, weights="exp")
             dense = np.zeros((g.n, g.n))
-            for u, v, w in g.edges:
+            for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
                 dense[u, v] = dense[v, u] = w
             a = scipy_csr(g.csr)
             assert np.array_equal(a.toarray(), dense)
-            assert a.nnz == 2 * len(g.edges)
+            assert a.nnz == 2 * len(g.w)
 
     def test_cached_and_read_only(self):
         g = k4()
@@ -261,11 +264,12 @@ def match_forest_decompose_loop(g):
     """Per edge, how many endpoints pick it as their maximal incident edge,
     edges ordered by (w, index)."""
     pick = {}  # vertex -> the index of its maximal incident edge
-    for i, (u, v, w) in enumerate(g.edges):
+    ws = g.w.tolist()
+    for i, (u, v, w) in enumerate(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())):
         for x in (u, v):
-            if x not in pick or (w, i) > (g.edges[pick[x]][2], pick[x]):
+            if x not in pick or (w, i) > (ws[pick[x]], pick[x]):
                 pick[x] = i
-    counts = [0] * len(g.edges)
+    counts = [0] * len(g.w)
     for i in pick.values():
         counts[i] += 1
     return counts
@@ -273,7 +277,8 @@ def match_forest_decompose_loop(g):
 
 def unmatched_loop(g, picks):
     """The vertices in order that no edge picked by both endpoints covers."""
-    covered = {x for (u, v, _), k in zip(g.edges, picks) if k == 2 for x in (u, v)}
+    covered = {x for u, v, k in zip(g.u.tolist(), g.v.tolist(), picks) if k == 2
+               for x in (u, v)}
     return [x for x in range(g.n) if x not in covered]
 
 
@@ -281,7 +286,7 @@ def singlet_bits_loop(g, picks):
     """Flip-while-improving over the unmatched vertices in order."""
     unmatched = unmatched_loop(g, picks)
     adj = {x: [] for x in unmatched}
-    for u, v, w in g.edges:
+    for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
         if u in adj and v in adj:
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -309,25 +314,26 @@ class TestEvaluatorsMatchEdgeLoops:
         rng = np.random.default_rng(4)
         for _ in range(20):
             g = gnp_graph(int(rng.integers(2, 12)), 0.5, rng, weights="exp")
+            edges = list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
             vecs = rng.standard_normal((g.n, 4))
             vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
             assert sdp_objective(g, vecs) == pytest.approx(
-                sum(0.5 * w * (1 - vecs[u] @ vecs[v]) for u, v, w in g.edges), abs=1e-12)
+                sum(0.5 * w * (1 - vecs[u] @ vecs[v]) for u, v, w in edges), abs=1e-12)
             bits = rng.integers(0, 2, (5, g.n))
             assert [cut_value(g, b) for b in bits] == pytest.approx(
-                [sum(w for u, v, w in g.edges if b[u] != b[v]) for b in bits], abs=1e-12)
+                [sum(w for u, v, w in edges if b[u] != b[v]) for b in bits], abs=1e-12)
             top = [0.0] * g.n
-            for u, v, w in g.edges:
+            for u, v, w in edges:
                 top[u], top[v] = max(top[u], w), max(top[v], w)
             assert opt_upper_bound(g).degree_sum == pytest.approx(
                 g.total_weight + 0.5 * sum(top), abs=1e-12)
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             deg = g.degree
             thetas = np.linspace(0, np.pi / 4, 7)
             per_angle = [sum(0.5 * w * (edge_energy_sat if bits[0][u] != bits[0][v]
                                         else edge_energy_unsat)(t, deg[u], deg[v], tri)
-                             for (u, v, w), tri in zip(g.edges, g.triangles)) for t in thetas]
+                             for (u, v, w), tri in zip(edges, g.triangles)) for t in thetas]
             assert circuit_energy(g, bits[0], thetas) == pytest.approx(per_angle, abs=1e-12)
             s, matched = random_pair_product_state(g, rng)
             assert pair_product_formula(g, s, matched) == pytest.approx(
@@ -369,10 +375,10 @@ class TestTriangles:
         }[name]
         for g in graphs:
             nbrs = [set() for _ in range(g.n)]
-            for u, v, _ in g.edges:
+            for u, v in zip(g.u.tolist(), g.v.tolist()):
                 nbrs[u].add(v)
                 nbrs[v].add(u)
-            expected = [len(nbrs[u] & nbrs[v]) for u, v, _ in g.edges]
+            expected = [len(nbrs[u] & nbrs[v]) for u, v in zip(g.u.tolist(), g.v.tolist())]
             assert g.triangles.tolist() == expected
             assert g.triangles.dtype == np.intp
 
@@ -519,12 +525,13 @@ class TestSpanningForestColoring:
                           weights="exp")
             picks = match_forest_decompose(g)
             bits, cut = tree_coloring_state(g, picks)
-            forest = [e for e, k in zip(g.edges, picks) if k > 0]
+            edges = list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+            forest = [e for e, k in zip(edges, picks) if k > 0]
             count, reference = csgraph_forest_parity(g.n, forest)
             assert bits == reference and len(forest) == g.n - count
             assert all(bits[a] != bits[b] for a, b, _ in forest)
             assert cut == pytest.approx(
-                sum(w for a, b, w in g.edges if bits[a] != bits[b]), rel=1e-14)
+                sum(w for a, b, w in edges if bits[a] != bits[b]), rel=1e-14)
 
 
 class TestTwoColorForest:
@@ -568,7 +575,7 @@ def exp_weighted_gnm(n, m, rng):
 def assert_proper_within_vizing(g, col):
     """Every edge colored exactly once, no color twice at a vertex, and at
     most max_degree + 1 colors."""
-    assert sorted(col) == sorted((u, v) for u, v, _ in g.edges)
+    assert sorted(col) == sorted((u, v) for u, v in zip(g.u.tolist(), g.v.tolist()))
     assert max(col.values()) + 1 <= g.max_degree + 1
     used = set()
     for (u, v), c in col.items():
@@ -607,7 +614,7 @@ class TestEdgeColoring:
         rng = np.random.default_rng(2)
         for _ in range(200):
             g = gnp_graph(int(rng.integers(2, 18)), float(rng.uniform(0.1, 0.9)), rng)
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             assert_proper_within_vizing(g, proper_edge_coloring(g))
 
@@ -624,14 +631,15 @@ class TestEdgeColoring:
 
 def forest_and_matching(g, picks):
     """F and M as (u, v, w) edges in edge order: picked once or twice, and twice."""
-    return ([e for e, k in zip(g.edges, picks) if k > 0],
-            [e for e, k in zip(g.edges, picks) if k == 2])
+    edges = list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+    return ([e for e, k in zip(edges, picks) if k > 0],
+            [e for e, k in zip(edges, picks) if k == 2])
 
 
 def per_vertex_max(g):
     """sum_v max_{e ~ v} w_e, by a loop over the edges; a vertex on no edge adds 0."""
     mx = [0.0] * g.n
-    for u, v, w in g.edges:
+    for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
         mx[u] = max(mx[u], w)
         mx[v] = max(mx[v], w)
     return sum(mx)
@@ -679,7 +687,7 @@ class TestMatchForestDecompose:
         for _ in range(200):
             g = gnp_graph(int(rng.integers(2, 20)), float(rng.uniform(0.1, 0.9)),
                           rng, weights="exp")
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             check_picks(g)
 
@@ -701,7 +709,7 @@ def check_picks(g):
     {0, 1, 2} per edge, equal to the loop's, with F a forest, M a matching
     and g.w @ picks the sum of per-vertex maxima to 1e-12."""
     picks = match_forest_decompose(g)
-    assert picks.shape == (len(g.edges),) and picks.dtype.kind == "i"
+    assert picks.shape == (len(g.w),) and picks.dtype.kind == "i"
     assert not picks.flags.writeable
     assert set(picks.tolist()) <= {0, 1, 2}
     assert picks.tolist() == match_forest_decompose_loop(g)
@@ -718,7 +726,7 @@ def dsatur_reference(g):
     neighbor colors, then the highest degree, then the lowest index, takes
     the lowest color no neighbor has; the classes in color order."""
     nbrs = [set() for _ in range(g.n)]
-    for u, v, _ in g.edges:
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
         nbrs[u].add(v)
         nbrs[v].add(u)
     color = {}
@@ -752,7 +760,7 @@ def edge_coloring_reference(g):
     def free(x):
         return min(c for c in range(ncolors + 1) if c not in at[x])
 
-    for u0, v0, _ in g.edges:
+    for u0, v0 in zip(g.u.tolist(), g.v.tolist()):
         common = min(c for c in range(ncolors + 1) if c not in at[u0] and c not in at[v0])
         if common < ncolors:
             recolor(u0, v0, common)
@@ -792,7 +800,7 @@ def singlet_flips_reference(g, picks):
     its neighbors in index order, is positive."""
     unmatched = unmatched_loop(g, picks)
     neighbors = {i: [] for i in unmatched}
-    for u, v, w in g.edges:
+    for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
         if u in neighbors and v in neighbors:
             neighbors[u].append((v, w))
             neighbors[v].append((u, w))

@@ -72,7 +72,7 @@ def smaller_side(g):
     """min(|A|, |B|) over the sides A, B of the positive-weight edges, by a
     BFS of its own; they must form one connected bipartite graph."""
     neighbors = [[] for _ in range(g.n)]
-    for x, y, w in g.edges:
+    for x, y, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
         if w > 0:
             neighbors[x].append(y)
             neighbors[y].append(x)
@@ -100,13 +100,12 @@ def sector_test_graphs(n, rng):
         ws = rng.exponential(size=n)
         graphs.append(WeightedGraph.from_edges(n, [(0, v, ws[v]) for v in range(1, n - 1)]))
         cycle = cycle_graph(n, "uniform", rng)  # its two edges at vertex 0 weigh 0
-        graphs.append(WeightedGraph.from_edges(
-            n, [(u, v, 0.0 if u == 0 else w) for u, v, w in cycle.edges]))
+        graphs.append(WeightedGraph(n, cycle.u, cycle.v, np.where(cycle.u == 0, 0.0, cycle.w)))
     if n >= 4:
         h = n // 2
         left, right = gnp_graph(h, 0.7, rng, "uniform"), gnp_graph(n - h, 0.7, rng, "uniform")
-        graphs.append(WeightedGraph.from_edges(
-            n, list(left.edges) + [(u + h, v + h, w) for u, v, w in right.edges]))
+        graphs.append(WeightedGraph(n, np.r_[left.u, right.u + h], np.r_[left.v, right.v + h],
+                                    np.r_[left.w, right.w]))
     return graphs
 
 
@@ -155,7 +154,7 @@ class TestMaxEigenvalue:
         rng = np.random.default_rng(0)
         for _ in range(20):
             g = gnp_graph(int(rng.integers(2, 9)), 0.5, rng, weights="uniform")
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             opt = max_eigenvalue(g).value
             bits = tuple(int(b) for b in rng.integers(0, 2, g.n))
@@ -420,7 +419,7 @@ class TestSimulateVariationalState:
         rng = np.random.default_rng(2)
         for _ in range(5):
             g = gnp_graph(5, 0.6, rng)
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             z = tuple(int(b) for b in rng.integers(0, 2, g.n))
             th = float(rng.uniform(0, math.pi))
@@ -432,7 +431,7 @@ class TestSimulateVariationalState:
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = gnp_graph(6, 0.5, rng)
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             z = tuple(int(b) for b in rng.integers(0, 2, g.n))
             psi = simulate_variational_state(g, z, float(rng.uniform(0, 2 * math.pi)))
@@ -463,7 +462,7 @@ class TestDensePauliReference:
             g = gnp_graph(int(rng.integers(2, 7)), 0.6, rng, weights="uniform")
             dim = 2 ** g.n
             h = np.zeros((dim, dim), dtype=complex)
-            for u, v, w in g.edges:
+            for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
                 h += 0.5 * w * (np.eye(dim) - sum(pauli_string(g.n, {u: p, v: p})
                                                   for p in "XYZ"))
             psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -476,7 +475,7 @@ class TestDensePauliReference:
             z = tuple(int(b) for b in rng.integers(0, 2, g.n))
             theta = float(rng.uniform(0, math.pi))
             psi = basis_state(g.n, z)
-            for u, v, _ in g.edges:
+            for u, v in zip(g.u.tolist(), g.v.tolist()):
                 gate = pauli_string(g.n, {q: "X" if z[q] else "Y" for q in (u, v)})
                 psi = math.cos(theta) * psi + 1j * math.sin(theta) * (gate @ psi)
             assert np.allclose(simulate_variational_state(g, z, theta), psi,
@@ -488,7 +487,7 @@ class TestEnergy:
         rng = np.random.default_rng(4)
         for _ in range(10):
             g = gnp_graph(6, 0.5, rng, weights="uniform")
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             bits = tuple(int(b) for b in rng.integers(0, 2, g.n))
             assert energy(g, basis_state(g.n, bits)) == pytest.approx(
@@ -510,7 +509,7 @@ class TestEnergy:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = gnp_graph(5, 0.6, rng, weights="exp")
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             psi = rng.standard_normal(2 ** g.n) + 1j * rng.standard_normal(2 ** g.n)
             psi /= np.linalg.norm(psi)
@@ -534,7 +533,7 @@ class TestBruteForceMaxcut:
         rng = np.random.default_rng(6)
         for _ in range(10):
             g = gnp_graph(8, 0.5, rng, weights="exp")
-            if not g.edges:
+            if len(g.w) == 0:
                 continue
             val, bits = brute_force_maxcut(g)
             assert cut_value(g, bits) == pytest.approx(val, abs=1e-12)

@@ -67,7 +67,8 @@ def outcome(parse, text):
     except (ParseError, GraphError) as exc:
         return ("error", type(exc), str(exc))
     if isinstance(result, WeightedGraph):
-        n, edges, arrays = result.n, result.edges, (result.u, result.v, result.w)
+        arrays = (result.u, result.v, result.w)
+        n, edges = result.n, tuple(zip(*(a.tolist() for a in arrays)))
     else:
         n, edges = result
         arrays = (np.array([e[0] for e in edges], dtype=np.intp),
@@ -250,8 +251,8 @@ class TestConstructor:
         assert g.w.tolist() == [2.0, 0.5, 1.5]
 
     def test_one_edge_set_one_graph(self):
-        """The same edges in any order and orientation give equal graphs with
-        the same arrays and a bit-equal total weight: summed in input order,
+        """The same edges in any order and orientation give graphs with the
+        same arrays and a bit-equal total weight: summed in input order,
         the 2^-53 weights are kept after the 1 is added, and lost before."""
         weights = [1.0] + [2.0**-53] * 16
         rows = [(0, v, w) for v, w in enumerate(weights, 1)]
@@ -263,7 +264,6 @@ class TestConstructor:
         g = graphs[0]
         assert g.total_weight == 1.0
         for h in graphs[1:]:
-            assert h == g and hash(h) == hash(g) and h.edges == g.edges
             assert all(a.tobytes() == b.tobytes() for a, b in zip((h.u, h.v, h.w), (g.u, g.v, g.w)))
             assert h.total_weight.hex() == g.total_weight.hex()
 
@@ -277,7 +277,7 @@ class TestConstructor:
 
     def test_vertex_count_of_any_integer_type(self):
         g = WeightedGraph(np.uint8(3), [0], [2], [1.0])
-        assert type(g.n) is int and g == WeightedGraph(3, [0], [2], [1.0])
+        assert type(g.n) is int and g.n == 3 and (g.u.tolist(), g.v.tolist()) == ([0], [2])
 
     def test_total_weight_is_the_sequential_sum(self):
         """Each 2^-53 rounds away when added to 1 in turn; a pairwise sum
@@ -291,8 +291,8 @@ class TestConstructor:
         ([0], [1.5]), ([0], ["1"]), ([0], [True]), ([0, 1], [1, True]),
         (np.array([0.0]), np.array([1.0])), (np.array([False]), np.array([True]))])
     def test_non_integer_ids_rejected(self, u, v):
-        """An id that is not an integer is rejected, not truncated: `v` and
-        `edges` could otherwise disagree."""
+        """An id that is not an integer is rejected, not truncated to another
+        vertex."""
         with pytest.raises(GraphError, match="is not an integer"):
             WeightedGraph(3, u, v, [1.0] * len(u))
 
@@ -307,12 +307,13 @@ class TestConstructor:
                                        np.zeros(0, dtype="U1"), np.zeros(0, dtype=np.uint64)])
     def test_empty_inputs_of_any_dtype(self, empty):
         g = WeightedGraph(2, empty, empty, empty)
-        assert g.edges == () and g.total_weight == 0.0
+        assert len(g.u) == len(g.v) == len(g.w) == 0 and g.total_weight == 0.0
         assert g.u.dtype == g.v.dtype == np.intp and g.w.dtype == float
 
     def test_integer_dtypes_converted_and_checked(self):
         g = WeightedGraph(3, np.array([0], dtype=np.int8), np.array([2], dtype=np.uint64), [1])
-        assert g.u.dtype == g.v.dtype == np.intp and g.edges == ((0, 2, 1.0),)
+        assert g.u.dtype == g.v.dtype == np.intp
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0], [2], [1.0])
         with pytest.raises(GraphError, match="vertex id too large, above 2"):
             WeightedGraph(3, np.zeros(1, dtype=np.uint64), np.full(1, 2**63, dtype=np.uint64), [1])
 
@@ -323,7 +324,7 @@ class TestConstructor:
         assert not any(a.flags.writeable for a in (g.u, g.v, g.w))
         assert not any(np.shares_memory(a, b) for a, b in ((u, g.u), (v, g.v), (w, g.w)))
         u[0], w[0] = 2, -1.0
-        assert g.edges == ((0, 1, 1.0), (1, 2, 2.0)) and g.u[0] == 0 and g.w[0] == 1.0
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0, 1], [1, 2], [1.0, 2.0])
 
     def test_parse_equals_from_edges_on_a_shuffled_reoriented_copy(self):
         rng = np.random.default_rng(4)
@@ -333,13 +334,14 @@ class TestConstructor:
                 for i in rng.permutation(len(edges))]
         g = parse_graph("".join(f"{u} {v} {w!r}\n" for u, v, w in copy))
         h = WeightedGraph.from_edges(8, copy)
-        assert g == h and hash(g) == hash(h) and g.edges == tuple(edges)
+        assert g.n == h.n == 8
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((g.u, g.v, g.w), (h.u, h.v, h.w)))
+        assert list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == edges
 
     def test_from_edges_canonicalizes(self):
         g = WeightedGraph.from_edges(4, [(3, 1), (0, 2, 0.5), (1, 0, 2)])
-        assert g.edges == ((0, 1, 2.0), (0, 2, 0.5), (1, 3, 1.0))
-        assert all(type(x) is int for e in g.edges for x in e[:2])
-        assert all(type(e[2]) is float for e in g.edges)
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0, 0, 1], [1, 2, 3], [2.0, 0.5, 1.0])
+        assert g.u.dtype == g.v.dtype == np.intp and g.w.dtype == np.float64
 
     @pytest.mark.parametrize("edges", [[(0, 1, 1.0), (1, 2, 1.0, 9)], [(0,)], [(0, 1), ()]])
     def test_from_edges_items_of_two_or_three(self, edges):

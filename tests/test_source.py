@@ -2,9 +2,11 @@
 composes stages, every source line fits in 100 columns, and no module
 imports scipy: only `graphs` loads scipy's compiled CSR routines."""
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "quantum_maxcut").glob("*.py"))
@@ -186,3 +188,21 @@ def test_one_owner_per_target():
     owners = [line.split(" = ")[0] for line in text.splitlines()
               if re.search(r"\b0\.5[35]\b", line)]
     assert owners == ["EXACT_TARGET", "CANDIDATE_TARGET"]
+
+
+def test_one_graph_representation():
+    """A graph is its edge arrays `u`, `v`, `w` (and `csr`): no module reads
+    an `edges` attribute, the class has no such field, `degree` is a
+    read-only intp array, and `is_regular` gives a Python int, which the
+    report's `regular_degree` writes as `3`, where numpy's would print `3.0`."""
+    from quantum_maxcut import WeightedGraph, parse_graph
+
+    reads = [f"{p.name}:{node.lineno}" for p in SRC
+             for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+             if isinstance(node, ast.Attribute) and node.attr == "edges"]
+    assert not reads, f"`.edges` read at {reads}"
+    assert "edges" not in {f.name for f in dataclasses.fields(WeightedGraph)}
+    g = parse_graph("0 1\n1 2\n2 0")
+    assert not hasattr(g, "edges")
+    assert g.degree.dtype == np.intp and not g.degree.flags.writeable
+    assert type(g.is_regular()) is int and g.is_regular() == 2
